@@ -40,6 +40,7 @@ from .decompositions import (
 )
 from .errors import (
     AntisymmetryViolation,
+    CheckFailed,
     DecompositionInvalid,
     DimensionTooLarge,
     JacobiViolation,

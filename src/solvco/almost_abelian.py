@@ -21,13 +21,14 @@ from typing import Optional
 from .cohomology import cohomology
 from .decompositions import (
     char_poly,
+    complex_quadratic_factors,
     log_unipotent,
     nilpotency_index,
     perfect_square_root,
 )
 from .errors import NotFiniteOrder, NotQuasiUnipotent
 from .lie import LieAlgebra
-from .matrices import Matrix, exterior_power, rank, rank_and_kernel
+from .matrices import Matrix, det, exterior_power, rank, rank_and_kernel
 from .polynomials import (
     Polynomial,
     cyclotomic_factors,
@@ -74,8 +75,6 @@ class HolonomyInput:
             raise ValueError("holonomy must be n x n")
         if any(x.denominator != 1 for i in range(b.rows) for x in b.row(i)):
             raise ValueError("holonomy must have integer entries")
-        from .matrices import det
-
         if det(b) not in (1, -1):
             raise ValueError("holonomy must be invertible over the integers")
         if self.derivation is not None:
@@ -106,24 +105,15 @@ def b1_lattice(inp: HolonomyInput) -> int:
 def _rational_imaginary_quadratics(p: Polynomial):
     """Negative-discriminant quadratic factors of p whose roots have
     rational imaginary part, as (factor, real part a, imaginary part q)."""
-    from .decompositions import complex_quadratic_factors
-
     f = squarefree_part(p)
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    scaled = (f.shift_scale(Fraction(1, den)) * Fraction(den) ** f.degree).monic()
     out = []
     leftover = f
-    if scaled.is_integer():
-        for q in complex_quadratic_factors(scaled):
-            big_b, big_c = -int(q.coeffs[1]), int(q.coeffs[0])
-            disc = 4 * big_c - big_b * big_b  # positive: roots a +- i sqrt(disc)/2
-            root = perfect_square_root(disc)
-            factor = Polynomial((Fraction(big_c, den * den), Fraction(-big_b, den), 1))
-            leftover = leftover // factor
-            if root is not None:
-                out.append((factor, Fraction(big_b, 2 * den), Fraction(root, 2 * den)))
+    for factor in complex_quadratic_factors(f):
+        big_c, big_b = factor.coeffs[0], -factor.coeffs[1]
+        root = perfect_square_root(4 * big_c - big_b * big_b)  # roots (B +- i root)/2
+        leftover = leftover // factor
+        if root is not None:
+            out.append((factor, big_b / 2, root / 2))
     return out, leftover
 
 

@@ -52,8 +52,9 @@ def sort_with_sign(indices):
     return sign, tuple(indices)
 
 
-def differentials(g: LieAlgebra):
-    """All matrices d[k] : degree k -> degree k+1, without any validation.
+def differentials(g: LieAlgebra, max_degree: Optional[int] = None):
+    """Matrices d[k] : degree k -> degree k+1 for k up to max_degree (all
+    degrees when None), without any validation.
 
     Exposed separately so tests can correlate a Jacobi failure with a
     nonzero d∘d; build_complex is the checked entry point.
@@ -66,7 +67,8 @@ def differentials(g: LieAlgebra):
             if c != 0:
                 d_of_generator[gen].append((-c, i, j))
     mats = []
-    for k in range(n + 1):
+    top = n if max_degree is None else min(max_degree, n)
+    for k in range(top + 1):
         source = multi_indices(n, k)
         target = multi_indices(n, k + 1)
         target_pos = {idx: t for t, idx in enumerate(target)}
@@ -102,13 +104,13 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None,
     A full complex has 2^dim basis forms, so dimensions above dim_bound are
     rejected unless max_degree limits the computation to a prefix.
     """
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     if max_degree is None and g.dim > dim_bound:
         raise DimensionTooLarge(
             f"dimension {g.dim} exceeds bound {dim_bound}; use a degree cut-off")
     validate(g)
-    mats = differentials(g)
-    if max_degree is not None:
-        mats = mats[: max_degree + 1]
+    mats = differentials(g, max_degree)
     for k in range(len(mats) - 1):
         if not (mats[k + 1] * mats[k]).is_zero():
             raise JacobiViolation((0, 0, 0), f"d o d != 0 in degree {k}")

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .errors import NotRationallySplittable, NotUnipotent
-from .matrices import Matrix, basis_vector, inverse
+from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
+from .matrices import Echelon, Matrix, basis_vector, inverse
 from .polynomials import (
     Polynomial,
-    clear_denominators,
+    denominator_lcm,
     integer_divisors,
     poly_extended_gcd,
     poly_lcm,
@@ -54,35 +54,20 @@ def char_poly(m: Matrix) -> Polynomial:
 
 
 def _vector_annihilator(m: Matrix, v) -> Polynomial:
-    """Monic generator of {p : p(m) v = 0} from the Krylov sequence of v."""
+    """Monic generator of {p : p(m) v = 0} from the Krylov sequence of v.
+
+    Row k is [m^k v | e_k]: once the vector part of a row reduces to zero
+    against the earlier rows, its coordinate part holds the coefficients
+    of the annihilator, with a 1 at x^k.
+    """
     n = m.rows
-    combos = []  # row-reduction bookkeeping: vectors alongside Krylov coords
-    basis_rows = []
-    current = tuple(v)
-    power = 0
-    while True:
-        # reduce current against stored echelon rows, tracking coordinates
-        coords = [Fraction(0)] * (power + 1)
-        coords[power] = Fraction(1)
-        vec = list(current)
-        for row, combo in zip(basis_rows, combos):
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if vec[pivot] != 0:
-                f = vec[pivot]
-                vec = [x - f * y for x, y in zip(vec, row)]
-                for i, cc in enumerate(combo):
-                    coords[i] -= f * cc
-        if all(x == 0 for x in vec):
-            return Polynomial(coords).monic()
-        pivot = next(i for i, x in enumerate(vec) if x != 0)
-        scale = vec[pivot]
-        basis_rows.append(tuple(x / scale for x in vec))
-        combos.append(tuple(c / scale for c in coords) + (Fraction(0),))
-        combos = [tuple(c) + (Fraction(0),) * (power + 2 - len(c)) for c in combos]
-        current = m.apply(current)
-        power += 1
-        if power > n:
-            raise RuntimeError("Krylov sequence failed to terminate")
+    krylov = Echelon(2 * n + 1)
+    for k in range(n + 1):  # n + 1 vectors in dimension n are dependent
+        row = krylov.reduce(tuple(v) + basis_vector(n + 1, k))
+        if not any(row[:n]):
+            return Polynomial(row[n:])
+        krylov.add(row)
+        v = m.apply(v)
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
@@ -125,31 +110,31 @@ def jordan_chevalley(m: Matrix) -> JordanDecomposition:
     limit = max(1, n).bit_length() + 2
     while not fs.is_zero():
         if steps >= limit:
-            raise RuntimeError("Newton iteration failed to converge")
+            raise CheckFailed("Newton iteration failed to converge")
         s = s - fs * inverse(poly_of_matrix(f.derivative(), s))
         fs = poly_of_matrix(f, s)
         steps += 1
     return JordanDecomposition(semisimple=s, nilpotent=m - s)
 
 
-def _denominator_lcm(m: Matrix) -> int:
-    d = 1
-    for i in range(m.rows):
-        for x in m.row(i):
-            d = d * x.denominator // gcd(d, x.denominator)
-    return d
-
-
 def complex_quadratic_factors(p: Polynomial):
-    """Monic integer quadratics x^2 - B x + C with B^2 < 4C dividing p.
+    """Monic quadratics x^2 - b x + c with b^2 < 4c dividing p.
 
-    p must be monic with integer coefficients and squarefree.  Candidates
-    come from divisors of p evaluated at two integers (any factor q
-    satisfies q(t) | p(t)); each candidate is verified by exact division,
-    so the search is complete and sound.
+    p must be monic and squarefree.  Its roots are first multiplied by the
+    lcm D of its coefficient denominators, which makes D^deg p(x / D)
+    integral; the factors found for that polynomial are scaled back.
+    Integer candidates x^2 - B x + C come from divisors of the integral
+    polynomial evaluated at two integers (any factor q satisfies
+    q(t) | p(t)); each candidate is verified by exact division, so the
+    search is complete and sound.
     """
-    if not p.is_integer() or p.is_zero() or p.leading() != 1:
-        raise ValueError("expected a monic integer polynomial")
+    if p.is_zero() or p.leading() != 1:
+        raise ValueError("expected a monic polynomial")
+    den = denominator_lcm(p.coeffs)
+    if den != 1:
+        scaled = p.shift_scale(Fraction(1, den)) * den**p.degree
+        return [Polynomial((f.coeffs[0] / den**2, f.coeffs[1] / den, 1))
+                for f in complex_quadratic_factors(scaled)]
     q = p
     if q.coeffs[0] == 0:  # squarefree, so at most one root at zero
         q = q // Polynomial.x()
@@ -221,20 +206,13 @@ def semisimple_primary_components(s: Matrix):
     n = s.rows
     if p.degree == 0:
         return []
-    scale = _denominator_lcm(s)
-    scaled_min = minimal_polynomial(scale * s)
-    assert scaled_min.is_integer()
-    quads_scaled = complex_quadratic_factors(scaled_min)
-    # translate each x^2 - Bx + C back through eigenvalue scaling by 1/scale
     factors = []
     real_block = p
-    for qs in quads_scaled:
-        big_b, big_c = -qs.coeffs[1], qs.coeffs[0]
-        q = Polynomial((big_c / Fraction(scale) ** 2, -big_b / Fraction(scale), 1))
+    for q in complex_quadratic_factors(p):
         factors.append((q, -q.coeffs[1] / 2))
-        quotient, remainder = divmod(real_block, q)
-        assert remainder.is_zero(), "conjugate-pair factor must divide the minimal polynomial"
-        real_block = quotient
+        real_block, remainder = divmod(real_block, q)
+        if not remainder.is_zero():
+            raise CheckFailed("conjugate-pair factor does not divide the minimal polynomial")
     if not (real_block.degree <= 0 or
             sturm_real_root_count(real_block) == real_block.degree):
         raise NotRationallySplittable(
@@ -248,14 +226,16 @@ def semisimple_primary_components(s: Matrix):
     for f, a, is_pair in pieces:
         h = p // f
         g, u, _ = poly_extended_gcd(h, f)
-        assert g.degree == 0 and not g.is_zero()
+        if g.degree != 0:
+            raise CheckFailed(f"primary factor {f} is not coprime to its cofactor")
         projector = poly_of_matrix(u * h, s)
         components.append(PrimaryComponent(factor=f, projector=projector,
                                            real_part=a, is_complex_pair=is_pair))
     total = Matrix.zeros(n, n)
     for comp in components:
         total = total + comp.projector
-    assert total.is_identity(), "primary projectors must resolve the identity"
+    if not total.is_identity():
+        raise CheckFailed("primary projectors do not resolve the identity")
     return components
 
 
@@ -325,13 +305,17 @@ def log_unipotent(m: Matrix) -> Matrix:
     for k in range(1, idx):
         term = term * nil
         acc = acc + Fraction((-1) ** (k + 1), k) * term
-    assert exp_nilpotent(acc) == m, "finite series round trip must be exact"
+    if exp_nilpotent(acc) != m:
+        raise CheckFailed("exp(log m) != m for the finite series")
     return acc
 
 
-def perfect_square_root(n: int):
-    """Integer square root when n is a perfect square, else None."""
-    if n < 0:
+def perfect_square_root(x):
+    """Rational square root when x is the square of a rational, else None."""
+    x = Fraction(x)
+    if x < 0:
         return None
-    r = isqrt(n)
-    return r if r * r == n else None
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        return None
+    return Fraction(num, den)

@@ -5,6 +5,10 @@ class SolvcoError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class CheckFailed(SolvcoError):
+    """An exact identity that certifies a computed result does not hold."""
+
+
 class AntisymmetryViolation(SolvcoError):
     """Structure-constant tensor is not antisymmetric in its lower indices."""
 

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
-from .decompositions import jordan_chevalley, minimal_polynomial, char_poly
+from .decompositions import (
+    char_poly,
+    complex_quadratic_factors,
+    jordan_chevalley,
+    minimal_polynomial,
+)
 from .errors import (
     AntisymmetryViolation,
     DecompositionInvalid,
@@ -363,19 +367,8 @@ def _non_real_witness_factor(p: Polynomial):
     f = squarefree_part(p)
     if f.degree <= 0 or sturm_real_root_count(f) == f.degree:
         return None
-    from .decompositions import complex_quadratic_factors
-
-    den = 1
-    for c in f.coeffs:
-        den = lcm(den, c.denominator)
-    scaled = f.shift_scale(Fraction(1, den))  # f(x/den) has integer-scaled roots
-    scaled = (scaled * Fraction(den) ** f.degree).monic()
-    if scaled.is_integer():
-        quads = complex_quadratic_factors(scaled)
-        if quads:
-            q = quads[0]
-            return Polynomial((q.coeffs[0] / den**2, q.coeffs[1] / den, 1))
-    return f
+    quads = complex_quadratic_factors(f)
+    return quads[0] if quads else f
 
 
 def _quotient_operators(g: LieAlgebra, ideal: Subspace):

@@ -195,36 +195,25 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
+def _echelon(width: int, rows) -> Echelon:
+    """Echelon spanned by the given dense rows."""
+    ech = Echelon(width)
+    for row in rows:
+        ech.add(row)
+    return ech
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (R, pivot column list)."""
-    rows = m.rows_list()
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix.from_rows(rows) if nrows else m, pivots
+    if not m.rows:
+        return m, []
+    ech = _echelon(m.cols, map(m.row, range(m.rows)))
+    rows = ech.rows + [zero_vector(m.cols)] * (m.rows - ech.dim)
+    return Matrix.from_rows(rows), ech.pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return _echelon(m.cols, map(m.row, range(m.rows))).dim
 
 
 def rank_and_kernel(m: Matrix):
@@ -233,83 +222,56 @@ def rank_and_kernel(m: Matrix):
     The kernel basis is the standard one read off the reduced echelon form:
     one vector per free column, with a 1 in the free position.
     """
-    R, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    kernel = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
+    ech = _echelon(m.cols, map(m.row, range(m.rows)))
+    kernel = {f: [Fraction(0)] * m.cols for f in range(m.cols) if f not in ech._tails}
+    for p, tail in ech._tails.items():
+        for f, x in tail.items():
+            kernel[f][p] = -x
+    for f, v in kernel.items():
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r, f]
-        kernel.append(tuple(v))
-    return len(pivots), kernel
+    return ech.dim, [tuple(v) for v in kernel.values()]
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by rational Gaussian elimination."""
+    """Determinant: the product of the pivots divided out while the rows
+    are inserted, signed by the permutation of the pivot columns."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    rows = m.rows_list()
-    sign = 1
+    ech = Echelon(m.cols)
     result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    pivots = []
+    for i in range(m.rows):
+        v = ech.reduce(m.row(i))
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
             return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
+        result *= v[p]
+        pivots.append(p)
+        ech.add(v)
+    inversions = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1 :])
+    return -result if inversions % 2 else result
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError when singular."""
+    """Exact inverse read off the reduced echelon form [I | m^-1] of
+    [m | I]; raises ValueError when singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, n):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return Matrix.from_rows([row[n:] for row in aug])
+    ech = _echelon(2 * n, (m.row(i) + basis_vector(n, i) for i in range(n)))
+    if ech.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return Matrix.from_rows([row[n:] for row in ech.rows])
 
 
 def solve(m: Matrix, b: Vector):
     """One solution of m x = b, or None when inconsistent."""
-    aug = Matrix.from_rows([list(m.row(i)) + [b[i]] for i in range(m.rows)])
-    R, pivots = rref(aug)
-    if m.cols in pivots:
+    ech = _echelon(m.cols + 1, (m.row(i) + (b[i],) for i in range(m.rows)))
+    if m.cols in ech._tails:
         return None
     x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = R[r, m.cols]
+    for p, tail in ech._tails.items():
+        x[p] = tail.get(m.cols, Fraction(0))
     return tuple(x)
 
 
@@ -341,43 +303,76 @@ def exterior_power(m: Matrix, k: int) -> Matrix:
 
 
 class Echelon:
-    """Growable row-echelon accumulator for span/membership questions."""
+    """Growable, fully reduced row echelon basis: the one Gauss-Jordan
+    kernel behind every exact elimination in the package.
+
+    A basis row is stored sparsely as {column: Fraction} under its pivot
+    column, with the pivot entry (always 1) left implicit.  Every row is
+    zero in the pivot columns of the others, so reducing a vector against
+    the basis does not depend on the order of the pivots.  Vectors go in
+    and come out as dense tuples.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows = []  # reduced rows, each with recorded pivot column
-        self.pivots = []
+        self._tails = {}  # pivot column -> row entries off the pivot
+
+    @staticmethod
+    def _subtract(target: dict, f: Fraction, row: dict) -> None:
+        """target -= f * row on sparse rows, dropping cancelled entries."""
+        for c, x in row.items():
+            y = target.get(c, 0) - f * x
+            if y:
+                target[c] = y
+            else:
+                del target[c]
+
+    def _reduce(self, v) -> dict:
+        """Sparse remainder of the dense vector v modulo the span."""
+        v = {c: _frac(x) for c, x in enumerate(v) if x}
+        for p in [c for c in v if c in self._tails]:
+            self._subtract(v, v.pop(p), self._tails[p])
+        return v
+
+    def _dense(self, v: dict) -> Vector:
+        out = [Fraction(0)] * self.width
+        for c, x in v.items():
+            out[c] = x
+        return tuple(out)
 
     def reduce(self, v: Vector) -> Vector:
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+        return self._dense(self._reduce(v))
 
     def add(self, v: Vector) -> bool:
         """Insert v; returns True when it enlarged the span."""
-        v = self.reduce(v)
-        for p, x in enumerate(v):
-            if x != 0:
-                v = tuple(e / x for e in v)
-                # back-substitute into existing rows to stay fully reduced
-                for idx, (row, q) in enumerate(zip(self.rows, self.pivots)):
-                    if row[p] != 0:
-                        f = row[p]
-                        self.rows[idx] = tuple(a - f * b for a, b in zip(row, v))
-                self.rows.append(v)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=lambda t: self.pivots[t])
-                self.rows = [self.rows[t] for t in order]
-                self.pivots = [self.pivots[t] for t in order]
-                return True
-        return False
+        v = self._reduce(v)
+        if not v:
+            return False
+        # scale the lowest nonzero entry to 1, then clear the new pivot
+        # column from the existing rows to stay fully reduced
+        p = min(v)
+        lead = v.pop(p)
+        for c in v:
+            v[c] /= lead
+        for tail in self._tails.values():
+            f = tail.pop(p, None)
+            if f is not None:
+                self._subtract(tail, f, v)
+        self._tails[p] = v
+        return True
 
     def contains(self, v: Vector) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not self._reduce(v)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._tails)
+
+    @property
+    def pivots(self):
+        return sorted(self._tails)
+
+    @property
+    def rows(self):
+        """Basis rows as dense tuples, ordered by pivot."""
+        return [self._dense({p: Fraction(1), **self._tails[p]}) for p in self.pivots]

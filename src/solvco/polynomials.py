@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
+
+from .errors import CheckFailed
 
 
 class Polynomial:
@@ -283,9 +286,9 @@ def cyclotomic(d: int) -> Polynomial:
     num = Polynomial.monomial(d) - Polynomial((1,))
     for e in range(1, d):
         if d % e == 0:
-            q, r = divmod(num, cyclotomic(e))
-            assert r.is_zero()
-            num = q
+            num, r = divmod(num, cyclotomic(e))
+            if not r.is_zero():
+                raise CheckFailed(f"cyclotomic({e}) does not divide x^{d} - 1")
     return num
 
 
@@ -348,20 +351,9 @@ def integer_divisors(n: int):
     return small + large[::-1]
 
 
-def clear_denominators(p: Polynomial):
-    """(integer-coefficient polynomial, multiplier) with multiplier * p integral."""
-    if p.is_zero():
-        return p, 1
-    mult = 1
-    for c in p.coeffs:
-        mult = mult * c.denominator // _gcd_int(mult, c.denominator)
-    return Polynomial(c * mult for c in p.coeffs), mult
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def denominator_lcm(values) -> int:
+    """Least common multiple of the denominators of rationals (1 for none)."""
+    return lcm(*(x.denominator for x in values))
 
 
 def rational_roots(p: Polynomial):
@@ -376,9 +368,9 @@ def rational_roots(p: Polynomial):
     if zero_root:
         roots.add(Fraction(0))
     if q.degree >= 1:
-        qi, _ = clear_denominators(q)
-        a0 = int(qi.coeffs[0])
-        an = int(qi.leading())
+        mult = denominator_lcm(q.coeffs)
+        a0 = int(q.coeffs[0] * mult)
+        an = int(q.leading() * mult)
         for num in integer_divisors(a0):
             for den in integer_divisors(an):
                 for cand in (Fraction(num, den), Fraction(-num, den)):

@@ -25,7 +25,7 @@ from .decompositions import (
     minimal_polynomial,
     semisimple_primary_components,
 )
-from .errors import NonCommutingTorus, NotNilpotent
+from .errors import CheckFailed, NonCommutingTorus, NotNilpotent
 from .lie import (
     LieAlgebra,
     Subspace,
@@ -198,7 +198,7 @@ def modified_bracket(inp: SplittingInput, kill: KillMap) -> SplittingResult:
         for a in inp.complement.basis:
             p = minimal_polynomial(ad_matrix(out, a))
             if not is_totally_real(p):
-                raise RuntimeError(
+                raise CheckFailed(
                     "compact kill left a non-real V-adjoint spectrum")
     return SplittingResult(output=out, kill=kill,
                            identification=Matrix.identity(n))

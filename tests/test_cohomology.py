@@ -170,6 +170,10 @@ def test_max_degree_prefix():
     full = cohomology(g).betti
     partial = cohomology(g, max_degree=2).betti
     assert partial == full[:3]
+    assert [m.cols for m in differentials(g, max_degree=2)] == [1, 6, 15]
+    assert cohomology(g, max_degree=9).betti == full
+    with pytest.raises(ValueError):
+        cohomology(g, max_degree=-2)
 
 
 def test_dimension_bound():

@@ -118,6 +118,14 @@ def test_cli_validate_jacobi_violation(tmp_path):
     assert "Jacobi" in text and "(1,2,3)" in text
 
 
+def test_cli_failed_self_check_exits_1(monkeypatch):
+    # force the exact spectrum check after a compact kill to fail
+    monkeypatch.setattr("solvco.splitting.is_totally_real", lambda p: False)
+    code, text = run_command(["split", "nakamura", "--complement", "1,2", "--kill", "compact"])
+    assert code == 1
+    assert text == "error: compact kill left a non-real V-adjoint spectrum"
+
+
 def test_cli_usage_errors():
     code, _ = run_command(["cohomology"])  # missing file
     assert code == 3
