@@ -59,6 +59,8 @@ def differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     Exposed separately so tests can correlate a Jacobi failure with a
     nonzero d∘d; build_complex is the checked entry point.
     """
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     n = g.dim
     # d e^gen = - sum c[gen][i][j] e^{ij}: collect the nonzero terms once
     d_of_generator = {gen: [] for gen in range(1, n + 1)}
@@ -104,8 +106,6 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None,
     A full complex has 2^dim basis forms, so dimensions above dim_bound are
     rejected unless max_degree limits the computation to a prefix.
     """
-    if max_degree is not None and max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     if max_degree is None and g.dim > dim_bound:
         raise DimensionTooLarge(
             f"dimension {g.dim} exceeds bound {dim_bound}; use a degree cut-off")

@@ -121,8 +121,8 @@ def complex_quadratic_factors(p: Polynomial):
     """Monic quadratics x^2 - b x + c with b^2 < 4c dividing p.
 
     p must be monic and squarefree.  Its roots are first multiplied by the
-    lcm D of its coefficient denominators, which makes D^deg p(x / D)
-    integral; the factors found for that polynomial are scaled back.
+    least D > 0 that makes D^deg p(x / D) integral; the factors found for
+    that polynomial are scaled back.
     Integer candidates x^2 - B x + C come from divisors of the integral
     polynomial evaluated at two integers (any factor q satisfies
     q(t) | p(t)); each candidate is verified by exact division, so the
@@ -130,7 +130,7 @@ def complex_quadratic_factors(p: Polynomial):
     """
     if p.is_zero() or p.leading() != 1:
         raise ValueError("expected a monic polynomial")
-    den = denominator_lcm(p.coeffs)
+    den = _root_scale(p)
     if den != 1:
         scaled = p.shift_scale(Fraction(1, den)) * den**p.degree
         return [Polynomial((f.coeffs[0] / den**2, f.coeffs[1] / den, 1))
@@ -152,10 +152,10 @@ def complex_quadratic_factors(p: Polynomial):
         for r in (1, -1, 2, -2, 3, -3):
             reduced = reduced // Polynomial((-r, 1))
         return complex_quadratic_factors(reduced)
-    pt = int(q(t))
+    deltas = integer_divisors(int(q(t)))
     found = []
     for big_c in integer_divisors(c0):
-        for delta_abs in integer_divisors(pt):
+        for delta_abs in deltas:
             for delta in (delta_abs, -delta_abs):
                 num = t * t + big_c - delta
                 if num % t != 0:
@@ -170,6 +170,20 @@ def complex_quadratic_factors(p: Polynomial):
                     found.append(cand)
     found.sort(key=lambda f: (f.coeffs[1], f.coeffs[0]))
     return found
+
+
+def _root_scale(p: Polynomial) -> int:
+    """Least D > 0 with D^(deg p - i) c_i integral for every coefficient c_i.
+
+    D divides the lcm L of the coefficient denominators (L itself works),
+    and it is usually much smaller: roots with denominator d in a factor
+    of degree k give L up to d^k but need only D = d.  A small D keeps
+    the integers of the divisor search small.
+    """
+    n = p.degree
+    for d in integer_divisors(denominator_lcm(p.coeffs)):
+        if all((c * d ** (n - i)).denominator == 1 for i, c in enumerate(p.coeffs)):
+            return d
 
 
 @dataclass(frozen=True)

@@ -241,13 +241,12 @@ def det(m: Matrix) -> Fraction:
     result = Fraction(1)
     pivots = []
     for i in range(m.rows):
-        v = ech.reduce(m.row(i))
-        p = next((c for c, x in enumerate(v) if x), None)
-        if p is None:
+        added = ech.add(m.row(i))
+        if added is None:
             return Fraction(0)
-        result *= v[p]
+        p, lead = added
+        result *= lead
         pivots.append(p)
-        ech.add(v)
     inversions = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1 :])
     return -result if inversions % 2 else result
 
@@ -343,11 +342,13 @@ class Echelon:
     def reduce(self, v: Vector) -> Vector:
         return self._dense(self._reduce(v))
 
-    def add(self, v: Vector) -> bool:
-        """Insert v; returns True when it enlarged the span."""
+    def add(self, v: Vector):
+        """Insert v.  When it enlarges the span, returns (pivot column,
+        lead), where lead is the entry of the reduced v divided out at the
+        new pivot; otherwise None."""
         v = self._reduce(v)
         if not v:
-            return False
+            return None
         # scale the lowest nonzero entry to 1, then clear the new pivot
         # column from the existing rows to stay fully reduced
         p = min(v)
@@ -359,7 +360,7 @@ class Echelon:
             if f is not None:
                 self._subtract(tail, f, v)
         self._tails[p] = v
-        return True
+        return p, lead
 
     def contains(self, v: Vector) -> bool:
         return not self._reduce(v)

@@ -174,6 +174,8 @@ def test_max_degree_prefix():
     assert cohomology(g, max_degree=9).betti == full
     with pytest.raises(ValueError):
         cohomology(g, max_degree=-2)
+    with pytest.raises(ValueError):
+        differentials(g, max_degree=-2)
 
 
 def test_dimension_bound():

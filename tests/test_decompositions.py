@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from solvco.decompositions import (
+    _root_scale,
     char_poly,
     complex_quadratic_factors,
     exp_nilpotent,
@@ -168,6 +169,25 @@ def test_complex_quadratic_factor_search():
     assert len(found) == 2
     # positive-discriminant quadratics stay in the totally real part
     assert complex_quadratic_factors((X * X - 2) * (X - 1)) == []
+    # rational coefficients: roots scaled by 9, where the denominator lcm is 27
+    quads = [X * X - 6 * X + Fraction(244, 27), X * X - 6 * X + 54, X * X + 4 * X + 5]
+    p = quads[0] * quads[1] * quads[2]
+    assert _root_scale(p) == 9
+    assert complex_quadratic_factors(p) == quads
+
+
+def test_rational_rotation_speeds_scale_by_their_denominator():
+    # minimal polynomial x^8 + 46/9 x^6 + ... + 1600/6561: the coefficient
+    # denominators reach 3^8, yet scaling the roots by 3 makes it integral,
+    # which keeps the divisor search over small integers
+    speeds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)]
+    s = block_diag(*(rotation_block(0, b) for b in speeds))
+    assert _root_scale(minimal_polynomial(s)) == 3
+    comps = semisimple_primary_components(s)
+    assert [c.factor for c in comps] == [X * X + b * b for b in speeds]
+    assert all(c.is_complex_pair and c.real_part == 0 for c in comps)
+    parts = split_compact_parts(s)
+    assert parts.split.is_zero() and parts.compact == s
 
 
 def test_log_unipotent_spec_examples():

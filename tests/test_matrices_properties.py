@@ -1,0 +1,130 @@
+"""Property tests of the exact elimination kernel against sympy.
+
+Random rational matrices (rectangular, sparse and dense, with zero rows,
+zero columns and 0 x n shapes) drawn by hypothesis; the module is skipped
+where hypothesis is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from solvco.decompositions import minimal_polynomial, poly_of_matrix  # noqa: E402
+from solvco.matrices import (  # noqa: E402
+    Echelon,
+    Matrix,
+    det,
+    inverse,
+    rank,
+    rank_and_kernel,
+    rref,
+    solve,
+)
+
+ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_dim=5):
+    """Rational matrices, sparse or dense, with some zero rows and columns."""
+    n = draw(st.integers(0, max_dim)) if rows is None else rows
+    m = draw(st.integers(0, max_dim)) if cols is None else cols
+    size = n * m
+    zero = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    if draw(st.booleans()):  # dense: keep every drawn entry
+        zero = [False] * size
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    entries = [Fraction(0) if zero[i * m + j] or i in zero_rows or j in zero_cols
+               else draw(ENTRIES) for i in range(n) for j in range(m)]
+    return Matrix(n, m, entries)
+
+
+@st.composite
+def square_matrices(draw, max_dim=5):
+    n = draw(st.integers(0, max_dim))
+    return draw(matrices(rows=n, cols=n))
+
+
+def to_sympy(m: Matrix):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for i in range(m.rows) for x in m.row(i)])
+
+
+def from_sympy(rows):
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_rank_kernel_match_sympy(m):
+    ref = to_sympy(m)
+    r, pivots = rref(m)
+    ref_r, ref_pivots = ref.rref()
+    assert [r.row(i) for i in range(r.rows)] == from_sympy(ref_r.tolist())
+    assert pivots == list(ref_pivots)
+    assert rank(m) == ref.rank() == len(pivots)
+    k, kernel = rank_and_kernel(m)
+    assert k == ref.rank()
+    assert kernel == from_sympy([list(v) for v in ref.nullspace()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_and_inverse_match_sympy(m):
+    ref = to_sympy(m)
+    assert det(m) == Fraction(str(ref.det()))
+    if ref.det() == 0:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        inv = inverse(m)
+        assert [inv.row(i) for i in range(inv.rows)] == from_sympy(ref.inv().tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_matches_sympy(data):
+    m = data.draw(matrices())
+    b = tuple(data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows)))
+    x = solve(m, b)
+    ref, ref_b = to_sympy(m), to_sympy(Matrix(len(b), 1, b))
+    if ref.row_join(ref_b).rank() > ref.rank():
+        assert x is None
+        return
+    assert m.apply(x) == b
+    sol, params = ref.gauss_jordan_solve(ref_b)
+    sol = sol.subs({p: 0 for p in params})  # free columns set to zero
+    assert x == from_sympy([list(sol)])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=6))
+def test_echelon_rows_are_sympy_rref_of_stacked_vectors(m):
+    ech = Echelon(m.cols)
+    added = [ech.add(m.row(i)) is not None for i in range(m.rows)]
+    ref_r, ref_pivots = to_sympy(m).rref()
+    assert ech.dim == sum(added) == len(ref_pivots)
+    assert ech.rows == from_sympy(ref_r.tolist())[: len(ref_pivots)]
+    assert ech.pivots == list(ref_pivots)
+    for i in range(m.rows):
+        assert ech.contains(m.row(i))
+        assert not any(ech.reduce(m.row(i)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(max_dim=5))
+def test_minimal_polynomial_annihilates_with_krylov_degree(m):
+    p = minimal_polynomial(m)
+    assert p.leading() == 1
+    assert poly_of_matrix(p, m).is_zero()
+    # deg p = dim span{m^0, ..., m^n}
+    ref = to_sympy(m)
+    powers = sympy.Matrix(m.rows + 1, m.rows**2, [x for k in range(m.rows + 1)
+                                                  for x in ref**k])
+    assert p.degree == powers.rank()
