@@ -13,6 +13,7 @@ never from floating-point logarithms.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,7 +29,7 @@ from .decompositions import (
 )
 from .errors import NotFiniteOrder, NotQuasiUnipotent
 from .lie import LieAlgebra
-from .matrices import Matrix, det, exterior_power, rank, rank_and_kernel
+from .matrices import Matrix, det, exterior_power, rank
 from .polynomials import (
     Polynomial,
     cyclotomic_factors,
@@ -81,6 +82,13 @@ class HolonomyInput:
             z = self.derivation
             if not z.is_square() or z.rows != self.n:
                 raise ValueError("derivation must be n x n")
+
+    @functools.cached_property
+    def spectrum(self):
+        """(characteristic polynomial of the holonomy, its cyclotomic
+        factors as (d, multiplicity) pairs), computed once per input."""
+        p = char_poly(self.holonomy)
+        return p, tuple(cyclotomic_factors(p))
 
 
 def almost_abelian_algebra(derivation: Matrix) -> LieAlgebra:
@@ -153,8 +161,7 @@ def mostow_status(inp: HolonomyInput):
         return (MostowStatus.UNDETERMINED,
                 f"derivation spectrum has a non-real factor of degree >= 3 "
                 f"({leftover}); rational representability of i*pi not decided")
-    p = char_poly(inp.holonomy)
-    cyclo = cyclotomic_factors(p)
+    p, cyclo = inp.spectrum
     bad = [d for d, _ in cyclo if d >= 2]
     if bad:
         d = bad[0]
@@ -179,8 +186,7 @@ def mostow_status(inp: HolonomyInput):
 
 def quasi_unipotent_order(inp: HolonomyInput):
     """(m, cyclotomic factors) when every eigenvalue of B is a root of unity."""
-    p = char_poly(inp.holonomy)
-    cyclo = cyclotomic_factors(p)
+    _, cyclo = inp.spectrum
     degree_covered = sum(mult * euler_totient(d) for d, mult in cyclo)
     if degree_covered != inp.n:
         raise NotQuasiUnipotent(
@@ -221,9 +227,7 @@ def invariant_betti(inp: HolonomyInput, m: int):
     out = []
     for k in range(inp.n + 2):
         ext = exterior_power(action, k)
-        shifted = ext - Matrix.identity(ext.rows)
-        _, kernel = rank_and_kernel(shifted)
-        out.append(len(kernel))
+        out.append(ext.rows - rank(ext - Matrix.identity(ext.rows)))
     return out
 
 
@@ -252,15 +256,13 @@ def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
     says so via de_rham_valid.
     """
     status, reason = mostow_status(inp)
-    p = char_poly(inp.holonomy)
-    cyclo = tuple(cyclotomic_factors(p))
+    p, cyclo = inp.spectrum
     covered = sum(mult * euler_totient(d) for d, mult in cyclo)
     order_m = None
     inv = None
     if covered == inp.n:
-        order_m, _ = quasi_unipotent_order(inp)
-        _, cover_type, _ = torus_cover(inp)
-        if inp.holonomy**order_m == Matrix.identity(inp.n):
+        order_m, cover_type, _ = torus_cover(inp)
+        if cover_type is CoverType.TORUS:  # B^m = id
             inv = tuple(invariant_betti(inp, order_m))
     else:
         f = squarefree_part(p)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import UnknownName
+from .errors import CheckFailed, UnknownName
 from .lie import (
     LieAlgebra,
     Subspace,
@@ -182,6 +182,6 @@ def _verify_entry(entry: CatalogEntry) -> None:
     else:
         ok = solv and completely_solvable_flag(g).status == "no"
     if not ok:
-        raise AssertionError(
+        raise CheckFailed(
             f"catalog entry {entry.name} fails its declared classification")
     verify_nilpotent_complement(g, entry.complement, entry.nilpotent_ideal)

@@ -124,6 +124,8 @@ def run_command(argv):
         return EXIT_MATH, f"error: {exc}"
     except ValueError as exc:
         return EXIT_MATH, f"error: {exc}"
+    except Exception as exc:  # a defect, still reported without a traceback
+        return EXIT_MATH, f"error: internal {type(exc).__name__}: {exc}"
 
 
 def _cmd_validate(ns):

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .errors import DimensionTooLarge, JacobiViolation
@@ -25,7 +27,7 @@ from .lie import (
     is_unimodular,
     validate,
 )
-from .matrices import Echelon, Matrix, rank_and_kernel
+from .matrices import Echelon, Matrix
 
 DEFAULT_DIM_BOUND = 12
 
@@ -36,67 +38,114 @@ def multi_indices(n: int, k: int):
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
-def sort_with_sign(indices):
-    """(sign, sorted tuple) for distinct indices; sign 0 on repetition."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        return 0, ()
-    sign = 1
-    # insertion sort, counting transpositions; lists here are tiny
-    for i in range(1, len(indices)):
-        j = i
-        while j > 0 and indices[j - 1] > indices[j]:
-            indices[j - 1], indices[j] = indices[j], indices[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(indices)
+@functools.lru_cache(maxsize=None)
+def _positions(n: int, k: int):
+    """Index of each degree-k multi-index in the lexicographic basis."""
+    return {idx: t for t, idx in enumerate(multi_indices(n, k))}
 
 
-def differentials(g: LieAlgebra, max_degree: Optional[int] = None):
-    """Matrices d[k] : degree k -> degree k+1 for k up to max_degree (all
-    degrees when None), without any validation.
+def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
+    """d[k] for k up to max_degree (all degrees when None) as sparse
+    columns: d[k][s] is d of the s-th degree-k basis form, as a
+    {target index: Fraction} dict of its nonzero coefficients.  No
+    validation; build_complex is the checked entry point.
 
-    Exposed separately so tests can correlate a Jacobi failure with a
-    nonzero d∘d; build_complex is the checked entry point.
+    On a basis form, d e_I = sum over positions p of (-1)^p e_{i_1} ^ ...
+    ^ d e_{i_p} ^ ... ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p},
+    sorted into the remaining indices R, lands on its basis form with the
+    total sign (-1)^(p + #R below a + #R below b).
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     n = g.dim
-    # d e^gen = - sum c[gen][i][j] e^{ij}: collect the nonzero terms once
+    # d e^gen = - sum c[gen][a][b] e^{ab}: collect the nonzero terms once
     d_of_generator = {gen: [] for gen in range(1, n + 1)}
-    for (i, j), coeffs in g.nonzero_brackets():
+    for (a, b), coeffs in g.nonzero_brackets():
         for gen, c in enumerate(coeffs, start=1):
             if c != 0:
-                d_of_generator[gen].append((-c, i, j))
-    mats = []
+                d_of_generator[gen].append((a, b, -c))
     top = n if max_degree is None else min(max_degree, n)
+    out = []
     for k in range(top + 1):
-        source = multi_indices(n, k)
-        target = multi_indices(n, k + 1)
-        target_pos = {idx: t for t, idx in enumerate(target)}
-        entries = [[Fraction(0)] * len(source) for _ in range(len(target))]
-        for col, idx in enumerate(source):
+        target_pos = _positions(n, k + 1)
+        columns = []
+        for idx in multi_indices(n, k):
+            col = {}
             for pos, gen in enumerate(idx):
-                prefix = idx[:pos]
-                suffix = idx[pos + 1 :]
-                pos_sign = -1 if pos % 2 else 1
-                for coeff, i, j in d_of_generator[gen]:
-                    sgn, merged = sort_with_sign(prefix + (i, j) + suffix)
-                    if sgn == 0:
+                rest = idx[:pos] + idx[pos + 1 :]
+                for a, b, c in d_of_generator[gen]:
+                    if a in rest or b in rest:
                         continue
-                    entries[target_pos[merged]][col] += coeff * pos_sign * sgn
-        mats.append(Matrix.from_rows(entries) if entries else
-                    Matrix.zeros(0, len(source)))
-    return mats
+                    ia, ib = bisect_left(rest, a), bisect_left(rest, b)
+                    t = target_pos[rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:]]
+                    x = col.get(t, 0) + (-c if (ia + ib + pos) % 2 else c)
+                    if x:
+                        col[t] = x
+                    else:
+                        del col[t]
+            columns.append(col)
+        out.append(tuple(columns))
+    return out
+
+
+def _transpose(columns, rows: int):
+    """Sparse rows {source index: Fraction} of a matrix given by sparse columns."""
+    out = [{} for _ in range(rows)]
+    for s, col in enumerate(columns):
+        for t, x in col.items():
+            out[t][s] = x
+    return out
+
+
+def _dense_matrices(n: int, sparse):
+    """The Matrix d[k] : degree k -> k+1 of each sparse d[k] of a dim-n complex."""
+    zero = Fraction(0)
+    out = []
+    for k, columns in enumerate(sparse):
+        rows = _transpose(columns, comb(n, k + 1))
+        out.append(Matrix(len(rows), len(columns),
+                          [row.get(s, zero) for row in rows for s in range(len(columns))]))
+    return out
+
+
+def differentials(g: LieAlgebra, max_degree: Optional[int] = None):
+    """Matrices d[k] : degree k -> degree k+1 for k up to max_degree (all
+    degrees when None), without any validation: the densified
+    sparse_differentials.
+
+    Exposed separately so tests can correlate a Jacobi failure with a
+    nonzero d∘d; build_complex is the checked entry point.
+    """
+    return _dense_matrices(g.dim, sparse_differentials(g, max_degree))
+
+
+def check_square_zero(columns) -> None:
+    """Raise JacobiViolation unless d[k+1] d[k] = 0 exactly for every pair
+    of consecutive sparse differentials."""
+    for k in range(len(columns) - 1):
+        nxt = columns[k + 1]
+        for col in columns[k]:
+            acc = {}
+            for t, x in col.items():
+                for u, y in nxt[t].items():
+                    acc[u] = acc.get(u, 0) + x * y
+            if any(acc.values()):
+                raise JacobiViolation((0, 0, 0), f"d o d != 0 in degree {k}")
 
 
 @dataclass(frozen=True)
 class CEComplex:
-    """Exterior-form complex of an algebra: d[k] maps degree k to k+1."""
+    """Exterior-form complex of an algebra: columns[k] holds the sparse
+    columns of d[k] (degree k to k+1), as sparse_differentials returns
+    them; the dense matrices `d` are built on first access."""
 
     algebra: LieAlgebra
-    d: tuple
+    columns: tuple
     max_degree: Optional[int] = None  # None means the full complex was built
+
+    @functools.cached_property
+    def d(self):
+        return tuple(_dense_matrices(self.algebra.dim, self.columns))
 
 
 def build_complex(g: LieAlgebra, max_degree: Optional[int] = None,
@@ -110,46 +159,74 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None,
         raise DimensionTooLarge(
             f"dimension {g.dim} exceeds bound {dim_bound}; use a degree cut-off")
     validate(g)
-    mats = differentials(g, max_degree)
-    for k in range(len(mats) - 1):
-        if not (mats[k + 1] * mats[k]).is_zero():
-            raise JacobiViolation((0, 0, 0), f"d o d != 0 in degree {k}")
-    return CEComplex(algebra=g, d=tuple(mats), max_degree=max_degree)
+    columns = sparse_differentials(g, max_degree)
+    check_square_zero(columns)
+    return CEComplex(algebra=g, columns=tuple(columns), max_degree=max_degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohomologyResult:
-    """Betti numbers and deterministic representative cocycles per degree."""
+    """Betti numbers per degree; the representative cocycles are computed
+    on first access to `representatives`."""
 
     betti: tuple
-    representatives: tuple  # per degree, tuple of coefficient vectors
+    _cx: Optional[CEComplex] = field(default=None, repr=False)
+    # image echelon of each d[k] from the rank pass, the boundary echelon
+    # of degree k+1; read, never extended
+    _images: tuple = field(default=(), repr=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, CohomologyResult) and self.betti == other.betti
+                and self.representatives == other.representatives)
+
+    def __hash__(self):
+        return hash(self.betti)
+
+    @functools.cached_property
+    def representatives(self) -> tuple:
+        """Per degree, a tuple of dense cocycles spanning a complement of
+        the boundaries: the kernel basis of d[k] read off its reduced row
+        echelon form, each reduced against the boundaries and the cocycles
+        chosen before it, normalised to lead 1 and kept when nonzero.
+
+        The chosen cocycles live in an echelon of their own; their rows are
+        zero in the boundary pivots, so reducing against the boundaries and
+        then against them leaves the canonical remainder modulo both.  All
+        these echelon forms are canonical, so the output is reproducible."""
+        zero = Fraction(0)
+        reps = []
+        for k, columns in enumerate(self._cx.columns):
+            width = len(columns)
+            rows = Echelon(width)
+            for row in _transpose(columns, comb(self._cx.algebra.dim, k + 1)):
+                rows.add(row)
+            boundary = self._images[k - 1] if k else Echelon(width)
+            chosen = Echelon(width)
+            out = []
+            for vec in rows.kernel():
+                reduced = chosen.reduce(boundary.reduce(vec))
+                if reduced:
+                    lead = reduced[min(reduced)]
+                    normal = {c: x / lead for c, x in reduced.items()}
+                    chosen.add(normal)
+                    out.append(tuple(normal.get(c, zero) for c in range(width)))
+            reps.append(tuple(out))
+        return tuple(reps)
 
 
 def betti_numbers(cx: CEComplex) -> CohomologyResult:
-    """b_k = dim ker d[k] - rank d[k-1]; representatives span a complement
-    of the boundaries inside the cocycles, reduced against the boundary
-    echelon so the output is reproducible."""
-    betti = []
-    reps = []
-    prev_rank = 0
-    for k in range(len(cx.d)):
-        rank_k, kernel = rank_and_kernel(cx.d[k])
-        betti.append(len(kernel) - prev_rank)
-        boundary = Echelon(cx.d[k].cols)
-        if k > 0:
-            for j in range(cx.d[k - 1].cols):
-                boundary.add(cx.d[k - 1].column(j))
-        chosen = []
-        for vec in kernel:
-            reduced = boundary.reduce(vec)
-            if any(x != 0 for x in reduced):
-                lead = next(x for x in reduced if x != 0)
-                normal = tuple(x / lead for x in reduced)
-                boundary.add(normal)
-                chosen.append(normal)
-        reps.append(tuple(chosen))
-        prev_rank = rank_k
-    return CohomologyResult(betti=tuple(betti), representatives=tuple(reps))
+    """b_k = dim C^k - rank d[k] - rank d[k-1], with each rank the dimension
+    of the echelon spanned by the sparse columns of d[k]."""
+    n = cx.algebra.dim
+    images = []
+    for k, columns in enumerate(cx.columns):
+        image = Echelon(comb(n, k + 1))
+        for col in columns:
+            image.add(col)
+        images.append(image)
+    betti = tuple(len(columns) - images[k].dim - (images[k - 1].dim if k else 0)
+                  for k, columns in enumerate(cx.columns))
+    return CohomologyResult(betti=betti, _cx=cx, _images=tuple(images))
 
 
 @dataclass(frozen=True)
@@ -240,7 +317,7 @@ def format_multi_index(idx) -> str:
 def format_cocycle(vec, n: int, k: int) -> str:
     """`a1*e{I1} + a2*e{I2} + ...` with rational coefficients."""
     idxs = multi_indices(n, k)
-    terms = [f"{c}*{format_multi_index(idx)}" for c, idx in zip(vec, idxs) if c != 0]
+    terms = [f"{c}*{format_multi_index(idx)}" for c, idx in zip(vec, idxs) if c]
     if not terms:
         return "0"
     return " + ".join(terms)

@@ -45,11 +45,14 @@ from .polynomials import (
 class LieAlgebra:
     """Finite-dimensional Lie algebra with rational structure constants."""
 
-    __slots__ = ("dim", "_table")
+    __slots__ = ("dim", "_table", "_terms")
 
     def __init__(self, dim: int, table):
         """table maps (i, j) with 1 <= i < j <= dim to a coefficient tuple
-        of length dim; zero brackets may be omitted."""
+        of length dim; zero brackets may be omitted.
+
+        Each nonzero bracket is also kept as its nonzero (k, c) terms under
+        both (i, j) and (j, i), so bracket sums skip zero coefficients."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         clean = {}
@@ -61,8 +64,13 @@ class LieAlgebra:
                 raise ValueError("coefficient vector length must equal dim")
             if any(c != 0 for c in coeffs):
                 clean[(i, j)] = coeffs
+        terms = {}
+        for (i, j), coeffs in clean.items():
+            terms[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c)
+            terms[(j, i)] = tuple((k, -c) for k, c in terms[(i, j)])
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_table", clean)
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -130,15 +138,16 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
-        out = zero_vector(self.dim)
+        out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y, start=1) if yj]
         for i, xi in enumerate(x, start=1):
             if xi == 0:
                 continue
-            for j, yj in enumerate(y, start=1):
-                if yj == 0 or i == j:
-                    continue
-                out = add_vectors(out, scale_vector(xi * yj, self.bracket_basis(i, j)))
-        return out
+            for j, yj in ys:
+                f = xi * yj
+                for k, c in self._terms.get((i, j), ()):
+                    out[k - 1] += f * c
+        return tuple(out)
 
     def nonzero_brackets(self):
         """Sorted list of ((i, j), coeffs) with i < j and nonzero bracket."""
@@ -156,18 +165,24 @@ class LieAlgebra:
 
 
 def jacobi_violation(g: LieAlgebra):
-    """First triple (i, j, k) violating Jacobi, with its residual, or None."""
+    """First triple (i, j, k) violating Jacobi, with its residual, or None.
+
+    The residual [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    is summed over the nonzero bracket terms only."""
+    terms = g._terms
     for i in range(1, g.dim + 1):
         for j in range(i + 1, g.dim + 1):
-            bij = g.bracket_basis(i, j)
             for k in range(j + 1, g.dim + 1):
-                res = g.bracket(bij, basis_vector(g.dim, k - 1))
-                res = add_vectors(res, g.bracket(g.bracket_basis(j, k),
-                                                 basis_vector(g.dim, i - 1)))
-                res = add_vectors(res, g.bracket(g.bracket_basis(k, i),
-                                                 basis_vector(g.dim, j - 1)))
-                if any(c != 0 for c in res):
-                    return (i, j, k), res
+                res = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, x in terms.get((a, b), ()):
+                        for r, y in terms.get((m, c), ()):
+                            res[r] = res.get(r, 0) + x * y
+                if any(res.values()):
+                    out = [Fraction(0)] * g.dim
+                    for r, v in res.items():
+                        out[r - 1] = v
+                    return (i, j, k), tuple(out)
     return None
 
 

@@ -223,13 +223,7 @@ def rank_and_kernel(m: Matrix):
     one vector per free column, with a 1 in the free position.
     """
     ech = _echelon(m.cols, map(m.row, range(m.rows)))
-    kernel = {f: [Fraction(0)] * m.cols for f in range(m.cols) if f not in ech._tails}
-    for p, tail in ech._tails.items():
-        for f, x in tail.items():
-            kernel[f][p] = -x
-    for f, v in kernel.items():
-        v[f] = Fraction(1)
-    return ech.dim, [tuple(v) for v in kernel.values()]
+    return ech.dim, [ech._dense(v) for v in ech.kernel()]
 
 
 def det(m: Matrix) -> Fraction:
@@ -309,7 +303,8 @@ class Echelon:
     column, with the pivot entry (always 1) left implicit.  Every row is
     zero in the pivot columns of the others, so reducing a vector against
     the basis does not depend on the order of the pivots.  Vectors go in
-    and come out as dense tuples.
+    as dense tuples or sparse {column: Fraction} dicts, and `reduce`
+    returns the kind it was given.
     """
 
     def __init__(self, width: int):
@@ -327,8 +322,9 @@ class Echelon:
                 del target[c]
 
     def _reduce(self, v) -> dict:
-        """Sparse remainder of the dense vector v modulo the span."""
-        v = {c: _frac(x) for c, x in enumerate(v) if x}
+        """Sparse remainder of the dense or sparse vector v modulo the span."""
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        v = {c: _frac(x) for c, x in items if x}
         for p in [c for c in v if c in self._tails]:
             self._subtract(v, v.pop(p), self._tails[p])
         return v
@@ -339,10 +335,11 @@ class Echelon:
             out[c] = x
         return tuple(out)
 
-    def reduce(self, v: Vector) -> Vector:
-        return self._dense(self._reduce(v))
+    def reduce(self, v):
+        r = self._reduce(v)
+        return r if isinstance(v, dict) else self._dense(r)
 
-    def add(self, v: Vector):
+    def add(self, v):
         """Insert v.  When it enlarges the span, returns (pivot column,
         lead), where lead is the entry of the reduced v divided out at the
         new pivot; otherwise None."""
@@ -362,8 +359,17 @@ class Echelon:
         self._tails[p] = v
         return p, lead
 
-    def contains(self, v: Vector) -> bool:
+    def contains(self, v) -> bool:
         return not self._reduce(v)
+
+    def kernel(self):
+        """Sparse basis of the vectors orthogonal to every row, one per free
+        column f in ascending order: 1 at f and -row[f] at each pivot."""
+        kernel = {f: {f: Fraction(1)} for f in range(self.width) if f not in self._tails}
+        for p, tail in self._tails.items():
+            for f, x in tail.items():
+                kernel[f][p] = -x
+        return list(kernel.values())
 
     @property
     def dim(self) -> int:

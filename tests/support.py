@@ -132,6 +132,64 @@ def oracle_betti(g: LieAlgebra):
     return tuple(betti)
 
 
+def dense_cohomology(g: LieAlgebra, max_degree=None):
+    """(Betti numbers, representatives) by the dense algorithm the library
+    used before its sparse rank pass: kernel basis of each dense d[k] from
+    rank_and_kernel, reduced against a boundary echelon built afresh from
+    the columns of d[k-1]."""
+    from solvco.cohomology import differentials
+    from solvco.matrices import Echelon, rank_and_kernel
+
+    mats = differentials(g, max_degree)
+    betti, reps, prev_rank = [], [], 0
+    for k, d in enumerate(mats):
+        rank_k, kernel = rank_and_kernel(d)
+        betti.append(len(kernel) - prev_rank)
+        boundary = Echelon(d.cols)
+        if k > 0:
+            for j in range(mats[k - 1].cols):
+                boundary.add(mats[k - 1].column(j))
+        chosen = []
+        for vec in kernel:
+            reduced = boundary.reduce(vec)
+            if any(x != 0 for x in reduced):
+                lead = next(x for x in reduced if x != 0)
+                normal = tuple(x / lead for x in reduced)
+                boundary.add(normal)
+                chosen.append(normal)
+        reps.append(tuple(chosen))
+        prev_rank = rank_k
+    return tuple(betti), tuple(reps)
+
+
+def dense_jacobi_violation(g: LieAlgebra):
+    """First Jacobi-violating triple with its residual, from dense brackets
+    of basis vectors built on bracket_basis (not the sparse bracket terms)."""
+    n = g.dim
+
+    def bracket(x, y):
+        out = [Fraction(0)] * n
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if x[i - 1] and y[j - 1] and i != j:
+                    for t, c in enumerate(g.bracket_basis(i, j)):
+                        out[t] += x[i - 1] * y[j - 1] * c
+        return tuple(out)
+
+    def e(i):
+        return tuple(Fraction(int(t == i - 1)) for t in range(n))
+
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                terms = (bracket(bracket(e(a), e(b)), e(c))
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+                res = tuple(sum(col, Fraction(0)) for col in zip(*terms))
+                if any(res):
+                    return (i, j, k), res
+    return None
+
+
 # ---------------------------------------------------------------------------
 # random generators (all driven by a caller-provided random.Random)
 # ---------------------------------------------------------------------------

@@ -1,0 +1,133 @@
+"""Property tests of the sparse cohomology path against independent and
+dense references.
+
+Algebras come from the seeded generators in `support` (random valid
+algebras in a random integer basis, rank-one extensions by a random
+derivation, and valid algebras conjugated into a rational basis), driven by
+a hypothesis-controlled random source; the module is skipped where
+hypothesis is not installed.
+"""
+
+from math import comb
+
+import pytest
+import sympy
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from solvco.cohomology import (  # noqa: E402
+    build_complex,
+    check_square_zero,
+    cohomology,
+    differentials,
+    sparse_differentials,
+)
+from solvco.errors import JacobiViolation  # noqa: E402
+from solvco.lie import conjugate, jacobi_violation  # noqa: E402
+from support import (  # noqa: E402
+    dense_cohomology,
+    dense_jacobi_violation,
+    oracle_betti,
+    oracle_differential,
+    perturb_tensor,
+    rand_derivation_algebra,
+    rand_invertible_rational,
+    rand_valid_algebra,
+)
+
+
+@st.composite
+def algebras(draw, max_dim=5):
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("valid", "derivation", "rational")))
+    if kind == "derivation":
+        return rand_derivation_algebra(rng, rng.randint(2, max_dim))
+    g = rand_valid_algebra(rng, max_dim)
+    if kind == "rational":
+        g = conjugate(g, rand_invertible_rational(rng, g.dim))
+    return g
+
+
+@st.composite
+def perturbed_algebras(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    return perturb_tensor(rng, rand_valid_algebra(rng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras())
+def test_betti_match_sympy_oracle(g):
+    assert cohomology(g).betti == oracle_betti(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(max_dim=6), st.one_of(st.none(), st.integers(0, 7)))
+def test_representatives_are_cocycles_equal_to_dense_reference(g, max_degree):
+    cx = build_complex(g, max_degree=max_degree)
+    res = cohomology(g, max_degree=max_degree)
+    assert (res.betti, res.representatives) == dense_cohomology(g, max_degree)
+    for k, reps in enumerate(res.representatives):
+        assert len(reps) == res.betti[k]
+        for vec in reps:
+            assert any(vec)
+            assert not any(cx.d[k].apply(vec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras())
+def test_differentials_are_the_densified_sparse_form(g):
+    n = g.dim
+    sparse = sparse_differentials(g)
+    mats = differentials(g)
+    assert build_complex(g).d == tuple(mats)
+    assert len(sparse) == len(mats) == n + 1
+    for k, (columns, m) in enumerate(zip(sparse, mats)):
+        assert (m.rows, m.cols) == (comb(n, k + 1), comb(n, k))
+        assert len(columns) == m.cols
+        for s, col in enumerate(columns):
+            assert all(col.values())  # no stored zeros
+            assert m.column(s) == tuple(col.get(t, 0) for t in range(m.rows))
+        ours = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                             for i in range(m.rows) for x in m.row(i)])
+        assert ours == oracle_differential(g, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_algebras())
+def test_jacobi_violation_matches_dense_reference(g):
+    found = jacobi_violation(g)
+    assert found == dense_jacobi_violation(g)
+    if found is not None:
+        triple, residual = found
+        assert len(residual) == g.dim and any(residual)
+    failed = False
+    try:
+        check_square_zero(sparse_differentials(g))
+    except JacobiViolation:
+        failed = True
+    assert failed == (found is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(), st.data())
+def test_square_check_rejects_corrupted_sparse_differential(g, data):
+    # a cut below dim g keeps a nonzero top differential in the last pair
+    top = data.draw(st.integers(1, g.dim))
+    columns = [list(cols) for cols in sparse_differentials(g, top)]
+    check_square_zero(columns)
+    # corrupt d[k] e_s by + e_t, where d[k+1] e_t != 0: d∘d e_s becomes d[k+1] e_t
+    targets = [(k, t) for k in range(len(columns) - 1)
+               for t, col in enumerate(columns[k + 1]) if col]
+    assume(targets)
+    k, t = data.draw(st.sampled_from(targets))
+    s = data.draw(st.integers(0, len(columns[k]) - 1))
+    col = dict(columns[k][s])
+    col[t] = col.get(t, 0) + 1
+    if not col[t]:
+        del col[t]
+    columns[k][s] = col
+    # d[k] is also the outer factor of d[k] d[k-1], checked first
+    with pytest.raises(JacobiViolation, match=f"d o d != 0 in degree ({k - 1}|{k})$"):
+        check_square_zero(columns)

@@ -4,7 +4,7 @@ import pytest
 
 from solvco.catalog import catalog_get, catalog_names
 from solvco.cli import run_command
-from solvco.errors import ParseError, UnknownName
+from solvco.errors import CheckFailed, ParseError, UnknownName
 from solvco.files import (
     format_matrix,
     parse_matrix,
@@ -124,6 +124,37 @@ def test_cli_failed_self_check_exits_1(monkeypatch):
     code, text = run_command(["split", "nakamura", "--complement", "1,2", "--kill", "compact"])
     assert code == 1
     assert text == "error: compact kill left a non-real V-adjoint spectrum"
+
+
+def _misfiled_specs(monkeypatch):
+    # heisenberg3 declared completely solvable, which it is not (it is nilpotent)
+    from solvco import catalog
+
+    specs = catalog._entry_specs()
+    build = specs["heisenberg3"][0]
+    specs["misfiled"] = (build, catalog.COMPLETELY_SOLVABLE, (), (1, 2, 3), "")
+    monkeypatch.setattr(catalog, "_entry_specs", lambda: specs)
+
+
+def test_catalog_failed_verification_raises_check_failed(monkeypatch):
+    _misfiled_specs(monkeypatch)
+    with pytest.raises(CheckFailed, match="misfiled fails its declared classification"):
+        catalog_get("misfiled")
+
+
+def test_cli_catalog_failed_verification_exits_1(monkeypatch):
+    _misfiled_specs(monkeypatch)
+    code, text = run_command(["catalog", "misfiled"])
+    assert (code, text) == (1, "error: catalog entry misfiled fails its declared classification")
+
+
+def test_cli_unexpected_exception_exits_1(monkeypatch):
+    def broken(g):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("solvco.cli.is_unimodular", broken)
+    code, text = run_command(["info", "heisenberg3"])
+    assert (code, text) == (1, "error: internal ZeroDivisionError: boom")
 
 
 def test_cli_usage_errors():
