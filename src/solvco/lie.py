@@ -215,6 +215,9 @@ class Subspace:
                 raise ValueError("vector length must equal ambient dimension")
             if not ech.add(v):
                 raise ValueError("basis vectors are linearly dependent")
+        self._set(ambient_dim, basis, ech)
+
+    def _set(self, ambient_dim: int, basis: tuple, ech: Echelon) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_echelon", ech)
@@ -235,8 +238,11 @@ class Subspace:
         """Canonical subspace spanned by arbitrary vectors (echelon basis)."""
         ech = Echelon(ambient_dim)
         for v in vectors:
-            ech.add(tuple(Fraction(c) for c in v))
-        return cls(ambient_dim, ech.rows)
+            ech.add(v)
+        # the echelon rows are independent by construction: no second check
+        space = cls.__new__(cls)
+        space._set(ambient_dim, tuple(ech.rows), ech)
+        return space
 
     @classmethod
     def standard(cls, ambient_dim: int, indices) -> "Subspace":
@@ -251,7 +257,7 @@ class Subspace:
         return not self.basis
 
     def contains(self, v) -> bool:
-        return self._echelon.contains(tuple(Fraction(c) for c in v))
+        return self._echelon.contains(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -406,16 +412,22 @@ def _quotient_operators(g: LieAlgebra, ideal: Subspace):
 def _common_rational_eigenvector(ops, dim_q):
     """DFS over rational eigenvalues for a vector fixed up to scale by all ops."""
 
+    def eigenspaces(a: Matrix):
+        return [Subspace.span(dim_q, rank_and_kernel(a - lam * Matrix.identity(dim_q))[1])
+                for lam in rational_roots(char_poly(a))]
+
+    # each distinct operator's rational eigenspaces, once per call
+    spaces = {}
+    for a in ops:
+        if a not in spaces:
+            spaces[a] = eigenspaces(a)
+
     def recurse(space: Subspace, idx: int):
         if space.is_zero():
             return None
         if idx == len(ops):
             return space.basis[0]
-        a = ops[idx]
-        for lam in rational_roots(char_poly(a)):
-            shifted = a - lam * Matrix.identity(dim_q)
-            _, kernel = rank_and_kernel(shifted)
-            eig = Subspace.span(dim_q, kernel)
+        for eig in spaces[ops[idx]]:
             found = recurse(space.intersect(eig), idx + 1)
             if found is not None:
                 return found

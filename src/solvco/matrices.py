@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 Vector = tuple  # tuple of Fraction, used informally throughout
 
@@ -260,11 +260,12 @@ def inverse(m: Matrix) -> Matrix:
 def solve(m: Matrix, b: Vector):
     """One solution of m x = b, or None when inconsistent."""
     ech = _echelon(m.cols + 1, (m.row(i) + (b[i],) for i in range(m.rows)))
-    if m.cols in ech._tails:
+    pivots = ech.pivots
+    if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
-    for p, tail in ech._tails.items():
-        x[p] = tail.get(m.cols, Fraction(0))
+    for p in pivots:
+        x[p] = ech.entry(p, m.cols)
     return tuple(x)
 
 
@@ -299,20 +300,24 @@ class Echelon:
     """Growable, fully reduced row echelon basis: the one Gauss-Jordan
     kernel behind every exact elimination in the package.
 
-    A basis row is stored sparsely as {column: Fraction} under its pivot
-    column, with the pivot entry (always 1) left implicit.  Every row is
-    zero in the pivot columns of the others, so reducing a vector against
-    the basis does not depend on the order of the pivots.  Vectors go in
-    as dense tuples or sparse {column: Fraction} dicts, and `reduce`
-    returns the kind it was given.
+    A basis row is kept as a primitive integer row under its pivot column:
+    a positive pivot entry and a sparse {column: int} tail, zero in the
+    pivot columns of the other rows.  Divided by its pivot entry it is the
+    row of the rational reduced row echelon form, so reducing a vector
+    does not depend on the order of the pivots.  Vectors go in as dense
+    tuples or sparse dicts of ints or Fractions; each is cleared of
+    denominators once, eliminated fraction-free, and `Fraction`s appear
+    only in what the methods return.  `reduce` returns the kind it was
+    given.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._tails = {}  # pivot column -> row entries off the pivot
+        self._piv = {}  # pivot column -> pivot entry, a positive int
+        self._tails = {}  # pivot column -> row entries off the pivot, {column: int}
 
     @staticmethod
-    def _subtract(target: dict, f: Fraction, row: dict) -> None:
+    def _subtract(target: dict, f: int, row: dict) -> None:
         """target -= f * row on sparse rows, dropping cancelled entries."""
         for c, x in row.items():
             y = target.get(c, 0) - f * x
@@ -321,13 +326,53 @@ class Echelon:
             else:
                 del target[c]
 
-    def _reduce(self, v) -> dict:
-        """Sparse remainder of the dense or sparse vector v modulo the span."""
+    @staticmethod
+    def _integral(v):
+        """(V, s) with v = V / s: V the nonzero entries of the dense or
+        sparse vector v as a {column: int} dict, s >= 1 their least common
+        denominator.  Ints and integral Fractions pass through unscaled."""
         items = v.items() if isinstance(v, dict) else enumerate(v)
-        v = {c: _frac(x) for c, x in items if x}
-        for p in [c for c in v if c in self._tails]:
-            self._subtract(v, v.pop(p), self._tails[p])
-        return v
+        V = {}
+        fractional = []
+        for c, x in items:
+            if type(x) is not int:
+                if not isinstance(x, Fraction):
+                    x = Fraction(x)
+                n = x.numerator
+                if n and x.denominator != 1:
+                    fractional.append((c, x))
+                    continue
+                x = n
+            if x:
+                V[c] = x
+        if not fractional:
+            return V, 1
+        s = lcm(*[x.denominator for _, x in fractional])
+        for c in V:
+            V[c] *= s
+        for c, x in fractional:
+            V[c] = x.numerator * (s // x.denominator)
+        return V, s
+
+    def _reduce(self, v):
+        """(V, s) with V / s the remainder of v modulo the span.
+
+        With L the lcm of the pivot entries met, L * v less a multiple of
+        each of those rows is integral and zero at every pivot."""
+        V, s = self._integral(v)
+        hits = [p for p in V if p in self._tails]
+        if not hits:
+            return V, s
+        scale = lcm(*[self._piv[p] for p in hits])
+        if scale != 1:
+            V = {c: x * scale for c, x in V.items()}
+            s *= scale
+        for p in hits:
+            f = V.pop(p)
+            if scale != 1:
+                f //= self._piv[p]
+            self._subtract(V, f, self._tails[p])
+        return V, s
 
     def _dense(self, v: dict) -> Vector:
         out = [Fraction(0)] * self.width
@@ -336,39 +381,63 @@ class Echelon:
         return tuple(out)
 
     def reduce(self, v):
-        r = self._reduce(v)
+        V, s = self._reduce(v)
+        r = {c: Fraction(x, s) for c, x in V.items()}
         return r if isinstance(v, dict) else self._dense(r)
 
     def add(self, v):
         """Insert v.  When it enlarges the span, returns (pivot column,
-        lead), where lead is the entry of the reduced v divided out at the
-        new pivot; otherwise None."""
-        v = self._reduce(v)
-        if not v:
+        lead), where lead is the entry of the reduced v at the new pivot,
+        the factor divided out of the new rational row; otherwise None."""
+        V, s = self._reduce(v)
+        if not V:
             return None
-        # scale the lowest nonzero entry to 1, then clear the new pivot
-        # column from the existing rows to stay fully reduced
-        p = min(v)
-        lead = v.pop(p)
-        for c in v:
-            v[c] /= lead
-        for tail in self._tails.values():
-            f = tail.pop(p, None)
-            if f is not None:
-                self._subtract(tail, f, v)
-        self._tails[p] = v
+        p = min(V)
+        lead = Fraction(V[p], s)
+        g = gcd(*V.values())
+        if V[p] < 0:
+            g = -g
+        if g != 1:
+            V = {c: x // g for c, x in V.items()}
+        piv = V.pop(p)
+        # clear the new pivot column from the existing rows to stay fully
+        # reduced: row <- piv * row - row[p] * v, then make it primitive
+        for q, tail in self._tails.items():
+            a = tail.pop(p, None)
+            if a is None:
+                continue
+            piv_q = self._piv[q]
+            if piv != 1:
+                for c in tail:
+                    tail[c] *= piv
+                piv_q *= piv
+            self._subtract(tail, a, V)
+            if piv_q != 1:  # else both pivot entries were 1: nothing to divide
+                g = gcd(piv_q, *tail.values())
+                if g != 1:
+                    for c in tail:
+                        tail[c] //= g
+                    piv_q //= g
+                self._piv[q] = piv_q
+        self._piv[p] = piv
+        self._tails[p] = V
         return p, lead
 
     def contains(self, v) -> bool:
-        return not self._reduce(v)
+        return not self._reduce(v)[0]
+
+    def entry(self, p: int, c: int) -> Fraction:
+        """Entry at column c of the reduced basis row with pivot p."""
+        return Fraction(self._tails[p].get(c, 0), self._piv[p])
 
     def kernel(self):
         """Sparse basis of the vectors orthogonal to every row, one per free
         column f in ascending order: 1 at f and -row[f] at each pivot."""
         kernel = {f: {f: Fraction(1)} for f in range(self.width) if f not in self._tails}
         for p, tail in self._tails.items():
+            piv = self._piv[p]
             for f, x in tail.items():
-                kernel[f][p] = -x
+                kernel[f][p] = Fraction(-x, piv)
         return list(kernel.values())
 
     @property
@@ -381,5 +450,12 @@ class Echelon:
 
     @property
     def rows(self):
-        """Basis rows as dense tuples, ordered by pivot."""
-        return [self._dense({p: Fraction(1), **self._tails[p]}) for p in self.pivots]
+        """Basis rows of the rational reduced form as dense tuples, ordered
+        by pivot."""
+        out = []
+        for p in self.pivots:
+            piv = self._piv[p]
+            row = {c: Fraction(x, piv) for c, x in self._tails[p].items()}
+            row[p] = Fraction(1)
+            out.append(self._dense(row))
+        return out

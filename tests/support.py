@@ -3,8 +3,9 @@ generators for algebras and matrices.
 
 The oracles deliberately avoid the library code paths they check:
 rank via brute-force minors with Laplace determinants, differentials via
-the alternating-sum evaluation formula, and ranks for the Betti oracle via
-sympy.
+the alternating-sum evaluation formula, ranks for the Betti oracle via
+sympy, and the dense cohomology reference on a Fraction Gauss-Jordan of its
+own.
 """
 
 from __future__ import annotations
@@ -132,33 +133,77 @@ def oracle_betti(g: LieAlgebra):
     return tuple(betti)
 
 
+class GaussJordan:
+    """Fully reduced row echelon basis over Fraction, on dense lists: a
+    reference for the library's integer `Echelon`, sharing no code with it."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = {}  # pivot column -> dense row with a 1 at the pivot
+
+    def reduce(self, v):
+        v = [Fraction(x) for x in v]
+        for p, row in self.rows.items():
+            if v[p]:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        v = [x / v[p] for x in v]
+        for q, row in self.rows.items():
+            if row[p]:
+                self.rows[q] = [a - row[p] * b for a, b in zip(row, v)]
+        self.rows[p] = v
+        return True
+
+    def kernel(self):
+        """One vector per free column f: 1 at f and -row[f] at each pivot."""
+        out = []
+        for f in range(self.width):
+            if f not in self.rows:
+                vec = [Fraction(0)] * self.width
+                vec[f] = Fraction(1)
+                for p, row in self.rows.items():
+                    vec[p] = -row[f]
+                out.append(vec)
+        return out
+
+
 def dense_cohomology(g: LieAlgebra, max_degree=None):
     """(Betti numbers, representatives) by the dense algorithm the library
-    used before its sparse rank pass: kernel basis of each dense d[k] from
-    rank_and_kernel, reduced against a boundary echelon built afresh from
-    the columns of d[k-1]."""
+    used before its sparse rank pass, on `GaussJordan`: the kernel basis of
+    each dense d[k] read off its reduced row echelon form, each vector
+    reduced against a boundary echelon built afresh from the columns of
+    d[k-1] and the cocycles chosen before it."""
     from solvco.cohomology import differentials
-    from solvco.matrices import Echelon, rank_and_kernel
 
     mats = differentials(g, max_degree)
     betti, reps, prev_rank = [], [], 0
     for k, d in enumerate(mats):
-        rank_k, kernel = rank_and_kernel(d)
+        rows = GaussJordan(d.cols)
+        for i in range(d.rows):
+            rows.add(d.row(i))
+        kernel = rows.kernel()
         betti.append(len(kernel) - prev_rank)
-        boundary = Echelon(d.cols)
+        boundary = GaussJordan(d.cols)
         if k > 0:
             for j in range(mats[k - 1].cols):
                 boundary.add(mats[k - 1].column(j))
         chosen = []
         for vec in kernel:
             reduced = boundary.reduce(vec)
-            if any(x != 0 for x in reduced):
-                lead = next(x for x in reduced if x != 0)
+            if any(reduced):
+                lead = next(x for x in reduced if x)
                 normal = tuple(x / lead for x in reduced)
                 boundary.add(normal)
                 chosen.append(normal)
         reps.append(tuple(chosen))
-        prev_rank = rank_k
+        prev_rank = len(rows.rows)
     return tuple(betti), tuple(reps)
 
 
@@ -224,6 +269,16 @@ def rand_invertible_rational(rng, n):
     scales = [Fraction(rng.choice((1, 2, 3, -1)), rng.choice((1, 2)))
               for _ in range(n)]
     return u * Matrix.diagonal(scales)
+
+
+def rand_large_rational(rng, n):
+    """Invertible matrix with large entries: unimodular factors around a
+    diagonal of rationals with ~20-bit odd numerators over denominators up
+    to 10^6, so conjugating by it gives 40+-bit structure constants over
+    large, mostly coprime denominators."""
+    scales = [Fraction(rng.randrange(2**19, 2**20) | 1, rng.randrange(1, 10**6))
+              for _ in range(n)]
+    return rand_unimodular(rng, n) * Matrix.diagonal(scales) * rand_unimodular(rng, n)
 
 
 def rand_derivation_algebra(rng, dim, span=2):

@@ -3,9 +3,9 @@ dense references.
 
 Algebras come from the seeded generators in `support` (random valid
 algebras in a random integer basis, rank-one extensions by a random
-derivation, and valid algebras conjugated into a rational basis), driven by
-a hypothesis-controlled random source; the module is skipped where
-hypothesis is not installed.
+derivation, and valid algebras conjugated into a rational basis, with small
+or with large entries), driven by a hypothesis-controlled random source;
+the module is skipped where hypothesis is not installed.
 """
 
 from math import comb
@@ -34,6 +34,7 @@ from support import (  # noqa: E402
     perturb_tensor,
     rand_derivation_algebra,
     rand_invertible_rational,
+    rand_large_rational,
     rand_valid_algebra,
 )
 
@@ -48,6 +49,15 @@ def algebras(draw, max_dim=5):
     if kind == "rational":
         g = conjugate(g, rand_invertible_rational(rng, g.dim))
     return g
+
+
+@st.composite
+def large_rational_algebras(draw, max_dim=5):
+    """Valid algebras conjugated by a matrix with large entries: 40+-bit
+    structure constants over large denominators."""
+    rng = draw(st.randoms(use_true_random=False))
+    g = rand_valid_algebra(rng, max_dim)
+    return conjugate(g, rand_large_rational(rng, g.dim))
 
 
 @st.composite
@@ -73,6 +83,15 @@ def test_representatives_are_cocycles_equal_to_dense_reference(g, max_degree):
         for vec in reps:
             assert any(vec)
             assert not any(cx.d[k].apply(vec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_rational_algebras(), st.one_of(st.none(), st.integers(0, 5)))
+def test_large_coefficient_cohomology_matches_oracle_and_dense_reference(g, max_degree):
+    res = cohomology(g, max_degree=max_degree)
+    full = oracle_betti(g)
+    assert res.betti == full[: len(res.betti)]
+    assert (res.betti, res.representatives) == dense_cohomology(g, max_degree)
 
 
 @settings(max_examples=40, deadline=None)

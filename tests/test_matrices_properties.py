@@ -1,8 +1,11 @@
 """Property tests of the exact elimination kernel against sympy.
 
 Random rational matrices (rectangular, sparse and dense, with zero rows,
-zero columns and 0 x n shapes) drawn by hypothesis; the module is skipped
-where hypothesis is not installed.
+zero columns and 0 x n shapes) drawn by hypothesis, with small entries or
+with large ones: numerators of 40 to 56 bits over denominators up to 10^6,
+so that pivots are far from 1 and the kernel's integer rows have to be
+scaled.  Vectors go in as int/Fraction tuples, lists or sparse dicts.  The
+module is skipped where hypothesis is not installed.
 """
 
 from fractions import Fraction
@@ -27,13 +30,22 @@ from solvco.matrices import (  # noqa: E402
 )
 
 ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+LARGE = st.builds(
+    Fraction,
+    st.integers(2**40, 2**56).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.integers(1, 10**6))
+MIXED = st.one_of(ENTRIES, LARGE)
+UNITS = st.sampled_from((Fraction(-1), Fraction(0), Fraction(1)))
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None, max_dim=5):
-    """Rational matrices, sparse or dense, with some zero rows and columns."""
+def matrices(draw, rows=None, cols=None, max_dim=5, entries=None):
+    """Rational matrices, sparse or dense, with some zero rows and columns;
+    entries small, units, or a mix of small and large, unless given."""
     n = draw(st.integers(0, max_dim)) if rows is None else rows
     m = draw(st.integers(0, max_dim)) if cols is None else cols
+    if entries is None:
+        entries = draw(st.sampled_from((ENTRIES, UNITS, MIXED)))
     size = n * m
     zero = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     if draw(st.booleans()):  # dense: keep every drawn entry
@@ -41,14 +53,33 @@ def matrices(draw, rows=None, cols=None, max_dim=5):
     zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))
     zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
     entries = [Fraction(0) if zero[i * m + j] or i in zero_rows or j in zero_cols
-               else draw(ENTRIES) for i in range(n) for j in range(m)]
+               else draw(entries) for i in range(n) for j in range(m)]
     return Matrix(n, m, entries)
 
 
 @st.composite
-def square_matrices(draw, max_dim=5):
+def square_matrices(draw, max_dim=5, entries=None):
     n = draw(st.integers(0, max_dim))
-    return draw(matrices(rows=n, cols=n))
+    return draw(matrices(rows=n, cols=n, entries=entries))
+
+
+@st.composite
+def as_input(draw, v):
+    """v as the kernel may receive it: a dense tuple or list, or a sparse
+    dict with or without its zeros, each integral entry an int or a
+    Fraction."""
+    v = [int(x) if x.denominator == 1 and draw(st.booleans()) else x for x in v]
+    kind = draw(st.sampled_from(("tuple", "list", "sparse", "sparse with zeros")))
+    if kind == "tuple":
+        return tuple(v)
+    if kind == "list":
+        return v
+    return {c: x for c, x in enumerate(v) if x or kind == "sparse with zeros"}
+
+
+def densify(v, width):
+    return tuple(Fraction(v.get(c, 0)) for c in range(width)) if isinstance(v, dict) \
+        else tuple(Fraction(x) for x in v)
 
 
 def to_sympy(m: Matrix):
@@ -117,8 +148,72 @@ def test_echelon_rows_are_sympy_rref_of_stacked_vectors(m):
         assert not any(ech.reduce(m.row(i)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduce_is_zero_at_pivots_and_leaves_a_span_element(data):
+    m = data.draw(matrices(max_dim=6))
+    ech = Echelon(m.cols)
+    for i in range(m.rows):
+        ech.add(data.draw(as_input(m.row(i))))
+    v = data.draw(as_input(data.draw(matrices(rows=1, cols=m.cols)).row(0)))
+    r = ech.reduce(v)
+    assert isinstance(r, dict) == isinstance(v, dict)
+    values = r.values() if isinstance(r, dict) else r
+    assert all(type(x) is Fraction for x in values)
+    if isinstance(r, dict):
+        assert all(r.values())  # no stored zeros
+    r = densify(r, m.cols)
+    assert all(r[p] == 0 for p in ech.pivots)
+    diff = [a - b for a, b in zip(densify(v, m.cols), r)]
+    ref = to_sympy(m)
+    stacked = ref.col_join(to_sympy(Matrix(1, m.cols, diff))) if m.rows else \
+        to_sympy(Matrix(1, m.cols, diff))
+    assert stacked.rank() == ref.rank()
+    assert ech.contains(diff)
+    assert ech.contains(v) == (not any(r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_of_leads_is_sympy_det(data):
+    m = data.draw(square_matrices())
+    ech = Echelon(m.cols)
+    leads, pivots = Fraction(1), []
+    for i in range(m.rows):
+        added = ech.add(data.draw(as_input(m.row(i))))
+        if added is None:
+            leads = Fraction(0)
+            break
+        p, lead = added
+        assert type(lead) is Fraction and lead != 0
+        leads *= lead
+        pivots.append(p)
+    inversions = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1:])
+    ref = Fraction(str(to_sympy(m).det()))
+    assert (-leads if inversions % 2 else leads) == ref == det(m)
+
+
 @settings(max_examples=100, deadline=None)
-@given(square_matrices(max_dim=5))
+@given(st.data())
+def test_kernel_calls_never_mutate_their_input(data):
+    m = data.draw(matrices(max_dim=5))
+    ech = Echelon(m.cols)
+    for i in range(m.rows):
+        v = data.draw(as_input(m.row(i)))
+        kept = v.copy() if isinstance(v, (dict, list)) else v
+        for call in (ech.reduce, ech.contains, ech.add):
+            call(v)
+            assert v == kept
+            assert list(v) == list(kept)  # same keys in the same order
+    # nor do the vectors handed out share state with the basis
+    rows, kernel = ech.rows, ech.kernel()
+    for vec in kernel:
+        vec[min(vec)] = Fraction(99)
+    assert ech.rows == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(max_dim=5, entries=ENTRIES))
 def test_minimal_polynomial_annihilates_with_krylov_degree(m):
     p = minimal_polynomial(m)
     assert p.leading() == 1
