@@ -101,11 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args does not change the parser
+_PARSER = _build_parser()
+
+
 def run_command(argv):
     """Execute argv (without the program name); returns (exit code, text)."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return (EXIT_OK if exc.code == 0 else EXIT_USAGE), ""
     try:

@@ -189,10 +189,11 @@ class CohomologyResult:
         echelon form, each reduced against the boundaries and the cocycles
         chosen before it, normalised to lead 1 and kept when nonzero.
 
-        The chosen cocycles live in an echelon of their own; their rows are
-        zero in the boundary pivots, so reducing against the boundaries and
-        then against them leaves the canonical remainder modulo both.  All
-        these echelon forms are canonical, so the output is reproducible."""
+        One echelon per degree, a copy of the boundary echelon that the
+        chosen cocycles are added to, gives that canonical remainder with
+        one reduction per kernel vector; the rank pass's echelons are left
+        as they are.  All these echelon forms are canonical, so the output
+        is reproducible."""
         zero = Fraction(0)
         reps = []
         for k, columns in enumerate(self._cx.columns):
@@ -200,15 +201,14 @@ class CohomologyResult:
             rows = Echelon(width)
             for row in _transpose(columns, comb(self._cx.algebra.dim, k + 1)):
                 rows.add(row)
-            boundary = self._images[k - 1] if k else Echelon(width)
-            chosen = Echelon(width)
+            spanned = self._images[k - 1].copy() if k else Echelon(width)
             out = []
             for vec in rows.kernel():
-                reduced = chosen.reduce(boundary.reduce(vec))
+                reduced = spanned.reduce(vec)
                 if reduced:
                     lead = reduced[min(reduced)]
                     normal = {c: x / lead for c, x in reduced.items()}
-                    chosen.add(normal)
+                    spanned.add(normal)
                     out.append(tuple(normal.get(c, zero) for c in range(width)))
             reps.append(tuple(out))
         return tuple(reps)

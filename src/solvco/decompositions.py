@@ -1,11 +1,15 @@
 """Matrix decompositions over the rationals.
 
-Minimal polynomials are grown from Krylov dependencies (no characteristic
-polynomial factoring).  The additive semisimple/nilpotent decomposition is
-the Newton iteration on the squarefree part of the minimal polynomial; the
-further split of a semisimple operator into real-spectrum and
-imaginary-spectrum parts is a primary decomposition along the totally real
-part and the negative-discriminant quadratic factors.
+Minimal and characteristic polynomials come from one integer Krylov
+kernel: m is scaled once to the integer matrix M = D * m (D the least
+common denominator of its entries), Krylov vectors are iterated in Python
+ints and eliminated in an `Echelon`, and the monic integral polynomial
+found for M is rescaled to D^(-deg) p_M(D x).  The additive
+semisimple/nilpotent decomposition is the Newton iteration on the
+squarefree part of the minimal polynomial; the further split of a
+semisimple operator into real-spectrum and imaginary-spectrum parts is a
+primary decomposition along the totally real part and the
+negative-discriminant quadratic factors.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
-from .matrices import Echelon, Matrix, basis_vector, inverse
+from .matrices import Echelon, Matrix, inverse
 from .polynomials import (
     Polynomial,
     denominator_lcm,
     integer_divisors,
     poly_extended_gcd,
-    poly_lcm,
     squarefree_part,
     sturm_real_root_count,
 )
@@ -38,51 +41,108 @@ def poly_of_matrix(p: Polynomial, m: Matrix) -> Matrix:
     return acc
 
 
+def _integer_columns(m: Matrix):
+    """(D, columns) with D the least common denominator of the entries of m
+    and columns[j] the nonzero entries (i, M[i, j]) of the integer matrix
+    M = D * m."""
+    n = m.rows
+    rows = [m.row(i) for i in range(n)]
+    scale = denominator_lcm(x for row in rows for x in row)
+    columns = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                columns[j].append((i, x.numerator * (scale // x.denominator)))
+    return scale, columns
+
+
+def _apply(columns, v: dict) -> dict:
+    """M v for a sparse integer vector v {row: int}."""
+    out = {}
+    for j, x in v.items():
+        for i, a in columns[j]:
+            out[i] = out.get(i, 0) + a * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _krylov_chain(krylov: Echelon, columns, v: dict):
+    """Relative annihilator of v modulo the span W of the echelon (an
+    M-invariant subspace): the monic integer polynomial q of least degree
+    with q(M) v in W; None when v lies in W.
+
+    The echelon has width 2n.  Its row for the t-th Krylov vector K_t added
+    is [K_t reduced | coordinates], with a 1 at column n + t before
+    reduction, so the coordinate part records the combination of the K_t
+    that its vector part equals.  The chain v, Mv, M^2 v, ... is added
+    until M^k v reduces to zero in the vector part; its coordinates c then
+    give M^k v + sum c_t K_t = 0, and those on this chain's own vectors are
+    the coefficients of q below x^k.  Every such q divides the
+    characteristic polynomial of the integer matrix M, so by Gauss's lemma
+    it is integral; that is checked, not assumed."""
+    n = len(columns)
+    start = krylov.dim
+    k = 0
+    while True:
+        r = krylov.reduce(v)
+        if not r or min(r) >= n:
+            if k == 0:
+                return None
+            coeffs = [r.get(n + start + j, 0) for j in range(k)]
+            if any(c.denominator != 1 for c in coeffs):
+                raise CheckFailed("Krylov annihilator of an integer matrix is not integral")
+            return Polynomial(coeffs + [1])
+        r[n + start + k] = 1
+        krylov.add(r)
+        v = _apply(columns, v)
+        k += 1
+
+
 def char_poly(m: Matrix) -> Polynomial:
-    """Characteristic polynomial det(xI - m) by the Faddeev-LeVerrier scheme."""
+    """Characteristic polynomial det(xI - m) from Krylov chains.
+
+    With M = D * m integral, chains of e_1, ..., e_n that are not yet in the
+    span fill the space; each contributes its relative annihilator, the
+    characteristic polynomial of M on the quotient its chain spans, and
+    their product is that of M.  One echelon of width 2n holds every
+    chain."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [Fraction(1)]  # leading coefficient of x^n
-    M = Matrix.zeros(n, n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        M = m * M + c * Matrix.identity(n)
-        c = -(m * M).trace() / k
-        coeffs.append(c)
-    return Polynomial(coeffs[::-1])
-
-
-def _vector_annihilator(m: Matrix, v) -> Polynomial:
-    """Monic generator of {p : p(m) v = 0} from the Krylov sequence of v.
-
-    Row k is [m^k v | e_k]: once the vector part of a row reduces to zero
-    against the earlier rows, its coordinate part holds the coefficients
-    of the annihilator, with a 1 at x^k.
-    """
-    n = m.rows
-    krylov = Echelon(2 * n + 1)
-    for k in range(n + 1):  # n + 1 vectors in dimension n are dependent
-        row = krylov.reduce(tuple(v) + basis_vector(n + 1, k))
-        if not any(row[:n]):
-            return Polynomial(row[n:])
-        krylov.add(row)
-        v = m.apply(v)
+    scale, columns = _integer_columns(m)
+    krylov = Echelon(2 * n)
+    result = Polynomial((1,))
+    for i in range(n):
+        q = _krylov_chain(krylov, columns, {i: 1})
+        if q is not None:
+            result = result * q
+            if krylov.dim == n:
+                break
+    return result.shift_scale(scale) * Fraction(1, scale ** result.degree)
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Monic least-degree annihilator: lcm of per-basis-vector Krylov annihilators."""
+    """Monic least-degree annihilator, grown over the basis vectors.
+
+    With M = D * m integral and p the annihilator of e_1, ..., e_(i-1), the
+    annihilator of p(M) e_i (a Krylov chain of its own) times p is the lcm
+    of p and the annihilator of e_i, so no polynomial gcd is taken; a basis
+    vector with p(M) e_i = 0 is skipped, and the loop stops at degree n."""
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Polynomial((1,))
+    scale, columns = _integer_columns(m)
     result = Polynomial((1,))
     for i in range(n):
-        result = poly_lcm(result, _vector_annihilator(m, basis_vector(n, i)))
-        if result.degree == n:
-            break
-    return result
+        w = {i: 1}  # p(M) e_i by Horner's scheme; p is monic and integral
+        for c in reversed(result.coeffs[:-1]):
+            w = _apply(columns, w)
+            w[i] = w.get(i, 0) + c.numerator
+        q = _krylov_chain(Echelon(2 * n), columns, w)
+        if q is not None:
+            result = result * q
+            if result.degree == n:
+                break
+    return result.shift_scale(scale) * Fraction(1, scale ** result.degree)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .decompositions import (
-    char_poly,
     complex_quadratic_factors,
     jordan_chevalley,
     minimal_polynomial,
@@ -414,7 +413,7 @@ def _common_rational_eigenvector(ops, dim_q):
 
     def eigenspaces(a: Matrix):
         return [Subspace.span(dim_q, rank_and_kernel(a - lam * Matrix.identity(dim_q))[1])
-                for lam in rational_roots(char_poly(a))]
+                for lam in rational_roots(minimal_polynomial(a))]
 
     # each distinct operator's rational eigenspaces, once per call
     spaces = {}
@@ -466,7 +465,7 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     return FlagCertificate(status="yes", chain=tuple(chain))
 
 
-def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> None:
+def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> tuple:
     """Check the decomposition g = V (+) n used by the splitting machinery.
 
     Clauses, first failure raised as DecompositionInvalid:
@@ -475,6 +474,8 @@ def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> None
       nilpotent           n with its induced bracket is nilpotent
       commutator          [g, g] lies in n
       semisimple_action   the semisimple part of each ad(A), A in V, kills V
+
+    Returns the semisimple parts of ad(A), one per basis vector A of V.
     """
     if v.ambient_dim != g.dim or n.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension must equal dim")
@@ -490,14 +491,14 @@ def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> None
     comm = derived_subalgebra(g)
     if not n.contains_subspace(comm):
         raise DecompositionInvalid("commutator", "[g, g] is not contained in n")
-    for a in v.basis:
-        semi = jordan_chevalley(ad_matrix(g, a)).semisimple
+    semis = tuple(jordan_chevalley(ad_matrix(g, a)).semisimple for a in v.basis)
+    for semi in semis:
         for b in v.basis:
             if any(c != 0 for c in semi.apply(b)):
                 raise DecompositionInvalid(
                     "semisimple_action",
                     "semisimple part of ad(A) does not annihilate the complement")
-    return None
+    return semis
 
 
 def nilradical_maximality_hint(g: LieAlgebra, n: Subspace) -> bool:

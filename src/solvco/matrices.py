@@ -423,6 +423,13 @@ class Echelon:
         self._tails[p] = V
         return p, lead
 
+    def copy(self) -> "Echelon":
+        """An independent echelon with the same basis rows."""
+        out = Echelon(self.width)
+        out._piv = dict(self._piv)
+        out._tails = {p: dict(tail) for p, tail in self._tails.items()}
+        return out
+
     def contains(self, v) -> bool:
         return not self._reduce(v)[0]
 

@@ -181,13 +181,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero() else a
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        return Polynomial()
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def poly_extended_gcd(a: Polynomial, b: Polynomial):
     """(g, u, v) with u*a + v*b = g, g monic."""
     r0, r1 = a, b

@@ -17,11 +17,10 @@ spectrum.  The splitting itself lives on V (+) g with bracket
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .decompositions import (
-    jordan_chevalley,
     minimal_polynomial,
     semisimple_primary_components,
 )
@@ -46,14 +45,19 @@ class KillMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SplittingInput:
-    """Algebra with a verified complement V and nilpotent ideal n."""
+    """Algebra with a verified complement V and nilpotent ideal n.
+
+    `semisimple_parts` holds the semisimple part of ad(A) for each basis
+    vector A of V, computed once by the verification."""
 
     algebra: LieAlgebra
     complement: Subspace
     nilpotent_ideal: Subspace
+    semisimple_parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verify_nilpotent_complement(self.algebra, self.complement, self.nilpotent_ideal)
+        object.__setattr__(self, "semisimple_parts", verify_nilpotent_complement(
+            self.algebra, self.complement, self.nilpotent_ideal))
 
     def v_projection(self) -> Matrix:
         """Matrix of the projection onto V along n, in V-basis coordinates."""
@@ -97,8 +101,7 @@ def compact_components(inp: SplittingInput):
     subset of them per operator.
     """
     result = []
-    for a in inp.complement.basis:
-        semi = jordan_chevalley(ad_matrix(inp.algebra, a)).semisimple
+    for semi in inp.semisimple_parts:
         blocks = []
         for comp in semisimple_primary_components(semi):
             if comp.is_complex_pair:
@@ -113,28 +116,19 @@ def kill_map(inp: SplittingInput, mode: KillMode = KillMode.FULL,
     """Build the torus-kill operators K_i from the decomposition.
 
     FULL uses the whole semisimple part of ad(A_i); COMPACT only its
-    imaginary-spectrum summand; SELECTED takes `selection` mapping the
-    1-based V index to indices into compact_components(inp)[i-1].
+    imaginary-spectrum summand, the sum of all of compact_components(inp)[i-1];
+    SELECTED takes `selection` mapping the 1-based V index to indices into
+    compact_components(inp)[i-1].
     """
-    semis = [jordan_chevalley(ad_matrix(inp.algebra, a)).semisimple
-             for a in inp.complement.basis]
+    semis = inp.semisimple_parts
     if mode is KillMode.FULL:
         operators = list(semis)
-    elif mode is KillMode.COMPACT:
-        operators = []
-        for semi in semis:
-            total = Matrix.zeros(inp.algebra.dim, inp.algebra.dim)
-            for comp in semisimple_primary_components(semi):
-                if comp.is_complex_pair:
-                    piece = semi - comp.real_part * Matrix.identity(inp.algebra.dim)
-                    total = total + piece * comp.projector
-            operators.append(total)
-    elif mode is KillMode.SELECTED:
+    elif mode in (KillMode.COMPACT, KillMode.SELECTED):
         selection = selection or {}
-        blocks = compact_components(inp)
         operators = []
-        for i, per_op in enumerate(blocks, start=1):
-            chosen = selection.get(i, ())
+        for i, per_op in enumerate(compact_components(inp), start=1):
+            chosen = (range(len(per_op)) if mode is KillMode.COMPACT
+                      else selection.get(i, ()))
             total = Matrix.zeros(inp.algebra.dim, inp.algebra.dim)
             for t in chosen:
                 if not 0 <= t < len(per_op):

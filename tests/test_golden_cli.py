@@ -29,8 +29,29 @@ d e4 = -33778/107299 e1^e2 + 479412/751093 e1^e3 - 79690/107299 e1^e4 - 139484/1
 d e5 = -658740/107299 e1^e2 - 11485260/751093 e1^e3 - 658890/107299 e1^e4 - 591923/107299 e1^e5
 """
 
+# R x| R^4 in a rational basis whose ad(e1) has the non-real eigenvalues
+# (1 +- 2i) / 3 and a Jordan block at 1/2: flag answer `no`, with the
+# witness quadratic x^2 - 2/3 x + 5/9.
+RATIONAL_NO = """dim 5
+d e2 = -415/673 e1^e2 + 505/673 e1^e3 - 505/2019 e1^e4 + 273/1346 e1^e5
+d e3 = -429/673 e1^e2 - 83/1346 e1^e3 - 295/2019 e1^e4 + 665/4038 e1^e5
+d e4 = 198/3365 e1^e2 + 515/1346 e1^e3 - 1267/2019 e1^e4 - 39389/40380 e1^e5
+d e5 = -866/4711 e1^e2 + 470/4711 e1^e3 - 470/14133 e1^e4 - 1457/4038 e1^e5
+"""
+
+# The same shape with the irrational real eigenvalues +-sqrt(2) / 3 and a
+# Jordan block at 1/5: flag answer `undetermined`, exit code 2.
+RATIONAL_UNDETERMINED = """dim 5
+d e2 = -682/3365 e1^e2 - 727/1346 e1^e3 + 727/4038 e1^e4 - 3563/40380 e1^e5
+d e3 = -1038/3365 e1^e2 + 582/3365 e1^e3 - 251/2019 e1^e4 - 441/6730 e1^e5
+d e4 = 164/3365 e1^e2 + 441/3365 e1^e3 - 164/673 e1^e4 - 4081/4038 e1^e5
+d e5 = -2116/23555 e1^e2 + 382/4711 e1^e3 - 382/14133 e1^e4 - 426/3365 e1^e5
+"""
+
 FILES = {
     "rational5.txt": RATIONAL5,
+    "rational_no.txt": RATIONAL_NO,
+    "rational_undetermined.txt": RATIONAL_UNDETERMINED,
     # hyperbolic: eigenvalues (3 +- sqrt 5) / 2
     "hyperbolic.txt": "2 2\n2 1\n1 1\n",
     # finite order 3 on a rank-2 block, identity on the third axis
@@ -38,6 +59,10 @@ FILES = {
     # identity holonomy whose one-parameter group is a rotation by 2 pi t
     "identity2.txt": "2 2\n1 0\n0 1\n",
     "rotation2.txt": "2 2\n0 2\n-2 0\n",
+    "identity3.txt": "3 3\n1 0 0\n0 1 0\n0 0 1\n",
+    # a rotation (+-2i/3) and the weight 1/2 in a rational basis
+    "rational_rotation3.txt": ("3 3\n1/8 25/36 -25/144\n-95/128 -29/192 125/768\n"
+                               "-51/160 -5/48 101/192\n"),
     # companion of x^4 - x + 1: Mostow undetermined, exit code 2
     "undetermined4.txt": "4 4\n0 0 0 -1\n1 0 0 1\n0 1 0 0\n0 0 1 0\n",
 }
@@ -47,6 +72,8 @@ HOLONOMIES = (
     ["--holonomy", "order3.txt"],
     ["--holonomy", "identity2.txt", "--derivation", "rotation2.txt", "--scale", "pi"],
     ["--holonomy", "undetermined4.txt"],
+    ["--holonomy", "identity3.txt", "--derivation", "rational_rotation3.txt", "--scale", "pi"],
+    ["--holonomy", "identity3.txt", "--derivation", "rational_rotation3.txt"],
 )
 
 
@@ -72,6 +99,8 @@ def commands():
         for kill in ("full", "compact"):
             out.append(["split", name, "--kill", kill]
                        + (["--complement", comp] if comp else []))
+    for name in ("rational_no.txt", "rational_undetermined.txt"):
+        out += [["info", name], ["split", name, "--kill", "compact", "--complement", "1"]]
     for holonomy in HOLONOMIES:
         out += [["almost-abelian"] + holonomy,
                 ["almost-abelian"] + holonomy + ["--format", "tsv"]]

@@ -4,8 +4,11 @@ Random rational matrices (rectangular, sparse and dense, with zero rows,
 zero columns and 0 x n shapes) drawn by hypothesis, with small entries or
 with large ones: numerators of 40 to 56 bits over denominators up to 10^6,
 so that pivots are far from 1 and the kernel's integer rows have to be
-scaled.  Vectors go in as int/Fraction tuples, lists or sparse dicts.  The
-module is skipped where hypothesis is not installed.
+scaled.  Vectors go in as int/Fraction tuples, lists or sparse dicts.
+Minimal and characteristic polynomials are checked on the same matrices
+and on structured ones (scalar, nilpotent, block-diagonal with a repeated
+block), also in a rational basis with large denominators.  The module is
+skipped where hypothesis is not installed.
 """
 
 from fractions import Fraction
@@ -14,10 +17,10 @@ import pytest
 import sympy
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from solvco.decompositions import minimal_polynomial, poly_of_matrix  # noqa: E402
+from solvco.decompositions import char_poly, minimal_polynomial, poly_of_matrix  # noqa: E402
 from solvco.matrices import (  # noqa: E402
     Echelon,
     Matrix,
@@ -223,3 +226,93 @@ def test_minimal_polynomial_annihilates_with_krylov_degree(m):
     powers = sympy.Matrix(m.rows + 1, m.rows**2, [x for k in range(m.rows + 1)
                                                   for x in ref**k])
     assert p.degree == powers.rank()
+
+
+@st.composite
+def structured_matrices(draw):
+    """Matrices whose polynomials the kernel gets wrong most easily: scalar,
+    nilpotent (strictly upper triangular), and block-diagonal with one block
+    repeated (the minimal polynomial is then an lcm, not a product), each
+    conjugated or not by a basis change with large-rational entries."""
+    kind = draw(st.sampled_from(("scalar", "nilpotent", "repeated")))
+    entries = draw(st.sampled_from((ENTRIES, UNITS, MIXED)))
+    if kind == "scalar":
+        n = draw(st.integers(0, 5))
+        core = Matrix.diagonal([draw(entries)] * n)
+    elif kind == "nilpotent":
+        n = draw(st.integers(0, 5))
+        core = Matrix(n, n, [draw(entries) if j > i else 0
+                             for i in range(n) for j in range(n)])
+    else:
+        block = draw(square_matrices(max_dim=2, entries=entries))
+        other = draw(square_matrices(max_dim=2, entries=entries))
+        blocks = [block] * draw(st.integers(1, 3)) + [other]
+        n = sum(b.rows for b in blocks)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i in range(b.rows):
+                rows[at + i][at:at + b.rows] = b.row(i)
+            at += b.rows
+        core = Matrix.from_rows(rows) if n else Matrix(0, 0, ())
+    if n and draw(st.booleans()):
+        # P = L U with unit triangular factors: invertible, large entries
+        lower = Matrix(n, n, [1 if i == j else draw(MIXED) if i > j else 0
+                              for i in range(n) for j in range(n)])
+        upper = Matrix(n, n, [1 if i == j else draw(LARGE) if i < j else 0
+                              for i in range(n) for j in range(n)])
+        basis = lower * upper
+        core = basis * core * inverse(basis)
+    return core
+
+
+def sympy_charpoly(m: Matrix):
+    x = sympy.Symbol("x")
+    coeffs = to_sympy(m).charpoly(x).all_coeffs()[::-1]
+    return tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
+
+
+def krylov_oracle(m: Matrix):
+    """Minimal polynomial coefficients, lowest first, from sympy: the first
+    power m^k that depends on m^0, ..., m^(k-1), and the one vector of the
+    nullspace of the columns vec(m^0), ..., vec(m^k), scaled to a 1 at m^k."""
+    ref = to_sympy(m)
+    powers = [sympy.eye(m.rows)]
+    while True:
+        stacked = sympy.Matrix.hstack(*[q.reshape(m.rows**2, 1) for q in powers])
+        if stacked.rank() < len(powers):
+            (null,) = stacked.nullspace()
+            null = null / null[-1]
+            return tuple(Fraction(int(c.p), int(c.q)) for c in null)
+        powers.append(powers[-1] * ref)
+
+
+POLYNOMIAL_EXAMPLES = (
+    Matrix(0, 0, ()),
+    Matrix(1, 1, (Fraction(-5, 7),)),
+    Matrix.diagonal((Fraction(2, 3),) * 3),  # scalar
+    Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),  # nilpotent
+    Matrix.diagonal((1, 1, 2, 2, 2)),  # repeated blocks: lcm, not product
+    Matrix.from_rows([[Fraction(1, 2), 1, 0, 0], [0, Fraction(1, 2), 0, 0],
+                      [0, 0, Fraction(1, 2), 1], [0, 0, 0, Fraction(1, 2)]]),
+)
+
+
+def with_examples(test):
+    for m in POLYNOMIAL_EXAMPLES:
+        test = example(m)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@with_examples
+@given(st.one_of(square_matrices(), structured_matrices()))
+def test_char_poly_is_sympy_charpoly(m):
+    assert char_poly(m).coeffs == sympy_charpoly(m)
+
+
+@settings(max_examples=150, deadline=None)
+@with_examples
+@given(st.one_of(square_matrices(), structured_matrices()))
+def test_minimal_polynomial_is_first_dependent_power(m):
+    assert minimal_polynomial(m).coeffs == krylov_oracle(m)
