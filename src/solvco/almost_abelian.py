@@ -149,9 +149,11 @@ def mostow_status(inp: HolonomyInput):
         rational_pairs, leftover = _rational_imaginary_quadratics(p)
         if rational_pairs:
             factor, _, q = rational_pairs[0]
+            div = 2 * q  # /(4/3), since /4/3 would read as division by 12
+            div = div if div.denominator == 1 else f"({div})"
             return (MostowStatus.FAILS,
                     f"conjugate pair of factor {factor} has rational imaginary "
-                    f"part {q}: i = (v - conj(v))/{2 * q}, so i*pi is a rational "
+                    f"part {q}: i = (v - conj(v))/{div}, so i*pi is a rational "
                     "combination of the eigenvalues")
         if leftover.degree <= 0 or sturm_real_root_count(leftover) == leftover.degree:
             return (MostowStatus.HOLDS,

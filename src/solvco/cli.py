@@ -27,8 +27,6 @@ from .lie import (
     Subspace,
     completely_solvable_flag,
     derived_series,
-    is_nilpotent,
-    is_solvable,
     is_unimodular,
     lower_central_series,
     validate,
@@ -141,12 +139,12 @@ def _cmd_info(ns):
     g = _load_algebra(ns.file)
     lines = [f"dim {g.dim}"]
     lines.append(f"unimodular {str(is_unimodular(g)).lower()}")
-    solv = is_solvable(g)
+    derived, central = derived_series(g), lower_central_series(g)
+    solv = derived[-1].is_zero()
     lines.append(f"solvable {str(solv).lower()}")
-    lines.append(f"nilpotent {str(is_nilpotent(g)).lower()}")
-    lines.append("derived-series " + " ".join(str(s.dim) for s in derived_series(g)))
-    lines.append("lower-central-series "
-                 + " ".join(str(s.dim) for s in lower_central_series(g)))
+    lines.append(f"nilpotent {str(central[-1].is_zero()).lower()}")
+    lines.append("derived-series " + " ".join(str(s.dim) for s in derived))
+    lines.append("lower-central-series " + " ".join(str(s.dim) for s in central))
     code = EXIT_OK
     if solv:
         cert = completely_solvable_flag(g)

@@ -21,9 +21,8 @@ from typing import Optional
 from .errors import DimensionTooLarge, JacobiViolation
 from .lie import (
     LieAlgebra,
-    derived_subalgebra,
+    derived_series,
     is_nilpotent,
-    is_solvable,
     is_unimodular,
     validate,
 )
@@ -267,6 +266,7 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     """Duality vs unimodularity, Euler characteristic, and first Betti bounds.
 
     Only meaningful for a full complex (betti lists all degrees 0..dim).
+    Solvability and [g, g] come from one derived series.
     """
     n = g.dim
     betti = res.betti
@@ -275,10 +275,12 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     uni = is_unimodular(g)
     duality = all(betti[k] == betti[n - k] for k in range(n + 1))
     euler = sum((-1) ** k * b for k, b in enumerate(betti))
-    solv = is_solvable(g)
-    nilp = is_nilpotent(g)
+    series = derived_series(g)
+    solv = series[-1].is_zero()
+    nilp = solv and is_nilpotent(g)  # nilpotent implies solvable
     b1 = betti[1] if n >= 1 else 0
-    b1_expected = n - derived_subalgebra(g).dim
+    # the series stops at g itself when [g, g] = g
+    b1_expected = n - series[1 if len(series) > 1 else 0].dim
     if nilp:
         bound_ok = b1 >= 2 if n >= 1 else True
     elif solv:

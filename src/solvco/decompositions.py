@@ -151,6 +151,9 @@ class JordanDecomposition:
 
     semisimple: Matrix
     nilpotent: Matrix
+    # the squarefree part of the minimal polynomial of m, which is the
+    # minimal polynomial of the semisimple part
+    semisimple_minpoly: Polynomial
 
 
 def jordan_chevalley(m: Matrix) -> JordanDecomposition:
@@ -174,7 +177,7 @@ def jordan_chevalley(m: Matrix) -> JordanDecomposition:
         s = s - fs * inverse(poly_of_matrix(f.derivative(), s))
         fs = poly_of_matrix(f, s)
         steps += 1
-    return JordanDecomposition(semisimple=s, nilpotent=m - s)
+    return JordanDecomposition(semisimple=s, nilpotent=m - s, semisimple_minpoly=f)
 
 
 def complex_quadratic_factors(p: Polynomial):
@@ -264,19 +267,21 @@ class PrimaryComponent:
     is_complex_pair: bool
 
 
-def semisimple_primary_components(s: Matrix):
+def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
     """Primary decomposition of a semisimple rational matrix.
 
     Returns a list of PrimaryComponent: at most one totally real block plus
     one block per negative-discriminant quadratic factor of the minimal
     polynomial.  Raises NotRationallySplittable when the minimal polynomial
-    has a factor of degree >= 3 with non-real roots.
+    has a factor of degree >= 3 with non-real roots.  p, when given, is the
+    minimal polynomial of s, such as `JordanDecomposition.semisimple_minpoly`.
     """
     if not s.is_square():
         raise ValueError("expected a square matrix")
-    p = minimal_polynomial(s)
-    if squarefree_part(p) != p:
-        raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
+    if p is None:
+        p = minimal_polynomial(s)
+        if squarefree_part(p) != p:
+            raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
     n = s.rows
     if p.degree == 0:
         return []

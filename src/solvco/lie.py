@@ -3,6 +3,11 @@
 Basis indices are 1-based throughout, matching the e1, e2, ... naming used
 in structure files.  Brackets are stored only for i < j and extended by
 antisymmetry, so antisymmetry can only be violated by raw tensor input.
+
+Every invariant expands over the nonzero bracket terms `_terms` only: the
+series, `restrict` and the ideal checks bracket sparse vectors
+(`_sparse_bracket`), and `ad_matrix`, the flag search's quotient operators
+and the traces of `is_unimodular` read the terms directly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .errors import (
 from .matrices import (
     Echelon,
     Matrix,
-    add_vectors,
     basis_vector,
     inverse,
     rank_and_kernel,
@@ -138,14 +142,8 @@ class LieAlgebra:
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
         out = [Fraction(0)] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y, start=1) if yj]
-        for i, xi in enumerate(x, start=1):
-            if xi == 0:
-                continue
-            for j, yj in ys:
-                f = xi * yj
-                for k, c in self._terms.get((i, j), ()):
-                    out[k - 1] += f * c
+        for k, c in _sparse_bracket(self, _sparse(x), _sparse(y)).items():
+            out[k] = c
         return tuple(out)
 
     def nonzero_brackets(self):
@@ -161,6 +159,26 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self._table)})"
+
+
+def _sparse(v) -> dict:
+    """Nonzero entries {0-based column: coefficient} of a dense vector."""
+    return {t: c for t, c in enumerate(v) if c}
+
+
+def _sparse_bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
+    """[x, y] of sparse vectors, summed over the nonzero bracket terms of
+    the pairs in their supports; entries that cancel are kept as zeros."""
+    terms = g._terms
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            t = terms.get((i + 1, j + 1))
+            if t:
+                f = xi * yj
+                for k, c in t:
+                    out[k - 1] = out.get(k - 1, 0) + f * c
+    return out
 
 
 def jacobi_violation(g: LieAlgebra):
@@ -194,11 +212,17 @@ def validate(g: LieAlgebra) -> None:
 
 
 def ad_matrix(g: LieAlgebra, x) -> Matrix:
-    """Matrix of y -> [x, y] in the defining basis."""
-    if len(x) != g.dim:
+    """Matrix of y -> [x, y]: entry (k, j) sums x_i c[k][i][j] over the terms."""
+    n = g.dim
+    if len(x) != n:
         raise ValueError("vector length must equal dim")
-    cols = [g.bracket(x, basis_vector(g.dim, j)) for j in range(g.dim)]
-    return Matrix.from_columns(cols) if g.dim else Matrix.zeros(0, 0)
+    entries = [Fraction(0)] * (n * n)
+    for (i, j), terms in g._terms.items():
+        xi = x[i - 1]
+        if xi:
+            for k, c in terms:
+                entries[(k - 1) * n + j - 1] += xi * c
+    return Matrix(n, n, entries)
 
 
 class Subspace:
@@ -230,11 +254,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [basis_vector(ambient_dim, i) for i in range(ambient_dim)])
+        return cls.span(ambient_dim, ({i: 1} for i in range(ambient_dim)))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
-        """Canonical subspace spanned by arbitrary vectors (echelon basis)."""
+        """Canonical subspace spanned by arbitrary dense or sparse vectors
+        (echelon basis)."""
         ech = Echelon(ambient_dim)
         for v in vectors:
             ech.add(v)
@@ -276,14 +301,9 @@ class Subspace:
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
         m = Matrix.from_columns(list(self.basis) + [scale_vector(-1, v) for v in other.basis])
-        _, kernel = rank_and_kernel(m)
-        vectors = []
-        for w in kernel:
-            combo = zero_vector(self.ambient_dim)
-            for c, b in zip(w[: self.dim], self.basis):
-                combo = add_vectors(combo, scale_vector(c, b))
-            vectors.append(combo)
-        return Subspace.span(self.ambient_dim, vectors)
+        return Subspace.span(self.ambient_dim, (
+            [sum(c * b[t] for c, b in zip(w, self.basis)) for t in range(self.ambient_dim)]
+            for w in rank_and_kernel(m)[1]))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -296,9 +316,12 @@ class Subspace:
 
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of all pairwise brackets of basis vectors of a and b."""
-    vectors = [g.bracket(u, v) for u in a.basis for v in b.basis]
-    return Subspace.span(g.dim, vectors)
+    """Span of all pairwise brackets of basis vectors of a and b; for
+    [a, a] the pairs s < t suffice by antisymmetry."""
+    xs = [_sparse(u) for u in a.basis]
+    ys = xs if b is a else [_sparse(v) for v in b.basis]
+    return Subspace.span(g.dim, (_sparse_bracket(g, x, y) for s, x in enumerate(xs)
+                                 for y in (ys[s + 1:] if b is a else ys)))
 
 
 def derived_series(g: LieAlgebra):
@@ -333,27 +356,37 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 
 
 def is_unimodular(g: LieAlgebra) -> bool:
-    """True when tr(ad e_i) = 0 for every basis vector (linearity does the rest)."""
-    return all(
-        ad_matrix(g, basis_vector(g.dim, i)).trace() == 0 for i in range(g.dim)
-    )
+    """True when tr(ad e_i), the sum of c[j][i][j] over j, vanishes for
+    every basis vector (linearity does the rest); read off the terms."""
+    traces = {}
+    for (i, j), terms in g._terms.items():
+        traces[i] = traces.get(i, 0) + sum(c for k, c in terms if k == j)
+    return not any(traces.values())
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    return bracket_subspaces(g, Subspace.full(g.dim), Subspace.full(g.dim))
+    full = Subspace.full(g.dim)
+    return bracket_subspaces(g, full, full)
 
 
 def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace over its own basis."""
+    """Structure constants of a bracket-closed subspace over its own basis.
+
+    The basis is eliminated once, as rows [b_a | e_a]: a bracket sum c_a b_a
+    reduces to [0 | -c], and any other remainder leaves the subspace."""
+    n, d = g.dim, s.dim
+    basis = [_sparse(v) for v in s.basis]
+    ech = Echelon(n + d)
+    for a, v in enumerate(basis):
+        ech.add({**v, n + a: 1})
     table = {}
-    for a in range(s.dim):
-        for b in range(a + 1, s.dim):
-            w = g.bracket(s.basis[a], s.basis[b])
-            coords = s.coordinates(w)
-            if coords is None:
+    for a in range(d):
+        for b in range(a + 1, d):
+            r = ech.reduce(_sparse_bracket(g, basis[a], basis[b]))
+            if any(c < n for c in r):
                 raise ValueError("subspace is not closed under the bracket")
-            table[(a + 1, b + 1)] = coords
-    return LieAlgebra(s.dim, table)
+            table[(a + 1, b + 1)] = tuple(-r.get(n + t, 0) for t in range(d))
+    return LieAlgebra(d, table)
 
 
 def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
@@ -396,30 +429,26 @@ def _quotient_operators(g: LieAlgebra, ideal: Subspace):
     pivots = set(ideal._echelon.pivots)
     reps = [t for t in range(g.dim) if t not in pivots]
 
-    def project(v):
-        reduced = ideal._echelon.reduce(v)
-        return tuple(reduced[t] for t in reps)
+    def column(i, t):  # [e_i, e_t] is a table lookup, reduced modulo the ideal
+        reduced = ideal._echelon.reduce(
+            {k - 1: c for k, c in g._terms.get((i + 1, t + 1), ())})
+        return [reduced.get(r, 0) for r in reps]
 
-    ops = []
-    for i in range(g.dim):
-        cols = [project(g.bracket(basis_vector(g.dim, i), basis_vector(g.dim, t)))
-                for t in reps]
-        ops.append(Matrix.from_columns(cols) if reps else Matrix.zeros(0, 0))
+    ops = [Matrix.from_columns([column(i, t) for t in reps]) for i in range(g.dim)]
     return reps, ops
 
 
-def _common_rational_eigenvector(ops, dim_q):
-    """DFS over rational eigenvalues for a vector fixed up to scale by all ops."""
-
-    def eigenspaces(a: Matrix):
-        return [Subspace.span(dim_q, rank_and_kernel(a - lam * Matrix.identity(dim_q))[1])
-                for lam in rational_roots(minimal_polynomial(a))]
-
+def _common_rational_eigenvector(ops, dim_q, polys=None):
+    """DFS over rational eigenvalues for a vector fixed up to scale by all ops;
+    polys, when given, are the minimal polynomials of ops, in order."""
     # each distinct operator's rational eigenspaces, once per call
     spaces = {}
-    for a in ops:
+    for idx, a in enumerate(ops):
         if a not in spaces:
-            spaces[a] = eigenspaces(a)
+            p = polys[idx] if polys else minimal_polynomial(a)
+            spaces[a] = [
+                Subspace.span(dim_q, rank_and_kernel(a - lam * Matrix.identity(dim_q))[1])
+                for lam in rational_roots(p)]
 
     def recurse(space: Subspace, idx: int):
         if space.is_zero():
@@ -445,24 +474,30 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     """
     if not is_solvable(g):
         raise NotSolvable("flag search requires a solvable algebra")
+    polys = []
     for i in range(g.dim):
-        p = minimal_polynomial(ad_matrix(g, basis_vector(g.dim, i)))
-        factor = _non_real_witness_factor(p)
+        polys.append(minimal_polynomial(ad_matrix(g, basis_vector(g.dim, i))))
+        factor = _non_real_witness_factor(polys[-1])
         if factor is not None:
             return FlagCertificate(status="no", witness=(i + 1, factor))
     ideal = Subspace.zero(g.dim)
     chain = [ideal]
     while ideal.dim < g.dim:
         reps, ops = _quotient_operators(g, ideal)
-        vec = _common_rational_eigenvector(ops, len(reps))
+        # on g / 0 the operators are the ad(e_i) whose polynomials are known
+        vec = _common_rational_eigenvector(ops, len(reps), polys if ideal.is_zero() else None)
         if vec is None:
             return FlagCertificate(status="undetermined")
-        lift = zero_vector(g.dim)
-        for c, t in zip(vec, reps):
-            lift = add_vectors(lift, scale_vector(c, basis_vector(g.dim, t)))
-        ideal = ideal.add(Subspace.span(g.dim, [lift]))
+        lift = {t: c for c, t in zip(vec, reps) if c}
+        ideal = Subspace.span(g.dim, [*ideal.basis, lift])
         chain.append(ideal)
     return FlagCertificate(status="yes", chain=tuple(chain))
+
+
+def _is_ideal(g: LieAlgebra, n: Subspace) -> bool:
+    """[g, n] lies in n, checked on the sparse brackets [e_i, w]."""
+    ns = [_sparse(w) for w in n.basis]
+    return all(n.contains(_sparse_bracket(g, {i: 1}, w)) for i in range(g.dim) for w in ns)
 
 
 def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> tuple:
@@ -475,45 +510,38 @@ def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> tupl
       commutator          [g, g] lies in n
       semisimple_action   the semisimple part of each ad(A), A in V, kills V
 
-    Returns the semisimple parts of ad(A), one per basis vector A of V.
+    Returns the Jordan-Chevalley decompositions of ad(A), one per basis
+    vector A of V.
     """
     if v.ambient_dim != g.dim or n.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension must equal dim")
     if v.dim + n.dim != g.dim or v.add(n).dim != g.dim:
         raise DecompositionInvalid("direct_sum",
                                    f"dims {v.dim} + {n.dim} do not compose {g.dim}")
-    for i in range(g.dim):
-        for w in n.basis:
-            if not n.contains(g.bracket(basis_vector(g.dim, i), w)):
-                raise DecompositionInvalid("ideal", "n is not an ideal")
+    if not _is_ideal(g, n):
+        raise DecompositionInvalid("ideal", "n is not an ideal")
     if not is_nilpotent(restrict(g, n)):
         raise DecompositionInvalid("nilpotent", "n is not nilpotent")
     comm = derived_subalgebra(g)
     if not n.contains_subspace(comm):
         raise DecompositionInvalid("commutator", "[g, g] is not contained in n")
-    semis = tuple(jordan_chevalley(ad_matrix(g, a)).semisimple for a in v.basis)
-    for semi in semis:
+    decs = tuple(jordan_chevalley(ad_matrix(g, a)) for a in v.basis)
+    for dec in decs:
         for b in v.basis:
-            if any(c != 0 for c in semi.apply(b)):
+            if any(c != 0 for c in dec.semisimple.apply(b)):
                 raise DecompositionInvalid(
                     "semisimple_action",
                     "semisimple part of ad(A) does not annihilate the complement")
-    return semis
+    return decs
 
 
 def nilradical_maximality_hint(g: LieAlgebra, n: Subspace) -> bool:
     """Heuristic only: no single basis-direction extension of n stays a
     nilpotent ideal.  A True answer does not prove n is the nilradical."""
-    for i in range(1, g.dim + 1):
-        e = basis_vector(g.dim, i - 1)
-        if n.contains(e):
+    for i in range(g.dim):
+        if n.contains({i: 1}):
             continue
-        bigger = n.add(Subspace.span(g.dim, [e]))
-        ideal = all(
-            bigger.contains(g.bracket(basis_vector(g.dim, t), w))
-            for t in range(g.dim)
-            for w in bigger.basis
-        )
-        if ideal and is_nilpotent(restrict(g, bigger)):
+        bigger = Subspace.span(g.dim, [*n.basis, {i: 1}])
+        if _is_ideal(g, bigger) and is_nilpotent(restrict(g, bigger)):
             return False
     return True

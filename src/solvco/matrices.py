@@ -172,11 +172,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       (self[i, j] for j in range(self.cols) for i in range(self.rows)))
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self._entries)
 

@@ -47,16 +47,16 @@ class KillMode(enum.Enum):
 class SplittingInput:
     """Algebra with a verified complement V and nilpotent ideal n.
 
-    `semisimple_parts` holds the semisimple part of ad(A) for each basis
-    vector A of V, computed once by the verification."""
+    `jordan_parts` holds the Jordan-Chevalley decomposition of ad(A) for
+    each basis vector A of V, computed once by the verification."""
 
     algebra: LieAlgebra
     complement: Subspace
     nilpotent_ideal: Subspace
-    semisimple_parts: tuple = field(init=False, repr=False, compare=False)
+    jordan_parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "semisimple_parts", verify_nilpotent_complement(
+        object.__setattr__(self, "jordan_parts", verify_nilpotent_complement(
             self.algebra, self.complement, self.nilpotent_ideal))
 
     def v_projection(self) -> Matrix:
@@ -101,11 +101,11 @@ def compact_components(inp: SplittingInput):
     subset of them per operator.
     """
     result = []
-    for semi in inp.semisimple_parts:
+    for dec in inp.jordan_parts:
         blocks = []
-        for comp in semisimple_primary_components(semi):
+        for comp in semisimple_primary_components(dec.semisimple, dec.semisimple_minpoly):
             if comp.is_complex_pair:
-                piece = (semi - comp.real_part * Matrix.identity(inp.algebra.dim))
+                piece = (dec.semisimple - comp.real_part * Matrix.identity(inp.algebra.dim))
                 blocks.append((comp.factor, piece * comp.projector))
         result.append(blocks)
     return result
@@ -120,7 +120,7 @@ def kill_map(inp: SplittingInput, mode: KillMode = KillMode.FULL,
     SELECTED takes `selection` mapping the 1-based V index to indices into
     compact_components(inp)[i-1].
     """
-    semis = inp.semisimple_parts
+    semis = [dec.semisimple for dec in inp.jordan_parts]
     if mode is KillMode.FULL:
         operators = list(semis)
     elif mode in (KillMode.COMPACT, KillMode.SELECTED):

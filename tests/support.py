@@ -4,8 +4,9 @@ generators for algebras and matrices.
 The oracles deliberately avoid the library code paths they check:
 rank via brute-force minors with Laplace determinants, differentials via
 the alternating-sum evaluation formula, ranks for the Betti oracle via
-sympy, and the dense cohomology reference on a Fraction Gauss-Jordan of its
-own.
+sympy, the dense cohomology reference on a Fraction Gauss-Jordan of its
+own, and brackets, adjoints and series on a dense sympy model of the
+structure constants.
 """
 
 from __future__ import annotations
@@ -233,6 +234,72 @@ def dense_jacobi_violation(g: LieAlgebra):
                 if any(res):
                     return (i, j, k), res
     return None
+
+
+class SympyLie:
+    """Dense sympy model of a Lie algebra, a reference for the library's
+    sparse bracket kernel: brackets, adjoints and series are built here from
+    the structure constants c[k][i][j] alone (`structure_constant`, which
+    reads the stored i < j table, not the sparse terms), summed over every
+    index triple, with nothing from `solvco.matrices`."""
+
+    def __init__(self, g: LieAlgebra):
+        n = self.dim = g.dim
+        self.c = [[[sympy.Rational(str(g.structure_constant(k, i, j)))
+                    for j in range(1, n + 1)] for i in range(1, n + 1)]
+                  for k in range(1, n + 1)]
+
+    @staticmethod
+    def _vec(x):
+        return [sympy.Rational(str(v)) for v in x]
+
+    def unit(self, i):
+        return [sympy.Integer(int(t == i)) for t in range(self.dim)]
+
+    def bracket(self, x, y):
+        x, y, n, c = self._vec(x), self._vec(y), self.dim, self.c
+        return [sum((x[i] * y[j] * c[k][i][j] for i in range(n) for j in range(n)),
+                    sympy.Integer(0)) for k in range(n)]
+
+    def ad(self, x):
+        x, n = self._vec(x), self.dim
+        return sympy.Matrix(n, n, lambda k, j: sum(
+            (x[i] * self.c[k][i][j] for i in range(n)), sympy.Integer(0)))
+
+    def is_unimodular(self):
+        return all(self.ad(self.unit(i)).trace() == 0 for i in range(self.dim))
+
+    def span(self, vectors):
+        """Nonzero rows of sympy's rref of the vectors, as Fraction tuples."""
+        vectors = [self._vec(v) for v in vectors]
+        if not vectors:
+            return ()
+        m = sympy.Matrix(vectors).rref()[0]
+        return tuple(tuple(Fraction(int(v.p), int(v.q)) for v in m.row(r))
+                     for r in range(m.rows) if any(m.row(r)))
+
+    def contains(self, basis, w):
+        return len(self.span(list(basis) + [w])) == len(basis)
+
+    def bracket_span(self, a, b):
+        return self.span([self.bracket(u, v) for u in a for v in b])
+
+    def derived_series(self):
+        series = [self.span([self.unit(i) for i in range(self.dim)])]
+        while True:
+            nxt = self.bracket_span(series[-1], series[-1])
+            if len(nxt) == len(series[-1]):
+                return series
+            series.append(nxt)
+
+    def lower_central_series(self):
+        full = self.span([self.unit(i) for i in range(self.dim)])
+        series = [full]
+        while True:
+            nxt = self.bracket_span(series[-1], full)
+            if len(nxt) == len(series[-1]):
+                return series
+            series.append(nxt)
 
 
 # ---------------------------------------------------------------------------
