@@ -29,7 +29,6 @@ from .lie import (
     derived_series,
     is_unimodular,
     lower_central_series,
-    validate,
 )
 from .splitting import KillMode, SplittingInput, kill_map, modified_bracket
 
@@ -130,8 +129,7 @@ def run_command(argv):
 
 
 def _cmd_validate(ns):
-    algebra = _load_algebra(ns.file)  # parse_structure_file already validates
-    validate(algebra)
+    _load_algebra(ns.file)  # parse_structure_file and catalog_get validate
     return EXIT_OK, "ok"
 
 

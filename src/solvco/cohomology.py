@@ -26,7 +26,7 @@ from .lie import (
     is_unimodular,
     validate,
 )
-from .matrices import Echelon, Matrix
+from .matrices import Echelon
 
 DEFAULT_DIM_BOUND = 12
 
@@ -96,28 +96,6 @@ def _transpose(columns, rows: int):
     return out
 
 
-def _dense_matrices(n: int, sparse):
-    """The Matrix d[k] : degree k -> k+1 of each sparse d[k] of a dim-n complex."""
-    zero = Fraction(0)
-    out = []
-    for k, columns in enumerate(sparse):
-        rows = _transpose(columns, comb(n, k + 1))
-        out.append(Matrix(len(rows), len(columns),
-                          [row.get(s, zero) for row in rows for s in range(len(columns))]))
-    return out
-
-
-def differentials(g: LieAlgebra, max_degree: Optional[int] = None):
-    """Matrices d[k] : degree k -> degree k+1 for k up to max_degree (all
-    degrees when None), without any validation: the densified
-    sparse_differentials.
-
-    Exposed separately so tests can correlate a Jacobi failure with a
-    nonzero d∘d; build_complex is the checked entry point.
-    """
-    return _dense_matrices(g.dim, sparse_differentials(g, max_degree))
-
-
 def check_square_zero(columns) -> None:
     """Raise JacobiViolation unless d[k+1] d[k] = 0 exactly for every pair
     of consecutive sparse differentials."""
@@ -136,31 +114,26 @@ def check_square_zero(columns) -> None:
 class CEComplex:
     """Exterior-form complex of an algebra: columns[k] holds the sparse
     columns of d[k] (degree k to k+1), as sparse_differentials returns
-    them; the dense matrices `d` are built on first access."""
+    them, for k up to the degree cut-off (every degree when there is none)."""
 
     algebra: LieAlgebra
     columns: tuple
-    max_degree: Optional[int] = None  # None means the full complex was built
-
-    @functools.cached_property
-    def d(self):
-        return tuple(_dense_matrices(self.algebra.dim, self.columns))
 
 
-def build_complex(g: LieAlgebra, max_degree: Optional[int] = None,
-                  dim_bound: int = DEFAULT_DIM_BOUND) -> CEComplex:
+def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
     """Validated complex with d∘d = 0 checked exactly.
 
-    A full complex has 2^dim basis forms, so dimensions above dim_bound are
-    rejected unless max_degree limits the computation to a prefix.
+    A full complex has 2^dim basis forms, so dimensions above
+    DEFAULT_DIM_BOUND are rejected unless max_degree limits the computation
+    to a prefix.
     """
-    if max_degree is None and g.dim > dim_bound:
+    if max_degree is None and g.dim > DEFAULT_DIM_BOUND:
         raise DimensionTooLarge(
-            f"dimension {g.dim} exceeds bound {dim_bound}; use a degree cut-off")
+            f"dimension {g.dim} exceeds bound {DEFAULT_DIM_BOUND}; use a degree cut-off")
     validate(g)
     columns = sparse_differentials(g, max_degree)
     check_square_zero(columns)
-    return CEComplex(algebra=g, columns=tuple(columns), max_degree=max_degree)
+    return CEComplex(algebra=g, columns=tuple(columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +214,7 @@ class StructuralReport:
     b1_formula_ok: bool
     solvable: bool
     nilpotent: bool
+    b1_bound: int  # b1 >= b1_bound; 0 when no bound applies
     b1_bound_ok: bool
 
     @property
@@ -257,8 +231,8 @@ class StructuralReport:
             f"b1 {self.b1} (dim - dim[g,g] = {self.b1_expected})",
         ]
         if self.solvable:
-            bound = 2 if self.nilpotent else 1
-            out.append(f"b1-bound >= {bound} {'ok' if self.b1_bound_ok else 'violated'}")
+            out.append(f"b1-bound >= {self.b1_bound} "
+                       f"{'ok' if self.b1_bound_ok else 'violated'}")
         return out
 
 
@@ -281,12 +255,9 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     b1 = betti[1] if n >= 1 else 0
     # the series stops at g itself when [g, g] = g
     b1_expected = n - series[1 if len(series) > 1 else 0].dim
-    if nilp:
-        bound_ok = b1 >= 2 if n >= 1 else True
-    elif solv:
-        bound_ok = b1 >= 1
-    else:
-        bound_ok = True
+    # g/[g, g] is nonzero for solvable g != 0, and at least 2-dimensional
+    # for nilpotent g of dimension >= 2
+    bound = min(n, 2 if nilp else 1) if solv else 0
     return StructuralReport(
         unimodular=uni,
         duality_holds=duality,
@@ -297,14 +268,14 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
         b1_formula_ok=(b1 == b1_expected),
         solvable=solv,
         nilpotent=nilp,
-        b1_bound_ok=bound_ok,
+        b1_bound=bound,
+        b1_bound_ok=b1 >= bound,
     )
 
 
-def cohomology(g: LieAlgebra, max_degree: Optional[int] = None,
-               dim_bound: int = DEFAULT_DIM_BOUND) -> CohomologyResult:
+def cohomology(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyResult:
     """Convenience wrapper: build the complex and take Betti numbers."""
-    return betti_numbers(build_complex(g, max_degree=max_degree, dim_bound=dim_bound))
+    return betti_numbers(build_complex(g, max_degree=max_degree))
 
 
 def format_multi_index(idx) -> str:

@@ -163,10 +163,3 @@ def parse_matrix(text: str) -> Matrix:
             raise ParseError(line_no, f"expected {cols} entries, found {len(tokens)}")
         entries.extend(parse_rational(t, line_no) for t in tokens)
     return Matrix(rows, cols, entries)
-
-
-def format_matrix(m: Matrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(x) for x in m.row(i)))
-    return "\n".join(lines) + "\n"

@@ -34,7 +34,6 @@ from .matrices import (
     inverse,
     rank_and_kernel,
     scale_vector,
-    solve,
     zero_vector,
 )
 from .polynomials import (
@@ -286,13 +285,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def coordinates(self, v):
-        """Coefficients of v over this basis, or None when v lies outside."""
-        if self.is_zero():
-            return () if all(Fraction(c) == 0 for c in v) else None
-        m = Matrix.from_columns(self.basis)
-        return solve(m, tuple(Fraction(c) for c in v))
-
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace.span(self.ambient_dim, self.basis + other.basis)
 
@@ -533,15 +525,3 @@ def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> tupl
                     "semisimple_action",
                     "semisimple part of ad(A) does not annihilate the complement")
     return decs
-
-
-def nilradical_maximality_hint(g: LieAlgebra, n: Subspace) -> bool:
-    """Heuristic only: no single basis-direction extension of n stays a
-    nilpotent ideal.  A True answer does not prove n is the nilradical."""
-    for i in range(g.dim):
-        if n.contains({i: 1}):
-            continue
-        bigger = Subspace.span(g.dim, [*n.basis, {i: 1}])
-        if _is_ideal(g, bigger) and is_nilpotent(restrict(g, bigger)):
-            return False
-    return True

@@ -19,10 +19,6 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vector(entries) -> Vector:
-    return tuple(_frac(x) for x in entries)
-
-
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
@@ -98,9 +94,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return self._entries[j :: self.cols]
 
-    def rows_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -121,9 +114,6 @@ class Matrix:
         self._check_same_shape(other)
         return Matrix(self.rows, self.cols,
                       (a - b for a, b in zip(self._entries, other._entries)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, (-a for a in self._entries))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -198,15 +188,6 @@ def _echelon(width: int, rows) -> Echelon:
     return ech
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (R, pivot column list)."""
-    if not m.rows:
-        return m, []
-    ech = _echelon(m.cols, map(m.row, range(m.rows)))
-    rows = ech.rows + [zero_vector(m.cols)] * (m.rows - ech.dim)
-    return Matrix.from_rows(rows), ech.pivots
-
-
 def rank(m: Matrix) -> int:
     return _echelon(m.cols, map(m.row, range(m.rows))).dim
 
@@ -250,18 +231,6 @@ def inverse(m: Matrix) -> Matrix:
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix.from_rows([row[n:] for row in ech.rows])
-
-
-def solve(m: Matrix, b: Vector):
-    """One solution of m x = b, or None when inconsistent."""
-    ech = _echelon(m.cols + 1, (m.row(i) + (b[i],) for i in range(m.rows)))
-    pivots = ech.pivots
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for p in pivots:
-        x[p] = ech.entry(p, m.cols)
-    return tuple(x)
 
 
 def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
@@ -427,10 +396,6 @@ class Echelon:
 
     def contains(self, v) -> bool:
         return not self._reduce(v)[0]
-
-    def entry(self, p: int, c: int) -> Fraction:
-        """Entry at column c of the reduced basis row with pivot p."""
-        return Fraction(self._tails[p].get(c, 0), self._piv[p])
 
     def kernel(self):
         """Sparse basis of the vectors orthogonal to every row, one per free

@@ -34,10 +34,6 @@ class Polynomial:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int, coeff=1) -> "Polynomial":
         return cls((0,) * degree + (coeff,))
 
@@ -139,9 +135,6 @@ class Polynomial:
         """p(scale * x), useful for rescaling eigenvalues."""
         scale = Fraction(scale)
         return Polynomial(c * scale**i for i, c in enumerate(self.coeffs))
-
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __str__(self):
         if self.is_zero():

@@ -4,9 +4,11 @@ generators for algebras and matrices.
 The oracles deliberately avoid the library code paths they check:
 rank via brute-force minors with Laplace determinants, differentials via
 the alternating-sum evaluation formula, ranks for the Betti oracle via
-sympy, the dense cohomology reference on a Fraction Gauss-Jordan of its
-own, and brackets, adjoints and series on a dense sympy model of the
-structure constants.
+sympy, the reference cohomology (Betti numbers and representatives) from
+the alternating-sum differentials on a Fraction Gauss-Jordan of its own,
+and brackets, adjoints and series on a dense sympy model of the structure
+constants.  `sympy_columns` and `apply_columns` read the library's sparse
+differential columns for comparison with them.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def laplace_det(rows):
 
 def minor_rank(m: Matrix) -> int:
     """Largest k with a nonzero k x k minor."""
-    rows = m.rows_list()
+    rows = [m.row(i) for i in range(m.rows)]
     best = 0
     for k in range(1, min(m.rows, m.cols) + 1):
         found = False
@@ -175,26 +177,45 @@ class GaussJordan:
         return out
 
 
-def dense_cohomology(g: LieAlgebra, max_degree=None):
-    """(Betti numbers, representatives) by the dense algorithm the library
-    used before its sparse rank pass, on `GaussJordan`: the kernel basis of
-    each dense d[k] read off its reduced row echelon form, each vector
-    reduced against a boundary echelon built afresh from the columns of
-    d[k-1] and the cocycles chosen before it."""
-    from solvco.cohomology import differentials
+def _fractions(entries):
+    return [Fraction(int(x.p), int(x.q)) for x in entries]
 
-    mats = differentials(g, max_degree)
+
+def sympy_columns(columns, rows: int):
+    """The rows x len(columns) sympy matrix of sparse {row: Fraction} columns."""
+    return sympy.Matrix(rows, len(columns), lambda t, s: sympy.Rational(
+        str(columns[s].get(t, 0))))
+
+
+def apply_columns(columns, vec):
+    """Nonzero entries {row: Fraction} of the matrix with the given sparse
+    columns applied to vec, a dense vector or a sparse {column: x} dict."""
+    out = {}
+    for s, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+        for t, y in columns[s].items():
+            out[t] = out.get(t, 0) + x * y
+    return {t: y for t, y in out.items() if y}
+
+
+def dense_cohomology(g: LieAlgebra, max_degree=None):
+    """(Betti numbers, representatives) by the dense algorithm on the
+    alternating-sum differentials of `oracle_differential`, over Fraction on
+    `GaussJordan`: the kernel basis of each dense d[k] read off its reduced
+    row echelon form, each vector reduced against a boundary echelon built
+    afresh from the columns of d[k-1] and the cocycles chosen before it."""
+    top = g.dim if max_degree is None else min(max_degree, g.dim)
+    mats = [oracle_differential(g, k) for k in range(top + 1)]
     betti, reps, prev_rank = [], [], 0
     for k, d in enumerate(mats):
         rows = GaussJordan(d.cols)
         for i in range(d.rows):
-            rows.add(d.row(i))
+            rows.add(_fractions(d.row(i)))
         kernel = rows.kernel()
         betti.append(len(kernel) - prev_rank)
         boundary = GaussJordan(d.cols)
         if k > 0:
             for j in range(mats[k - 1].cols):
-                boundary.add(mats[k - 1].column(j))
+                boundary.add(_fractions(mats[k - 1].col(j)))
         chosen = []
         for vec in kernel:
             reduced = boundary.reduce(vec)

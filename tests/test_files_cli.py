@@ -6,7 +6,6 @@ from solvco.catalog import catalog_get, catalog_names
 from solvco.cli import run_command
 from solvco.errors import CheckFailed, ParseError, UnknownName
 from solvco.files import (
-    format_matrix,
     parse_matrix,
     parse_structure_file,
     structure_equations,
@@ -77,7 +76,7 @@ def test_dump_round_trip_catalog():
 
 def test_matrix_round_trip():
     m = Matrix.from_rows([[1, -2], [1, 1]])
-    assert parse_matrix(format_matrix(m)) == m
+    assert parse_matrix("2 2\n1 -2\n1 1\n") == m
     m2 = parse_matrix("2 2\n1/2 -3\n0 7\n")
     assert m2[0, 0] == 0.5
 

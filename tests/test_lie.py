@@ -24,7 +24,6 @@ from solvco.lie import (
     is_solvable,
     is_unimodular,
     lower_central_series,
-    nilradical_maximality_hint,
     restrict,
     validate,
     verify_nilpotent_complement,
@@ -206,12 +205,6 @@ def test_catalog_classifications_match_recomputation():
         verify_nilpotent_complement(g, entry.complement, entry.nilpotent_ideal)
 
 
-def test_nilradical_maximality_hint():
-    sol3 = catalog_get("sol3").algebra
-    assert nilradical_maximality_hint(sol3, Subspace.standard(3, (2, 3)))
-    assert not nilradical_maximality_hint(HEISENBERG, Subspace.standard(3, (3,)))
-
-
 def test_conjugation_preserves_structure():
     rng = random.Random(31)
     g = catalog_get("sol3").algebra
@@ -232,5 +225,3 @@ def test_subspace_operations():
     assert join.dim == 3
     with pytest.raises(ValueError):
         Subspace(2, [(1, 0), (2, 0)])  # dependent basis
-    assert a.coordinates((2, 5, 0)) == (2, 5)
-    assert a.coordinates((0, 0, 1)) is None

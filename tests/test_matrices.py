@@ -1,7 +1,6 @@
 """Exact linear algebra: elimination, kernels, exterior powers."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,8 +11,6 @@ from solvco.matrices import (
     exterior_power,
     inverse,
     rank_and_kernel,
-    rref,
-    solve,
 )
 from support import minor_rank, rand_matrix, rand_unimodular
 
@@ -77,22 +74,6 @@ def test_det_matches_unimodular_construction():
     for _ in range(25):
         u = rand_unimodular(rng, rng.randint(1, 4))
         assert det(u) in (1, -1)
-
-
-def test_solve():
-    m = Matrix.from_rows([[1, 2], [3, 4]])
-    x = solve(m, (Fraction(5), Fraction(11)))
-    assert m.apply(x) == (5, 11)
-    inconsistent = Matrix.from_rows([[1, 1], [1, 1]])
-    assert solve(inconsistent, (Fraction(0), Fraction(1))) is None
-
-
-def test_rref_is_reduced():
-    m = Matrix.from_rows([[2, 4, 1], [1, 2, 0]])
-    r, pivots = rref(m)
-    assert pivots == [0, 2]
-    assert r.row(0) == (1, 2, 0)
-    assert r.row(1) == (0, 0, 1)
 
 
 def test_matrix_power():

@@ -28,8 +28,6 @@ from solvco.matrices import (  # noqa: E402
     inverse,
     rank,
     rank_and_kernel,
-    rref,
-    solve,
 )
 
 ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -98,11 +96,7 @@ def from_sympy(rows):
 @given(matrices())
 def test_rref_rank_kernel_match_sympy(m):
     ref = to_sympy(m)
-    r, pivots = rref(m)
-    ref_r, ref_pivots = ref.rref()
-    assert [r.row(i) for i in range(r.rows)] == from_sympy(ref_r.tolist())
-    assert pivots == list(ref_pivots)
-    assert rank(m) == ref.rank() == len(pivots)
+    assert rank(m) == ref.rank()
     k, kernel = rank_and_kernel(m)
     assert k == ref.rank()
     assert kernel == from_sympy([list(v) for v in ref.nullspace()])
@@ -119,22 +113,6 @@ def test_det_and_inverse_match_sympy(m):
     else:
         inv = inverse(m)
         assert [inv.row(i) for i in range(inv.rows)] == from_sympy(ref.inv().tolist())
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_solve_matches_sympy(data):
-    m = data.draw(matrices())
-    b = tuple(data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows)))
-    x = solve(m, b)
-    ref, ref_b = to_sympy(m), to_sympy(Matrix(len(b), 1, b))
-    if ref.row_join(ref_b).rank() > ref.rank():
-        assert x is None
-        return
-    assert m.apply(x) == b
-    sol, params = ref.gauss_jordan_solve(ref_b)
-    sol = sol.subs({p: 0 for p in params})  # free columns set to zero
-    assert x == from_sympy([list(sol)])[0]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,11 +1,17 @@
-"""Source-level contract: every check that backs a result is a typed raise.
+"""Source-level contract: every check that backs a result is a typed raise,
+and every module-level function and class is reached.
 
 `python -O` strips `assert` statements, so a check written as one silently
 disappears; `raise AssertionError` is not a typed solvco error either, and
 the CLI maps only `SolvcoError` and `ValueError` to documented messages.
+
+A module-level function or class that no other code in the package names
+and that the package does not export is dead code: only tests could reach
+it, and it would keep a second copy of a path alive for them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import solvco
@@ -38,3 +44,46 @@ def test_contract_check_sees_both_forms(tmp_path):
     sample.write_text("def f(x):\n    assert x\n    raise AssertionError('no')\n")
     assert list(_offences(sample)) == ["sample.py:2: assert statement",
                                        "sample.py:3: raise AssertionError"]
+
+
+def _names(node):
+    """Names and attribute names referenced anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _unreached(package):
+    """module:name of each module-level function or class in the package
+    directory that is neither referenced outside its own body nor imported
+    by the package's __init__.py."""
+    paths = sorted(package.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    exported = {alias.name for node in ast.walk(trees[package / "__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    referenced = Counter(name for tree in trees.values() for name in _names(tree))
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            inside = sum(1 for name in _names(node) if name == node.name)
+            if node.name not in exported and referenced[node.name] == inside:
+                yield f"{path.stem}:{node.name}"
+
+
+def test_every_module_level_definition_is_reached():
+    assert list(_unreached(SOURCES[0].parent)) == []
+
+
+def test_reach_check_sees_dead_definitions(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import Exported\n")
+    (tmp_path / "mod.py").write_text(
+        "class Exported:\n    pass\n"
+        "def helper():\n    return 1\n"
+        "def by_attribute():\n    return 2\n"
+        "def caller(ns):\n    return helper() + ns.by_attribute()\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
+    assert list(_unreached(tmp_path)) == ["mod:caller", "mod:recursive"]
