@@ -74,7 +74,7 @@ class HolonomyInput:
         b = self.holonomy
         if not b.is_square() or b.rows != self.n:
             raise ValueError("holonomy must be n x n")
-        if any(x.denominator != 1 for i in range(b.rows) for x in b.row(i)):
+        if b.denominator != 1:
             raise ValueError("holonomy must have integer entries")
         if det(b) not in (1, -1):
             raise ValueError("holonomy must be invertible over the integers")
@@ -224,7 +224,7 @@ def invariant_betti(inp: HolonomyInput, m: int):
         raise NotFiniteOrder(f"holonomy order does not divide {m}")
     action = Matrix.from_rows(
         [[1] + [0] * inp.n]
-        + [[0] + list(inp.holonomy.transpose().row(i)) for i in range(inp.n)]
+        + [[0] + list(inp.holonomy.column(i)) for i in range(inp.n)]
     )
     out = []
     for k in range(inp.n + 2):

@@ -123,13 +123,17 @@ class CEComplex:
 def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
     """Validated complex with d∘d = 0 checked exactly.
 
-    A full complex has 2^dim basis forms, so dimensions above
-    DEFAULT_DIM_BOUND are rejected unless max_degree limits the computation
-    to a prefix.
+    The complex through max_degree has the basis forms of degrees up to
+    max_degree + 1, 2^dim of them without a cut.  More than
+    2^DEFAULT_DIM_BOUND forms are rejected, with or without a cut.
     """
-    if max_degree is None and g.dim > DEFAULT_DIM_BOUND:
+    top = g.dim if max_degree is None else min(max_degree + 1, g.dim)
+    forms = sum(comb(g.dim, k) for k in range(top + 1))
+    if forms > 2**DEFAULT_DIM_BOUND:
         raise DimensionTooLarge(
-            f"dimension {g.dim} exceeds bound {DEFAULT_DIM_BOUND}; use a degree cut-off")
+            f"dimension {g.dim} exceeds bound {DEFAULT_DIM_BOUND}; use a degree cut-off"
+            if max_degree is None else f"degree cut-off {max_degree} at dimension {g.dim}"
+            f" builds {forms} forms, more than 2^{DEFAULT_DIM_BOUND} = {2**DEFAULT_DIM_BOUND}")
     validate(g)
     columns = sparse_differentials(g, max_degree)
     check_square_zero(columns)

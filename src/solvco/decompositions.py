@@ -45,15 +45,12 @@ def _integer_columns(m: Matrix):
     """(D, columns) with D the least common denominator of the entries of m
     and columns[j] the nonzero entries (i, M[i, j]) of the integer matrix
     M = D * m."""
-    n = m.rows
-    rows = [m.row(i) for i in range(n)]
-    scale = denominator_lcm(x for row in rows for x in row)
-    columns = [[] for _ in range(n)]
-    for i, row in enumerate(rows):
+    columns = [[] for _ in range(m.cols)]
+    for i, row in enumerate(m.numerator_rows()):
         for j, x in enumerate(row):
             if x:
-                columns[j].append((i, x.numerator * (scale // x.denominator)))
-    return scale, columns
+                columns[j].append((i, x))
+    return m.denominator, columns
 
 
 def _apply(columns, v: dict) -> dict:

@@ -70,7 +70,7 @@ class NotFiniteOrder(SolvcoError):
 
 
 class DimensionTooLarge(SolvcoError):
-    """Algebra dimension exceeds the configured bound for a full complex."""
+    """The complex asked for has more basis forms than the configured bound."""
 
 
 class ParseError(SolvcoError):

@@ -33,6 +33,7 @@ from .matrices import (
     basis_vector,
     inverse,
     rank_and_kernel,
+    rational,
     scale_vector,
     zero_vector,
 )
@@ -61,7 +62,7 @@ class LieAlgebra:
         for (i, j), coeffs in table.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad bracket index pair ({i},{j})")
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple(rational(c) for c in coeffs)
             if len(coeffs) != dim:
                 raise ValueError("coefficient vector length must equal dim")
             if any(c != 0 for c in coeffs):
@@ -90,7 +91,7 @@ class LieAlgebra:
             for k, c in terms.items():
                 if not 1 <= k <= dim:
                     raise ValueError(f"bad target index {k}")
-                coeffs[k - 1] = Fraction(c)
+                coeffs[k - 1] = rational(c)
             table[(i, j)] = tuple(coeffs)
         return cls(dim, table)
 
@@ -108,8 +109,8 @@ class LieAlgebra:
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    cij = Fraction(tensor[k][i][j])
-                    cji = Fraction(tensor[k][j][i])
+                    cij = rational(tensor[k][i][j])
+                    cji = rational(tensor[k][j][i])
                     if i == j and cij != 0:
                         raise AntisymmetryViolation(
                             f"c[{k + 1}][{i + 1}][{i + 1}] = {cij} must vanish")
@@ -118,7 +119,7 @@ class LieAlgebra:
                             f"c[{k + 1}][{i + 1}][{j + 1}] != -c[{k + 1}][{j + 1}][{i + 1}]")
         for i in range(1, dim + 1):
             for j in range(i + 1, dim + 1):
-                coeffs = tuple(Fraction(tensor[k][i - 1][j - 1]) for k in range(dim))
+                coeffs = tuple(rational(tensor[k][i - 1][j - 1]) for k in range(dim))
                 table[(i, j)] = coeffs
         return cls(dim, table)
 
@@ -230,7 +231,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "_echelon")
 
     def __init__(self, ambient_dim: int, basis):
-        basis = tuple(tuple(Fraction(c) for c in v) for v in basis)
+        basis = tuple(tuple(rational(c) for c in v) for v in basis)
         ech = Echelon(ambient_dim)
         for v in basis:
             if len(v) != ambient_dim:
@@ -289,13 +290,16 @@ class Subspace:
         return Subspace.span(self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via coefficient solving on the stacked basis matrix."""
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
-        m = Matrix.from_columns(list(self.basis) + [scale_vector(-1, v) for v in other.basis])
-        return Subspace.span(self.ambient_dim, (
-            [sum(c * b[t] for c, b in zip(w, self.basis)) for t in range(self.ambient_dim)]
-            for w in rank_and_kernel(m)[1]))
+        """Zassenhaus: the rows (u | u), u in self, and (v | 0), v in other,
+        span the (u + v | u); those zero in the first half are (0 | w), w in
+        the intersection, spanned by the echelon rows with pivot >= n."""
+        n = self.ambient_dim
+        ech = Echelon(2 * n)
+        for u in self.basis:
+            ech.add(u + u)
+        for v in other.basis:
+            ech.add(v)
+        return Subspace.span(n, ech.rows_from(n))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

@@ -1,7 +1,8 @@
 """Exact rational matrices and Gaussian-elimination primitives.
 
-All entries are ``fractions.Fraction``; nothing here ever rounds.  Matrices
-are immutable so values can be shared freely between threads.
+Nothing here ever rounds.  `Matrix` and `Echelon` compute in Python ints
+and build `Fraction`s only for what a caller reads; a float entry raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -13,10 +14,37 @@ from math import comb, gcd, lcm
 Vector = tuple  # tuple of Fraction, used informally throughout
 
 
-def _frac(x) -> Fraction:
+def rational(x) -> Fraction:
+    """x as a Fraction, the one conversion of given entries; a float raises
+    TypeError, since its binary value is seldom the rational meant."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not exact; pass an int, Fraction or string")
     return Fraction(x)
+
+
+def _integral(v):
+    """(V, s) with v = V / s: V the nonzero entries of the dense or
+    sparse vector v as a {column: int} dict, s >= 1 their least common
+    denominator, so s and the entries of V have no common factor.  Ints
+    and integral Fractions pass through unscaled."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    V = {}
+    dens = {}  # column -> denominator, for the entries that are not integral
+    for c, x in items:
+        if type(x) is not int:
+            x, d = (x if type(x) is Fraction else rational(x)).as_integer_ratio()
+            if d != 1:
+                dens[c] = d
+        if x:
+            V[c] = x
+    if not dens:
+        return V, 1
+    s = lcm(*dens.values())
+    for c in V:
+        V[c] *= s // dens.get(c, 1)
+    return V, s
 
 
 def zero_vector(n: int) -> Vector:
@@ -33,22 +61,48 @@ def add_vectors(u: Vector, v: Vector) -> Vector:
 
 
 def scale_vector(c, v: Vector) -> Vector:
-    c = _frac(c)
+    c = rational(c)
     return tuple(c * a for a in v)
 
 
 class Matrix:
-    """Immutable rows x cols matrix of rationals, row-major storage."""
+    """Immutable rows x cols matrix of rationals: row-major int numerators
+    `_num` over one denominator `_den` > 0 in lowest terms, so equal
+    matrices have equal storage and `==` and `hash` are rational equality.
+    Arithmetic runs on the ints and reduces each result once; `m[i, j]`,
+    `row`, `column` and `apply` build Fractions, and `denominator` and
+    `numerator_rows` hand the integer matrix D * m to the integer kernels.
+    """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(_frac(x) for x in entries)
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        V, den = _integral(entries)  # in lowest terms already
+        num = [0] * len(entries)
+        for c, x in V.items():
+            num[c] = x
+        self._set(rows, cols, tuple(num), den)
+
+    def _set(self, rows, cols, num, den):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, num, den: int) -> "Matrix":
+        """The matrix num / den (ints, den > 0), brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        m = cls.__new__(cls)
+        m._set(rows, cols, tuple(num), den)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -72,11 +126,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._reduced(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._reduced(rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
@@ -84,60 +138,75 @@ class Matrix:
         n = len(values)
         return cls(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
 
+    @property
+    def denominator(self) -> int:
+        """The least D > 0 with D * m integral."""
+        return self._den
+
+    def numerator_rows(self):
+        """Rows of the integer matrix D * m, D = `denominator`, as int tuples."""
+        num, c = self._num, self.cols
+        return [num[i * c : (i + 1) * c] for i in range(self.rows)]
+
     def __getitem__(self, ij):
         i, j = ij
-        return self._entries[i * self.cols + j]
+        return Fraction(self._num[i * self.cols + j], self._den)
 
     def row(self, i: int) -> Vector:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num[i * self.cols : (i + 1) * self.cols])
 
     def column(self, j: int) -> Vector:
-        return self._entries[j :: self.cols]
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num[j :: self.cols])
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.rows, self.cols, self._den, self._num))
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        self._check_same_shape(other)
+        den = lcm(self._den, other._den)
+        f, g = den // self._den, sign * (den // other._den)
+        return Matrix._reduced(self.rows, self.cols,
+                               [f * a + g * b for a, b in zip(self._num, other._num)], den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      (a + b for a, b in zip(self._entries, other._entries)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      (a - b for a, b in zip(self._entries, other._entries)))
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
-            # accumulate rows, skipping zero entries: the complex matrices
-            # this package produces are mostly sparse
-            other_rows = [other.row(k) for k in range(other.rows)]
-            zero = Fraction(0)
+            # accumulate rows, skipping zero entries: the matrices this
+            # package produces are mostly sparse
+            other_rows = [[(j, b) for j, b in enumerate(r) if b]
+                          for r in other.numerator_rows()]
             out = []
-            for i in range(self.rows):
-                acc = [zero] * other.cols
-                for k, a in enumerate(self.row(i)):
+            for r in self.numerator_rows():
+                acc = [0] * other.cols
+                for k, a in enumerate(r):
                     if a:
-                        for j, b in enumerate(other_rows[k]):
-                            if b:
-                                acc[j] += a * b
+                        for j, b in other_rows[k]:
+                            acc[j] += a * b
                 out.extend(acc)
-            return Matrix(self.rows, other.cols, out)
-        c = _frac(other)
-        return Matrix(self.rows, self.cols, (c * a for a in self._entries))
+            return Matrix._reduced(self.rows, other.cols, out, self._den * other._den)
+        c = rational(other)
+        return Matrix._reduced(self.rows, self.cols, [c.numerator * a for a in self._num],
+                               self._den * c.denominator)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -156,14 +225,18 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
+        V, s = _integral(v)
+        den = self._den * s
+        return tuple(Fraction(sum(r[c] * x for c, x in V.items()), den)
+                     for r in self.numerator_rows())
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      (self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        num, c = self._num, self.cols
+        return Matrix._reduced(c, self.rows, [x for j in range(c) for x in num[j::c]],
+                               self._den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self._entries)
+        return not any(self._num)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -189,29 +262,31 @@ def _echelon(width: int, rows) -> Echelon:
 
 
 def rank(m: Matrix) -> int:
-    return _echelon(m.cols, map(m.row, range(m.rows))).dim
+    return _echelon(m.cols, m.numerator_rows()).dim
 
 
 def rank_and_kernel(m: Matrix):
     """Exact rank and a basis of the right kernel.
 
     The kernel basis is the standard one read off the reduced echelon form:
-    one vector per free column, with a 1 in the free position.
+    one vector per free column, with a 1 in the free position.  Both are
+    those of the integer matrix D * m.
     """
-    ech = _echelon(m.cols, map(m.row, range(m.rows)))
+    ech = _echelon(m.cols, m.numerator_rows())
     return ech.dim, [ech._dense(v) for v in ech.kernel()]
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant: the product of the pivots divided out while the rows
-    are inserted, signed by the permutation of the pivot columns."""
+    """Determinant: with D * m integral, det(D * m) / D^n, where det(D * m)
+    is the product of the pivots divided out while its rows are inserted,
+    signed by the permutation of the pivot columns."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     ech = Echelon(m.cols)
-    result = Fraction(1)
+    result = Fraction(1, m.denominator ** m.rows)
     pivots = []
-    for i in range(m.rows):
-        added = ech.add(m.row(i))
+    for row in m.numerator_rows():
+        added = ech.add(row)
         if added is None:
             return Fraction(0)
         p, lead = added
@@ -222,20 +297,23 @@ def det(m: Matrix) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse read off the reduced echelon form [I | m^-1] of
-    [m | I]; raises ValueError when singular."""
+    """Exact inverse: with M = D * m integral, the reduced echelon form of
+    [M | I] is [I | M^-1], and m^-1 = D * M^-1; raises ValueError when m is
+    singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    ech = _echelon(2 * n, (m.row(i) + basis_vector(n, i) for i in range(n)))
+    ech = _echelon(2 * n, (row + (0,) * i + (1,) + (0,) * (n - 1 - i)
+                           for i, row in enumerate(m.numerator_rows())))
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows([row[n:] for row in ech.rows])
+    return Matrix.from_rows([row[n:] for row in ech.rows]) * m.denominator
 
 
 def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
-    return Matrix(len(row_idx), len(col_idx),
-                  (m[i, j] for i in row_idx for j in col_idx))
+    num, c = m._num, m.cols
+    return Matrix._reduced(len(row_idx), len(col_idx),
+                           [num[i * c + j] for i in row_idx for j in col_idx], m._den)
 
 
 def exterior_power(m: Matrix, k: int) -> Matrix:
@@ -290,40 +368,12 @@ class Echelon:
             else:
                 del target[c]
 
-    @staticmethod
-    def _integral(v):
-        """(V, s) with v = V / s: V the nonzero entries of the dense or
-        sparse vector v as a {column: int} dict, s >= 1 their least common
-        denominator.  Ints and integral Fractions pass through unscaled."""
-        items = v.items() if isinstance(v, dict) else enumerate(v)
-        V = {}
-        fractional = []
-        for c, x in items:
-            if type(x) is not int:
-                if not isinstance(x, Fraction):
-                    x = Fraction(x)
-                n = x.numerator
-                if n and x.denominator != 1:
-                    fractional.append((c, x))
-                    continue
-                x = n
-            if x:
-                V[c] = x
-        if not fractional:
-            return V, 1
-        s = lcm(*[x.denominator for _, x in fractional])
-        for c in V:
-            V[c] *= s
-        for c, x in fractional:
-            V[c] = x.numerator * (s // x.denominator)
-        return V, s
-
     def _reduce(self, v):
         """(V, s) with V / s the remainder of v modulo the span.
 
         With L the lcm of the pivot entries met, L * v less a multiple of
         each of those rows is integral and zero at every pivot."""
-        V, s = self._integral(v)
+        V, s = _integral(v)
         hits = [p for p in V if p in self._tails]
         if not hits:
             return V, s
@@ -414,6 +464,13 @@ class Echelon:
     @property
     def pivots(self):
         return sorted(self._tails)
+
+    def rows_from(self, start: int):
+        """Basis rows with pivot at least start, ordered by pivot, as
+        sparse integer rows shifted left by start: they span the vectors
+        of the span that are zero before column start."""
+        return [{c - start: x for c, x in ((p, self._piv[p]), *self._tails[p].items())}
+                for p in self.pivots if p >= start]
 
     @property
     def rows(self):

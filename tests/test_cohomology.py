@@ -192,11 +192,22 @@ def test_max_degree_prefix():
 
 
 def test_dimension_bound():
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(DimensionTooLarge,
+                       match=r"^dimension 13 exceeds bound 12; use a degree cut-off$"):
         build_complex(LieAlgebra.abelian(13))
-    # a degree cut-off lifts the gate
+    assert len(build_complex(LieAlgebra.abelian(12)).columns) == 13  # 2^12 forms
+    # a degree cut-off passes while the forms it builds number at most 2^12:
+    # degrees <= 6 of dimension 13 are 4096 forms, degrees <= 7 are 5812
     res = cohomology(LieAlgebra.abelian(13), max_degree=1)
     assert res.betti == (1, 13)
+    assert len(build_complex(LieAlgebra.abelian(13), max_degree=5).columns) == 6
+    with pytest.raises(DimensionTooLarge,
+                       match=r"^degree cut-off 6 at dimension 13 builds 5812 forms, "
+                             r"more than 2\^12 = 4096$"):
+        build_complex(LieAlgebra.abelian(13), max_degree=6)
+    # a cut at or above the dimension builds the whole complex
+    with pytest.raises(DimensionTooLarge, match="builds 16384 forms"):
+        build_complex(LieAlgebra.abelian(14), max_degree=14)
 
 
 def test_build_complex_validates():

@@ -165,6 +165,19 @@ def test_cli_usage_errors():
     assert code == 3
 
 
+def test_cli_degree_cut_keeps_the_dimension_bound(tmp_path):
+    # the filiform algebra of dimension 14: [e1, e_(k-1)] = e_k
+    fil14 = tmp_path / "fil14.txt"
+    fil14.write_text("dim 14\n" + "".join(f"d e{k} = e1^e{k - 1}\n" for k in range(3, 15)))
+    assert run_command(["cohomology", str(fil14)]) == (
+        1, "error: dimension 14 exceeds bound 12; use a degree cut-off")
+    code, text = run_command(["cohomology", str(fil14), "--max-degree", "14"])
+    assert (code, text) == (1, "error: degree cut-off 14 at dimension 14 builds 16384 forms,"
+                               " more than 2^12 = 4096")
+    code, text = run_command(["cohomology", str(fil14), "--max-degree", "1"])
+    assert (code, text) == (0, "dim 14\nbetti 0 1\nbetti 1 2")
+
+
 def test_cli_cohomology_tsv_hyperelliptic():
     code, text = run_command(
         ["cohomology", "hyperelliptic4", "--reps", "--format", "tsv"])

@@ -1,6 +1,6 @@
 """Property tests of the Lie layer's sparse bracket kernel against the dense
 sympy model `support.SympyLie`, which builds its own brackets from the
-structure constants.
+structure constants, and of `Subspace.intersect` against sympy's nullspace.
 
 Algebras are random valid algebras in a random integer basis
 (`rand_valid_algebra`), half of them conjugated by `rand_large_rational`
@@ -12,12 +12,14 @@ hypothesis is not installed.
 from fractions import Fraction
 
 import pytest
+import sympy
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from solvco.lie import (  # noqa: E402
+    LieAlgebra,
     Subspace,
     ad_matrix,
     bracket_subspaces,
@@ -136,3 +138,28 @@ def test_flag_chain_is_a_chain_of_sympy_ideals(rng):
     for s in cert.chain:
         assert all(oracle.contains(s.basis, oracle.bracket(oracle.unit(i), w))
                    for i in range(g.dim) for w in s.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_intersect_is_the_span_of_sympy_intersection(rng):
+    n = rng.randint(0, 6)
+    # a shared part, and few enough others that neither space is often the whole
+    common = [rand_vector(rng, n) for _ in range(rng.randint(0, 2))]
+    u, v = (Subspace.span(n, common + [rand_vector(rng, n)
+                                       for _ in range(rng.randint(0, n // 2 + 1))])
+            for _ in range(2))
+    got = u.intersect(v)
+    # x = U a = V b exactly when (a, b) lies in the nullspace of [U | -V]
+    ref = []
+    if u.dim and v.dim:
+        U, V = (sympy.Matrix([[sympy.Rational(str(x)) for x in b] for b in w.basis]).T
+                for w in (u, v))
+        ref = [list(U * w[:u.dim, :]) for w in U.row_join(-V).nullspace()]
+    oracle = SympyLie(LieAlgebra.abelian(n))
+    assert got.basis == oracle.span(ref)
+    assert got.dim + len(oracle.span(u.basis + v.basis)) == u.dim + v.dim
+    assert v.intersect(u).basis == got.basis
+    # a basis given as is, not in echelon form, meets v in the same space
+    scaled = Subspace(n, [tuple(x * (t + 2) for x in b) for t, b in enumerate(u.basis)])
+    assert scaled.intersect(v).basis == got.basis

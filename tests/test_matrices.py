@@ -114,3 +114,24 @@ def test_matrix_immutable_and_hashable():
     with pytest.raises(AttributeError):
         m.rows = 3
     assert len({m, Matrix.identity(2)}) == 1
+
+
+def test_float_entries_raise_type_error():
+    from fractions import Fraction
+
+    from solvco.lie import LieAlgebra, Subspace
+
+    for build in (lambda: Matrix(1, 1, [0.1]),
+                  lambda: Matrix.from_rows([[1, 0.5]]),
+                  lambda: Matrix.identity(2) * 0.5,
+                  lambda: Matrix.identity(2).apply((1, 0.0)),
+                  lambda: Echelon(2).add((0.5, 1)),
+                  lambda: Echelon(2).reduce({0: 0.25}),
+                  lambda: Subspace(2, [(0.5, 1)]),
+                  lambda: Subspace.span(2, [{1: 2.0}]),
+                  lambda: LieAlgebra.from_brackets(3, {(1, 2): {3: 0.5}})):
+        with pytest.raises(TypeError, match="not exact"):
+            build()
+    # ints, Fractions and strings stay exact
+    assert Matrix(1, 3, [1, Fraction(1, 10), "1/10"]).row(0) == (1, Fraction(1, 10),
+                                                                  Fraction(1, 10))

@@ -7,11 +7,16 @@ so that pivots are far from 1 and the kernel's integer rows have to be
 scaled.  Vectors go in as int/Fraction tuples, lists or sparse dicts.
 Minimal and characteristic polynomials are checked on the same matrices
 and on structured ones (scalar, nilpotent, block-diagonal with a repeated
-block), also in a rational basis with large denominators.  The module is
-skipped where hypothesis is not installed.
+block), also in a rational basis with large denominators.  `Matrix`
+arithmetic, entry reads and exterior powers are checked against sympy, and
+every result is checked to be in lowest terms, so that equal matrices reached
+by different paths are equal and hash equal.  The module is skipped where
+hypothesis is not installed.
 """
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -25,6 +30,7 @@ from solvco.matrices import (  # noqa: E402
     Echelon,
     Matrix,
     det,
+    exterior_power,
     inverse,
     rank,
     rank_and_kernel,
@@ -90,6 +96,65 @@ def to_sympy(m: Matrix):
 
 def from_sympy(rows):
     return [tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows]
+
+
+def in_lowest_terms(m: Matrix) -> bool:
+    return gcd(m.denominator, *(x for row in m.numerator_rows() for x in row)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entry_reads_return_the_entries_given(data):
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    entries = data.draw(st.lists(st.sampled_from((ENTRIES, UNITS, MIXED)).flatmap(lambda s: s),
+                                 min_size=n * k, max_size=n * k))
+    m = Matrix(n, k, entries)
+    assert in_lowest_terms(m)
+    assert [m[i, j] for i in range(n) for j in range(k)] == entries
+    assert [x for i in range(n) for x in m.row(i)] == entries
+    assert [m.column(j) for j in range(k)] == [tuple(entries[j::k]) for j in range(k)]
+    assert all(type(x) is Fraction for i in range(n) for x in m.row(i))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_and_exterior_powers_match_sympy(data):
+    n, k, l = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(matrices(rows=n, cols=k)), data.draw(matrices(rows=n, cols=k))
+    c = data.draw(matrices(rows=k, cols=l))
+    q = data.draw(square_matrices(max_dim=4))
+    s = data.draw(MIXED)
+    v = data.draw(matrices(rows=1, cols=k)).row(0)
+    A, B, C, Q = map(to_sympy, (a, b, c, q))
+    S = sympy.Rational(s.numerator, s.denominator)
+    cases = [(a + b, A + B), (a - b, A - B), (a * c, A * C), (s * a, S * A), (a * s, A * S),
+             (a.transpose(), A.T)]
+    if q.rows:
+        cases += [(q**e, Q**e) for e in range(4)]
+    for ours, ref in cases:
+        assert to_sympy(ours) == ref
+        assert in_lowest_terms(ours)
+    V = sympy.Matrix(k, 1, [sympy.Rational(x.numerator, x.denominator) for x in v])
+    assert a.apply(v) == from_sympy([list(A * V)])[0]
+    for r in range(q.rows + 1):
+        subsets = list(itertools.combinations(range(q.rows), r))
+        minors = [[Q.extract(list(J), list(I)).det() for I in subsets] for J in subsets]
+        ext = exterior_power(q, r)
+        assert to_sympy(ext) == sympy.Matrix(minors)
+        assert in_lowest_terms(ext)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equal_matrices_by_different_paths_are_equal_and_hash_equal(data):
+    n, k, l, p = (data.draw(st.integers(0, 4)) for _ in range(4))
+    a, d = data.draw(matrices(rows=n, cols=k)), data.draw(matrices(rows=n, cols=k))
+    b, c = data.draw(matrices(rows=k, cols=l)), data.draw(matrices(rows=l, cols=p))
+    s = data.draw(MIXED.filter(bool))
+    for x, y in (((a * b) * c, a * (b * c)), ((a + d) - d, a), ((s * a) * (1 / s), a)):
+        assert x == y
+        assert hash(x) == hash(y)
+        assert in_lowest_terms(x)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Source-level contract: every check that backs a result is a typed raise,
-and every module-level function and class is reached.
+every module-level function and class is reached, and only matrices.py
+names the storage of a `Matrix`.
 
 `python -O` strips `assert` statements, so a check written as one silently
 disappears; `raise AssertionError` is not a typed solvco error either, and
@@ -8,6 +9,10 @@ the CLI maps only `SolvcoError` and `ValueError` to documented messages.
 A module-level function or class that no other code in the package names
 and that the package does not export is dead code: only tests could reach
 it, and it would keep a second copy of a path alive for them.
+
+A `Matrix` keeps int numerators over one denominator in private slots;
+other modules go through its methods (`denominator`, `numerator_rows`,
+`row`, `column`, ...), so the representation can change in one file.
 """
 
 import ast
@@ -15,6 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 import solvco
+from solvco.matrices import Matrix
 
 SOURCES = sorted(Path(solvco.__file__).parent.glob("*.py"))
 
@@ -87,3 +93,36 @@ def test_reach_check_sees_dead_definitions(tmp_path):
         "def caller(ns):\n    return helper() + ns.by_attribute()\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
     assert list(_unreached(tmp_path)) == ["mod:caller", "mod:recursive"]
+
+
+STORAGE = {slot for slot in Matrix.__slots__ if slot.startswith("_")}
+
+
+def _storage_uses(package, slots):
+    """module:line: name for each Name, attribute or string constant equal
+    to one of the slots, in every module of the package but matrices.py."""
+    for path in sorted(package.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(name, str) and name in slots:
+                yield f"{path.stem}:{node.lineno}: {name}"
+
+
+def test_only_matrices_names_the_matrix_storage():
+    assert STORAGE  # the private slots that hold the entries
+    assert list(_storage_uses(SOURCES[0].parent, STORAGE)) == []
+
+
+def test_storage_check_sees_every_form(tmp_path):
+    (tmp_path / "matrices.py").write_text("def f(m):\n    return m._num\n")
+    (tmp_path / "other.py").write_text(
+        "def g(m):\n    return m.rows\n"
+        "def h(m):\n    return m._num, getattr(m, '_den')\n"
+        "_den = 1\n")
+    assert sorted(_storage_uses(tmp_path, {"_num", "_den"})) == [
+        "other:4: _den", "other:4: _num", "other:5: _den"]
