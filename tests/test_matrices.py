@@ -1,9 +1,11 @@
 """Exact linear algebra: elimination, kernels, exterior powers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from solvco.lie import LieAlgebra, Subspace
 from solvco.matrices import (
     Echelon,
     Matrix,
@@ -117,10 +119,6 @@ def test_matrix_immutable_and_hashable():
 
 
 def test_float_entries_raise_type_error():
-    from fractions import Fraction
-
-    from solvco.lie import LieAlgebra, Subspace
-
     for build in (lambda: Matrix(1, 1, [0.1]),
                   lambda: Matrix.from_rows([[1, 0.5]]),
                   lambda: Matrix.identity(2) * 0.5,
