@@ -6,6 +6,13 @@ and extends to higher degrees as an antiderivation.  Wedge monomials are
 indexed by strictly increasing multi-indices in lexicographic order, which
 fixes a basis of each exterior power and makes every matrix, kernel and
 representative choice deterministic.
+
+The complex is kept in Python ints: with D the least common denominator of
+the structure constants (`LieAlgebra.denominator`), the sparse columns are
+those of the integer differentials D * d[k].  Scaling by D changes no rank,
+kernel or image and keeps d∘d = 0 exact, so the d∘d check, the Betti
+numbers and the representatives run on ints; `Fraction`s are built only for
+the representative cocycles returned.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -44,10 +50,11 @@ def _positions(n: int, k: int):
 
 
 def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
-    """d[k] for k up to max_degree (all degrees when None) as sparse
-    columns: d[k][s] is d of the s-th degree-k basis form, as a
-    {target index: Fraction} dict of its nonzero coefficients.  No
-    validation; build_complex is the checked entry point.
+    """D * d[k] for k up to max_degree (all degrees when None), D =
+    g.denominator, as sparse integer columns: entry s of degree k is D
+    times d of the s-th degree-k basis form, as a {target index: int} dict
+    of its nonzero coefficients.  No validation; build_complex is the
+    checked entry point.
 
     On a basis form, d e_I = sum over positions p of (-1)^p e_{i_1} ^ ...
     ^ d e_{i_p} ^ ... ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p},
@@ -56,13 +63,14 @@ def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
-    n = g.dim
-    # d e^gen = - sum c[gen][a][b] e^{ab}: collect the nonzero terms once
+    n, D = g.dim, g.denominator
+    # D d e^gen = - sum D c[gen][a][b] e^{ab}: collect the nonzero terms
+    # once, each D c scaled exactly to an int
     d_of_generator = {gen: [] for gen in range(1, n + 1)}
     for (a, b), coeffs in g.nonzero_brackets():
         for gen, c in enumerate(coeffs, start=1):
             if c != 0:
-                d_of_generator[gen].append((a, b, -c))
+                d_of_generator[gen].append((a, b, -c.numerator * (D // c.denominator)))
     top = n if max_degree is None else min(max_degree, n)
     out = []
     for k in range(top + 1):
@@ -88,7 +96,7 @@ def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
 
 
 def _transpose(columns, rows: int):
-    """Sparse rows {source index: Fraction} of a matrix given by sparse columns."""
+    """Sparse rows {source index: entry} of a matrix given by sparse columns."""
     out = [{} for _ in range(rows)]
     for s, col in enumerate(columns):
         for t, x in col.items():
@@ -98,7 +106,8 @@ def _transpose(columns, rows: int):
 
 def check_square_zero(columns) -> None:
     """Raise JacobiViolation unless d[k+1] d[k] = 0 exactly for every pair
-    of consecutive sparse differentials."""
+    of consecutive sparse differentials; on the integer columns D * d[k],
+    (D d[k+1])(D d[k]) = D^2 d[k+1] d[k] vanishes exactly when d∘d does."""
     for k in range(len(columns) - 1):
         nxt = columns[k + 1]
         for col in columns[k]:
@@ -113,11 +122,17 @@ def check_square_zero(columns) -> None:
 @dataclass(frozen=True)
 class CEComplex:
     """Exterior-form complex of an algebra: columns[k] holds the sparse
-    columns of d[k] (degree k to k+1), as sparse_differentials returns
-    them, for k up to the degree cut-off (every degree when there is none)."""
+    integer columns of D * d[k] (degree k to k+1), as sparse_differentials
+    returns them, for k up to the degree cut-off (every degree when there
+    is none); d[k] = columns[k] / denominator."""
 
     algebra: LieAlgebra
     columns: tuple
+
+    @property
+    def denominator(self) -> int:
+        """D, the least common denominator of the structure constants."""
+        return self.algebra.denominator
 
 
 def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
@@ -165,12 +180,11 @@ class CohomologyResult:
         echelon form, each reduced against the boundaries and the cocycles
         chosen before it, normalised to lead 1 and kept when nonzero.
 
-        One echelon per degree, a copy of the boundary echelon that the
-        chosen cocycles are added to, gives that canonical remainder with
-        one reduction per kernel vector; the rank pass's echelons are left
-        as they are.  All these echelon forms are canonical, so the output
-        is reproducible."""
-        zero = Fraction(0)
+        One echelon per degree, a copy of the boundary echelon, takes each
+        integer kernel vector with one `add`: the remainder it inserts is
+        the new basis row, whose rational form (lead 1) is the cocycle; the
+        rank pass's echelons are left as they are.  All these echelon forms
+        are canonical, so the output is reproducible."""
         reps = []
         for k, columns in enumerate(self._cx.columns):
             width = len(columns)
@@ -180,19 +194,16 @@ class CohomologyResult:
             spanned = self._images[k - 1].copy() if k else Echelon(width)
             out = []
             for vec in rows.kernel():
-                reduced = spanned.reduce(vec)
-                if reduced:
-                    lead = reduced[min(reduced)]
-                    normal = {c: x / lead for c, x in reduced.items()}
-                    spanned.add(normal)
-                    out.append(tuple(normal.get(c, zero) for c in range(width)))
+                added = spanned.add(vec)
+                if added:
+                    out.append(spanned.row(added[0]))
             reps.append(tuple(out))
         return tuple(reps)
 
 
 def betti_numbers(cx: CEComplex) -> CohomologyResult:
     """b_k = dim C^k - rank d[k] - rank d[k-1], with each rank the dimension
-    of the echelon spanned by the sparse columns of d[k]."""
+    of the echelon spanned by the sparse integer columns of D * d[k]."""
     n = cx.algebra.dim
     images = []
     for k, columns in enumerate(cx.columns):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .decompositions import (
@@ -48,14 +49,15 @@ from .polynomials import (
 class LieAlgebra:
     """Finite-dimensional Lie algebra with rational structure constants."""
 
-    __slots__ = ("dim", "_table", "_terms")
+    __slots__ = ("dim", "denominator", "_table", "_terms")
 
     def __init__(self, dim: int, table):
         """table maps (i, j) with 1 <= i < j <= dim to a coefficient tuple
         of length dim; zero brackets may be omitted.
 
         Each nonzero bracket is also kept as its nonzero (k, c) terms under
-        both (i, j) and (j, i), so bracket sums skip zero coefficients."""
+        both (i, j) and (j, i), so bracket sums skip zero coefficients.
+        `denominator` is the least D >= 1 with every D * c an integer."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         clean = {}
@@ -72,11 +74,16 @@ class LieAlgebra:
             terms[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c)
             terms[(j, i)] = tuple((k, -c) for k, c in terms[(i, j)])
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "denominator",
+                           lcm(*[c.denominator for coeffs in clean.values() for c in coeffs]))
         object.__setattr__(self, "_table", clean)
         object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
+
+    def __reduce__(self):
+        return LieAlgebra, (self.dim, self._table)
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -212,17 +219,23 @@ def validate(g: LieAlgebra) -> None:
 
 
 def ad_matrix(g: LieAlgebra, x) -> Matrix:
-    """Matrix of y -> [x, y]: entry (k, j) sums x_i c[k][i][j] over the terms."""
+    """Matrix of y -> [x, y]: entry (k, j) sums x_i c[k][i][j] over the terms,
+    accumulated in ints as the numerators of x_i * D * c[k][i][j] over the
+    common denominator s * D of the x_i and the constants."""
     n = g.dim
     if len(x) != n:
         raise ValueError("vector length must equal dim")
-    entries = [Fraction(0)] * (n * n)
+    x = [rational(xi) for xi in x]
+    s = lcm(*[xi.denominator for xi in x])
+    D = g.denominator
+    num = [0] * (n * n)
     for (i, j), terms in g._terms.items():
         xi = x[i - 1]
         if xi:
+            xi = xi.numerator * (s // xi.denominator)
             for k, c in terms:
-                entries[(k - 1) * n + j - 1] += xi * c
-    return Matrix(n, n, entries)
+                num[(k - 1) * n + j - 1] += xi * c.numerator * (D // c.denominator)
+    return Matrix.from_numerators(n, n, num, s * D)
 
 
 class Subspace:
@@ -247,6 +260,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self.basis)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -306,6 +322,10 @@ class Subspace:
                 and self.ambient_dim == other.ambient_dim
                 and self.dim == other.dim
                 and self.contains_subspace(other))
+
+    def __hash__(self):
+        # the reduced echelon rows are the same for every basis of the span
+        return hash((self.ambient_dim, tuple(self._echelon.rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"

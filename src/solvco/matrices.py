@@ -70,8 +70,9 @@ class Matrix:
     `_num` over one denominator `_den` > 0 in lowest terms, so equal
     matrices have equal storage and `==` and `hash` are rational equality.
     Arithmetic runs on the ints and reduces each result once; `m[i, j]`,
-    `row`, `column` and `apply` build Fractions, and `denominator` and
-    `numerator_rows` hand the integer matrix D * m to the integer kernels.
+    `row`, `column` and `apply` build Fractions, `denominator` and
+    `numerator_rows` hand the integer matrix D * m to the integer kernels,
+    and `from_numerators` builds a matrix from such ints.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den")
@@ -93,8 +94,12 @@ class Matrix:
         object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _reduced(cls, rows: int, cols: int, num, den: int) -> "Matrix":
-        """The matrix num / den (ints, den > 0), brought to lowest terms."""
+    def from_numerators(cls, rows: int, cols: int, num, den: int) -> "Matrix":
+        """The matrix num / den, num the rows * cols row-major int
+        numerators over one int denominator den > 0, brought to lowest
+        terms; no entry is converted."""
+        if den <= 0 or len(num) != rows * cols:
+            raise ValueError(f"expected {rows * cols} numerators over a positive denominator")
         if den != 1:
             g = gcd(den, *num)
             if g != 1:
@@ -106,6 +111,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix.from_numerators, (self.rows, self.cols, self._num, self._den)
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -126,11 +134,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._reduced(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
+        return cls.from_numerators(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._reduced(rows, cols, [0] * (rows * cols), 1)
+        return cls.from_numerators(rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
     def diagonal(cls, values) -> "Matrix":
@@ -176,8 +184,8 @@ class Matrix:
         self._check_same_shape(other)
         den = lcm(self._den, other._den)
         f, g = den // self._den, sign * (den // other._den)
-        return Matrix._reduced(self.rows, self.cols,
-                               [f * a + g * b for a, b in zip(self._num, other._num)], den)
+        return Matrix.from_numerators(
+            self.rows, self.cols, [f * a + g * b for a, b in zip(self._num, other._num)], den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, 1)
@@ -201,10 +209,10 @@ class Matrix:
                         for j, b in other_rows[k]:
                             acc[j] += a * b
                 out.extend(acc)
-            return Matrix._reduced(self.rows, other.cols, out, self._den * other._den)
+            return Matrix.from_numerators(self.rows, other.cols, out, self._den * other._den)
         c = rational(other)
-        return Matrix._reduced(self.rows, self.cols, [c.numerator * a for a in self._num],
-                               self._den * c.denominator)
+        return Matrix.from_numerators(self.rows, self.cols, [c.numerator * a for a in self._num],
+                                      self._den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -232,8 +240,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         num, c = self._num, self.cols
-        return Matrix._reduced(c, self.rows, [x for j in range(c) for x in num[j::c]],
-                               self._den)
+        return Matrix.from_numerators(c, self.rows, [x for j in range(c) for x in num[j::c]],
+                                      self._den)
 
     def is_zero(self) -> bool:
         return not any(self._num)
@@ -273,7 +281,10 @@ def rank_and_kernel(m: Matrix):
     those of the integer matrix D * m.
     """
     ech = _echelon(m.cols, m.numerator_rows())
-    return ech.dim, [ech._dense(v) for v in ech.kernel()]
+    pivots = set(ech.pivots)
+    free = [f for f in range(m.cols) if f not in pivots]
+    return ech.dim, [ech._dense({c: Fraction(x, v[f]) for c, x in v.items()})
+                     for f, v in zip(free, ech.kernel())]
 
 
 def det(m: Matrix) -> Fraction:
@@ -312,8 +323,8 @@ def inverse(m: Matrix) -> Matrix:
 
 def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
     num, c = m._num, m.cols
-    return Matrix._reduced(len(row_idx), len(col_idx),
-                           [num[i * c + j] for i in row_idx for j in col_idx], m._den)
+    return Matrix.from_numerators(len(row_idx), len(col_idx),
+                                  [num[i * c + j] for i in row_idx for j in col_idx], m._den)
 
 
 def exterior_power(m: Matrix, k: int) -> Matrix:
@@ -448,14 +459,22 @@ class Echelon:
         return not self._reduce(v)[0]
 
     def kernel(self):
-        """Sparse basis of the vectors orthogonal to every row, one per free
-        column f in ascending order: 1 at f and -row[f] at each pivot."""
-        kernel = {f: {f: Fraction(1)} for f in range(self.width) if f not in self._tails}
+        """Sparse integer basis of the vectors orthogonal to every row, one
+        per free column f in ascending order: the rational vector with 1 at
+        f and -row[f] at each pivot, times the lcm L > 0 of the pivot
+        entries of the rows that meet f, so L at f."""
+        meets = {f: [] for f in range(self.width) if f not in self._tails}
         for p, tail in self._tails.items():
-            piv = self._piv[p]
             for f, x in tail.items():
-                kernel[f][p] = Fraction(-x, piv)
-        return list(kernel.values())
+                meets[f].append((p, x))
+        out = []
+        for f, terms in meets.items():
+            scale = lcm(*[self._piv[p] for p, _ in terms])
+            vec = {f: scale}
+            for p, x in terms:
+                vec[p] = -x * (scale // self._piv[p])
+            out.append(vec)
+        return out
 
     @property
     def dim(self) -> int:
@@ -472,14 +491,17 @@ class Echelon:
         return [{c - start: x for c, x in ((p, self._piv[p]), *self._tails[p].items())}
                 for p in self.pivots if p >= start]
 
+    def row(self, p: int) -> Vector:
+        """The basis row with pivot column p in the rational reduced form, a
+        dense tuple with 1 at p; Fractions are built for its nonzero
+        entries only."""
+        piv = self._piv[p]
+        row = {c: Fraction(x, piv) for c, x in self._tails[p].items()}
+        row[p] = Fraction(1)
+        return self._dense(row)
+
     @property
     def rows(self):
         """Basis rows of the rational reduced form as dense tuples, ordered
         by pivot."""
-        out = []
-        for p in self.pivots:
-            piv = self._piv[p]
-            row = {c: Fraction(x, piv) for c, x in self._tails[p].items()}
-            row[p] = Fraction(1)
-            out.append(self._dense(row))
-        return out
+        return [self.row(p) for p in self.pivots]

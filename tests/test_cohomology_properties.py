@@ -10,7 +10,7 @@ or with large entries), driven by a hypothesis-controlled random source;
 the module is skipped where hypothesis is not installed.
 """
 
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -96,20 +96,30 @@ def test_large_coefficient_cohomology_matches_oracle_and_dense_reference(g, max_
     assert (res.betti, res.representatives) == dense_cohomology(g, max_degree)
 
 
-@settings(max_examples=40, deadline=None)
-@given(algebras())
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(algebras(), large_rational_algebras()))
 def test_differentials_are_the_densified_sparse_form(g):
-    # densified, the sparse columns are the alternating-sum oracle matrices
-    n = g.dim
+    # the sparse columns are ints over D, the least common denominator of
+    # the structure constants; densified and divided by D, they are the
+    # alternating-sum oracle matrices
+    n, D = g.dim, g.denominator
+    constants = [c for _, coeffs in g.nonzero_brackets() for c in coeffs]
+    assert type(D) is int and D >= 1
+    assert all((D * c).denominator == 1 for c in constants)
+    # no smaller D: a common factor q > 1 of D and every D * c would make
+    # D / q clear the constants as well
+    assert gcd(D, *[(D * c).numerator for c in constants]) == 1
     sparse = sparse_differentials(g)
-    assert build_complex(g).columns == tuple(sparse)
+    cx = build_complex(g)
+    assert cx.columns == tuple(sparse) and cx.denominator == D
     assert len(sparse) == n + 1
     for k, columns in enumerate(sparse):
         assert len(columns) == comb(n, k)
         for col in columns:
             assert all(col.values())  # no stored zeros
+            assert all(type(x) is int for x in col.values())
             assert all(0 <= t < comb(n, k + 1) for t in col)
-        assert sympy_columns(columns, comb(n, k + 1)) == oracle_differential(g, k)
+        assert sympy_columns(columns, comb(n, k + 1)) / D == oracle_differential(g, k)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,68 @@
+"""Pickling and copying of the immutable value types.
+
+`Matrix`, `Subspace` and `LieAlgebra` refuse attribute assignment, so each
+rebuilds through its constructor when unpickled or copied; a round trip
+gives an equal, hash-equal object that is immutable again.  A
+`CohomologyResult` holds an algebra and round-trips with it.
+"""
+
+import copy
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+from solvco.catalog import catalog_get
+from solvco.cohomology import cohomology
+from solvco.lie import LieAlgebra, Subspace, conjugate
+from solvco.matrices import Matrix
+from support import rand_large_rational
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _rational_algebra():
+    g = catalog_get("hyperelliptic4").algebra
+    return conjugate(g, rand_large_rational(random.Random(5), g.dim))
+
+
+def _values():
+    return [
+        Matrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 6)]]),
+        Matrix.identity(3),
+        Matrix.zeros(0, 0),
+        Subspace.span(3, [(1, Fraction(1, 2), 0), (0, 0, 5)]),
+        Subspace(3, [(2, 1, 0)]),
+        Subspace.zero(2),
+        catalog_get("nakamura").algebra,
+        _rational_algebra(),
+        LieAlgebra.abelian(0),
+    ]
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_value_types_round_trip_equal_and_hash_equal(trip):
+    for value in _values():
+        out = ROUND_TRIPS[trip](value)
+        assert type(out) is type(value)
+        assert out == value and hash(out) == hash(value)
+        with pytest.raises(AttributeError, match="immutable"):
+            out.dim = 0
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_cohomology_result_round_trips(trip):
+    g = _rational_algebra()
+    fresh = cohomology(g)  # representatives not computed yet
+    out = ROUND_TRIPS[trip](fresh)
+    assert out.betti == fresh.betti and hash(out) == hash(fresh)
+    assert out.representatives == cohomology(g).representatives
+    computed = cohomology(g)
+    computed.representatives
+    out = ROUND_TRIPS[trip](computed)
+    assert out == computed and hash(out) == hash(computed)

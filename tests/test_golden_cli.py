@@ -29,6 +29,18 @@ d e4 = -33778/107299 e1^e2 + 479412/751093 e1^e3 - 79690/107299 e1^e4 - 139484/1
 d e5 = -658740/107299 e1^e2 - 11485260/751093 e1^e3 - 658890/107299 e1^e4 - 591923/107299 e1^e5
 """
 
+# R x| R^6 with ad(e1) semisimple of weights +-1, +-2, +-1/2 in a rational
+# basis: the dense complex of the coefficient-growth benchmark, here with
+# 10-digit denominators.
+RATIONAL7 = """dim 7
+d e2 = 6075472493/9908832926 e1^e2 + 5453431401/9908832926 e1^e3 - 22612931705/9908832926 e1^e4 - 391064933/4954416463 e1^e5 - 5766217341/4954416463 e1^e6 - 2286523605/9908832926 e1^e7
+d e3 = -4033987825/9908832926 e1^e2 - 1673461181/9908832926 e1^e3 + 8859033885/9908832926 e1^e4 - 7135578613/4954416463 e1^e5 + 1167068175/4954416463 e1^e6 + 6598904025/9908832926 e1^e7
+d e4 = -8138332545/9908832926 e1^e2 - 3015284613/9908832926 e1^e3 + 2689089497/9908832926 e1^e4 - 680682837/4954416463 e1^e5 + 2575569825/4954416463 e1^e6 + 2548505205/9908832926 e1^e7
+d e5 = -4929054900/4954416463 e1^e2 - 6224476071/4954416463 e1^e3 + 5070959465/4954416463 e1^e4 - 1515783385/4954416463 e1^e5 + 3447803070/4954416463 e1^e6 + 3728868690/4954416463 e1^e7
+d e6 = -4195722335/9908832926 e1^e2 + 1931008002/4954416463 e1^e3 + 1401772255/9908832926 e1^e4 - 2151871592/4954416463 e1^e5 - 3671424953/9908832926 e1^e6 - 5206320/4954416463 e1^e7
+d e7 = -18500685/4954416463 e1^e2 + 4114352319/4954416463 e1^e3 + 1634433034/4954416463 e1^e4 + 5097523592/4954416463 e1^e5 - 579776295/4954416463 e1^e6 - 194054543/4954416463 e1^e7
+"""
+
 # R x| R^4 in a rational basis whose ad(e1) has the non-real eigenvalues
 # (1 +- 2i) / 3 and a Jordan block at 1/2: flag answer `no`, with the
 # witness quadratic x^2 - 2/3 x + 5/9.
@@ -50,6 +62,7 @@ d e5 = -2116/23555 e1^e2 + 382/4711 e1^e3 - 382/14133 e1^e4 - 426/3365 e1^e5
 
 FILES = {
     "rational5.txt": RATIONAL5,
+    "rational7.txt": RATIONAL7,
     "rational_no.txt": RATIONAL_NO,
     "rational_undetermined.txt": RATIONAL_UNDETERMINED,
     # hyperbolic: eigenvalues (3 +- sqrt 5) / 2
@@ -99,6 +112,8 @@ def commands():
         for kill in ("full", "compact"):
             out.append(["split", name, "--kill", kill]
                        + (["--complement", comp] if comp else []))
+    out += [["cohomology", "rational7.txt", "--reps"],
+            ["cohomology", "rational7.txt", "--reps", "--format", "tsv"]]
     for name in ("rational_no.txt", "rational_undetermined.txt"):
         out += [["info", name], ["split", name, "--kill", "compact", "--complement", "1"]]
     for holonomy in HOLONOMIES:

@@ -32,6 +32,7 @@ from solvco.lie import (  # noqa: E402
     lower_central_series,
     restrict,
 )
+from solvco.matrices import Matrix  # noqa: E402
 from support import SympyLie, rand_large_rational, rand_valid_algebra  # noqa: E402
 
 
@@ -93,8 +94,11 @@ def test_ad_matrix_is_sympy_adjoint_entrywise(case):
     for x in [rand_vector(rng, g.dim), oracle.unit(rng.randrange(g.dim))]:
         ours = ad_matrix(g, x)
         ref = oracle.ad(x)
-        assert [[Fraction(str(ref[k, j])) for j in range(g.dim)] for k in range(g.dim)] \
-            == [list(ours.row(k)) for k in range(g.dim)]
+        entries = [[Fraction(str(ref[k, j])) for j in range(g.dim)] for k in range(g.dim)]
+        assert entries == [list(ours.row(k)) for k in range(g.dim)]
+        # built from integer numerators, it is the same rational matrix
+        expected = Matrix.from_rows(entries)
+        assert ours == expected and hash(ours) == hash(expected)
 
 
 @settings(max_examples=60, deadline=None)
