@@ -182,9 +182,13 @@ class CohomologyResult:
 
         One echelon per degree, a copy of the boundary echelon, takes each
         integer kernel vector with one `add`: the remainder it inserts is
-        the new basis row, whose rational form (lead 1) is the cocycle; the
-        rank pass's echelons are left as they are.  All these echelon forms
-        are canonical, so the output is reproducible."""
+        the new basis row, zero at every pivot so already reduced, and its
+        rational form (lead 1) is the cocycle; the rank pass's echelons are
+        left as they are.  Their stored rows depend on the order the
+        columns came in, but what is read from them does not: the kernel
+        basis comes from the reduced form, and a remainder is the unique
+        element of v + span zero at every pivot, so the output is
+        reproducible."""
         reps = []
         for k, columns in enumerate(self._cx.columns):
             width = len(columns)

@@ -70,7 +70,8 @@ class NotFiniteOrder(SolvcoError):
 
 
 class DimensionTooLarge(SolvcoError):
-    """The complex asked for has more basis forms than the configured bound."""
+    """A structure file declares a dimension above its bound, or the complex
+    asked for has more basis forms than the configured bound."""
 
 
 class ParseError(SolvcoError):

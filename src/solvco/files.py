@@ -18,13 +18,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DimensionTooLarge, ParseError
 from .lie import LieAlgebra, validate
 from .matrices import Matrix
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _MONOMIAL_RE = re.compile(r"^e(\d+)\^e(\d+)$")
 _GENERATOR_RE = re.compile(r"^e(\d+)$")
+
+# Largest `dim` a structure file may declare, checked before any row is
+# allocated: the Jacobi check and the series behind `info` grow with a
+# power of dim, and `info` on `dim 32` with one bracket takes about 1 s.
+MAX_FILE_DIM = 32
 
 
 def parse_rational(token: str, line_no: int) -> Fraction:
@@ -52,6 +57,9 @@ def parse_structure_file(text: str) -> LieAlgebra:
             if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
                 raise ParseError(line_no, "expected `dim N` with positive N")
             dim = int(tokens[1])
+            if dim > MAX_FILE_DIM:
+                raise DimensionTooLarge(
+                    f"line {line_no}: dimension {dim} exceeds bound {MAX_FILE_DIM}")
             continue
         if dim is None:
             raise ParseError(line_no, "dim line must come first")

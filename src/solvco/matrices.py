@@ -7,6 +7,7 @@ TypeError.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -294,17 +295,18 @@ def det(m: Matrix) -> Fraction:
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     ech = Echelon(m.cols)
-    result = Fraction(1, m.denominator ** m.rows)
+    num, den = 1, m.denominator ** m.rows
     pivots = []
     for row in m.numerator_rows():
         added = ech.add(row)
         if added is None:
             return Fraction(0)
-        p, lead = added
-        result *= lead
+        p, a, s = added
+        num *= a
+        den *= s
         pivots.append(p)
     inversions = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1 :])
-    return -result if inversions % 2 else result
+    return Fraction(-num if inversions % 2 else num, den)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -350,54 +352,75 @@ def exterior_power(m: Matrix, k: int) -> Matrix:
 
 
 class Echelon:
-    """Growable, fully reduced row echelon basis: the one Gauss-Jordan
-    kernel behind every exact elimination in the package.
+    """Growable row echelon basis: the one elimination kernel behind every
+    exact elimination in the package.
 
     A basis row is kept as a primitive integer row under its pivot column:
-    a positive pivot entry and a sparse {column: int} tail, zero in the
-    pivot columns of the other rows.  Divided by its pivot entry it is the
-    row of the rational reduced row echelon form, so reducing a vector
-    does not depend on the order of the pivots.  Vectors go in as dense
-    tuples or sparse dicts of ints or Fractions; each is cleared of
-    denominators once, eliminated fraction-free, and `Fraction`s appear
-    only in what the methods return.  `reduce` returns the kind it was
-    given.
+    a positive pivot entry and a sparse {column: int} tail, zero before the
+    pivot but not cleared at the other pivots, so inserting a row never
+    touches the rows already stored.  Reducing a vector clears the pivots
+    in ascending order and leaves the unique element of v + span that is
+    zero at every pivot, whatever order the rows came in; the rows of the
+    rational reduced row echelon form are computed only when read (`row`,
+    `rows`, `kernel`).  Vectors go in as dense tuples or sparse dicts of
+    ints or Fractions; each is cleared of denominators once, eliminated
+    fraction-free, and `Fraction`s appear only in what the methods return.
+    `reduce` returns the kind it was given.
     """
 
     def __init__(self, width: int):
         self.width = width
         self._piv = {}  # pivot column -> pivot entry, a positive int
-        self._tails = {}  # pivot column -> row entries off the pivot, {column: int}
-
-    @staticmethod
-    def _subtract(target: dict, f: int, row: dict) -> None:
-        """target -= f * row on sparse rows, dropping cancelled entries."""
-        for c, x in row.items():
-            y = target.get(c, 0) - f * x
-            if y:
-                target[c] = y
-            else:
-                del target[c]
+        self._tails = {}  # pivot column -> row entries after the pivot, {column: int}
 
     def _reduce(self, v):
         """(V, s) with V / s the remainder of v modulo the span.
 
-        With L the lcm of the pivot entries met, L * v less a multiple of
-        each of those rows is integral and zero at every pivot."""
+        Pivots p are cleared in ascending order, fraction-free: with a the
+        entry of row p at p, f = V[p] and g = gcd(a, f), V <- (a/g) V -
+        (f/g) row and s <- (a/g) s.  A row is zero before its pivot, so it
+        can fill in only later pivot columns, which join the heap."""
         V, s = _integral(v)
-        hits = [p for p in V if p in self._tails]
-        if not hits:
-            return V, s
-        scale = lcm(*[self._piv[p] for p in hits])
-        if scale != 1:
-            V = {c: x * scale for c, x in V.items()}
-            s *= scale
-        for p in hits:
-            f = V.pop(p)
-            if scale != 1:
-                f //= self._piv[p]
-            self._subtract(V, f, self._tails[p])
+        piv, tails = self._piv, self._tails
+        heap = [p for p in V if p in piv]
+        heapq.heapify(heap)
+        while heap:
+            p = heapq.heappop(heap)
+            f = V.pop(p, 0)
+            if not f:  # cancelled since it was pushed
+                continue
+            a = piv[p]
+            if a != 1:
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                if a != 1:
+                    for c in V:
+                        V[c] *= a
+                    s *= a
+            for c, x in tails[p].items():
+                y = V.get(c)
+                if y is None:
+                    V[c] = -f * x
+                    if c in piv:
+                        heapq.heappush(heap, c)
+                else:
+                    y -= f * x
+                    if y:
+                        V[c] = y
+                    else:
+                        del V[c]
         return V, s
+
+    def _reduced(self, p: int):
+        """(a, tail): the basis row with pivot column p in reduced form, zero
+        at every other pivot, as a primitive integer row with entry a > 0 at
+        p.  Its tail reduced modulo the span meets only rows below p."""
+        V, s = self._reduce(self._tails[p])
+        a = s * self._piv[p]
+        g = gcd(a, *V.values())
+        if g != 1:
+            V = {c: x // g for c, x in V.items()}
+        return a // g, V
 
     def _dense(self, v: dict) -> Vector:
         out = [Fraction(0)] * self.width
@@ -411,42 +434,23 @@ class Echelon:
         return r if isinstance(v, dict) else self._dense(r)
 
     def add(self, v):
-        """Insert v.  When it enlarges the span, returns (pivot column,
-        lead), where lead is the entry of the reduced v at the new pivot,
-        the factor divided out of the new rational row; otherwise None."""
+        """Insert v.  When it enlarges the span, returns (p, num, den): the
+        new pivot column p and the entry num / den (den > 0) of the reduced
+        v at p, the factor divided out of the new rational row; otherwise
+        None.  The new row is zero at every pivot, so it is reduced."""
         V, s = self._reduce(v)
         if not V:
             return None
         p = min(V)
-        lead = Fraction(V[p], s)
+        num = V[p]
         g = gcd(*V.values())
-        if V[p] < 0:
+        if num < 0:
             g = -g
         if g != 1:
             V = {c: x // g for c, x in V.items()}
-        piv = V.pop(p)
-        # clear the new pivot column from the existing rows to stay fully
-        # reduced: row <- piv * row - row[p] * v, then make it primitive
-        for q, tail in self._tails.items():
-            a = tail.pop(p, None)
-            if a is None:
-                continue
-            piv_q = self._piv[q]
-            if piv != 1:
-                for c in tail:
-                    tail[c] *= piv
-                piv_q *= piv
-            self._subtract(tail, a, V)
-            if piv_q != 1:  # else both pivot entries were 1: nothing to divide
-                g = gcd(piv_q, *tail.values())
-                if g != 1:
-                    for c in tail:
-                        tail[c] //= g
-                    piv_q //= g
-                self._piv[q] = piv_q
-        self._piv[p] = piv
+        self._piv[p] = V.pop(p)
         self._tails[p] = V
-        return p, lead
+        return p, num, s
 
     def copy(self) -> "Echelon":
         """An independent echelon with the same basis rows."""
@@ -461,18 +465,20 @@ class Echelon:
     def kernel(self):
         """Sparse integer basis of the vectors orthogonal to every row, one
         per free column f in ascending order: the rational vector with 1 at
-        f and -row[f] at each pivot, times the lcm L > 0 of the pivot
-        entries of the rows that meet f, so L at f."""
+        f and -row[f] at each pivot, row the reduced form, times the lcm
+        L > 0 of the pivot entries of the reduced rows that meet f, so L
+        at f."""
         meets = {f: [] for f in range(self.width) if f not in self._tails}
-        for p, tail in self._tails.items():
+        for p in self._tails:
+            a, tail = self._reduced(p)
             for f, x in tail.items():
-                meets[f].append((p, x))
+                meets[f].append((p, a, x))
         out = []
         for f, terms in meets.items():
-            scale = lcm(*[self._piv[p] for p, _ in terms])
+            scale = lcm(*[a for _, a, _ in terms])
             vec = {f: scale}
-            for p, x in terms:
-                vec[p] = -x * (scale // self._piv[p])
+            for p, a, x in terms:
+                vec[p] = -x * (scale // a)
             out.append(vec)
         return out
 
@@ -486,8 +492,8 @@ class Echelon:
 
     def rows_from(self, start: int):
         """Basis rows with pivot at least start, ordered by pivot, as
-        sparse integer rows shifted left by start: they span the vectors
-        of the span that are zero before column start."""
+        sparse integer rows shifted left by start: in echelon form they
+        span the vectors of the span that are zero before column start."""
         return [{c - start: x for c, x in ((p, self._piv[p]), *self._tails[p].items())}
                 for p in self.pivots if p >= start]
 
@@ -495,8 +501,8 @@ class Echelon:
         """The basis row with pivot column p in the rational reduced form, a
         dense tuple with 1 at p; Fractions are built for its nonzero
         entries only."""
-        piv = self._piv[p]
-        row = {c: Fraction(x, piv) for c, x in self._tails[p].items()}
+        a, tail = self._reduced(p)
+        row = {c: Fraction(x, a) for c, x in tail.items()}
         row[p] = Fraction(1)
         return self._dense(row)
 

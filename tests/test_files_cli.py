@@ -1,11 +1,14 @@
 """Structure/matrix file parsing, catalog dump round trips, CLI behavior."""
 
+import time
+
 import pytest
 
 from solvco.catalog import catalog_get, catalog_names
 from solvco.cli import run_command
-from solvco.errors import CheckFailed, ParseError, UnknownName
+from solvco.errors import CheckFailed, DimensionTooLarge, ParseError, UnknownName
 from solvco.files import (
+    MAX_FILE_DIM,
     parse_matrix,
     parse_structure_file,
     structure_equations,
@@ -176,6 +179,23 @@ def test_cli_degree_cut_keeps_the_dimension_bound(tmp_path):
                                " more than 2^12 = 4096")
     code, text = run_command(["cohomology", str(fil14), "--max-degree", "1"])
     assert (code, text) == (0, "dim 14\nbetti 0 1\nbetti 1 2")
+
+
+def test_cli_bounds_the_declared_dimension(tmp_path):
+    # one bracket in dimension 1000: rejected at the dim line, before any
+    # row is allocated or the Jacobi check runs
+    big = tmp_path / "big.txt"
+    big.write_text("dim 1000\nd e1 = e2^e3\n")
+    for command in ("validate", "info"):
+        start = time.perf_counter()
+        code, text = run_command([command, str(big)])
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (1, f"error: line 1: dimension 1000 exceeds bound {MAX_FILE_DIM}")
+    with pytest.raises(DimensionTooLarge):
+        parse_structure_file(f"dim {MAX_FILE_DIM + 1}\n")
+    at_bound = tmp_path / "at_bound.txt"
+    at_bound.write_text(f"dim {MAX_FILE_DIM}\nd e1 = e2^e3\n")
+    assert run_command(["validate", str(at_bound)]) == (0, "ok")
 
 
 def test_cli_cohomology_tsv_hyperelliptic():

@@ -10,8 +10,10 @@ and on structured ones (scalar, nilpotent, block-diagonal with a repeated
 block), also in a rational basis with large denominators.  `Matrix`
 arithmetic, entry reads and exterior powers are checked against sympy, and
 every result is checked to be in lowest terms, so that equal matrices reached
-by different paths are equal and hash equal.  The module is skipped where
-hypothesis is not installed.
+by different paths are equal and hash equal.  An `Echelon` stores its rows
+in row echelon form only, so random interleavings of its operations check
+that every read still sees the reduced form of the vectors added.  The
+module is skipped where hypothesis is not installed.
 """
 
 import itertools
@@ -229,13 +231,90 @@ def test_product_of_leads_is_sympy_det(data):
         if added is None:
             leads = Fraction(0)
             break
-        p, lead = added
-        assert type(lead) is Fraction and lead != 0
-        leads *= lead
+        p, num, den = added
+        assert type(num) is int and type(den) is int and num != 0 and den > 0
+        leads *= Fraction(num, den)
         pivots.append(p)
     inversions = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1:])
     ref = Fraction(str(to_sympy(m).det()))
     assert (-leads if inversions % 2 else leads) == ref == det(m)
+
+
+def stacked(width, vectors):
+    """The vectors as the rows of a sympy matrix, under a zero row so that
+    it has one."""
+    return sympy.Matrix([[0] * width] + [
+        [sympy.Rational(x.numerator, x.denominator) for x in densify(v, width)]
+        for v in vectors])
+
+
+def reduced_form(width, vectors):
+    """(rows, pivots) of the sympy RREF of the stacked vectors."""
+    r, pivots = stacked(width, vectors).rref()
+    return from_sympy(r.tolist())[: len(pivots)], list(pivots)
+
+
+# add weighted up, so that later pivots fall inside the tails of earlier rows
+OPERATIONS = ("add",) * 4 + ("reduce", "contains", "rows", "row", "kernel", "copy")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_interleaved_operations_read_the_reduced_form(data):
+    """Stored rows are only in echelon form; every read must still see the
+    RREF of the vectors added, whatever came before it."""
+    width = data.draw(st.integers(1, 6))
+    entries = data.draw(st.sampled_from((ENTRIES, UNITS, MIXED)))
+
+    def vector():
+        row = data.draw(st.lists(st.one_of(st.just(Fraction(0)), entries),
+                                 min_size=width, max_size=width))
+        return data.draw(as_input(row))
+
+    ech, inputs = Echelon(width), []
+    for op in data.draw(st.lists(st.sampled_from(OPERATIONS), min_size=1, max_size=16)):
+        rows, pivots = reduced_form(width, inputs)
+        if op == "add":
+            v = vector()
+            ech.add(v)
+            inputs.append(v)
+        elif op in ("reduce", "contains"):
+            v = vector()
+            fresh = Echelon(width)  # the same vectors, with no read between
+            for u in inputs:
+                fresh.add(u)
+            want = list(densify(v, width))
+            for p, row in zip(pivots, rows):
+                f = want[p]
+                want = [a - f * b for a, b in zip(want, row)]
+            if op == "reduce":
+                r = ech.reduce(v)
+                assert r == fresh.reduce(v)
+                assert densify(r, width) == tuple(want)
+            else:
+                assert ech.contains(v) == fresh.contains(v) == (not any(want))
+        elif op == "rows":
+            assert ech.rows == rows
+        elif op == "row":
+            if pivots:
+                t = data.draw(st.integers(0, len(pivots) - 1))
+                assert ech.row(pivots[t]) == rows[t]
+        elif op == "kernel":
+            free = [f for f in range(width) if f not in pivots]
+            kernel = ech.kernel()
+            assert all(type(x) is int for vec in kernel for x in vec.values())
+            assert all(vec[f] > 0 for f, vec in zip(free, kernel))
+            assert [densify({c: Fraction(x, vec[f]) for c, x in vec.items()}, width)
+                    for f, vec in zip(free, kernel)] == \
+                from_sympy([list(k) for k in stacked(width, inputs).nullspace()])
+        else:  # a copy extended further
+            other = ech.copy()
+            extra = [vector() for _ in range(data.draw(st.integers(1, 3)))]
+            for v in extra:
+                other.add(v)
+            assert (other.rows, other.pivots) == reduced_form(width, inputs + extra)
+        # reads and copies leave the echelon as the vectors added made it
+        assert (ech.rows, ech.pivots) == reduced_form(width, inputs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,7 +12,9 @@ it, and it would keep a second copy of a path alive for them.
 
 A `Matrix` keeps int numerators over one denominator in private slots;
 other modules go through its methods (`denominator`, `numerator_rows`,
-`row`, `column`, ...), so the representation can change in one file.
+`row`, `column`, ...), so the representation can change in one file.  The
+same holds for the stored rows of an `Echelon` and the private reduction
+that reads them: other modules use `add`, `reduce`, `row`, `kernel`, ....
 """
 
 import ast
@@ -20,7 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 import solvco
-from solvco.matrices import Matrix
+from solvco.matrices import Echelon, Matrix
 
 SOURCES = sorted(Path(solvco.__file__).parent.glob("*.py"))
 
@@ -126,3 +128,21 @@ def test_storage_check_sees_every_form(tmp_path):
         "_den = 1\n")
     assert sorted(_storage_uses(tmp_path, {"_num", "_den"})) == [
         "other:4: _den", "other:4: _num", "other:5: _den"]
+
+
+ECHELON_STORAGE = {"_piv", "_tails", "_reduce", "_reduced"}
+
+
+def test_only_matrices_names_the_echelon_storage():
+    # each name is an attribute of an echelon, so a rename cannot empty the check
+    assert all(hasattr(Echelon(1), name) for name in ECHELON_STORAGE)
+    assert list(_storage_uses(SOURCES[0].parent, ECHELON_STORAGE)) == []
+
+
+def test_echelon_storage_check_sees_every_form(tmp_path):
+    (tmp_path / "matrices.py").write_text("def f(e):\n    return e._reduce(()), e._piv\n")
+    (tmp_path / "other.py").write_text(
+        "def g(e):\n    return e.reduce(()), e.__reduce__(), e._tails\n"
+        "def h(e):\n    return getattr(e, '_piv'), e._reduce({}), e._reduced(0)\n")
+    assert sorted(_storage_uses(tmp_path, ECHELON_STORAGE)) == [
+        "other:2: _tails", "other:4: _piv", "other:4: _reduce", "other:4: _reduced"]
