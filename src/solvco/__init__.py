@@ -45,7 +45,6 @@ from .errors import (
     DimensionTooLarge,
     JacobiViolation,
     NonCommutingTorus,
-    NotFiniteOrder,
     NotNilpotent,
     NotQuasiUnipotent,
     NotRationallySplittable,

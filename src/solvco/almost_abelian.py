@@ -1,13 +1,15 @@
-"""Lattices in rank-one extensions R x| R^n: first Betti number, the
-rational-representability criterion for i*pi, finite covers and invariant
-cohomology.
+"""Lattices in rank-one extensions R x| R^n: Betti numbers of the quotient
+for every holonomy, the rational-representability criterion for i*pi and
+the finite cover of a quasi-unipotent holonomy.
 
 The lattice Z x| Z^n is described by an integer holonomy matrix B (the
 action of the generator), optionally together with a rational derivation Z
-generating the one-parameter subgroup, tagged with a scale of 1 or pi.  All
-decisions are exact: failure certificates come from cyclotomic factors,
-negative real eigenvalues or conjugate pairs with rational imaginary part,
-never from floating-point logarithms.
+generating the one-parameter subgroup, tagged with a scale of 1 or pi.  The
+quotient is the mapping torus of B on the n-torus, so its Betti numbers
+come from the Wang sequence with no condition on B.  All decisions are
+exact: failure certificates come from cyclotomic factors, negative real
+eigenvalues or conjugate pairs with rational imaginary part, never from
+floating-point logarithms.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .cohomology import cohomology
+from .cohomology import DEFAULT_DIM_BOUND, cohomology
 from .decompositions import (
     char_poly,
     complex_quadratic_factors,
     log_unipotent,
-    nilpotency_index,
     perfect_square_root,
 )
-from .errors import NotFiniteOrder, NotQuasiUnipotent
+from .errors import DimensionTooLarge, NotQuasiUnipotent
 from .lie import LieAlgebra
 from .matrices import Matrix, det, exterior_power, rank
 from .polynomials import (
@@ -199,38 +200,43 @@ def quasi_unipotent_order(inp: HolonomyInput):
     return m, cyclo
 
 
+def _cover(inp: HolonomyInput):
+    """(m, cover type) for quasi-unipotent B: B^m is unipotent, and the
+    finite cover is a torus exactly when B^m = id."""
+    m, _ = quasi_unipotent_order(inp)
+    if inp.holonomy**m == Matrix.identity(inp.n):
+        return m, CoverType.TORUS
+    return m, CoverType.NILMANIFOLD
+
+
 def torus_cover(inp: HolonomyInput):
     """(m, cover type, cover algebra) for the finite cover with unipotent
     holonomy: B^m = id gives a torus, otherwise a nilpotent mapping-torus
     algebra built from the exact unipotent logarithm of B^m."""
-    m, _ = quasi_unipotent_order(inp)
-    bm = inp.holonomy**m
-    ident = Matrix.identity(inp.n)
-    if nilpotency_index(bm - ident) is None:
-        raise NotQuasiUnipotent("B^m is not unipotent")  # unreachable for valid input
-    if bm == ident:
-        return m, CoverType.TORUS, LieAlgebra.abelian(inp.n + 1)
-    return m, CoverType.NILMANIFOLD, almost_abelian_algebra(log_unipotent(bm))
+    m, kind = _cover(inp)
+    if kind is CoverType.TORUS:
+        return m, kind, LieAlgebra.abelian(inp.n + 1)
+    return m, kind, almost_abelian_algebra(log_unipotent(inp.holonomy**m))
 
 
-def invariant_betti(inp: HolonomyInput, m: int):
-    """Betti numbers of the quotient as fixed subspaces of the cover action.
+def invariant_betti(inp: HolonomyInput):
+    """Betti numbers b_0..b_{n+1} of the quotient, for every holonomy.
 
-    The deck group Z_m acts on degree-one cohomology of the torus cover by
-    1 (+) B^T; degree k fixes ker(Lambda^k of that matrix - id).
+    The quotient is the mapping torus of B on the n-torus, so the Wang
+    sequence gives b_k = kappa_k + kappa_{k-1} with
+    kappa_k = dim ker(Lambda^k B - id), the classes of degree k on the
+    torus fixed by B.  The exterior powers take C(2n, n) minors, so the
+    quotient's dimension n + 1 has the bound of the cohomology complex.
     """
-    bm = inp.holonomy**m
-    if bm != Matrix.identity(inp.n):
-        raise NotFiniteOrder(f"holonomy order does not divide {m}")
-    action = Matrix.from_rows(
-        [[1] + [0] * inp.n]
-        + [[0] + list(inp.holonomy.column(i)) for i in range(inp.n)]
-    )
-    out = []
-    for k in range(inp.n + 2):
-        ext = exterior_power(action, k)
-        out.append(ext.rows - rank(ext - Matrix.identity(ext.rows)))
-    return out
+    if inp.n + 1 > DEFAULT_DIM_BOUND:
+        raise DimensionTooLarge(
+            f"quotient dimension {inp.n + 1} exceeds bound {DEFAULT_DIM_BOUND}")
+    kappa = [0]
+    for k in range(inp.n + 1):
+        ext = exterior_power(inp.holonomy, k)
+        kappa.append(ext.rows - rank(ext - Matrix.identity(ext.rows)))
+    kappa.append(0)
+    return tuple(a + b for a, b in zip(kappa, kappa[1:]))
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,7 @@ class AlmostAbelianReport:
     cyclotomic: tuple
     order_m: Optional[int]
     cover_type: CoverType
-    invariant_betti: Optional[tuple]
+    invariant_betti: tuple
     ce_betti: Optional[tuple]
     de_rham_valid: bool
 
@@ -251,22 +257,19 @@ class AlmostAbelianReport:
 def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
     """Assemble the full report; see the individual operations for details.
 
-    ce_betti is the cohomology of the rank-one extension algebra when a
-    derivation is supplied (the pi scale only rescales a basis vector, so
-    the rational matrix is used either way); it is the de Rham cohomology
-    of the quotient exactly when the Mostow status is HOLDS, and the report
-    says so via de_rham_valid.
+    invariant_betti holds the Betti numbers of the quotient, which the Wang
+    sequence gives for every holonomy.  ce_betti is the cohomology of the
+    rank-one extension algebra when a derivation is supplied (the pi scale
+    only rescales a basis vector, so the rational matrix is used either
+    way); it is the de Rham cohomology of the quotient exactly when the
+    Mostow status is HOLDS, and the report says so via de_rham_valid.
     """
     status, reason = mostow_status(inp)
     p, cyclo = inp.spectrum
-    covered = sum(mult * euler_totient(d) for d, mult in cyclo)
-    order_m = None
-    inv = None
-    if covered == inp.n:
-        order_m, cover_type, _ = torus_cover(inp)
-        if cover_type is CoverType.TORUS:  # B^m = id
-            inv = tuple(invariant_betti(inp, order_m))
-    else:
+    try:
+        order_m, cover_type = _cover(inp)
+    except NotQuasiUnipotent:
+        order_m = None
         f = squarefree_part(p)
         if sturm_real_root_count(f, Fraction(0), None) == f.degree:
             cover_type = CoverType.COMPLETELY_SOLVABLE
@@ -282,7 +285,7 @@ def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
         cyclotomic=cyclo,
         order_m=order_m,
         cover_type=cover_type,
-        invariant_betti=inv,
+        invariant_betti=invariant_betti(inp),
         ce_betti=ce,
         de_rham_valid=(status is MostowStatus.HOLDS),
     )

@@ -251,9 +251,8 @@ def _cmd_almost_abelian(ns):
         if report.order_m is not None:
             lines.append(f"order\t{report.order_m}")
         lines.append(f"cover\t{report.cover_type.value}")
-        if report.invariant_betti is not None:
-            for k, b in enumerate(report.invariant_betti):
-                lines.append(f"betti.{k}\t{b}")
+        for k, b in enumerate(report.invariant_betti):
+            lines.append(f"betti.{k}\t{b}")
         if report.ce_betti is not None:
             for k, b in enumerate(report.ce_betti):
                 lines.append(f"ce.betti.{k}\t{b}")
@@ -267,12 +266,8 @@ def _cmd_almost_abelian(ns):
         if report.order_m is not None:
             lines.append(f"order {report.order_m}")
         lines.append(f"cover {report.cover_type.value}")
-        betti = report.invariant_betti
-        if betti is None and report.de_rham_valid and report.ce_betti is not None:
-            betti = report.ce_betti
-        if betti is not None:
-            for k, b in enumerate(betti):
-                lines.append(f"betti {k} {b}")
+        for k, b in enumerate(report.invariant_betti):
+            lines.append(f"betti {k} {b}")
         if report.ce_betti is not None:
             for k, b in enumerate(report.ce_betti):
                 lines.append(f"ce-betti {k} {b}")

@@ -65,10 +65,6 @@ class NotQuasiUnipotent(SolvcoError):
     """Holonomy matrix has an eigenvalue that is not a root of unity."""
 
 
-class NotFiniteOrder(SolvcoError):
-    """Holonomy matrix is not of finite order."""
-
-
 class DimensionTooLarge(SolvcoError):
     """A structure file declares a dimension above its bound, or the complex
     asked for has more basis forms than the configured bound."""

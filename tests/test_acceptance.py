@@ -108,8 +108,8 @@ def test_criterion_4_hyperelliptic_lattices():
         assert m == order and kind is CoverType.TORUS
         assert cover == LieAlgebra.abelian(4)
         assert det(b) == 1
-        betti = invariant_betti(inp, m)
-        assert betti == [1, 2, 2, 2, 1]
+        betti = invariant_betti(inp)
+        assert betti == (1, 2, 2, 2, 1)
         assert betti[1] == b1_lattice(inp)
     _report(4, "orders 2,3,4,6: mostow fails, b1 = 2, invariant Betti (1,2,2,2,1)")
 

@@ -1,5 +1,7 @@
-"""Lattice holonomy analysis: b1, the i*pi criterion, covers, invariants."""
+"""Lattice holonomy analysis: b1, the i*pi criterion, covers and the Betti
+numbers of the quotient from the Wang sequence."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -19,17 +21,27 @@ from solvco.almost_abelian import (
     quasi_unipotent_order,
     torus_cover,
 )
+from solvco.cli import run_command
 from solvco.cohomology import cohomology
-from solvco.errors import NotFiniteOrder, NotQuasiUnipotent
+from solvco.decompositions import log_unipotent
+from solvco.errors import DimensionTooLarge, NotQuasiUnipotent
 from solvco.lie import LieAlgebra, is_nilpotent
-from solvco.matrices import Matrix, det
-from support import block_diag, companion, rand_unimodular
+from solvco.matrices import Matrix, det, inverse
+from support import (
+    block_diag,
+    companion,
+    laplace_det,
+    minor_rank,
+    oracle_betti,
+    rand_unimodular,
+)
 
 ORDER3 = Matrix.from_rows([[0, -1, 0], [1, -1, 0], [0, 0, 1]])
 ORDER4 = Matrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 ORDER6 = Matrix.from_rows([[0, -1, 0], [1, 1, 0], [0, 0, 1]])
 ORDER2 = Matrix.diagonal([-1, -1, 1])
 ANOSOV = Matrix.from_rows([[2, 1], [1, 1]])
+JORDAN_MINUS1 = Matrix.from_rows([[-1, 1], [0, -1]])  # the source paper's holonomy
 
 
 def test_holonomy_input_validation():
@@ -141,42 +153,112 @@ def test_quasi_unipotent_order_mixed():
 
 def test_invariant_betti_spec_examples():
     n = 3
-    assert invariant_betti(HolonomyInput(n, Matrix.identity(n)), 1) == [
-        comb(n + 1, k) for k in range(n + 2)
-    ]
-    assert invariant_betti(HolonomyInput(3, ORDER3), 3) == [1, 2, 2, 2, 1]
-    assert invariant_betti(HolonomyInput(2, Matrix.diagonal([-1, -1])), 2) == [1, 1, 1, 1]
+    assert invariant_betti(HolonomyInput(n, Matrix.identity(n))) == tuple(
+        comb(n + 1, k) for k in range(n + 2))
+    assert invariant_betti(HolonomyInput(2, Matrix.diagonal([-1, -1]))) == (1, 1, 1, 1)
+    # hyperelliptic holonomies of orders 2, 3, 4 and 6
+    for b in (ORDER2, ORDER3, ORDER4, ORDER6):
+        assert invariant_betti(HolonomyInput(3, b)) == (1, 2, 2, 2, 1)
+    # rot3: identity holonomy, rotation derivation at scale pi
+    rot3 = HolonomyInput(2, Matrix.identity(2),
+                         derivation=Matrix.from_rows([[0, 2], [-2, 0]]), scale=Scale.PI)
+    assert invariant_betti(rot3) == (1, 3, 3, 1)
+    # no finite cover is a torus: the paper's holonomy has a nilmanifold
+    # double cover, and no power of the Anosov holonomy is unipotent
+    assert invariant_betti(HolonomyInput(2, JORDAN_MINUS1)) == (1, 1, 1, 1)
+    assert invariant_betti(HolonomyInput(2, ANOSOV)) == (1, 1, 1, 1)
 
 
-def test_invariant_betti_requires_finite_order():
-    with pytest.raises(NotFiniteOrder):
-        invariant_betti(HolonomyInput(2, ANOSOV), 5)
-    with pytest.raises(NotFiniteOrder):
-        invariant_betti(HolonomyInput(3, ORDER3), 2)
+def test_invariant_betti_bounds_the_dimension(tmp_path):
+    # the quotient of dimension 13 is above the bound of 12; n = 11 takes
+    # seconds, while n = 12 would take minutes
+    with pytest.raises(DimensionTooLarge):
+        invariant_betti(HolonomyInput(12, Matrix.identity(12)))
+    holo = tmp_path / "b.txt"
+    holo.write_text("12 12\n" + "".join(
+        " ".join(str(int(i == j)) for j in range(12)) + "\n" for i in range(12)))
+    code, text = run_command(["almost-abelian", "--holonomy", str(holo)])
+    assert code == 1 and "quotient dimension 13 exceeds bound 12" in text
+
+
+def _random_holonomies(rng, count):
+    """Random B in GL(n, Z), n <= 4, each in a random integer basis:
+    elementary products, companions of integer polynomials with constant
+    term +-1, and block sums with the fixed 2 x 2 holonomies."""
+    blocks = (ANOSOV, JORDAN_MINUS1, Matrix.from_rows([[1, 1], [0, 1]]),
+              Matrix.from_rows([[0, -1], [1, 0]]), Matrix.diagonal([-1, 1]))
+    out = []
+    for t in range(count):
+        if t % 3 == 0:
+            b = rand_unimodular(rng, rng.randint(1, 4))
+        elif t % 3 == 1:
+            n = rng.randint(1, 4)
+            b = companion([rng.choice((1, -1))]
+                          + [rng.randint(-3, 3) for _ in range(n - 1)] + [1])
+        else:
+            b = block_diag(rng.choice(blocks), rand_unimodular(rng, rng.randint(1, 2)))
+        u = rand_unimodular(rng, b.rows)
+        out.append(u * b * inverse(u))
+    return out
 
 
 def test_invariant_betti_properties():
     rng = random.Random(71)
-    finite_orders = [
-        (ORDER2, 2), (ORDER3, 3), (ORDER4, 4), (ORDER6, 6),
-        (Matrix.diagonal([-1, -1]), 2), (Matrix.diagonal([1, -1, -1, 1]), 2),
-        (block_diag(ORDER3, companion((1, -1, 1))), 12),
-    ]
-    for b, m in finite_orders:
+    finite_orders = [ORDER2, ORDER3, ORDER4, ORDER6, Matrix.diagonal([-1, -1]),
+                     Matrix.diagonal([1, -1, -1, 1]),
+                     block_diag(ORDER3, companion((1, -1, 1)))]
+    for b in finite_orders + _random_holonomies(rng, 60):
         n = b.rows
         inp = HolonomyInput(n, b)
-        betti = invariant_betti(inp, m)
+        betti = invariant_betti(inp)
+        assert len(betti) == n + 2
         assert betti[0] == 1
+        assert betti[1] == b1_lattice(inp)
+        assert sum((-1) ** k * x for k, x in enumerate(betti)) == 0
         assert betti[-1] == (1 if det(b) == 1 else 0)
         if det(b) == 1:
             assert all(betti[k] == betti[n + 1 - k] for k in range(n + 2))
-        assert betti[1] == b1_lattice(inp)
-        # conjugation invariance
         u = rand_unimodular(rng, n)
-        from solvco.matrices import inverse
+        assert invariant_betti(HolonomyInput(n, u * b * inverse(u))) == betti
 
-        conj = HolonomyInput(n, u * b * inverse(u))
-        assert invariant_betti(conj, m) == betti
+
+def _oracle_wang(b: Matrix):
+    """b_k = kappa_k + kappa_{k-1}, with Lambda^k B read off Laplace minors
+    and kappa_k = dim ker(Lambda^k B - id) from minor ranks: no elimination."""
+    n = b.rows
+    rows = [b.row(i) for i in range(n)]
+    kappa = [0]
+    for k in range(n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        shifted = [[laplace_det([[rows[i][j] for j in cols] for i in sub]) - (sub == cols)
+                    for cols in subsets] for sub in subsets]
+        kappa.append(len(subsets) - minor_rank(Matrix.from_rows(shifted)))
+    kappa.append(0)
+    return tuple(a + c for a, c in zip(kappa, kappa[1:]))
+
+
+def test_invariant_betti_matches_minor_oracle():
+    fixed = [ORDER2, ORDER3, ORDER4, ORDER6, ANOSOV, JORDAN_MINUS1,
+             companion((1, -1, 0, 0, 1))]
+    for b in fixed + _random_holonomies(random.Random(73), 24):
+        assert invariant_betti(HolonomyInput(b.rows, b)) == _oracle_wang(b)
+
+
+def test_invariant_betti_matches_nomizu_on_unipotent_holonomies():
+    # unipotent B: the quotient is a nilmanifold, whose cohomology is that
+    # of its Lie algebra, here the mapping-torus algebra of log B
+    rng = random.Random(79)
+    cases = [Matrix.from_rows([[1, 1], [0, 1]]), Matrix.identity(3)]
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        upper = Matrix.from_rows([[int(i == j) if j <= i else rng.randint(-2, 2)
+                                   for j in range(n)] for i in range(n)])
+        u = rand_unimodular(rng, n)
+        cases.append(u * upper * inverse(u))
+    for b in cases:
+        g = almost_abelian_algebra(log_unipotent(b))
+        betti = invariant_betti(HolonomyInput(b.rows, b))
+        assert betti == cohomology(g).betti == oracle_betti(g)
 
 
 def test_almost_abelian_algebra_shape():
@@ -199,7 +281,11 @@ def test_analyze_report_fields():
 
     rep = analyze(HolonomyInput(2, ANOSOV))
     assert rep.cover_type is CoverType.COMPLETELY_SOLVABLE
-    assert rep.order_m is None and rep.invariant_betti is None
+    assert rep.order_m is None and rep.invariant_betti == (1, 1, 1, 1)
+
+    rep = analyze(HolonomyInput(2, JORDAN_MINUS1))
+    assert (rep.order_m, rep.cover_type) == (2, CoverType.NILMANIFOLD)
+    assert rep.invariant_betti == (1, 1, 1, 1)
 
 
 def test_de_rham_label_iff_holds():

@@ -78,6 +78,11 @@ FILES = {
                                "-51/160 -5/48 101/192\n"),
     # companion of x^4 - x + 1: Mostow undetermined, exit code 2
     "undetermined4.txt": "4 4\n0 0 0 -1\n1 0 0 1\n0 1 0 0\n0 0 1 0\n",
+    # Jordan block at -1: Mostow fails and the double cover is a nilmanifold
+    "jordan_minus1.txt": "2 2\n-1 1\n0 -1\n",
+    # Heisenberg lattice: unipotent holonomy with its logarithm
+    "jordan1.txt": "2 2\n1 1\n0 1\n",
+    "nilpotent2.txt": "2 2\n0 1\n0 0\n",
 }
 
 HOLONOMIES = (
@@ -87,6 +92,8 @@ HOLONOMIES = (
     ["--holonomy", "undetermined4.txt"],
     ["--holonomy", "identity3.txt", "--derivation", "rational_rotation3.txt", "--scale", "pi"],
     ["--holonomy", "identity3.txt", "--derivation", "rational_rotation3.txt"],
+    ["--holonomy", "jordan_minus1.txt"],
+    ["--holonomy", "jordan1.txt", "--derivation", "nilpotent2.txt"],
 )
 
 

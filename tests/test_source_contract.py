@@ -1,6 +1,6 @@
 """Source-level contract: every check that backs a result is a typed raise,
-every module-level function and class is reached, and only matrices.py
-names the storage of a `Matrix`.
+every module-level function and class is reached, every error class is
+raised somewhere, and only matrices.py names the storage of a `Matrix`.
 
 `python -O` strips `assert` statements, so a check written as one silently
 disappears; `raise AssertionError` is not a typed solvco error either, and
@@ -9,6 +9,10 @@ the CLI maps only `SolvcoError` and `ValueError` to documented messages.
 A module-level function or class that no other code in the package names
 and that the package does not export is dead code: only tests could reach
 it, and it would keep a second copy of a path alive for them.
+
+An error class in errors.py that nothing raises is dead code the same way,
+but its export in `__init__.py` hides it from the reach check, so every
+`SolvcoError` subclass needs a `raise` site of its own.
 
 A `Matrix` keeps int numerators over one denominator in private slots;
 other modules go through its methods (`denominator`, `numerator_rows`,
@@ -95,6 +99,44 @@ def test_reach_check_sees_dead_definitions(tmp_path):
         "def caller(ns):\n    return helper() + ns.by_attribute()\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
     assert list(_unreached(tmp_path)) == ["mod:caller", "mod:recursive"]
+
+
+def _unraised(package):
+    """Each SolvcoError subclass defined in the package's errors.py that no
+    `raise` statement in the package names."""
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.update(_names(exc))
+    errors = {"SolvcoError"}
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and errors & {
+                name for base in node.bases for name in _names(base)}:
+            errors.add(node.name)
+            if node.name not in raised:
+                yield node.name
+
+
+def test_every_error_class_is_raised():
+    assert list(_unraised(SOURCES[0].parent)) == []
+
+
+def test_raise_check_sees_unraised_errors(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class SolvcoError(Exception):\n    pass\n"
+        "class Raised(SolvcoError):\n    pass\n"
+        "class Orphan(Raised):\n    pass\n"
+        "class ByAttribute(SolvcoError):\n    pass\n"
+        "class Unrelated(Exception):\n    pass\n")
+    (tmp_path / "mod.py").write_text(
+        "from . import errors\nfrom .errors import Raised, Orphan\n"
+        "def f(x):\n    if x:\n        raise Raised('no')\n"
+        "    raise errors.ByAttribute\n"
+        "def g():\n    return Orphan\n")
+    assert list(_unraised(tmp_path)) == ["Orphan"]
 
 
 STORAGE = {slot for slot in Matrix.__slots__ if slot.startswith("_")}
