@@ -5,21 +5,28 @@ The differential on degree-one generators is
 and extends to higher degrees as an antiderivation.  Wedge monomials are
 indexed by strictly increasing multi-indices in lexicographic order, which
 fixes a basis of each exterior power and makes every matrix, kernel and
-representative choice deterministic.
+representative choice deterministic.  The differentials are built on the
+bitmasks of these multi-indices: a sign is the parity of a masked bit
+count, and a target form's index is one dict lookup of its mask.
 
 The complex is kept in Python ints: with D the least common denominator of
 the structure constants (`LieAlgebra.denominator`), the sparse columns are
 those of the integer differentials D * d[k].  Scaling by D changes no rank,
 kernel or image and keeps d∘d = 0 exact, so the d∘d check, the Betti
 numbers and the representatives run on ints; `Fraction`s are built only for
-the representative cocycles returned.
+the nonzero coefficients of the representative cocycles returned, which
+stay sparse.
+
+The rank pass inserts each degree's columns sparsest first.  The order of
+insertion changes neither the span, nor the pivot set, nor any remainder
+modulo the span, so Betti numbers and representatives do not depend on it;
+it changes only the fill-in, and with it the cost.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -32,7 +39,7 @@ from .lie import (
     is_unimodular,
     validate,
 )
-from .matrices import Echelon
+from .matrices import Echelon, wedge_positions
 
 DEFAULT_DIM_BOUND = 12
 
@@ -43,12 +50,6 @@ def multi_indices(n: int, k: int):
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
-@functools.lru_cache(maxsize=None)
-def _positions(n: int, k: int):
-    """Index of each degree-k multi-index in the lexicographic basis."""
-    return {idx: t for t, idx in enumerate(multi_indices(n, k))}
-
-
 def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     """D * d[k] for k up to max_degree (all degrees when None), D =
     g.denominator, as sparse integer columns: entry s of degree k is D
@@ -56,36 +57,44 @@ def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     of its nonzero coefficients.  No validation; build_complex is the
     checked entry point.
 
-    On a basis form, d e_I = sum over positions p of (-1)^p e_{i_1} ^ ...
-    ^ d e_{i_p} ^ ... ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p},
-    sorted into the remaining indices R, lands on its basis form with the
-    total sign (-1)^(p + #R below a + #R below b).
+    A basis form e_I is keyed by its bitmask, bit i - 1 for each i in I,
+    and `wedge_positions` maps a mask to its index.  On a basis form,
+    d e_I = sum over positions p of (-1)^p e_{i_1} ^ ... ^ d e_{i_p} ^ ...
+    ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p}, sorted into the
+    remaining indices R, lands on the basis form R + {a, b} with the sign
+    (-1)^(p + #R below a + #R below b) = (-1)^(p + #R between a and b).
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
     n, D = g.dim, g.denominator
     # D d e^gen = - sum D c[gen][a][b] e^{ab}: collect the nonzero terms
-    # once, each D c scaled exactly to an int
-    d_of_generator = {gen: [] for gen in range(1, n + 1)}
+    # once per generator bit, each as (mask of {a, b}, mask of the indices
+    # strictly between a and b, D c scaled exactly to an int)
+    terms = {}
     for (a, b), coeffs in g.nonzero_brackets():
+        ab, between = (1 << (a - 1)) | (1 << (b - 1)), (1 << (b - 1)) - (1 << a)
         for gen, c in enumerate(coeffs, start=1):
             if c != 0:
-                d_of_generator[gen].append((a, b, -c.numerator * (D // c.denominator)))
+                terms.setdefault(1 << (gen - 1), []).append(
+                    (ab, between, -c.numerator * (D // c.denominator)))
+    d_of_generator = sorted(terms.items())
     top = n if max_degree is None else min(max_degree, n)
     out = []
     for k in range(top + 1):
-        target_pos = _positions(n, k + 1)
+        target = wedge_positions(n, k + 1)
         columns = []
-        for idx in multi_indices(n, k):
+        for mask in wedge_positions(n, k):
             col = {}
-            for pos, gen in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1 :]
-                for a, b, c in d_of_generator[gen]:
-                    if a in rest or b in rest:
+            for bit, gen_terms in d_of_generator:
+                if not mask & bit:
+                    continue
+                rest = mask ^ bit
+                p = (mask & (bit - 1)).bit_count()
+                for ab, between, c in gen_terms:
+                    if rest & ab:
                         continue
-                    ia, ib = bisect_left(rest, a), bisect_left(rest, b)
-                    t = target_pos[rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:]]
-                    x = col.get(t, 0) + (-c if (ia + ib + pos) % 2 else c)
+                    t = target[rest | ab]
+                    x = col.get(t, 0) + (-c if (p + (rest & between).bit_count()) & 1 else c)
                     if x:
                         col[t] = x
                     else:
@@ -175,10 +184,12 @@ class CohomologyResult:
 
     @functools.cached_property
     def representatives(self) -> tuple:
-        """Per degree, a tuple of dense cocycles spanning a complement of
-        the boundaries: the kernel basis of d[k] read off its reduced row
-        echelon form, each reduced against the boundaries and the cocycles
-        chosen before it, normalised to lead 1 and kept when nonzero.
+        """Per degree, a tuple of cocycles spanning a complement of the
+        boundaries, each a sparse {basis index: Fraction} dict of its
+        nonzero coefficients in ascending index order: the kernel basis of
+        d[k] read off its reduced row echelon form, each reduced against
+        the boundaries and the cocycles chosen before it, normalised to
+        lead 1 and kept when nonzero.
 
         One echelon per degree, a copy of the boundary echelon, takes each
         integer kernel vector with one `add`: the remainder it inserts is
@@ -200,19 +211,21 @@ class CohomologyResult:
             for vec in rows.kernel():
                 added = spanned.add(vec)
                 if added:
-                    out.append(spanned.row(added[0]))
+                    out.append(spanned.sparse_row(added[0]))
             reps.append(tuple(out))
         return tuple(reps)
 
 
 def betti_numbers(cx: CEComplex) -> CohomologyResult:
     """b_k = dim C^k - rank d[k] - rank d[k-1], with each rank the dimension
-    of the echelon spanned by the sparse integer columns of D * d[k]."""
+    of the echelon spanned by the sparse integer columns of D * d[k],
+    inserted in ascending order of their nonzero counts (sparsest first,
+    ties in basis order), which keeps the fill-in of the echelon small."""
     n = cx.algebra.dim
     images = []
     for k, columns in enumerate(cx.columns):
         image = Echelon(comb(n, k + 1))
-        for col in columns:
+        for col in sorted(columns, key=len):
             image.add(col)
         images.append(image)
     betti = tuple(len(columns) - images[k].dim - (images[k - 1].dim if k else 0)
@@ -307,9 +320,11 @@ def format_multi_index(idx) -> str:
 
 
 def format_cocycle(vec, n: int, k: int) -> str:
-    """`a1*e{I1} + a2*e{I2} + ...` with rational coefficients."""
+    """`a1*e{I1} + a2*e{I2} + ...` with rational coefficients, for a sparse
+    degree-k cocycle on an n-dimensional algebra, a {basis index:
+    coefficient} dict as `representatives` returns them; only its nonzero
+    terms are written, in ascending index order, and "0" when there are
+    none."""
     idxs = multi_indices(n, k)
-    terms = [f"{c}*{format_multi_index(idx)}" for c, idx in zip(vec, idxs) if c]
-    if not terms:
-        return "0"
-    return " + ".join(terms)
+    return " + ".join(f"{c}*{format_multi_index(idxs[t])}"
+                      for t, c in sorted(vec.items()) if c) or "0"

@@ -7,10 +7,11 @@ TypeError.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 Vector = tuple  # tuple of Fraction, used informally throughout
 
@@ -323,32 +324,53 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.from_rows([row[n:] for row in ech.rows]) * m.denominator
 
 
-def submatrix(m: Matrix, row_idx, col_idx) -> Matrix:
-    num, c = m._num, m.cols
-    return Matrix.from_numerators(len(row_idx), len(col_idx),
-                                  [num[i * c + j] for i in row_idx for j in col_idx], m._den)
+@functools.lru_cache(maxsize=None)
+def wedge_positions(n: int, k: int):
+    """{bitmask: index} of the k-subsets of range(n) in lexicographic order,
+    the subset S keyed by the sum of 1 << i over i in S; iterating the dict
+    gives the masks in that order."""
+    return {sum(1 << i for i in idx): t
+            for t, idx in enumerate(itertools.combinations(range(n), k))}
 
 
 def exterior_power(m: Matrix, k: int) -> Matrix:
     """k-th exterior power on the lexicographic wedge basis.
 
     Entry at (J, I) is the minor det m[J, I]; for k = 0 this is the 1x1
-    identity.
+    identity.  With M = D * m integral, the nonzero j-minors of M are built
+    from the (j-1)-minors by Laplace expansion along the first row r of J:
+    det M[J, I] = sum over c in I of (-1)^(#I below c) M[r, c]
+    det M[J - r, I - c], one product per nonzero M[r, c] and nonzero
+    (j-1)-minor of the rows J - r; then det m[J, I] = det M[J, I] / D^k.
     """
     if not m.is_square():
         raise ValueError("exterior power of a non-square matrix")
     n = m.rows
     if k < 0 or k > n:
         return Matrix.zeros(0, 0)
-    if k == 0:
-        return Matrix.identity(1)
-    subsets = list(itertools.combinations(range(n), k))
-    entries = []
-    for J in subsets:
-        for I in subsets:
-            entries.append(det(submatrix(m, J, I)))
-    size = comb(n, k)
-    return Matrix(size, size, entries)
+    rows = [[(1 << c, x) for c, x in enumerate(r) if x] for r in m.numerator_rows()]
+    minors = {0: {0: 1}}  # row mask J -> {column mask I: det M[J, I]}, nonzero only
+    for j in range(1, k + 1):
+        nxt = {}
+        for J in wedge_positions(n, j):
+            first = J & -J
+            acc = {}
+            for bit, x in rows[first.bit_length() - 1]:
+                for I, y in minors[J ^ first].items():
+                    if not I & bit:
+                        key = I | bit
+                        acc[key] = acc.get(key, 0) + (
+                            -x * y if (I & (bit - 1)).bit_count() & 1 else x * y)
+            nxt[J] = {I: z for I, z in acc.items() if z}
+        minors = nxt
+    pos = wedge_positions(n, k)
+    size = len(pos)
+    num = [0] * (size * size)
+    for J, row in minors.items():
+        at = pos[J] * size
+        for I, z in row.items():
+            num[at + pos[I]] = z
+    return Matrix.from_numerators(size, size, num, m.denominator**k)
 
 
 class Echelon:
@@ -497,14 +519,19 @@ class Echelon:
         return [{c - start: x for c, x in ((p, self._piv[p]), *self._tails[p].items())}
                 for p in self.pivots if p >= start]
 
-    def row(self, p: int) -> Vector:
-        """The basis row with pivot column p in the rational reduced form, a
-        dense tuple with 1 at p; Fractions are built for its nonzero
-        entries only."""
+    def sparse_row(self, p: int) -> dict:
+        """The basis row with pivot column p in the rational reduced form, as
+        its nonzero entries {column: Fraction} in ascending column order,
+        starting with 1 at p."""
         a, tail = self._reduced(p)
-        row = {c: Fraction(x, a) for c, x in tail.items()}
-        row[p] = Fraction(1)
-        return self._dense(row)
+        row = {p: Fraction(1)}
+        for c in sorted(tail):
+            row[c] = Fraction(tail[c], a)
+        return row
+
+    def row(self, p: int) -> Vector:
+        """`sparse_row(p)` as a dense tuple."""
+        return self._dense(self.sparse_row(p))
 
     @property
     def rows(self):

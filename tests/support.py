@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import sympy
 
@@ -195,6 +196,22 @@ def apply_columns(columns, vec):
         for t, y in columns[s].items():
             out[t] = out.get(t, 0) + x * y
     return {t: y for t, y in out.items() if y}
+
+
+def densify(vec, width):
+    """The sparse {index: Fraction} vector vec as a dense Fraction tuple."""
+    out = [Fraction(0)] * width
+    for t, x in vec.items():
+        out[t] = x
+    return tuple(out)
+
+
+def dense_representatives(res, n):
+    """The sparse representatives of a cohomology result on an
+    n-dimensional algebra, densified degree by degree for comparison with
+    `dense_cohomology`."""
+    return tuple(tuple(densify(vec, comb(n, k)) for vec in reps)
+                 for k, reps in enumerate(res.representatives))
 
 
 def dense_cohomology(g: LieAlgebra, max_degree=None):

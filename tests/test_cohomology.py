@@ -229,9 +229,7 @@ def test_representatives_are_cocycles_and_deterministic():
 
 
 def test_format_cocycle():
-    assert format_cocycle((Fraction(1),), 3, 0) == "1*1"
+    assert format_cocycle({0: Fraction(1)}, 3, 0) == "1*1"
     pairs = multi_indices(4, 2)
-    vec = [Fraction(0)] * len(pairs)
-    vec[pairs.index((1, 2))] = Fraction(-1, 2)
-    vec[pairs.index((1, 4))] = Fraction(1)
-    assert format_cocycle(tuple(vec), 4, 2) == "-1/2*e12 + 1*e14"
+    vec = {pairs.index((1, 4)): Fraction(1), pairs.index((1, 2)): Fraction(-1, 2)}
+    assert format_cocycle(vec, 4, 2) == "-1/2*e12 + 1*e14"
