@@ -53,6 +53,16 @@ d e5 = -866/4711 e1^e2 + 470/4711 e1^e3 - 470/14133 e1^e4 - 1457/4038 e1^e5
 
 # The same shape with the irrational real eigenvalues +-sqrt(2) / 3 and a
 # Jordan block at 1/5: flag answer `undetermined`, exit code 2.
+# ad(e1) has the minimal polynomial x^4 + x^3 + x = x (x^3 + x^2 + 1): its
+# cubic factor x^3 + x^2 + 1 has one real and two non-real roots and no
+# rational quadratic factor, so the flag witness is the whole non-real
+# block and the compact kill is not rationally splittable.
+CUBIC_WITNESS = """dim 4
+d e2 = 1 e1^e4
+d e3 = -1 e1^e2
+d e4 = -1 e1^e3 + 1 e1^e4
+"""
+
 RATIONAL_UNDETERMINED = """dim 5
 d e2 = -682/3365 e1^e2 - 727/1346 e1^e3 + 727/4038 e1^e4 - 3563/40380 e1^e5
 d e3 = -1038/3365 e1^e2 + 582/3365 e1^e3 - 251/2019 e1^e4 - 441/6730 e1^e5
@@ -65,6 +75,7 @@ FILES = {
     "rational7.txt": RATIONAL7,
     "rational_no.txt": RATIONAL_NO,
     "rational_undetermined.txt": RATIONAL_UNDETERMINED,
+    "cubic_witness.txt": CUBIC_WITNESS,
     # hyperbolic: eigenvalues (3 +- sqrt 5) / 2
     "hyperbolic.txt": "2 2\n2 1\n1 1\n",
     # finite order 3 on a rank-2 block, identity on the third axis
@@ -73,6 +84,10 @@ FILES = {
     "identity2.txt": "2 2\n1 0\n0 1\n",
     "rotation2.txt": "2 2\n0 2\n-2 0\n",
     "identity3.txt": "3 3\n1 0 0\n0 1 0\n0 0 1\n",
+    # eigenvalues +-i sqrt 2: the imaginary part is irrational
+    "rotation_sqrt2.txt": "2 2\n0 2\n-1 0\n",
+    # companion of x^3 - x + 1: one real root and a non-real pair
+    "cubic3.txt": "3 3\n0 0 -1\n1 0 1\n0 1 0\n",
     # a rotation (+-2i/3) and the weight 1/2 in a rational basis
     "rational_rotation3.txt": ("3 3\n1/8 25/36 -25/144\n-95/128 -29/192 125/768\n"
                                "-51/160 -5/48 101/192\n"),
@@ -80,6 +95,8 @@ FILES = {
     "undetermined4.txt": "4 4\n0 0 0 -1\n1 0 0 1\n0 1 0 0\n0 0 1 0\n",
     # Jordan block at -1: Mostow fails and the double cover is a nilmanifold
     "jordan_minus1.txt": "2 2\n-1 1\n0 -1\n",
+    # eigenvalues (-3 +- sqrt 5) / 2, both negative: Mostow fails, cover other
+    "negative2.txt": "2 2\n-2 1\n1 -1\n",
     # Heisenberg lattice: unipotent holonomy with its logarithm
     "jordan1.txt": "2 2\n1 1\n0 1\n",
     "nilpotent2.txt": "2 2\n0 1\n0 0\n",
@@ -94,6 +111,9 @@ HOLONOMIES = (
     ["--holonomy", "identity3.txt", "--derivation", "rational_rotation3.txt"],
     ["--holonomy", "jordan_minus1.txt"],
     ["--holonomy", "jordan1.txt", "--derivation", "nilpotent2.txt"],
+    ["--holonomy", "negative2.txt"],
+    ["--holonomy", "identity2.txt", "--derivation", "rotation_sqrt2.txt", "--scale", "pi"],
+    ["--holonomy", "identity3.txt", "--derivation", "cubic3.txt", "--scale", "pi"],
 )
 
 
@@ -121,7 +141,7 @@ def commands():
                        + (["--complement", comp] if comp else []))
     out += [["cohomology", "rational7.txt", "--reps"],
             ["cohomology", "rational7.txt", "--reps", "--format", "tsv"]]
-    for name in ("rational_no.txt", "rational_undetermined.txt"):
+    for name in ("rational_no.txt", "rational_undetermined.txt", "cubic_witness.txt"):
         out += [["info", name], ["split", name, "--kill", "compact", "--complement", "1"]]
     for holonomy in HOLONOMIES:
         out += [["almost-abelian"] + holonomy,
