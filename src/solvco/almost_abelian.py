@@ -24,18 +24,17 @@ from typing import Optional
 from .cohomology import DEFAULT_DIM_BOUND, cohomology
 from .decompositions import (
     char_poly,
-    complex_quadratic_factors,
     log_unipotent,
     perfect_square_root,
+    rational_spectrum,
 )
 from .errors import DimensionTooLarge, NotQuasiUnipotent
 from .lie import LieAlgebra
 from .matrices import Matrix, det, exterior_power, rank
 from .polynomials import (
-    Polynomial,
     cyclotomic_factors,
     euler_totient,
-    squarefree_part,
+    is_totally_real,
     sturm_real_root_count,
 )
 
@@ -111,21 +110,6 @@ def b1_lattice(inp: HolonomyInput) -> int:
     return inp.n + 1 - rank(b - Matrix.identity(inp.n))
 
 
-def _rational_imaginary_quadratics(p: Polynomial):
-    """Negative-discriminant quadratic factors of p whose roots have
-    rational imaginary part, as (factor, real part a, imaginary part q)."""
-    f = squarefree_part(p)
-    out = []
-    leftover = f
-    for factor in complex_quadratic_factors(f):
-        big_c, big_b = factor.coeffs[0], -factor.coeffs[1]
-        root = perfect_square_root(4 * big_c - big_b * big_b)  # roots (B +- i root)/2
-        leftover = leftover // factor
-        if root is not None:
-            out.append((factor, big_b / 2, root / 2))
-    return out, leftover
-
-
 def mostow_status(inp: HolonomyInput):
     """(status, reason) for the equality of the algebraic hulls of the group
     and the lattice, decided in layers:
@@ -146,24 +130,25 @@ def mostow_status(inp: HolonomyInput):
                 "rational derivation: eigenvalues are algebraic, i*pi is "
                 "transcendental, so i*pi is not a rational combination")
     if inp.derivation is not None:
-        p = char_poly(inp.derivation)
-        rational_pairs, leftover = _rational_imaginary_quadratics(p)
-        if rational_pairs:
-            factor, _, q = rational_pairs[0]
-            div = 2 * q  # /(4/3), since /4/3 would read as division by 12
-            div = div if div.denominator == 1 else f"({div})"
+        quads, rest = rational_spectrum(char_poly(inp.derivation))
+        for factor in quads:
+            big_c, big_b = factor.coeffs[0], -factor.coeffs[1]
+            root = perfect_square_root(4 * big_c - big_b * big_b)  # roots (B +- i root)/2
+            if root is None:
+                continue
+            div = root if root.denominator == 1 else f"({root})"  # /(4/3), not /4/3
             return (MostowStatus.FAILS,
                     f"conjugate pair of factor {factor} has rational imaginary "
-                    f"part {q}: i = (v - conj(v))/{div}, so i*pi is a rational "
+                    f"part {root / 2}: i = (v - conj(v))/{div}, so i*pi is a rational "
                     "combination of the eigenvalues")
-        if leftover.degree <= 0 or sturm_real_root_count(leftover) == leftover.degree:
+        if is_totally_real(rest):
             return (MostowStatus.HOLDS,
                     "every non-real conjugate pair has irrational imaginary part "
                     "and the rest of the spectrum is real; no rational "
                     "combination of the eigenvalues equals i")
         return (MostowStatus.UNDETERMINED,
                 f"derivation spectrum has a non-real factor of degree >= 3 "
-                f"({leftover}); rational representability of i*pi not decided")
+                f"({rest}); rational representability of i*pi not decided")
     p, cyclo = inp.spectrum
     bad = [d for d, _ in cyclo if d >= 2]
     if bad:
@@ -172,12 +157,11 @@ def mostow_status(inp: HolonomyInput):
                 f"holonomy has a primitive {d}-th root of unity eigenvalue "
                 f"(cyclotomic factor of order {d}); the derivation has a "
                 "conjugate pair with imaginary part a rational multiple of pi")
-    f = squarefree_part(p)
-    if sturm_real_root_count(f, None, Fraction(0)) > 0:
+    if sturm_real_root_count(p, None, Fraction(0)) > 0:
         return (MostowStatus.FAILS,
                 "holonomy has a negative real eigenvalue r; the derivation has "
                 "eigenvalues log|r| +- i*pi, so i*pi = (v - conj(v))/2")
-    if sturm_real_root_count(f, Fraction(0), None) == f.degree:
+    if is_totally_real(p, Fraction(0)):
         return (MostowStatus.HOLDS,
                 "all holonomy eigenvalues are real and positive, so the "
                 "derivation has real spectrum and no rational combination "
@@ -270,11 +254,8 @@ def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
         order_m, cover_type = _cover(inp)
     except NotQuasiUnipotent:
         order_m = None
-        f = squarefree_part(p)
-        if sturm_real_root_count(f, Fraction(0), None) == f.degree:
-            cover_type = CoverType.COMPLETELY_SOLVABLE
-        else:
-            cover_type = CoverType.OTHER
+        cover_type = (CoverType.COMPLETELY_SOLVABLE if is_totally_real(p, Fraction(0))
+                      else CoverType.OTHER)
     ce = None
     if inp.derivation is not None:
         ce = tuple(cohomology(almost_abelian_algebra(inp.derivation)).betti)

@@ -1,24 +1,20 @@
 """Built-in catalog of small solvable Lie algebras.
 
-Each entry records the algebra, its classification, and a suggested
-complement/nilpotent-ideal decomposition; everything is re-verified the
+Each entry is the structure-file text that `solvco catalog NAME` prints,
+its classification, and a suggested complement/nilpotent-ideal
+decomposition.  The text goes through `parse_structure_file`, like any
+input file, and the classification and decomposition are re-verified the
 first time the entry is requested.  Names:
 
     abelianN        abelian of dimension N (abelian1 .. abelian12)
-    heisenberg3     [e1,e2] = e3
-    sol3            de2 = e12, de3 = -e13; the mapping torus of a hyperbolic
-                    integer matrix such as [[2,1],[1,1]], basis rescaled so
-                    the weights are -1 and +1
-    rot3            de2 = e13, de3 = -e12; circle action on the plane with
-                    the rotation speed 2*pi absorbed into e1 (cohomology
-                    dimensions are invariant under that rescaling)
-    hyperelliptic4  de1 = e24, de2 = -e14
-    nakamura        six-dimensional complex mapping torus, split diagonal
-                    action e^z, e^{-z}
-    nakamura_tilde  the compact-kill modification of nakamura; constants
-                    derived once via the modified bracket and cross-checked
-                    against the left-invariant forms of the split matrix
-                    model with diagonal e^x, then frozen here
+    heisenberg3     the three-dimensional Heisenberg algebra
+    sol3            mapping torus of a hyperbolic integer matrix
+    rot3            circle action on the plane
+    hyperelliptic4  hyperelliptic surface: e4 rotates the plane of e1, e2
+    nakamura        six-dimensional complex mapping torus, action e^z, e^{-z}
+    nakamura_tilde  compact-kill modification of nakamura
+
+The notes printed with an entry say how it was rescaled or derived.
 """
 
 from __future__ import annotations
@@ -27,13 +23,13 @@ import re
 from dataclasses import dataclass
 
 from .errors import CheckFailed, UnknownName
+from .files import parse_structure_file
 from .lie import (
     LieAlgebra,
     Subspace,
     completely_solvable_flag,
     is_nilpotent,
     is_solvable,
-    validate,
     verify_nilpotent_complement,
 )
 
@@ -54,81 +50,38 @@ class CatalogEntry:
     notes: str = ""
 
 
-def _heisenberg3() -> LieAlgebra:
-    return LieAlgebra.from_brackets(3, {(1, 2): {3: 1}})
-
-
-def _sol3() -> LieAlgebra:
-    # weights -1, +1 on the abelian ideal span{e2, e3}
-    return LieAlgebra.from_brackets(3, {(1, 2): {2: -1}, (1, 3): {3: 1}})
-
-
-def _rot3() -> LieAlgebra:
-    # de2 = e13, de3 = -e12  =>  [e1,e2] = e3, [e1,e3] = -e2
-    return LieAlgebra.from_brackets(3, {(1, 2): {3: 1}, (1, 3): {2: -1}})
-
-
-def _hyperelliptic4() -> LieAlgebra:
-    # de1 = e24, de2 = -e14  =>  [e2,e4] = -e1, [e1,e4] = e2
-    return LieAlgebra.from_brackets(4, {(2, 4): {1: -1}, (1, 4): {2: 1}})
-
-
-def _nakamura() -> LieAlgebra:
-    # de3 = -e13 + e24, de4 = -e14 - e23, de5 = e15 - e26, de6 = e16 + e25
-    return LieAlgebra.from_brackets(
-        6,
-        {
-            (1, 3): {3: 1},
-            (1, 4): {4: 1},
-            (1, 5): {5: -1},
-            (1, 6): {6: -1},
-            (2, 3): {4: 1},
-            (2, 4): {3: -1},
-            (2, 5): {6: -1},
-            (2, 6): {5: 1},
-        },
-    )
-
-
-def _nakamura_tilde() -> LieAlgebra:
-    # de3 = -e13, de4 = -e14, de5 = e15, de6 = e16
-    return LieAlgebra.from_brackets(
-        6,
-        {
-            (1, 3): {3: 1},
-            (1, 4): {4: 1},
-            (1, 5): {5: -1},
-            (1, 6): {6: -1},
-        },
-    )
-
-
-def _entry_specs():
-    return {
-        "heisenberg3": (
-            _heisenberg3, NILPOTENT, (), (1, 2, 3), ""),
-        "sol3": (
-            _sol3, COMPLETELY_SOLVABLE, (1,), (2, 3),
-            "mapping torus of [[2,1],[1,1]]; eigenbasis rescaled to weights -1, +1"),
-        "rot3": (
-            _rot3, SOLVABLE, (1,), (2, 3),
-            "rotation speed 2*pi absorbed into e1; Betti numbers are invariant "
-            "under rescaling a basis vector"),
-        "hyperelliptic4": (
-            _hyperelliptic4, SOLVABLE, (4,), (1, 2, 3), ""),
-        "nakamura": (
-            _nakamura, SOLVABLE, (1, 2), (3, 4, 5, 6), ""),
-        "nakamura_tilde": (
-            _nakamura_tilde, COMPLETELY_SOLVABLE, (1, 2), (3, 4, 5, 6),
-            "compact-kill modification of nakamura; derived via the modified "
-            "bracket and cross-checked against the diagonal e^x matrix model, "
-            "then frozen"),
-    }
+# name -> (structure file, classification, complement V and nilpotent ideal
+# n as 1-based basis indices, notes)
+_ENTRIES = {
+    "heisenberg3": ("dim 3\nd e3 = -1 e1^e2\n", NILPOTENT, (), (1, 2, 3), ""),
+    "sol3": (
+        "dim 3\nd e2 = 1 e1^e2\nd e3 = -1 e1^e3\n", COMPLETELY_SOLVABLE, (1,), (2, 3),
+        "mapping torus of [[2,1],[1,1]]; eigenbasis rescaled to weights -1, +1"),
+    "rot3": (
+        "dim 3\nd e2 = 1 e1^e3\nd e3 = -1 e1^e2\n", SOLVABLE, (1,), (2, 3),
+        "rotation speed 2*pi absorbed into e1; Betti numbers are invariant "
+        "under rescaling a basis vector"),
+    "hyperelliptic4": (
+        "dim 4\nd e1 = 1 e2^e4\nd e2 = -1 e1^e4\n", SOLVABLE, (4,), (1, 2, 3), ""),
+    "nakamura": (
+        "dim 6\n"
+        "d e3 = -1 e1^e3 + 1 e2^e4\n"
+        "d e4 = -1 e1^e4 - 1 e2^e3\n"
+        "d e5 = 1 e1^e5 - 1 e2^e6\n"
+        "d e6 = 1 e1^e6 + 1 e2^e5\n",
+        SOLVABLE, (1, 2), (3, 4, 5, 6), ""),
+    "nakamura_tilde": (
+        "dim 6\nd e3 = -1 e1^e3\nd e4 = -1 e1^e4\nd e5 = 1 e1^e5\nd e6 = 1 e1^e6\n",
+        COMPLETELY_SOLVABLE, (1, 2), (3, 4, 5, 6),
+        "compact-kill modification of nakamura; derived via the modified "
+        "bracket and cross-checked against the diagonal e^x matrix model, "
+        "then frozen"),
+}
 
 
 def catalog_names():
     """All fixed entry names plus the abelianN family, sorted."""
-    fixed = sorted(_entry_specs())
+    fixed = sorted(_ENTRIES)
     return [f"abelian{n}" for n in range(1, _MAX_ABELIAN + 1)] + fixed
 
 
@@ -141,30 +94,24 @@ def catalog_get(name: str) -> CatalogEntry:
         return _cache[name]
     abelian = re.fullmatch(r"abelian([1-9]\d*)", name)
     if abelian:
-        dim = int(abelian.group(1))
-        if dim > _MAX_ABELIAN:
+        n = int(abelian.group(1))
+        if n > _MAX_ABELIAN:
             raise UnknownName(f"abelian catalog entries stop at dimension {_MAX_ABELIAN}")
-        entry = CatalogEntry(
-            name=name,
-            algebra=LieAlgebra.abelian(dim),
-            classification=NILPOTENT,
-            complement=Subspace.zero(dim),
-            nilpotent_ideal=Subspace.full(dim),
-        )
+        spec = (f"dim {n}", NILPOTENT, (), range(1, n + 1), "")
+    elif name in _ENTRIES:
+        spec = _ENTRIES[name]
     else:
-        specs = _entry_specs()
-        if name not in specs:
-            raise UnknownName(f"no catalog entry named {name!r}")
-        build, classification, v_idx, n_idx, notes = specs[name]
-        algebra = build()
-        entry = CatalogEntry(
-            name=name,
-            algebra=algebra,
-            classification=classification,
-            complement=Subspace.standard(algebra.dim, v_idx),
-            nilpotent_ideal=Subspace.standard(algebra.dim, n_idx),
-            notes=notes,
-        )
+        raise UnknownName(f"no catalog entry named {name!r}")
+    text, classification, v_idx, n_idx, notes = spec
+    algebra = parse_structure_file(text)
+    entry = CatalogEntry(
+        name=name,
+        algebra=algebra,
+        classification=classification,
+        complement=Subspace.standard(algebra.dim, v_idx),
+        nilpotent_ideal=Subspace.standard(algebra.dim, n_idx),
+        notes=notes,
+    )
     _verify_entry(entry)
     _cache[name] = entry
     return entry
@@ -172,7 +119,6 @@ def catalog_get(name: str) -> CatalogEntry:
 
 def _verify_entry(entry: CatalogEntry) -> None:
     g = entry.algebra
-    validate(g)
     nilp = is_nilpotent(g)
     solv = is_solvable(g)
     if entry.classification == NILPOTENT:

@@ -9,7 +9,8 @@ semisimple/nilpotent decomposition is the Newton iteration on the
 squarefree part of the minimal polynomial; the further split of a
 semisimple operator into real-spectrum and imaginary-spectrum parts is a
 primary decomposition along the totally real part and the
-negative-discriminant quadratic factors.
+negative-discriminant quadratic factors, which `rational_spectrum` splits
+off for every spectral decision of the package.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .polynomials import (
     Polynomial,
     denominator_lcm,
     integer_divisors,
+    is_totally_real,
     poly_extended_gcd,
     squarefree_part,
-    sturm_real_root_count,
 )
 
 
@@ -232,6 +233,19 @@ def complex_quadratic_factors(p: Polynomial):
     return found
 
 
+def rational_spectrum(p: Polynomial):
+    """(quads, rest): the negative-discriminant quadratic factors of the
+    squarefree part of p, and that part with them divided out, each
+    division checked exact; rest may keep non-real roots of degree >= 3."""
+    rest = squarefree_part(p)
+    quads = complex_quadratic_factors(rest)
+    for q in quads:
+        rest, remainder = divmod(rest, q)
+        if not remainder.is_zero():
+            raise CheckFailed(f"conjugate-pair factor {q} does not divide {p}")
+    return quads, rest
+
+
 def _root_scale(p: Polynomial) -> int:
     """Least D > 0 with D^(deg p - i) c_i integral for every coefficient c_i.
 
@@ -282,15 +296,8 @@ def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
     n = s.rows
     if p.degree == 0:
         return []
-    factors = []
-    real_block = p
-    for q in complex_quadratic_factors(p):
-        factors.append((q, -q.coeffs[1] / 2))
-        real_block, remainder = divmod(real_block, q)
-        if not remainder.is_zero():
-            raise CheckFailed("conjugate-pair factor does not divide the minimal polynomial")
-    if not (real_block.degree <= 0 or
-            sturm_real_root_count(real_block) == real_block.degree):
+    quads, real_block = rational_spectrum(p)
+    if not is_totally_real(real_block):
         raise NotRationallySplittable(
             f"minimal polynomial has a non-real factor of degree >= 3: {real_block}"
         )
@@ -298,7 +305,7 @@ def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
     pieces = []
     if real_block.degree >= 1:
         pieces.append((real_block, Fraction(0), False))
-    pieces.extend((q, a, True) for q, a in factors)
+    pieces.extend((q, -q.coeffs[1] / 2, True) for q in quads)
     for f, a, is_pair in pieces:
         h = p // f
         g, u, _ = poly_extended_gcd(h, f)
@@ -315,22 +322,26 @@ def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
     return components
 
 
+def compact_pieces(s: Matrix, p: Polynomial | None = None):
+    """[(factor, (s - a) P)]: the compact part of a semisimple s on the
+    component of each quadratic factor x^2 - 2a x + c of its minimal
+    polynomial p (computed when omitted), P the primary projector."""
+    return [(c.factor, (s - c.real_part * Matrix.identity(s.rows)) * c.projector)
+            for c in semisimple_primary_components(s, p) if c.is_complex_pair]
+
+
 def split_compact_parts(s: Matrix) -> SplitCompactParts:
     """Split s (semisimple) into commuting real-spectrum + imaginary-spectrum parts.
 
-    On the totally real block the split part is s itself; on a quadratic
-    block x^2 - 2a x + c the split part is a times the identity.  Both parts
-    are polynomials in s.
+    The compact part is the sum of the `compact_pieces`; since the primary
+    projectors resolve the identity, the split part s minus it is s on the
+    totally real block and a times the identity on a quadratic block
+    x^2 - 2a x + c.  Both parts are polynomials in s.
     """
-    components = semisimple_primary_components(s)
-    n = s.rows
-    split = Matrix.zeros(n, n)
-    for comp in components:
-        if comp.is_complex_pair:
-            split = split + comp.real_part * comp.projector
-        else:
-            split = split + s * comp.projector
-    return SplitCompactParts(split=split, compact=s - split)
+    compact = Matrix.zeros(s.rows, s.rows)
+    for _, piece in compact_pieces(s):
+        compact = compact + piece
+    return SplitCompactParts(split=s - compact, compact=compact)
 
 
 def nilpotency_index(m: Matrix):

@@ -18,9 +18,9 @@ from math import lcm
 from typing import Optional
 
 from .decompositions import (
-    complex_quadratic_factors,
     jordan_chevalley,
     minimal_polynomial,
+    rational_spectrum,
 )
 from .errors import (
     AntisymmetryViolation,
@@ -40,9 +40,8 @@ from .matrices import (
 )
 from .polynomials import (
     Polynomial,
+    is_totally_real,
     rational_roots,
-    squarefree_part,
-    sturm_real_root_count,
 )
 
 
@@ -433,11 +432,10 @@ def _non_real_witness_factor(p: Polynomial):
     Prefers an irreducible negative-discriminant quadratic when one can be
     extracted rationally; otherwise returns the non-real remainder block.
     """
-    f = squarefree_part(p)
-    if f.degree <= 0 or sturm_real_root_count(f) == f.degree:
+    if is_totally_real(p):
         return None
-    quads = complex_quadratic_factors(f)
-    return quads[0] if quads else f
+    quads, rest = rational_spectrum(p)
+    return quads[0] if quads else rest
 
 
 def _quotient_operators(g: LieAlgebra, ideal: Subspace):

@@ -256,12 +256,12 @@ def sturm_real_root_count(p: Polynomial, lower=None, upper=None) -> int:
     return count
 
 
-def is_totally_real(p: Polynomial) -> bool:
-    """True when every complex root of p is real."""
+def is_totally_real(p: Polynomial, lower=None) -> bool:
+    """True when every complex root of p is real and, for a rational lower,
+    greater than lower (None stands for minus infinity, as in
+    `sturm_real_root_count`)."""
     q = squarefree_part(p)
-    if q.degree <= 0:
-        return True
-    return sturm_real_root_count(q) == q.degree
+    return q.degree <= 0 or sturm_real_root_count(q, lower) == q.degree
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .decompositions import (
+    compact_pieces,
     minimal_polynomial,
-    semisimple_primary_components,
 )
 from .errors import CheckFailed, NonCommutingTorus, NotNilpotent
 from .lie import (
@@ -97,18 +97,11 @@ def compact_components(inp: SplittingInput):
     """Per V-basis vector: list of (quadratic factor, compact piece) blocks.
 
     The pieces are the restrictions of the compact part of ad(A_i)_s to the
-    individual imaginary-spectrum primary components; Selected mode picks a
-    subset of them per operator.
+    individual imaginary-spectrum primary components (`compact_pieces`);
+    Selected mode picks a subset of them per operator.
     """
-    result = []
-    for dec in inp.jordan_parts:
-        blocks = []
-        for comp in semisimple_primary_components(dec.semisimple, dec.semisimple_minpoly):
-            if comp.is_complex_pair:
-                piece = (dec.semisimple - comp.real_part * Matrix.identity(inp.algebra.dim))
-                blocks.append((comp.factor, piece * comp.projector))
-        result.append(blocks)
-    return result
+    return [compact_pieces(dec.semisimple, dec.semisimple_minpoly)
+            for dec in inp.jordan_parts]
 
 
 def kill_map(inp: SplittingInput, mode: KillMode = KillMode.FULL,

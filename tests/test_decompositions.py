@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvco.decompositions import (
     _root_scale,
@@ -15,6 +18,7 @@ from solvco.decompositions import (
     minimal_polynomial,
     nilpotency_index,
     poly_of_matrix,
+    rational_spectrum,
     semisimple_primary_components,
     split_compact_parts,
 )
@@ -188,6 +192,55 @@ def test_rational_rotation_speeds_scale_by_their_denominator():
     assert all(c.is_complex_pair and c.real_part == 0 for c in comps)
     parts = split_compact_parts(s)
     assert parts.split.is_zero() and parts.compact == s
+
+
+@st.composite
+def planted_spectra(draw):
+    """A product of negative-discriminant quadratics x^2 - 2a x + a^2 + d,
+    rational linear factors and x^3 - x + 1, each to a power of 1 or 2,
+    with every root divided by a nonzero rational."""
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    factors = [X * X - 2 * a * X + a * a + d for a, d in draw(st.lists(
+        st.tuples(small, st.fractions(min_value=Fraction(1, 2), max_value=3,
+                                      max_denominator=2)), max_size=2))]
+    factors += [X - r for r in draw(st.lists(small, max_size=2))]
+    if draw(st.booleans()):
+        factors.append(X * X * X - X + 1)
+    p = Polynomial((1,))
+    for f in factors:
+        for _ in range(draw(st.integers(1, 2))):
+            p = p * f
+    scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+    return p.shift_scale(scale).monic()
+
+
+def _sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], sympy.Symbol("x"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_spectra())
+def test_rational_spectrum_matches_sympy(p):
+    quads, rest = rational_spectrum(p)
+    product = rest
+    for q in quads:
+        product = product * q
+    assert product == squarefree_part(p)
+    # the negative-discriminant quadratics among sympy's rational factors
+    expected = set()
+    for f, _ in _sympy_poly(p).factor_list()[1]:
+        if f.degree() == 2:
+            c0, c1, c2 = reversed(f.monic().all_coeffs())
+            if c1 * c1 < 4 * c0:
+                expected.add(tuple(Fraction(int(c.p), int(c.q)) for c in (c0, c1, c2)))
+    assert len(quads) == len(expected) == len({q.coeffs for q in quads})
+    assert {q.coeffs for q in quads} == expected
+    real_rest = sympy.real_roots(_sympy_poly(rest)) if rest.degree > 0 else []
+    assert is_totally_real(rest) == (len(real_rest) == rest.degree)
+    real = sympy.real_roots(_sympy_poly(p)) if p.degree > 0 else []
+    assert is_totally_real(p, Fraction(0)) == (
+        len(real) == p.degree and all(r > 0 for r in real))
 
 
 def test_log_unipotent_spec_examples():

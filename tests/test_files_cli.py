@@ -77,6 +77,14 @@ def test_dump_round_trip_catalog():
         assert parse_structure_file(structure_equations(g)) == g if g.dim >= 1 else True
 
 
+def test_catalog_texts_round_trip():
+    # each entry is stored as the structure file `solvco catalog NAME` prints
+    from solvco.catalog import _ENTRIES
+
+    for name, (text, *_) in _ENTRIES.items():
+        assert structure_equations(parse_structure_file(text)) == text, name
+
+
 def test_matrix_round_trip():
     m = Matrix.from_rows([[1, -2], [1, 1]])
     assert parse_matrix("2 2\n1 -2\n1 1\n") == m
@@ -132,10 +140,9 @@ def _misfiled_specs(monkeypatch):
     # heisenberg3 declared completely solvable, which it is not (it is nilpotent)
     from solvco import catalog
 
-    specs = catalog._entry_specs()
-    build = specs["heisenberg3"][0]
-    specs["misfiled"] = (build, catalog.COMPLETELY_SOLVABLE, (), (1, 2, 3), "")
-    monkeypatch.setattr(catalog, "_entry_specs", lambda: specs)
+    text = catalog._ENTRIES["heisenberg3"][0]
+    monkeypatch.setitem(catalog._ENTRIES, "misfiled",
+                        (text, catalog.COMPLETELY_SOLVABLE, (), (1, 2, 3), ""))
 
 
 def test_catalog_failed_verification_raises_check_failed(monkeypatch):

@@ -14,6 +14,10 @@ An error class in errors.py that nothing raises is dead code the same way,
 but its export in `__init__.py` hides it from the reach check, so every
 `SolvcoError` subclass needs a `raise` site of its own.
 
+A name that a module imports and never uses is a leftover of a moved
+check (no linter runs on the package): the module still depends on the
+code it no longer calls.  `__init__.py` imports only to export.
+
 A `Matrix` keeps int numerators over one denominator in private slots;
 other modules go through its methods (`denominator`, `numerator_rows`,
 `row`, `column`, ...), so the representation can change in one file.  The
@@ -137,6 +141,38 @@ def test_raise_check_sees_unraised_errors(tmp_path):
         "    raise errors.ByAttribute\n"
         "def g():\n    return Orphan\n")
     assert list(_unraised(tmp_path)) == ["Orphan"]
+
+
+def _unused_imports(package):
+    """module: name for each name that a module of the package other than
+    __init__.py imports (`from __future__` aside) and never reads."""
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        yield f"{path.stem}: {name}"
+
+
+def test_every_imported_name_is_used():
+    assert list(_unused_imports(SOURCES[0].parent)) == []
+
+
+def test_import_check_sees_unused_names(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import f\nimport os\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import enum\nimport os.path\nfrom math import gcd, lcm as least\n"
+        "from .other import used, unused\n"
+        "def f(x: enum.Enum):\n    return used(x) + x.unused + least(1, 2)\n")
+    assert list(_unused_imports(tmp_path)) == ["mod: os", "mod: gcd", "mod: unused"]
 
 
 STORAGE = {slot for slot in Matrix.__slots__ if slot.startswith("_")}
