@@ -63,6 +63,30 @@ d e3 = -1 e1^e2
 d e4 = -1 e1^e3 + 1 e1^e4
 """
 
+# ad(e1) has the squarefree minimal polynomial
+# x (x^2 - 1)(x^2 - 4)(x^2 - 9)(x^2 + 1): every one of +-1, +-2, +-3 is a
+# root, so the quadratic search needs an evaluation point beyond them.
+STRIP6 = """dim 9
+d e2 = -1 e1^e2
+d e3 = 1 e1^e3
+d e4 = -2 e1^e4
+d e5 = 2 e1^e5
+d e6 = -3 e1^e6
+d e7 = 3 e1^e7
+d e8 = -1 e1^e9
+d e9 = 1 e1^e8
+"""
+
+# Weights 1/3, -3/2, a Jordan block at 5/6 and 0: the flag search finds
+# rational eigenvalues of minimal polynomials with fractional coefficients
+# and answers `yes`.
+RATIONAL_YES = """dim 6
+d e2 = -1/3 e1^e2
+d e3 = 3/2 e1^e3
+d e4 = -5/6 e1^e4 - 1 e1^e5
+d e5 = -5/6 e1^e5
+"""
+
 RATIONAL_UNDETERMINED = """dim 5
 d e2 = -682/3365 e1^e2 - 727/1346 e1^e3 + 727/4038 e1^e4 - 3563/40380 e1^e5
 d e3 = -1038/3365 e1^e2 + 582/3365 e1^e3 - 251/2019 e1^e4 - 441/6730 e1^e5
@@ -76,6 +100,8 @@ FILES = {
     "rational_no.txt": RATIONAL_NO,
     "rational_undetermined.txt": RATIONAL_UNDETERMINED,
     "cubic_witness.txt": CUBIC_WITNESS,
+    "strip6.txt": STRIP6,
+    "rational_yes.txt": RATIONAL_YES,
     # hyperbolic: eigenvalues (3 +- sqrt 5) / 2
     "hyperbolic.txt": "2 2\n2 1\n1 1\n",
     # finite order 3 on a rank-2 block, identity on the third axis
@@ -100,6 +126,13 @@ FILES = {
     # Heisenberg lattice: unipotent holonomy with its logarithm
     "jordan1.txt": "2 2\n1 1\n0 1\n",
     "nilpotent2.txt": "2 2\n0 1\n0 0\n",
+    "identity8.txt": ("8 8\n1 0 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n0 0 1 0 0 0 0 0\n"
+                      "0 0 0 1 0 0 0 0\n0 0 0 0 1 0 0 0\n0 0 0 0 0 1 0 0\n"
+                      "0 0 0 0 0 0 1 0\n0 0 0 0 0 0 0 1\n"),
+    # diag(1, -1, 2, -2, 3, -3) + a rotation by +-i: Mostow fails on x^2 + 1
+    "strip6_derivation.txt": ("8 8\n1 0 0 0 0 0 0 0\n0 -1 0 0 0 0 0 0\n0 0 2 0 0 0 0 0\n"
+                              "0 0 0 -2 0 0 0 0\n0 0 0 0 3 0 0 0\n0 0 0 0 0 -3 0 0\n"
+                              "0 0 0 0 0 0 0 1\n0 0 0 0 0 0 -1 0\n"),
 }
 
 HOLONOMIES = (
@@ -114,6 +147,7 @@ HOLONOMIES = (
     ["--holonomy", "negative2.txt"],
     ["--holonomy", "identity2.txt", "--derivation", "rotation_sqrt2.txt", "--scale", "pi"],
     ["--holonomy", "identity3.txt", "--derivation", "cubic3.txt", "--scale", "pi"],
+    ["--holonomy", "identity8.txt", "--derivation", "strip6_derivation.txt", "--scale", "pi"],
 )
 
 
@@ -141,8 +175,11 @@ def commands():
                        + (["--complement", comp] if comp else []))
     out += [["cohomology", "rational7.txt", "--reps"],
             ["cohomology", "rational7.txt", "--reps", "--format", "tsv"]]
-    for name in ("rational_no.txt", "rational_undetermined.txt", "cubic_witness.txt"):
+    for name in ("rational_no.txt", "rational_undetermined.txt", "cubic_witness.txt",
+                 "strip6.txt", "rational_yes.txt"):
         out += [["info", name], ["split", name, "--kill", "compact", "--complement", "1"]]
+    out += [["split", name, "--kill", "full", "--complement", "1"]
+            for name in ("strip6.txt", "rational_yes.txt")]
     for holonomy in HOLONOMIES:
         out += [["almost-abelian"] + holonomy,
                 ["almost-abelian"] + holonomy + ["--format", "tsv"]]
