@@ -130,7 +130,7 @@ def mostow_status(inp: HolonomyInput):
                 "rational derivation: eigenvalues are algebraic, i*pi is "
                 "transcendental, so i*pi is not a rational combination")
     if inp.derivation is not None:
-        quads, rest = rational_spectrum(char_poly(inp.derivation))
+        quads, rest, real = rational_spectrum(char_poly(inp.derivation))
         for factor in quads:
             big_c, big_b = factor.coeffs[0], -factor.coeffs[1]
             root = perfect_square_root(4 * big_c - big_b * big_b)  # roots (B +- i root)/2
@@ -141,7 +141,7 @@ def mostow_status(inp: HolonomyInput):
                     f"conjugate pair of factor {factor} has rational imaginary "
                     f"part {root / 2}: i = (v - conj(v))/{div}, so i*pi is a rational "
                     "combination of the eigenvalues")
-        if is_totally_real(rest):
+        if real:
             return (MostowStatus.HOLDS,
                     "every non-real conjugate pair has irrational imaginary part "
                     "and the rest of the spectrum is real; no rational "

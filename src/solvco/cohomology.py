@@ -37,7 +37,6 @@ from .lie import (
     derived_series,
     is_nilpotent,
     is_unimodular,
-    validate,
 )
 from .matrices import Echelon, wedge_positions
 
@@ -145,11 +144,15 @@ class CEComplex:
 
 
 def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
-    """Validated complex with d∘d = 0 checked exactly.
+    """The complex with d∘d = 0 checked exactly, raising JacobiViolation.
 
     The complex through max_degree has the basis forms of degrees up to
     max_degree + 1, 2^dim of them without a cut.  More than
-    2^DEFAULT_DIM_BOUND forms are rejected, with or without a cut.
+    2^DEFAULT_DIM_BOUND forms are rejected, with or without a cut.  The
+    Jacobi identity of g is d∘d = 0 on 1-forms, which only a complex
+    through degree 2 sees: a cut below degree 2 builds a complex for any
+    bracket.  `parse_structure_file` checks the Jacobi identity of every
+    algebra it reads.
     """
     top = g.dim if max_degree is None else min(max_degree + 1, g.dim)
     forms = sum(comb(g.dim, k) for k in range(top + 1))
@@ -158,7 +161,6 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
             f"dimension {g.dim} exceeds bound {DEFAULT_DIM_BOUND}; use a degree cut-off"
             if max_degree is None else f"degree cut-off {max_degree} at dimension {g.dim}"
             f" builds {forms} forms, more than 2^{DEFAULT_DIM_BOUND} = {2**DEFAULT_DIM_BOUND}")
-    validate(g)
     columns = sparse_differentials(g, max_degree)
     check_square_zero(columns)
     return CEComplex(algebra=g, columns=tuple(columns))

@@ -23,11 +23,11 @@ from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
 from .matrices import Echelon, Matrix, inverse
 from .polynomials import (
     Polynomial,
-    denominator_lcm,
     integer_divisors,
-    is_totally_real,
+    monic_integral,
     poly_extended_gcd,
     squarefree_part,
+    sturm_real_root_count,
 )
 
 
@@ -181,38 +181,26 @@ def jordan_chevalley(m: Matrix) -> JordanDecomposition:
 def complex_quadratic_factors(p: Polynomial):
     """Monic quadratics x^2 - b x + c with b^2 < 4c dividing p.
 
-    p must be monic and squarefree.  Its roots are first multiplied by the
-    least D > 0 that makes D^deg p(x / D) integral; the factors found for
-    that polynomial are scaled back.
-    Integer candidates x^2 - B x + C come from divisors of the integral
-    polynomial evaluated at two integers (any factor q satisfies
-    q(t) | p(t)); each candidate is verified by exact division, so the
+    p must be monic and squarefree.  The search runs on the monic integral
+    P = D^deg p(x / D) of `monic_integral`, whose monic factors are integral
+    by Gauss's lemma; a factor x^2 - B x + C of P is x^2 - (B/D) x + C/D^2
+    of p.  Integer candidates x^2 - B x + C come from the divisors of P's
+    constant term (after a root at zero is divided out) and of P(t), t the
+    least positive integer with P(t) != 0 (any factor q satisfies
+    q(t) | P(t)); each candidate is verified by exact division, so the
     search is complete and sound.
     """
     if p.is_zero() or p.leading() != 1:
         raise ValueError("expected a monic polynomial")
-    den = _root_scale(p)
-    if den != 1:
-        scaled = p.shift_scale(Fraction(1, den)) * den**p.degree
-        return [Polynomial((f.coeffs[0] / den**2, f.coeffs[1] / den, 1))
-                for f in complex_quadratic_factors(scaled)]
-    q = p
+    q, den = monic_integral(p)
     if q.coeffs[0] == 0:  # squarefree, so at most one root at zero
         q = q // Polynomial.x()
     if q.degree < 2:
         return []
     c0 = int(q.coeffs[0])
-    t = None
-    for cand in (1, -1, 2, -2, 3, -3):
-        if q(cand) != 0:
-            t = cand
-            break
-    if t is None:
-        # all of +-1, +-2, +-3 are roots; strip them and retry
-        reduced = q
-        for r in (1, -1, 2, -2, 3, -3):
-            reduced = reduced // Polynomial((-r, 1))
-        return complex_quadratic_factors(reduced)
+    t = 1
+    while q(t) == 0:
+        t += 1
     deltas = integer_divisors(int(q(t)))
     found = []
     for big_c in integer_divisors(c0):
@@ -230,34 +218,28 @@ def complex_quadratic_factors(p: Polynomial):
                 if cand.divides(q):
                     found.append(cand)
     found.sort(key=lambda f: (f.coeffs[1], f.coeffs[0]))
-    return found
+    return [Polynomial((f.coeffs[0] / den**2, f.coeffs[1] / den, 1)) for f in found]
 
 
 def rational_spectrum(p: Polynomial):
-    """(quads, rest): the negative-discriminant quadratic factors of the
-    squarefree part of p, and that part with them divided out, each
-    division checked exact; rest may keep non-real roots of degree >= 3."""
+    """(quads, rest, real): the negative-discriminant quadratic factors of
+    the squarefree part of p, that part with them divided out (each
+    division checked exact), and whether every root of rest is real; rest
+    may keep non-real roots of degree >= 3.
+
+    The real roots of the squarefree part are counted once.  When all its
+    roots are real there is no quadratic to search for; otherwise the quads
+    have no real roots, so rest is real exactly when it holds them all."""
     rest = squarefree_part(p)
+    real_roots = sturm_real_root_count(rest)
+    if real_roots == rest.degree:
+        return [], rest, True
     quads = complex_quadratic_factors(rest)
     for q in quads:
         rest, remainder = divmod(rest, q)
         if not remainder.is_zero():
             raise CheckFailed(f"conjugate-pair factor {q} does not divide {p}")
-    return quads, rest
-
-
-def _root_scale(p: Polynomial) -> int:
-    """Least D > 0 with D^(deg p - i) c_i integral for every coefficient c_i.
-
-    D divides the lcm L of the coefficient denominators (L itself works),
-    and it is usually much smaller: roots with denominator d in a factor
-    of degree k give L up to d^k but need only D = d.  A small D keeps
-    the integers of the divisor search small.
-    """
-    n = p.degree
-    for d in integer_divisors(denominator_lcm(p.coeffs)):
-        if all((c * d ** (n - i)).denominator == 1 for i, c in enumerate(p.coeffs)):
-            return d
+    return quads, rest, real_roots == rest.degree
 
 
 @dataclass(frozen=True)
@@ -296,8 +278,8 @@ def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
     n = s.rows
     if p.degree == 0:
         return []
-    quads, real_block = rational_spectrum(p)
-    if not is_totally_real(real_block):
+    quads, real_block, real = rational_spectrum(p)
+    if not real:
         raise NotRationallySplittable(
             f"minimal polynomial has a non-real factor of degree >= 3: {real_block}"
         )

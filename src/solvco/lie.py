@@ -39,8 +39,6 @@ from .matrices import (
     zero_vector,
 )
 from .polynomials import (
-    Polynomial,
-    is_totally_real,
     rational_roots,
 )
 
@@ -426,18 +424,6 @@ class FlagCertificate:
     witness: Optional[tuple] = None        # (basis index, Polynomial with non-real roots)
 
 
-def _non_real_witness_factor(p: Polynomial):
-    """A factor of p with non-real roots, or None when p is totally real.
-
-    Prefers an irreducible negative-discriminant quadratic when one can be
-    extracted rationally; otherwise returns the non-real remainder block.
-    """
-    if is_totally_real(p):
-        return None
-    quads, rest = rational_spectrum(p)
-    return quads[0] if quads else rest
-
-
 def _quotient_operators(g: LieAlgebra, ideal: Subspace):
     """Representative indices and induced ad(e_i) matrices on g / ideal."""
     pivots = set(ideal._echelon.pivots)
@@ -491,9 +477,9 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     polys = []
     for i in range(g.dim):
         polys.append(minimal_polynomial(ad_matrix(g, basis_vector(g.dim, i))))
-        factor = _non_real_witness_factor(polys[-1])
-        if factor is not None:
-            return FlagCertificate(status="no", witness=(i + 1, factor))
+        quads, rest, real = rational_spectrum(polys[-1])
+        if quads or not real:  # prefer a quadratic factor as the witness
+            return FlagCertificate(status="no", witness=(i + 1, quads[0] if quads else rest))
     ideal = Subspace.zero(g.dim)
     chain = [ideal]
     while ideal.dim < g.dim:

@@ -1,9 +1,10 @@
 """Exact univariate polynomials over the rationals.
 
-Coefficients are stored lowest degree first.  Provides the Euclidean
-toolkit (gcd, exact division), squarefree parts, Sturm-chain real root
-counting on arbitrary rational intervals, and cyclotomic factor detection
-by trial division.
+Coefficients are stored lowest degree first.  Provides exact division and
+the extended gcd; one remainder sequence per polynomial, the Sturm chain,
+gives both its squarefree part and its real root count on any rational
+interval.  Rational roots are the integer roots of the monic integral form
+`monic_integral`, and cyclotomic factors are detected by trial division.
 """
 
 from __future__ import annotations
@@ -166,14 +167,6 @@ def _coerce(p) -> Polynomial:
     return Polynomial((p,))
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
-        r = a % b
-        a, b = b, r.monic()
-    return a.monic() if not a.is_zero() else a
-
-
 def poly_extended_gcd(a: Polynomial, b: Polynomial):
     """(g, u, v) with u*a + v*b = g, g monic."""
     r0, r1 = a, b
@@ -191,19 +184,14 @@ def poly_extended_gcd(a: Polynomial, b: Polynomial):
     return r0.monic(), inv * s0, inv * t0
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic; the radical of p up to a constant."""
-    if p.is_zero() or p.degree == 0:
-        return p.monic() if not p.is_zero() else p
-    g = poly_gcd(p, p.derivative())
-    return (p // g).monic()
-
-
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
 def _sturm_chain(p: Polynomial):
+    """The remainder sequence p, p', -rem, ...; its last element is
+    gcd(p, p') up to a constant.  The only Euclidean loop besides
+    `poly_extended_gcd`."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         rem = chain[-2] % chain[-1]
@@ -211,6 +199,25 @@ def _sturm_chain(p: Polynomial):
             break
         chain.append(-rem)
     return [q for q in chain if not q.is_zero()]
+
+
+def _squarefree_chain(p: Polynomial):
+    """`_sturm_chain(p)` divided elementwise by its last element: a Sturm
+    chain of the squarefree part of p, which is its first element.
+    Consecutive elements are coprime and every division is exact, so it
+    counts the distinct roots of p, also at endpoints that are multiple
+    roots."""
+    if p.is_zero():
+        raise ValueError("root count of the zero polynomial")
+    chain = _sturm_chain(p)
+    return [q // chain[-1] for q in chain]
+
+
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'), monic; the radical of p up to a constant."""
+    if p.is_zero():
+        return p
+    return (p // _sturm_chain(p)[-1]).monic()
 
 
 def _variations(signs) -> int:
@@ -232,36 +239,34 @@ def _chain_signs_at_infinity(chain, positive: bool) -> int:
     return _variations(signs)
 
 
-def sturm_real_root_count(p: Polynomial, lower=None, upper=None) -> int:
-    """Number of distinct real roots of p in the open interval (lower, upper).
-
-    None stands for an infinite endpoint.  The squarefree part is taken
-    internally, so multiple roots are counted once.
-    """
-    p = squarefree_part(p)
-    if p.is_zero():
-        raise ValueError("root count of the zero polynomial")
-    if p.degree == 0:
-        return 0
+def _root_count(chain, lower, upper) -> int:
     if lower is not None and upper is not None and Fraction(lower) >= Fraction(upper):
         return 0
-    chain = _sturm_chain(p)
     va = (_chain_signs_at_infinity(chain, positive=False) if lower is None
           else _chain_signs_at(chain, Fraction(lower)))
     vb = (_chain_signs_at_infinity(chain, positive=True) if upper is None
           else _chain_signs_at(chain, Fraction(upper)))
     count = va - vb  # roots in the half-open interval (lower, upper]
-    if upper is not None and p(Fraction(upper)) == 0:
+    if upper is not None and chain[0](Fraction(upper)) == 0:
         count -= 1
     return count
+
+
+def sturm_real_root_count(p: Polynomial, lower=None, upper=None) -> int:
+    """Number of distinct real roots of p in the open interval (lower, upper).
+
+    None stands for an infinite endpoint.  The count runs on a Sturm chain
+    of the squarefree part, so multiple roots are counted once.
+    """
+    return _root_count(_squarefree_chain(p), lower, upper)
 
 
 def is_totally_real(p: Polynomial, lower=None) -> bool:
     """True when every complex root of p is real and, for a rational lower,
     greater than lower (None stands for minus infinity, as in
     `sturm_real_root_count`)."""
-    q = squarefree_part(p)
-    return q.degree <= 0 or sturm_real_root_count(q, lower) == q.degree
+    chain = _squarefree_chain(p)
+    return _root_count(chain, lower, None) == chain[0].degree
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,45 +326,58 @@ def cyclotomic_factors(p: Polynomial):
     return found
 
 
-def integer_divisors(n: int):
-    """All positive divisors of |n|, ascending; n must be nonzero."""
+def integer_divisors(n: int, limit=None):
+    """All positive divisors of |n| up to limit (every one when None),
+    ascending; n must be nonzero.  Trial division runs to the smaller of
+    sqrt(|n|) and limit."""
     n = abs(n)
     if n == 0:
         raise ValueError("divisors of zero")
+    limit = n if limit is None else limit
     small, large = [], []
     d = 1
-    while d * d <= n:
+    while d * d <= n and d <= limit:
         if n % d == 0:
             small.append(d)
-            if d != n // d:
+            if d != n // d and n // d <= limit:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
 
 
-def denominator_lcm(values) -> int:
-    """Least common multiple of the denominators of rationals (1 for none)."""
-    return lcm(*(x.denominator for x in values))
+def monic_integral(p: Polynomial):
+    """(P, D): P(x) = D^n q(x / D) for q = p made monic of degree n, with
+    D > 0 the least integer that makes P integral (q itself when D = 1).
+
+    The roots of P are D times those of p, and P is monic, so its rational
+    roots are integers.  D divides the lcm L of the denominators of q
+    (L itself works), and it is usually much smaller: roots with
+    denominator d in a factor of degree k give L up to d^k but need only
+    D = d.  A small D keeps the integers of the divisor searches small.
+    """
+    q = p.monic()
+    n = q.degree
+    for d in integer_divisors(lcm(*(c.denominator for c in q.coeffs))):
+        scaled = [c * d ** (n - i) for i, c in enumerate(q.coeffs)]
+        if all(c.denominator == 1 for c in scaled):
+            return (q if d == 1 else Polynomial(scaled)), d
 
 
 def rational_roots(p: Polynomial):
-    """All rational roots of p, ascending, found by divisor enumeration."""
+    """All rational roots of p, ascending: the integer roots of P from
+    `monic_integral(p)` divided by D.  A nonzero integer root of the monic
+    integral P divides its lowest nonzero coefficient, and by Fujiwara's
+    bound its size is at most 2 max |c_(n-i)|^(1/i) over the coefficients
+    c_(n-i) of P below the leading one; 2^ceil(bits / i) bounds each term
+    exactly, so the divisor search stops at the size of the roots, not at
+    the square root of the coefficient."""
     if p.is_zero():
         raise ValueError("every rational is a root of the zero polynomial")
-    zero_root = p.coeffs[0] == 0 if p.coeffs else False
-    q = p
-    while not q.is_zero() and q.coeffs[0] == 0:
-        q = Polynomial(q.coeffs[1:])
-    roots = set()
-    if zero_root:
-        roots.add(Fraction(0))
-    if q.degree >= 1:
-        mult = denominator_lcm(q.coeffs)
-        a0 = int(q.coeffs[0] * mult)
-        an = int(q.leading() * mult)
-        for num in integer_divisors(a0):
-            for den in integer_divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if cand not in roots and q(cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
+    big_p, den = monic_integral(p)
+    coeffs = [int(c) for c in big_p.coeffs]
+    low = next(c for c in coeffs if c)
+    bound = 2 * max((1 << -(-abs(c).bit_length() // i)
+                     for i, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)
+    candidates = [0] + [s * k for k in integer_divisors(low, bound) for s in (1, -1)]
+    return sorted(Fraction(x, den) for x in candidates
+                  if sum(c * x**i for i, c in enumerate(coeffs)) == 0)

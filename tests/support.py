@@ -8,7 +8,8 @@ sympy, the reference cohomology (Betti numbers and representatives) from
 the alternating-sum differentials on a Fraction Gauss-Jordan of its own,
 and brackets, adjoints and series on a dense sympy model of the structure
 constants.  `sympy_columns` and `apply_columns` read the library's sparse
-differential columns for comparison with them.
+differential columns for comparison with them; `sympy_poly` hands a
+polynomial to sympy's root finding.
 """
 
 from __future__ import annotations
@@ -186,6 +187,12 @@ def sympy_columns(columns, rows: int):
     """The rows x len(columns) sympy matrix of sparse {row: Fraction} columns."""
     return sympy.Matrix(rows, len(columns), lambda t, s: sympy.Rational(
         str(columns[s].get(t, 0))))
+
+
+def sympy_poly(p):
+    """A library `Polynomial` as a sympy Poly in x, for the root oracles."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], sympy.Symbol("x"))
 
 
 def apply_columns(columns, vec):

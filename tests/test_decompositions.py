@@ -8,8 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvco import decompositions, polynomials
 from solvco.decompositions import (
-    _root_scale,
     char_poly,
     complex_quadratic_factors,
     exp_nilpotent,
@@ -27,10 +27,18 @@ from solvco.matrices import Matrix
 from solvco.polynomials import (
     Polynomial,
     is_totally_real,
+    monic_integral,
     squarefree_part,
     sturm_real_root_count,
 )
-from support import block_diag, companion, rand_matrix, rand_unimodular, rotation_block
+from support import (
+    block_diag,
+    companion,
+    rand_matrix,
+    rand_unimodular,
+    rotation_block,
+    sympy_poly,
+)
 
 X = Polynomial.x()
 
@@ -176,7 +184,7 @@ def test_complex_quadratic_factor_search():
     # rational coefficients: roots scaled by 9, where the denominator lcm is 27
     quads = [X * X - 6 * X + Fraction(244, 27), X * X - 6 * X + 54, X * X + 4 * X + 5]
     p = quads[0] * quads[1] * quads[2]
-    assert _root_scale(p) == 9
+    assert monic_integral(p)[1] == 9
     assert complex_quadratic_factors(p) == quads
 
 
@@ -186,7 +194,7 @@ def test_rational_rotation_speeds_scale_by_their_denominator():
     # which keeps the divisor search over small integers
     speeds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)]
     s = block_diag(*(rotation_block(0, b) for b in speeds))
-    assert _root_scale(minimal_polynomial(s)) == 3
+    assert monic_integral(minimal_polynomial(s))[1] == 3
     comps = semisimple_primary_components(s)
     assert [c.factor for c in comps] == [X * X + b * b for b in speeds]
     assert all(c.is_complex_pair and c.real_part == 0 for c in comps)
@@ -214,33 +222,66 @@ def planted_spectra(draw):
     return p.shift_scale(scale).monic()
 
 
-def _sympy_poly(p):
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], sympy.Symbol("x"))
-
-
 @settings(max_examples=40, deadline=None)
 @given(planted_spectra())
 def test_rational_spectrum_matches_sympy(p):
-    quads, rest = rational_spectrum(p)
+    quads, rest, rest_real = rational_spectrum(p)
     product = rest
     for q in quads:
         product = product * q
     assert product == squarefree_part(p)
     # the negative-discriminant quadratics among sympy's rational factors
     expected = set()
-    for f, _ in _sympy_poly(p).factor_list()[1]:
+    for f, _ in sympy_poly(p).factor_list()[1]:
         if f.degree() == 2:
             c0, c1, c2 = reversed(f.monic().all_coeffs())
             if c1 * c1 < 4 * c0:
                 expected.add(tuple(Fraction(int(c.p), int(c.q)) for c in (c0, c1, c2)))
     assert len(quads) == len(expected) == len({q.coeffs for q in quads})
     assert {q.coeffs for q in quads} == expected
-    real_rest = sympy.real_roots(_sympy_poly(rest)) if rest.degree > 0 else []
-    assert is_totally_real(rest) == (len(real_rest) == rest.degree)
-    real = sympy.real_roots(_sympy_poly(p)) if p.degree > 0 else []
+    real_rest = sympy.real_roots(sympy_poly(rest)) if rest.degree > 0 else []
+    assert rest_real == is_totally_real(rest) == (len(real_rest) == rest.degree)
+    real = sympy.real_roots(sympy_poly(p)) if p.degree > 0 else []
     assert is_totally_real(p, Fraction(0)) == (
         len(real) == p.degree and all(r > 0 for r in real))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=3),
+       st.sampled_from([(1, 2, 3), (1, -1, 2, -2, 3, -3)]),
+       st.sampled_from([1, 2, 3, 5]))
+def test_complex_quadratic_factors_finds_planted_quadratics(pairs, roots, s):
+    """x^2 - 2a x + a^2 + d next to the roots 1, 2, 3 (or all of +-1, +-2,
+    +-3), every root divided by s: the integral form has the roots s r, so
+    its least positive non-root, the evaluation point, is above 3."""
+    quads = {X * X - 2 * a * X + a * a + d for a, d in pairs}
+    p = Polynomial((1,))
+    for f in [*quads, *(X - r for r in roots)]:
+        p = p * f
+    scaled = sorted((q.shift_scale(s).monic() for q in quads),
+                    key=lambda f: (f.coeffs[1], f.coeffs[0]))
+    assert complex_quadratic_factors(p.shift_scale(s).monic()) == scaled
+
+
+def test_one_remainder_sequence_per_root_question(monkeypatch):
+    chains = []
+    sturm_chain = polynomials._sturm_chain
+    monkeypatch.setattr(polynomials, "_sturm_chain",
+                        lambda p: chains.append(p) or sturm_chain(p))
+    p = (X * X + 1) * (X - 2) * (X - 2) * (X * X * X - X + 1)
+    for question in (squarefree_part, sturm_real_root_count, is_totally_real):
+        chains.clear()
+        question(p)
+        assert len(chains) == 1
+    chains.clear()
+    assert rational_spectrum(p)[0] == [X * X + 1]
+    assert len(chains) <= 2
+    # a totally real spectrum skips the quadratic search
+    searches = []
+    monkeypatch.setattr(decompositions, "complex_quadratic_factors",
+                        lambda p: searches.append(p) or [])
+    assert rational_spectrum((X - 1) * (X - 1) * (X * X - 2)) == ([], (X - 1) * (X * X - 2), True)
+    assert searches == []
 
 
 def test_log_unipotent_spec_examples():

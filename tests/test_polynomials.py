@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvco.polynomials import (
     Polynomial,
@@ -12,11 +15,11 @@ from solvco.polynomials import (
     euler_totient,
     is_totally_real,
     poly_extended_gcd,
-    poly_gcd,
     rational_roots,
     squarefree_part,
     sturm_real_root_count,
 )
+from support import sympy_poly
 
 X = Polynomial.x()
 
@@ -33,7 +36,6 @@ def test_arithmetic_and_division():
 def test_gcd_lcm():
     a = (X - 1) * (X + 1)
     b = (X - 1) * (X - 2)
-    assert poly_gcd(a, b) == X - 1
     g, u, v = poly_extended_gcd(a, b)
     assert g == X - 1
     assert u * a + v * b == g
@@ -110,6 +112,50 @@ def test_rational_roots():
     assert rational_roots(p) == [Fraction(1), Fraction(3, 2)]
     assert rational_roots(X * X + 1) == []
     assert rational_roots(X * (X - 2)) == [Fraction(0), Fraction(2)]
+
+
+@st.composite
+def planted_roots(draw):
+    """(p, roots): a nonzero rational times (x - r)^m for each planted
+    rational r (with denominators, multiplicities 1 to 3 and 0 among the
+    choices) times an irreducible cofactor or 1."""
+    roots = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          max_size=4))
+    p = Polynomial((draw(st.sampled_from([1, -1, Fraction(2, 3), Fraction(-5, 4), 6])),))
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * (X - r)
+    cofactor = draw(st.sampled_from([(1,), (1, 0, 1), (-2, 0, 1), (1, -1, 0, 1),
+                                     (1, 0, 0, 0, 1), (Fraction(1, 3), 2, 0, 5)]))
+    return p * Polynomial(cofactor), roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_roots())
+def test_rational_roots_match_sympy(planted):
+    p, roots = planted
+    expected = sorted({Fraction(int(r.p), int(r.q))
+                       for r in sympy.roots(sympy_poly(p), filter="Q")})
+    assert rational_roots(p) == expected == sorted(set(roots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_roots(), st.data())
+def test_real_root_counts_match_sympy_at_root_endpoints(planted, data):
+    p, roots = planted
+    ends = st.sampled_from([None, *roots, Fraction(1, 2)])
+    lower, upper = data.draw(ends), data.draw(ends)
+    poly = sympy_poly(p)
+    real = set(sympy.real_roots(poly)) if p.degree > 0 else set()
+
+    def inside(r, lo, hi):
+        return ((lo is None or bool(r > sympy.Rational(lo)))
+                and (hi is None or bool(r < sympy.Rational(hi))))
+
+    assert sturm_real_root_count(p, lower, upper) == sum(inside(r, lower, upper) for r in real)
+    distinct = poly.sqf_part().degree() if p.degree > 0 else 0
+    assert is_totally_real(p, lower) == (
+        len(real) == distinct and all(inside(r, lower, None) for r in real))
 
 
 def test_totient():
