@@ -94,14 +94,8 @@ class HolonomyInput:
 def almost_abelian_algebra(derivation: Matrix) -> LieAlgebra:
     """Lie algebra of R x| R^n: e_1 acts on the abelian span of e_2..e_{n+1}."""
     n = derivation.rows
-    table = {}
-    for j in range(1, n + 1):
-        col = derivation.column(j - 1)
-        coeffs = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            coeffs[k] = col[k - 1]
-        table[(1, 1 + j)] = tuple(coeffs)
-    return LieAlgebra(n + 1, table)
+    return LieAlgebra(n + 1, {(1, 1 + j): dict(enumerate(derivation.column(j - 1), start=2))
+                              for j in range(1, n + 1)})
 
 
 def b1_lattice(inp: HolonomyInput) -> int:
@@ -259,14 +253,15 @@ def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
     ce = None
     if inp.derivation is not None:
         ce = tuple(cohomology(almost_abelian_algebra(inp.derivation)).betti)
+    betti = invariant_betti(inp)
     return AlmostAbelianReport(
-        b1=b1_lattice(inp),
+        b1=betti[1],  # kappa_1 + kappa_0 = n + 1 - rank(B - id), as in b1_lattice
         mostow=status,
         mostow_reason=reason,
         cyclotomic=cyclo,
         order_m=order_m,
         cover_type=cover_type,
-        invariant_betti=invariant_betti(inp),
+        invariant_betti=betti,
         ce_betti=ce,
         de_rham_valid=(status is MostowStatus.HOLDS),
     )

@@ -72,10 +72,9 @@ def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     terms = {}
     for (a, b), coeffs in g.nonzero_brackets():
         ab, between = (1 << (a - 1)) | (1 << (b - 1)), (1 << (b - 1)) - (1 << a)
-        for gen, c in enumerate(coeffs, start=1):
-            if c != 0:
-                terms.setdefault(1 << (gen - 1), []).append(
-                    (ab, between, -c.numerator * (D // c.denominator)))
+        for gen, c in coeffs.items():
+            terms.setdefault(1 << (gen - 1), []).append(
+                (ab, between, -c.numerator * (D // c.denominator)))
     d_of_generator = sorted(terms.items())
     top = n if max_degree is None else min(max_degree, n)
     out = []

@@ -77,14 +77,12 @@ def parse_structure_file(text: str) -> LieAlgebra:
         equations[k] = terms
     if dim is None:
         raise ParseError(1, "missing dim line")
-    table = {}
+    brackets = {}
     for k, terms in equations.items():
         for coeff, i, j in terms:
-            key = (i, j)
-            row = table.setdefault(key, [Fraction(0)] * dim)
             # c[k][i][j] = -(coefficient of e^{ij} in d e^k)
-            row[k - 1] = -coeff
-    algebra = LieAlgebra(dim, {key: tuple(row) for key, row in table.items()})
+            brackets.setdefault((i, j), {})[k] = -coeff
+    algebra = LieAlgebra(dim, brackets)
     validate(algebra)
     return algebra
 
@@ -129,16 +127,12 @@ def _parse_terms(tokens, dim: int, line_no: int):
 
 def structure_equations(g: LieAlgebra) -> str:
     """Dump d e^k lines; parsing the output reproduces the constants."""
+    equations = {}  # k -> [(coefficient of e^{ij} in d e^k, i, j)], (i, j) ascending
+    for (i, j), coeffs in g.nonzero_brackets():
+        for k, c in coeffs.items():
+            equations.setdefault(k, []).append((-c, i, j))
     lines = [f"dim {g.dim}"]
-    for k in range(1, g.dim + 1):
-        terms = []
-        for i in range(1, g.dim + 1):
-            for j in range(i + 1, g.dim + 1):
-                c = g.structure_constant(k, i, j)
-                if c != 0:
-                    terms.append((-c, i, j))  # coefficient of e^{ij} in d e^k
-        if not terms:
-            continue
+    for k, terms in sorted(equations.items()):
         parts = []
         for t, (coeff, i, j) in enumerate(terms):
             mag = abs(coeff)

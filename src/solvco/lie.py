@@ -1,13 +1,16 @@
 """Lie algebras over the rationals given by structure constants.
 
 Basis indices are 1-based throughout, matching the e1, e2, ... naming used
-in structure files.  Brackets are stored only for i < j and extended by
-antisymmetry, so antisymmetry can only be violated by raw tensor input.
+in structure files.  An algebra is built from its nonzero brackets only,
+`LieAlgebra(dim, {(i, j): {k: c}})` with i < j, the coefficient c of e_k
+in [e_i, e_j]; the (j, i) brackets follow by antisymmetry, so antisymmetry
+can only be violated by raw tensor input.
 
-Every invariant expands over the nonzero bracket terms `_terms` only: the
-series, `restrict` and the ideal checks bracket sparse vectors
-(`_sparse_bracket`), and `ad_matrix`, the flag search's quotient operators
-and the traces of `is_unimodular` read the terms directly.
+The algebra keeps one table, `_terms`: the nonzero (k, c) terms of each
+bracket.  Every invariant expands over it only: the series, `restrict` and
+the ideal checks bracket sparse vectors (`_sparse_bracket`), and
+`ad_matrix`, the flag search's quotient operators and the traces of
+`is_unimodular` read the terms directly.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .matrices import (
     inverse,
     rank_and_kernel,
     rational,
-    scale_vector,
-    zero_vector,
 )
 from .polynomials import (
     rational_roots,
@@ -46,58 +47,47 @@ from .polynomials import (
 class LieAlgebra:
     """Finite-dimensional Lie algebra with rational structure constants."""
 
-    __slots__ = ("dim", "denominator", "_table", "_terms")
+    __slots__ = ("dim", "denominator", "_terms")
 
-    def __init__(self, dim: int, table):
-        """table maps (i, j) with 1 <= i < j <= dim to a coefficient tuple
-        of length dim; zero brackets may be omitted.
+    def __init__(self, dim: int, brackets):
+        """brackets maps (i, j) with 1 <= i < j <= dim to a {k: coefficient}
+        dict with 1 <= k <= dim, the coefficient of e_k in [e_i, e_j]; zero
+        coefficients are dropped and zero brackets may be omitted.
 
-        Each nonzero bracket is also kept as its nonzero (k, c) terms under
-        both (i, j) and (j, i), so bracket sums skip zero coefficients.
-        `denominator` is the least D >= 1 with every D * c an integer."""
+        The one table `_terms` keeps each nonzero bracket as its nonzero
+        (k, c) terms in ascending k, under both (i, j) and (j, i), so
+        bracket sums skip zero coefficients.  `denominator` is the least
+        D >= 1 with every D * c an integer."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        clean = {}
-        for (i, j), coeffs in table.items():
+        terms = {}
+        for (i, j), coeffs in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad bracket index pair ({i},{j})")
-            coeffs = tuple(rational(c) for c in coeffs)
-            if len(coeffs) != dim:
-                raise ValueError("coefficient vector length must equal dim")
-            if any(c != 0 for c in coeffs):
-                clean[(i, j)] = coeffs
-        terms = {}
-        for (i, j), coeffs in clean.items():
-            terms[(i, j)] = tuple((k, c) for k, c in enumerate(coeffs, start=1) if c)
-            terms[(j, i)] = tuple((k, -c) for k, c in terms[(i, j)])
+            row = []
+            for k, c in sorted(coeffs.items()):
+                if not 1 <= k <= dim:
+                    raise ValueError(f"bad target index {k}")
+                c = rational(c)
+                if c:
+                    row.append((k, c))
+            if row:
+                terms[(i, j)] = tuple(row)
+                terms[(j, i)] = tuple((k, -c) for k, c in row)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "denominator",
-                           lcm(*[c.denominator for coeffs in clean.values() for c in coeffs]))
-        object.__setattr__(self, "_table", clean)
+                           lcm(*[c.denominator for row in terms.values() for _, c in row]))
         object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def __reduce__(self):
-        return LieAlgebra, (self.dim, self._table)
+        return LieAlgebra, (self.dim, dict(self.nonzero_brackets()))
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
         return cls(dim, {})
-
-    @classmethod
-    def from_brackets(cls, dim: int, brackets) -> "LieAlgebra":
-        """brackets maps (i, j) with i < j to {k: coeff} dictionaries."""
-        table = {}
-        for (i, j), terms in brackets.items():
-            coeffs = [Fraction(0)] * dim
-            for k, c in terms.items():
-                if not 1 <= k <= dim:
-                    raise ValueError(f"bad target index {k}")
-                coeffs[k - 1] = rational(c)
-            table[(i, j)] = tuple(coeffs)
-        return cls(dim, table)
 
     @classmethod
     def from_tensor(cls, tensor) -> "LieAlgebra":
@@ -106,7 +96,6 @@ class LieAlgebra:
         Checks antisymmetry c[k][j][i] = -c[k][i][j] and zero diagonal.
         """
         dim = len(tensor)
-        table = {}
         for k in range(dim):
             if len(tensor[k]) != dim or any(len(row) != dim for row in tensor[k]):
                 raise ValueError("tensor must be dim x dim x dim")
@@ -121,53 +110,48 @@ class LieAlgebra:
                     if cij != -cji:
                         raise AntisymmetryViolation(
                             f"c[{k + 1}][{i + 1}][{j + 1}] != -c[{k + 1}][{j + 1}][{i + 1}]")
-        for i in range(1, dim + 1):
-            for j in range(i + 1, dim + 1):
-                coeffs = tuple(rational(tensor[k][i - 1][j - 1]) for k in range(dim))
-                table[(i, j)] = coeffs
-        return cls(dim, table)
+        return cls(dim, {(i + 1, j + 1): {k + 1: tensor[k][i][j] for k in range(dim)}
+                         for i in range(dim) for j in range(i + 1, dim)})
 
     def structure_constant(self, k: int, i: int, j: int) -> Fraction:
         """c[k][i][j]: coefficient of e_k in [e_i, e_j]."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self._table.get((i, j), zero_vector(self.dim))[k - 1]
-        return -self._table.get((j, i), zero_vector(self.dim))[k - 1]
+        return dict(self._terms.get((i, j), ())).get(k, Fraction(0))
 
     def bracket_basis(self, i: int, j: int):
         """[e_i, e_j] as a coefficient vector."""
-        if i == j:
-            return zero_vector(self.dim)
-        if i < j:
-            return self._table.get((i, j), zero_vector(self.dim))
-        return scale_vector(-1, self._table.get((j, i), zero_vector(self.dim)))
+        return _dense(self.dim, {k - 1: c for k, c in self._terms.get((i, j), ())})
 
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
-        out = [Fraction(0)] * self.dim
-        for k, c in _sparse_bracket(self, _sparse(x), _sparse(y)).items():
-            out[k] = c
-        return tuple(out)
+        return _dense(self.dim, _sparse_bracket(self, _sparse(x), _sparse(y)))
 
     def nonzero_brackets(self):
-        """Sorted list of ((i, j), coeffs) with i < j and nonzero bracket."""
-        return sorted(self._table.items())
+        """Sorted list of ((i, j), {k: c}) with i < j, one per nonzero
+        bracket, holding its nonzero coefficients in ascending k."""
+        return [((i, j), dict(row)) for (i, j), row in sorted(self._terms.items()) if i < j]
 
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self._table == other._table)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.dim, tuple(sorted(self._table.items()))))
+        return hash((self.dim, frozenset(self._terms.items())))
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self._table)})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(self._terms) // 2})"
 
 
 def _sparse(v) -> dict:
     """Nonzero entries {0-based column: coefficient} of a dense vector."""
     return {t: c for t, c in enumerate(v) if c}
+
+
+def _dense(n: int, v: dict) -> tuple:
+    """Length-n coefficient vector of the sparse vector {0-based column: c}."""
+    out = [Fraction(0)] * n
+    for t, c in v.items():
+        out[t] = c
+    return tuple(out)
 
 
 def _sparse_bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
@@ -200,16 +184,13 @@ def jacobi_violation(g: LieAlgebra):
                         for r, y in terms.get((m, c), ()):
                             res[r] = res.get(r, 0) + x * y
                 if any(res.values()):
-                    out = [Fraction(0)] * g.dim
-                    for r, v in res.items():
-                        out[r - 1] = v
-                    return (i, j, k), tuple(out)
+                    return (i, j, k), _dense(g.dim, {r - 1: v for r, v in res.items()})
     return None
 
 
 def validate(g: LieAlgebra) -> None:
     """Raise JacobiViolation on the first failing triple; antisymmetry holds
-    by construction for table-built algebras."""
+    by construction."""
     bad = jacobi_violation(g)
     if bad is not None:
         raise JacobiViolation(*bad)
@@ -337,27 +318,26 @@ def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
                                  for y in (ys[s + 1:] if b is a else ys)))
 
 
+def _series(first: Subspace, step):
+    """first >= step(first) >= step(step(first)) >= ... until the
+    dimension stops falling."""
+    series = [first]
+    while True:
+        nxt = step(series[-1])
+        if nxt.dim == series[-1].dim:
+            return series
+        series.append(nxt)
+
+
 def derived_series(g: LieAlgebra):
     """g = g_(0) >= [g_(0), g_(0)] >= ... until stabilization."""
-    series = [Subspace.full(g.dim)]
-    while True:
-        nxt = bracket_subspaces(g, series[-1], series[-1])
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-    return series
+    return _series(Subspace.full(g.dim), lambda s: bracket_subspaces(g, s, s))
 
 
 def lower_central_series(g: LieAlgebra):
     """g = g_0 >= [g_0, g] >= [g_1, g] >= ... until stabilization."""
     full = Subspace.full(g.dim)
-    series = [full]
-    while True:
-        nxt = bracket_subspaces(g, series[-1], full)
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-    return series
+    return _series(full, lambda s: bracket_subspaces(g, s, full))
 
 
 def is_solvable(g: LieAlgebra) -> bool:
@@ -392,14 +372,14 @@ def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     ech = Echelon(n + d)
     for a, v in enumerate(basis):
         ech.add({**v, n + a: 1})
-    table = {}
+    brackets = {}
     for a in range(d):
         for b in range(a + 1, d):
             r = ech.reduce(_sparse_bracket(g, basis[a], basis[b]))
             if any(c < n for c in r):
                 raise ValueError("subspace is not closed under the bracket")
-            table[(a + 1, b + 1)] = tuple(-r.get(n + t, 0) for t in range(d))
-    return LieAlgebra(d, table)
+            brackets[(a + 1, b + 1)] = {c - n + 1: -x for c, x in r.items()}
+    return LieAlgebra(d, brackets)
 
 
 def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
@@ -407,12 +387,12 @@ def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
     if p.rows != g.dim or p.cols != g.dim:
         raise ValueError("change of basis must be dim x dim")
     p_inv = inverse(p)
-    table = {}
+    brackets = {}
     for i in range(1, g.dim + 1):
         for j in range(i + 1, g.dim + 1):
             w = g.bracket(p.column(i - 1), p.column(j - 1))
-            table[(i, j)] = p_inv.apply(w)
-    return LieAlgebra(g.dim, table)
+            brackets[(i, j)] = dict(enumerate(p_inv.apply(w), start=1))
+    return LieAlgebra(g.dim, brackets)
 
 
 @dataclass(frozen=True)

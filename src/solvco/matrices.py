@@ -49,22 +49,9 @@ def _integral(v):
     return V, s
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def basis_vector(n: int, i: int) -> Vector:
     """Standard basis vector with a 1 in 0-based position i."""
     return tuple(Fraction(1 if t == i else 0) for t in range(n))
-
-
-def add_vectors(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale_vector(c, v: Vector) -> Vector:
-    c = rational(c)
-    return tuple(c * a for a in v)
 
 
 class Matrix:

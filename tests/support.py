@@ -396,18 +396,15 @@ def rand_large_rational(rng, n):
 def rand_derivation_algebra(rng, dim, span=2):
     """R x| R^(dim-1) for a random small derivation; always a Lie algebra."""
     n = dim - 1
-    table = {}
+    brackets = {}
     for j in range(1, n + 1):
-        coeffs = [Fraction(0)] * dim
-        for k in range(1, n + 1):
-            coeffs[k] = Fraction(rng.randint(-span, span))
-        table[(1, 1 + j)] = tuple(coeffs)
-    return LieAlgebra(dim, table)
+        brackets[(1, 1 + j)] = {1 + k: rng.randint(-span, span) for k in range(1, n + 1)}
+    return LieAlgebra(dim, brackets)
 
 
 def oscillator4() -> LieAlgebra:
     """Rotation acting on a 3-dim Heisenberg: a solvable, non-abelian-nilradical case."""
-    return LieAlgebra.from_brackets(
+    return LieAlgebra(
         4, {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {4: 1}})
 
 
@@ -419,7 +416,7 @@ def base_algebras():
              "rot3", "hyperelliptic4"]
     algebras = [catalog_get(name).algebra for name in names]
     algebras.append(oscillator4())
-    algebras.append(LieAlgebra.from_brackets(
+    algebras.append(LieAlgebra(
         5, {(1, 2): {2: 1}, (1, 3): {3: -1}, (1, 4): {5: 1}, (1, 5): {4: -1}}))
     return algebras
 
@@ -438,13 +435,13 @@ def rand_valid_algebra(rng, max_dim=5):
 def perturb_tensor(rng, g: LieAlgebra) -> LieAlgebra:
     """Change one structure constant; usually breaks Jacobi."""
     n = g.dim
-    table = {key: list(val) for key, val in g.nonzero_brackets()}
+    brackets = dict(g.nonzero_brackets())
     i = rng.randint(1, n - 1)
     j = rng.randint(i + 1, n)
     k = rng.randint(1, n)
-    row = table.setdefault((i, j), [Fraction(0)] * n)
-    row[k - 1] += Fraction(rng.choice((1, 2, -1)))
-    return LieAlgebra(n, {key: tuple(val) for key, val in table.items()})
+    coeffs = brackets.setdefault((i, j), {})
+    coeffs[k] = coeffs.get(k, 0) + rng.choice((1, 2, -1))
+    return LieAlgebra(n, brackets)
 
 
 def rotation_block(a, b):

@@ -29,7 +29,7 @@ from support import (
     sympy_columns,
 )
 
-HEISENBERG = LieAlgebra.from_brackets(3, {(1, 2): {3: 1}})
+HEISENBERG = LieAlgebra(3, {(1, 2): {3: 1}})
 
 
 def test_build_complex_abelian_all_zero():
@@ -103,7 +103,7 @@ def test_structural_checks_spec_examples():
     assert rep.duality_holds
     assert cohomology(sol3).betti == (1, 1, 1, 1)
 
-    two_dim = LieAlgebra.from_brackets(2, {(1, 2): {2: 1}})
+    two_dim = LieAlgebra(2, {(1, 2): {2: 1}})
     res = cohomology(two_dim)
     rep = structural_checks(res, two_dim)
     assert res.betti == (1, 1, 0)
@@ -211,7 +211,7 @@ def test_dimension_bound():
 
 
 def test_build_complex_validates():
-    bad = LieAlgebra.from_brackets(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
+    bad = LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
     with pytest.raises(JacobiViolation):
         build_complex(bad)
 

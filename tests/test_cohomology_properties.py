@@ -83,7 +83,7 @@ def wide_tables(draw):
         terms = brackets.setdefault((i, j), {})
         terms[rng.randint(1, n)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
                                             rng.choice((1, 1, 2, 3)))
-    return LieAlgebra.from_brackets(n, brackets)
+    return LieAlgebra(n, brackets)
 
 
 @st.composite
@@ -130,7 +130,7 @@ def test_differentials_are_the_densified_sparse_form(g):
     # the structure constants; densified and divided by D, they are the
     # alternating-sum oracle matrices
     n, D = g.dim, g.denominator
-    constants = [c for _, coeffs in g.nonzero_brackets() for c in coeffs]
+    constants = [c for _, coeffs in g.nonzero_brackets() for c in coeffs.values()]
     assert type(D) is int and D >= 1
     assert all((D * c).denominator == 1 for c in constants)
     # no smaller D: a common factor q > 1 of D and every D * c would make

@@ -33,7 +33,7 @@ d e6 = e1^e6 + e2^e5
 
 def test_parse_heisenberg():
     g = parse_structure_file(HEISENBERG_FILE)
-    assert g == LieAlgebra.from_brackets(3, {(1, 2): {3: 1}})
+    assert g == LieAlgebra(3, {(1, 2): {3: 1}})
 
 
 def test_parse_nakamura():

@@ -35,17 +35,41 @@ from support import oscillator4, rand_unimodular, rand_valid_algebra
 
 X = Polynomial.x()
 
-HEISENBERG = LieAlgebra.from_brackets(3, {(1, 2): {3: 1}})
+HEISENBERG = LieAlgebra(3, {(1, 2): {3: 1}})
 
 
 def test_validate_spec_examples():
     validate(LieAlgebra.abelian(3))
     validate(HEISENBERG)
-    bad = LieAlgebra.from_brackets(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
+    bad = LieAlgebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}})
     with pytest.raises(JacobiViolation) as err:
         validate(bad)
     assert err.value.triple == (1, 2, 3)
     assert any(c != 0 for c in err.value.residual)
+
+
+def test_constructor_checks_indices_and_drops_zeros():
+    for dim, brackets in ((3, {(2, 1): {3: 1}}), (3, {(1, 2): {4: 1}}),
+                          (3, {(1, 2): {0: 1}}), (-1, {})):
+        with pytest.raises(ValueError):
+            LieAlgebra(dim, brackets)
+    g = LieAlgebra(3, {(1, 2): {1: 0, 3: Fraction(2, 4)}, (1, 3): {2: 0}, (2, 3): {}})
+    assert g == LieAlgebra(3, {(1, 2): {3: Fraction(1, 2)}})
+    assert g.nonzero_brackets() == [((1, 2), {3: Fraction(1, 2)})]
+    assert g.denominator == 2
+    assert LieAlgebra(3, {(1, 2): {3: 0}}) == LieAlgebra.abelian(3)
+
+
+def test_constructor_inverts_nonzero_brackets():
+    algebras = [catalog_get(name).algebra for name in ("nakamura", "hyperelliptic4", "sol3")]
+    algebras += [oscillator4(), rand_valid_algebra(random.Random(3))]
+    for g in algebras:
+        brackets = dict(g.nonzero_brackets())
+        assert all(i < j and all(brackets[(i, j)].values()) for i, j in brackets)
+        again = LieAlgebra(g.dim, brackets)
+        assert again == g and hash(again) == hash(g)
+        assert all(again.bracket_basis(i, j) == g.bracket_basis(i, j)
+                   for i in range(1, g.dim + 1) for j in range(1, g.dim + 1))
 
 
 def test_from_tensor_antisymmetry():
@@ -100,7 +124,7 @@ def test_series_spec_examples():
 
 def test_unimodular_spec_examples():
     assert is_unimodular(HEISENBERG)
-    two_dim = LieAlgebra.from_brackets(2, {(1, 2): {2: 1}})  # [x, y] = y
+    two_dim = LieAlgebra(2, {(1, 2): {2: 1}})  # [x, y] = y
     assert not is_unimodular(two_dim)
     assert is_unimodular(catalog_get("nakamura").algebra)
 
@@ -136,7 +160,7 @@ def test_completely_solvable_flag_sol3_chain():
 
 def test_flag_requires_solvable():
     # sl2-like: [e1,e2]=e3, [e3,e1]=2e1, [e3,e2]=-2e2 is not solvable
-    sl2 = LieAlgebra.from_brackets(
+    sl2 = LieAlgebra(
         3, {(1, 2): {3: 1}, (1, 3): {1: -2}, (2, 3): {2: 2}})
     validate(sl2)
     assert not is_solvable(sl2)
@@ -172,7 +196,7 @@ def test_verify_clause_order():
 def test_verify_semisimple_action_clause():
     # [e1, e2] = e2 + e3 style: ad(e1) has nonzero semisimple action on e2?
     # build a case where V is not killed: V = span{e1, e2} with [e1, e2] = e2
-    g = LieAlgebra.from_brackets(3, {(1, 2): {2: 1}})
+    g = LieAlgebra(3, {(1, 2): {2: 1}})
     with pytest.raises(DecompositionInvalid) as err:
         verify_nilpotent_complement(
             g, Subspace.standard(3, (1, 2)), Subspace.standard(3, (3,)))

@@ -1,6 +1,7 @@
 """Property tests of the Lie layer's sparse bracket kernel against the dense
 sympy model `support.SympyLie`, which builds its own brackets from the
-structure constants, and of `Subspace.intersect` against sympy's nullspace.
+structure constants, of `Subspace.intersect` against sympy's nullspace, and
+of the round trips through a structure file and through the bracket table.
 
 Algebras are random valid algebras in a random integer basis
 (`rand_valid_algebra`), half of them conjugated by `rand_large_rational`
@@ -18,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from solvco.files import parse_structure_file, structure_equations  # noqa: E402
 from solvco.lie import (  # noqa: E402
     LieAlgebra,
     Subspace,
@@ -55,6 +57,26 @@ def rand_vector(rng, n):
 
 def rand_subspace(rng, n):
     return Subspace.span(n, [rand_vector(rng, n) for _ in range(rng.randint(0, n))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_structure_file_and_bracket_table_round_trip(case):
+    g, _ = case
+    again = parse_structure_file(structure_equations(g))
+    assert again == g and hash(again) == hash(g)
+    rebuilt = LieAlgebra(g.dim, dict(g.nonzero_brackets()))
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+    # the table holds the nonzero constants that the dense model reads
+    # through structure_constant, each pair once with i < j
+    table = dict(g.nonzero_brackets())
+    assert all(i < j and all(coeffs.values()) and coeffs for (i, j), coeffs in table.items())
+    n = g.dim
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                c = table.get((i, j), {}).get(k, 0) - table.get((j, i), {}).get(k, 0)
+                assert g.structure_constant(k, i, j) == c
 
 
 @settings(max_examples=60, deadline=None)

@@ -127,7 +127,7 @@ def test_float_entries_raise_type_error():
                   lambda: Echelon(2).reduce({0: 0.25}),
                   lambda: Subspace(2, [(0.5, 1)]),
                   lambda: Subspace.span(2, [{1: 2.0}]),
-                  lambda: LieAlgebra.from_brackets(3, {(1, 2): {3: 0.5}})):
+                  lambda: LieAlgebra(3, {(1, 2): {3: 0.5}})):
         with pytest.raises(TypeError, match="not exact"):
             build()
     # ints, Fractions and strings stay exact

@@ -1,6 +1,7 @@
 """Source-level contract: every check that backs a result is a typed raise,
 every module-level function and class is reached, every error class is
-raised somewhere, and only matrices.py names the storage of a `Matrix`.
+raised somewhere, only matrices.py names the storage of a `Matrix` and
+only lie.py the bracket table of a `LieAlgebra`.
 
 `python -O` strips `assert` statements, so a check written as one silently
 disappears; `raise AssertionError` is not a typed solvco error either, and
@@ -23,6 +24,9 @@ other modules go through its methods (`denominator`, `numerator_rows`,
 `row`, `column`, ...), so the representation can change in one file.  The
 same holds for the stored rows of an `Echelon` and the private reduction
 that reads them: other modules use `add`, `reduce`, `row`, `kernel`, ....
+A `LieAlgebra` keeps its brackets in one private table `_terms`, and
+other modules read it through `nonzero_brackets`, `bracket_basis`,
+`ad_matrix`, ... in the same way.
 """
 
 import ast
@@ -30,6 +34,7 @@ from collections import Counter
 from pathlib import Path
 
 import solvco
+from solvco.lie import LieAlgebra
 from solvco.matrices import Echelon, Matrix
 
 SOURCES = sorted(Path(solvco.__file__).parent.glob("*.py"))
@@ -177,13 +182,14 @@ def test_import_check_sees_unused_names(tmp_path):
 
 STORAGE = {slot for slot in Matrix.__slots__ if slot.startswith("_")}
 ECHELON_STORAGE = {"_piv", "_tails", "_reduce", "_reduced"}
+LIE_STORAGE = {slot for slot in LieAlgebra.__slots__ if slot.startswith("_")}
 
 
-def _storage_uses(package, slots):
+def _storage_uses(package, owner, slots):
     """module:line: name for each Name, attribute or string constant equal
-    to one of the slots, in every module of the package but matrices.py."""
+    to one of the slots, in every module of the package but the owner."""
     for path in sorted(package.glob("*.py")):
-        if path.name == "matrices.py":
+        if path.name == owner:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -199,15 +205,25 @@ def test_only_matrices_names_the_matrix_storage():
     # an echelon's stored rows and the private reduction that reads them;
     # each is an attribute, so a rename cannot empty the check
     assert all(hasattr(Echelon(1), name) for name in ECHELON_STORAGE)
-    assert list(_storage_uses(SOURCES[0].parent, STORAGE | ECHELON_STORAGE)) == []
+    assert list(_storage_uses(SOURCES[0].parent, "matrices.py",
+                              STORAGE | ECHELON_STORAGE)) == []
+
+
+def test_only_lie_names_the_bracket_table():
+    # the one table of nonzero bracket terms that every invariant reads
+    assert LIE_STORAGE == {"_terms"}
+    assert list(_storage_uses(SOURCES[0].parent, "lie.py", LIE_STORAGE)) == []
 
 
 def test_storage_check_sees_every_form(tmp_path):
     (tmp_path / "matrices.py").write_text("def f(m):\n    return m._num\n")
+    (tmp_path / "lie.py").write_text("def t(g):\n    return g._terms, m._num\n")
     (tmp_path / "other.py").write_text(
         "def g(m):\n    return m.rows\n"
         "def h(m):\n    return m._num, getattr(m, '_den')\n"
-        "_den = 1\n")
-    assert sorted(_storage_uses(tmp_path, {"_num", "_den"})) == [
-        "other:4: _den", "other:4: _num", "other:5: _den"]
+        "_den = 1\n"
+        "def u(g):\n    return g._terms\n")
+    assert sorted(_storage_uses(tmp_path, "matrices.py", {"_num", "_den"})) == [
+        "lie:2: _num", "other:4: _den", "other:4: _num", "other:5: _den"]
+    assert sorted(_storage_uses(tmp_path, "lie.py", {"_terms"})) == ["other:7: _terms"]
 

@@ -147,7 +147,7 @@ def test_nakamura_betti_change():
 
 def test_selected_mode():
     # two rotation blocks with different speeds; kill only the first
-    g = LieAlgebra.from_brackets(
+    g = LieAlgebra(
         5, {(1, 2): {3: 1}, (1, 3): {2: -1}, (1, 4): {5: 2}, (1, 5): {4: -2}})
     inp = SplittingInput(g, Subspace.standard(5, (1,)),
                          Subspace.standard(5, (2, 3, 4, 5)))
