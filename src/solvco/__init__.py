@@ -1,5 +1,5 @@
-"""Exact-arithmetic Lie algebra cohomology, semisimple splittings and
-almost abelian solvmanifold lattice analysis."""
+"""Exact-arithmetic Lie algebra cohomology, nilshadows and torus-kill
+brackets, and almost abelian solvmanifold lattice analysis."""
 
 __version__ = "0.1.0"
 
@@ -30,16 +30,14 @@ from .cohomology import (
 )
 from .decompositions import (
     JordanDecomposition,
-    SplitCompactParts,
     char_poly,
+    compact_part,
     exp_nilpotent,
     jordan_chevalley,
     log_unipotent,
     minimal_polynomial,
-    split_compact_parts,
 )
 from .errors import (
-    AntisymmetryViolation,
     CheckFailed,
     DecompositionInvalid,
     DimensionTooLarge,
@@ -77,10 +75,7 @@ from .splitting import (
     KillMap,
     KillMode,
     SplittingInput,
-    SplittingResult,
-    compact_components,
     kill_map,
-    malcev_splitting,
     modified_bracket,
     nilshadow,
 )

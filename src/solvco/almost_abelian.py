@@ -59,20 +59,19 @@ class CoverType(enum.Enum):
 
 @dataclass(frozen=True)
 class HolonomyInput:
-    """Lattice data: size n, integer holonomy B, optional derivation.
+    """Lattice data: integer n x n holonomy B, optional derivation.
 
     When both B and the derivation are given they must describe the same
     group; that consistency is the caller's assertion and is not checked.
     """
 
-    n: int
     holonomy: Matrix
     derivation: Optional[Matrix] = None
     scale: Scale = Scale.ONE
 
     def __post_init__(self):
         b = self.holonomy
-        if not b.is_square() or b.rows != self.n:
+        if not b.is_square():
             raise ValueError("holonomy must be n x n")
         if b.denominator != 1:
             raise ValueError("holonomy must have integer entries")
@@ -82,6 +81,11 @@ class HolonomyInput:
             z = self.derivation
             if not z.is_square() or z.rows != self.n:
                 raise ValueError("derivation must be n x n")
+
+    @property
+    def n(self) -> int:
+        """Rank of the lattice Z^n that B acts on."""
+        return self.holonomy.rows
 
     @functools.cached_property
     def spectrum(self):

@@ -85,12 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--complement", default="",
                    help="comma-separated 1-based indices spanning V (default empty)")
-    p.add_argument("--kill", choices=("full", "compact"), required=True)
+    p.add_argument("--kill", choices=[m.value for m in KillMode], required=True)
 
     p = sub.add_parser("almost-abelian", help="lattice analysis for R x| R^n")
     p.add_argument("--holonomy", required=True, help="integer matrix file")
     p.add_argument("--derivation", default=None, help="rational matrix file")
-    p.add_argument("--scale", choices=("1", "pi"), default="1")
+    p.add_argument("--scale", choices=[s.value for s in Scale], default="1")
     p.add_argument("--format", choices=("plain", "tsv"), default="plain")
 
     p = sub.add_parser("catalog", help="list catalog entries or dump one")
@@ -220,25 +220,19 @@ def _cmd_split(ns):
         complement=Subspace.standard(g.dim, v_idx),
         nilpotent_ideal=Subspace.standard(g.dim, n_idx),
     )
-    mode = KillMode.FULL if ns.kill == "full" else KillMode.COMPACT
-    kill = kill_map(inp, mode)
-    result = modified_bracket(inp, kill)
+    kill = kill_map(inp, KillMode(ns.kill))
+    out = modified_bracket(inp, kill)
     header = [f"# modified bracket: kill={ns.kill}"
               + (f" complement={','.join(map(str, v_idx))}" if v_idx else "")]
     for t, op in enumerate(kill.operators, start=1):
         header.append(f"# K_{t} {'zero' if op.is_zero() else 'nonzero'}")
-    return EXIT_OK, "\n".join(header) + "\n" + structure_equations(result.output)
+    return EXIT_OK, "\n".join(header) + "\n" + structure_equations(out)
 
 
 def _cmd_almost_abelian(ns):
     holonomy = _load_matrix(ns.holonomy)
     derivation = _load_matrix(ns.derivation) if ns.derivation else None
-    inp = HolonomyInput(
-        n=holonomy.rows,
-        holonomy=holonomy,
-        derivation=derivation,
-        scale=Scale.PI if ns.scale == "pi" else Scale.ONE,
-    )
+    inp = HolonomyInput(holonomy=holonomy, derivation=derivation, scale=Scale(ns.scale))
     report = analyze(inp)
     lines = []
     if ns.format == "tsv":

@@ -6,11 +6,12 @@ common denominator of its entries), Krylov vectors are iterated in Python
 ints and eliminated in an `Echelon`, and the monic integral polynomial
 found for M is rescaled to D^(-deg) p_M(D x).  The additive
 semisimple/nilpotent decomposition is the Newton iteration on the
-squarefree part of the minimal polynomial; the further split of a
-semisimple operator into real-spectrum and imaginary-spectrum parts is a
+squarefree part of the minimal polynomial.  The imaginary-spectrum
+(compact) part of a semisimple operator, `compact_part`, is read off its
 primary decomposition along the totally real part and the
 negative-discriminant quadratic factors, which `rational_spectrum` splits
-off for every spectral decision of the package.
+off for every spectral decision of the package; the real-spectrum (split)
+part is the operator minus it.
 """
 
 from __future__ import annotations
@@ -243,14 +244,6 @@ def rational_spectrum(p: Polynomial):
 
 
 @dataclass(frozen=True)
-class SplitCompactParts:
-    """Commuting split (real spectrum) + compact (imaginary spectrum) summands."""
-
-    split: Matrix
-    compact: Matrix
-
-
-@dataclass(frozen=True)
 class PrimaryComponent:
     """One factor of the minimal polynomial with its spectral projector."""
 
@@ -304,26 +297,20 @@ def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
     return components
 
 
-def compact_pieces(s: Matrix, p: Polynomial | None = None):
-    """[(factor, (s - a) P)]: the compact part of a semisimple s on the
-    component of each quadratic factor x^2 - 2a x + c of its minimal
-    polynomial p (computed when omitted), P the primary projector."""
-    return [(c.factor, (s - c.real_part * Matrix.identity(s.rows)) * c.projector)
-            for c in semisimple_primary_components(s, p) if c.is_complex_pair]
+def compact_part(s: Matrix, p: Polynomial | None = None) -> Matrix:
+    """Imaginary-spectrum summand of a semisimple s: the sum of (s - a) P
+    over the quadratic factors x^2 - 2a x + c of its minimal polynomial p
+    (computed when omitted), P the primary projector.
 
-
-def split_compact_parts(s: Matrix) -> SplitCompactParts:
-    """Split s (semisimple) into commuting real-spectrum + imaginary-spectrum parts.
-
-    The compact part is the sum of the `compact_pieces`; since the primary
-    projectors resolve the identity, the split part s minus it is s on the
-    totally real block and a times the identity on a quadratic block
-    x^2 - 2a x + c.  Both parts are polynomials in s.
+    Since the projectors resolve the identity, the split part s minus it is
+    s on the totally real block and a times the identity on a quadratic
+    block; both parts are polynomials in s, so they commute.
     """
     compact = Matrix.zeros(s.rows, s.rows)
-    for _, piece in compact_pieces(s):
-        compact = compact + piece
-    return SplitCompactParts(split=s - compact, compact=compact)
+    for c in semisimple_primary_components(s, p):
+        if c.is_complex_pair:
+            compact = compact + (s - c.real_part * Matrix.identity(s.rows)) * c.projector
+    return compact
 
 
 def nilpotency_index(m: Matrix):

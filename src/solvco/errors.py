@@ -9,10 +9,6 @@ class CheckFailed(SolvcoError):
     """An exact identity that certifies a computed result does not hold."""
 
 
-class AntisymmetryViolation(SolvcoError):
-    """Structure-constant tensor is not antisymmetric in its lower indices."""
-
-
 class JacobiViolation(SolvcoError):
     """Structure constants violate the Jacobi identity."""
 

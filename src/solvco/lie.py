@@ -4,7 +4,7 @@ Basis indices are 1-based throughout, matching the e1, e2, ... naming used
 in structure files.  An algebra is built from its nonzero brackets only,
 `LieAlgebra(dim, {(i, j): {k: c}})` with i < j, the coefficient c of e_k
 in [e_i, e_j]; the (j, i) brackets follow by antisymmetry, so antisymmetry
-can only be violated by raw tensor input.
+holds by construction and only the Jacobi identity needs a check.
 
 The algebra keeps one table, `_terms`: the nonzero (k, c) terms of each
 bracket.  Every invariant expands over it only: the series, `restrict` and
@@ -25,12 +25,7 @@ from .decompositions import (
     minimal_polynomial,
     rational_spectrum,
 )
-from .errors import (
-    AntisymmetryViolation,
-    DecompositionInvalid,
-    JacobiViolation,
-    NotSolvable,
-)
+from .errors import DecompositionInvalid, JacobiViolation, NotSolvable
 from .matrices import (
     Echelon,
     Matrix,
@@ -88,30 +83,6 @@ class LieAlgebra:
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
         return cls(dim, {})
-
-    @classmethod
-    def from_tensor(cls, tensor) -> "LieAlgebra":
-        """Build from a full tensor c[k][i][j] (0-based nesting, 1-based math).
-
-        Checks antisymmetry c[k][j][i] = -c[k][i][j] and zero diagonal.
-        """
-        dim = len(tensor)
-        for k in range(dim):
-            if len(tensor[k]) != dim or any(len(row) != dim for row in tensor[k]):
-                raise ValueError("tensor must be dim x dim x dim")
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    cij = rational(tensor[k][i][j])
-                    cji = rational(tensor[k][j][i])
-                    if i == j and cij != 0:
-                        raise AntisymmetryViolation(
-                            f"c[{k + 1}][{i + 1}][{i + 1}] = {cij} must vanish")
-                    if cij != -cji:
-                        raise AntisymmetryViolation(
-                            f"c[{k + 1}][{i + 1}][{j + 1}] != -c[{k + 1}][{j + 1}][{i + 1}]")
-        return cls(dim, {(i + 1, j + 1): {k + 1: tensor[k][i][j] for k in range(dim)}
-                         for i in range(dim) for j in range(i + 1, dim)})
 
     def structure_constant(self, k: int, i: int, j: int) -> Fraction:
         """c[k][i][j]: coefficient of e_k in [e_i, e_j]."""
@@ -448,12 +419,13 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     """Certificate for the existence of a full flag of ideals.
 
     'yes' comes with the chain; 'no' comes with a basis operator whose
-    minimal polynomial has a non-real factor (sound, since a rational flag
-    forces rational eigenvalues); anything else is 'undetermined', e.g.
-    irrational real weights.
+    minimal polynomial has a non-real factor.  Both are sound for any
+    algebra: a complete rational flag of ideals makes g solvable, and it
+    forces rational eigenvalues on every ad(e_i).  Anything else is
+    'undetermined', e.g. irrational real weights; only that outcome needs
+    solvability, so only there is the derived series computed, raising
+    NotSolvable on an algebra that is not solvable.
     """
-    if not is_solvable(g):
-        raise NotSolvable("flag search requires a solvable algebra")
     polys = []
     for i in range(g.dim):
         polys.append(minimal_polynomial(ad_matrix(g, basis_vector(g.dim, i))))
@@ -467,6 +439,8 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
         # on g / 0 the operators are the ad(e_i) whose polynomials are known
         vec = _common_rational_eigenvector(ops, len(reps), polys if ideal.is_zero() else None)
         if vec is None:
+            if not is_solvable(g):
+                raise NotSolvable("flag search requires a solvable algebra")
             return FlagCertificate(status="undetermined")
         lift = {t: c for c, t in zip(vec, reps) if c}
         ideal = Subspace.span(g.dim, [*ideal.basis, lift])

@@ -227,11 +227,6 @@ class Matrix:
         return tuple(Fraction(sum(r[c] * x for c, x in V.items()), den)
                      for r in self.numerator_rows())
 
-    def transpose(self) -> "Matrix":
-        num, c = self._num, self.cols
-        return Matrix.from_numerators(c, self.rows, [x for j in range(c) for x in num[j::c]],
-                                      self._den)
-
     def is_zero(self) -> bool:
         return not any(self._num)
 

@@ -451,7 +451,8 @@ def rotation_block(a, b):
 def companion(poly_coeffs):
     """Companion matrix of a monic polynomial given low-to-high with lead 1."""
     coeffs = [Fraction(c) for c in poly_coeffs]
-    assert coeffs[-1] == 1
+    if coeffs[-1] != 1:
+        raise ValueError("companion matrix of a polynomial that is not monic")
     n = len(coeffs) - 1
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n):

@@ -30,9 +30,9 @@ from solvco.cohomology import (
     structural_checks,
 )
 from solvco.decompositions import (
+    compact_part,
     jordan_chevalley,
     minimal_polynomial,
-    split_compact_parts,
 )
 from solvco.errors import JacobiViolation
 from solvco.lie import (
@@ -100,7 +100,7 @@ def test_criterion_4_hyperelliptic_lattices():
         6: Matrix.from_rows([[0, -1, 0], [1, 1, 0], [0, 0, 1]]),
     }
     for order, b in holonomies.items():
-        inp = HolonomyInput(3, b)
+        inp = HolonomyInput(b)
         status, reason = mostow_status(inp)
         assert status is MostowStatus.FAILS
         assert "root of unity" in reason  # cyclotomic witness
@@ -121,7 +121,7 @@ def test_criterion_5_nakamura_pipeline():
     km = kill_map(inp, KillMode.COMPACT)
     assert km.operators[0].is_zero()
     assert not km.operators[1].is_zero()
-    tilde = modified_bracket(inp, km).output
+    tilde = modified_bracket(inp, km)
     assert tilde == catalog_get("nakamura_tilde").algebra  # frozen independent derivation
 
     betti_g = cohomology(entry.algebra).betti
@@ -141,9 +141,9 @@ def test_criterion_6_rot3():
     entry = catalog_get("rot3")
     inp = SplittingInput(entry.algebra, entry.complement, entry.nilpotent_ideal)
     for mode in (KillMode.FULL, KillMode.COMPACT):
-        assert modified_bracket(inp, kill_map(inp, mode)).output == LieAlgebra.abelian(3)
+        assert modified_bracket(inp, kill_map(inp, mode)) == LieAlgebra.abelian(3)
     report = analyze(HolonomyInput(
-        2, Matrix.identity(2),
+        Matrix.identity(2),
         derivation=Matrix.from_rows([[0, 2], [-2, 0]]), scale=Scale.PI))
     assert report.mostow is MostowStatus.FAILS
     assert report.invariant_betti == (1, 3, 3, 1)
@@ -155,13 +155,13 @@ def test_criterion_7_sol3():
     entry = catalog_get("sol3")
     g = entry.algebra
     assert completely_solvable_flag(g).status == "yes"
-    status, _ = mostow_status(HolonomyInput(2, Matrix.from_rows([[2, 1], [1, 1]])))
+    status, _ = mostow_status(HolonomyInput(Matrix.from_rows([[2, 1], [1, 1]])))
     assert status is MostowStatus.HOLDS
     res = cohomology(g)
     assert res.betti == (1, 1, 1, 1)
     assert structural_checks(res, g).duality_holds
     inp = SplittingInput(g, entry.complement, entry.nilpotent_ideal)
-    shadow = modified_bracket(inp, kill_map(inp, KillMode.FULL)).output
+    shadow = modified_bracket(inp, kill_map(inp, KillMode.FULL))
     assert shadow == LieAlgebra.abelian(3)
     _report(7, "sol3: flag yes, mostow holds, Betti (1,1,1,1), abelian nilshadow")
 
@@ -208,11 +208,11 @@ def _suite_jordan_chevalley(rng):
 
 def _suite_split_compact(rng):
     s = rand_semisimple(rng, rng.randint(1, 5))
-    parts = split_compact_parts(s)
-    assert parts.split + parts.compact == s
-    assert parts.split * parts.compact == parts.compact * parts.split
-    assert is_totally_real(minimal_polynomial(parts.split))
-    mc = minimal_polynomial(parts.compact)
+    compact = compact_part(s)
+    split = s - compact
+    assert split * compact == compact * split
+    assert is_totally_real(minimal_polynomial(split))
+    mc = minimal_polynomial(compact)
     if mc.coeffs and mc.coeffs[0] == 0:
         mc = mc // Polynomial.x()
     if mc.degree > 0:
@@ -280,7 +280,7 @@ def test_criterion_9_compact_kill_identity_on_real_spectra():
     for name in ("sol3", "nakamura_tilde", "heisenberg3", "abelian5"):
         entry = catalog_get(name)
         inp = SplittingInput(entry.algebra, entry.complement, entry.nilpotent_ideal)
-        out = modified_bracket(inp, kill_map(inp, KillMode.COMPACT)).output
+        out = modified_bracket(inp, kill_map(inp, KillMode.COMPACT))
         assert out == entry.algebra
     # random completely solvable inputs: triangular derivations
     rng = random.Random(131)
@@ -294,6 +294,6 @@ def test_criterion_9_compact_kill_identity_on_real_spectra():
         g = almost_abelian_algebra(Matrix.from_rows(rows))
         inp = SplittingInput(g, Subspace.standard(n + 1, (1,)),
                              Subspace.standard(n + 1, range(2, n + 2)))
-        out = modified_bracket(inp, kill_map(inp, KillMode.COMPACT)).output
+        out = modified_bracket(inp, kill_map(inp, KillMode.COMPACT))
         assert out == g
     _report(9, "compact kill is the identity on totally real inputs")

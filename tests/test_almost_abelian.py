@@ -46,15 +46,15 @@ JORDAN_MINUS1 = Matrix.from_rows([[-1, 1], [0, -1]])  # the source paper's holon
 
 def test_holonomy_input_validation():
     with pytest.raises(ValueError):
-        HolonomyInput(2, Matrix.from_rows([[2, 0], [0, 1]]))  # det 2
+        HolonomyInput(Matrix.from_rows([[2, 0], [0, 1]]))  # det 2
     with pytest.raises(ValueError):
-        HolonomyInput(2, Matrix.from_rows([[Fraction(1, 2), 0], [0, 2]]))
+        HolonomyInput(Matrix.from_rows([[Fraction(1, 2), 0], [0, 2]]))
 
 
 def test_b1_spec_examples():
-    assert b1_lattice(HolonomyInput(2, Matrix.identity(2))) == 3  # torus T^3
-    assert b1_lattice(HolonomyInput(3, ORDER3)) == 2
-    assert b1_lattice(HolonomyInput(2, ANOSOV)) == 1
+    assert b1_lattice(HolonomyInput(Matrix.identity(2))) == 3  # torus T^3
+    assert b1_lattice(HolonomyInput(ORDER3)) == 2
+    assert b1_lattice(HolonomyInput(ANOSOV)) == 1
 
 
 def test_b1_bounds_and_identity_characterization():
@@ -62,35 +62,35 @@ def test_b1_bounds_and_identity_characterization():
     for _ in range(30):
         n = rng.randint(1, 4)
         b = rand_unimodular(rng, n)
-        inp = HolonomyInput(n, b)
+        inp = HolonomyInput(b)
         b1 = b1_lattice(inp)
         assert b1 >= 1
         assert (b1 == n + 1) == (b == Matrix.identity(n))
 
 
 def test_mostow_spec_examples():
-    status, _ = mostow_status(HolonomyInput(2, ANOSOV))
+    status, _ = mostow_status(HolonomyInput(ANOSOV))
     assert status is MostowStatus.HOLDS  # x^2 - 3x + 1 totally real positive
 
-    status, reason = mostow_status(HolonomyInput(3, ORDER3))
+    status, reason = mostow_status(HolonomyInput(ORDER3))
     assert status is MostowStatus.FAILS
     assert "3" in reason  # cyclotomic witness
 
     rot_derivation = Matrix.from_rows([[0, 2], [-2, 0]])
     status, reason = mostow_status(
-        HolonomyInput(2, Matrix.identity(2), derivation=rot_derivation, scale=Scale.PI))
+        HolonomyInput(Matrix.identity(2), derivation=rot_derivation, scale=Scale.PI))
     assert status is MostowStatus.FAILS
     assert "rational imaginary part 2" in reason
 
     status, _ = mostow_status(
-        HolonomyInput(2, ANOSOV, derivation=Matrix.diagonal([1, -1]), scale=Scale.ONE))
+        HolonomyInput(ANOSOV, derivation=Matrix.diagonal([1, -1]), scale=Scale.ONE))
     assert status is MostowStatus.HOLDS  # transcendence layer
 
 
 def test_mostow_negative_real_eigenvalue_fails():
     # eigenvalues -2 and -1/2: negative reals that are not roots of unity
     b = Matrix.from_rows([[-2, 1], [1, -1]])
-    status, reason = mostow_status(HolonomyInput(2, b))
+    status, reason = mostow_status(HolonomyInput(b))
     assert status is MostowStatus.FAILS
     assert "negative real eigenvalue" in reason
 
@@ -100,14 +100,14 @@ def test_mostow_undetermined_cases():
     # discriminant and determinant 2... use a det 1 example: x^2 - x + 1 is
     # cyclotomic, so build a 4x4 with an irreducible quartic factor instead
     b = companion((1, -1, 0, 0, 1))  # x^4 - x^3 + 1? check: coeffs low->high
-    inp = HolonomyInput(4, b)
+    inp = HolonomyInput(b)
     status, _ = mostow_status(inp)
     assert status is MostowStatus.UNDETERMINED
 
     # scale-pi derivation with a degree >= 3 non-real factor
     z = companion((9, 0, -2, 0, 1))  # x^4 - 2x^2 + 9: roots +-sqrt(2) +- i
     status, reason = mostow_status(
-        HolonomyInput(4, Matrix.identity(4), derivation=z, scale=Scale.PI))
+        HolonomyInput(Matrix.identity(4), derivation=z, scale=Scale.PI))
     assert status is MostowStatus.UNDETERMINED
     assert "degree >= 3" in reason
 
@@ -116,21 +116,21 @@ def test_mostow_pi_scale_irrational_imaginary_holds():
     # x^2 + 2: eigenvalues +-i sqrt(2); i is not a rational combination
     z = Matrix.from_rows([[0, 2], [-1, 0]])
     status, reason = mostow_status(
-        HolonomyInput(2, Matrix.identity(2), derivation=z, scale=Scale.PI))
+        HolonomyInput(Matrix.identity(2), derivation=z, scale=Scale.PI))
     assert status is MostowStatus.HOLDS
     assert "irrational imaginary part" in reason
 
 
 def test_torus_cover_spec_examples():
-    m, kind, alg = torus_cover(HolonomyInput(2, Matrix.identity(2)))
+    m, kind, alg = torus_cover(HolonomyInput(Matrix.identity(2)))
     assert (m, kind) == (1, CoverType.TORUS)
     assert cohomology(alg).betti == (1, 3, 3, 1)
 
-    m, kind, alg = torus_cover(HolonomyInput(3, ORDER3))
+    m, kind, alg = torus_cover(HolonomyInput(ORDER3))
     assert (m, kind) == (3, CoverType.TORUS)
     assert alg == LieAlgebra.abelian(4)
 
-    m, kind, alg = torus_cover(HolonomyInput(2, Matrix.from_rows([[1, 1], [0, 1]])))
+    m, kind, alg = torus_cover(HolonomyInput(Matrix.from_rows([[1, 1], [0, 1]])))
     assert (m, kind) == (1, CoverType.NILMANIFOLD)
     assert is_nilpotent(alg)
     assert cohomology(alg).betti == (1, 2, 2, 1)  # Heisenberg cover
@@ -138,42 +138,42 @@ def test_torus_cover_spec_examples():
 
 def test_torus_cover_rejects_hyperbolic():
     with pytest.raises(NotQuasiUnipotent):
-        torus_cover(HolonomyInput(2, ANOSOV))
+        torus_cover(HolonomyInput(ANOSOV))
 
 
 def test_quasi_unipotent_order_mixed():
     b = block_diag(ORDER4, Matrix.from_rows([[1, 1], [0, 1]]))
-    m, cyclo = quasi_unipotent_order(HolonomyInput(5, b))
+    m, cyclo = quasi_unipotent_order(HolonomyInput(b))
     assert m == 4
     assert dict(cyclo).keys() >= {1, 4}
-    _, kind, alg = torus_cover(HolonomyInput(5, b))
+    _, kind, alg = torus_cover(HolonomyInput(b))
     assert kind is CoverType.NILMANIFOLD
     assert is_nilpotent(alg)
 
 
 def test_invariant_betti_spec_examples():
     n = 3
-    assert invariant_betti(HolonomyInput(n, Matrix.identity(n))) == tuple(
+    assert invariant_betti(HolonomyInput(Matrix.identity(n))) == tuple(
         comb(n + 1, k) for k in range(n + 2))
-    assert invariant_betti(HolonomyInput(2, Matrix.diagonal([-1, -1]))) == (1, 1, 1, 1)
+    assert invariant_betti(HolonomyInput(Matrix.diagonal([-1, -1]))) == (1, 1, 1, 1)
     # hyperelliptic holonomies of orders 2, 3, 4 and 6
     for b in (ORDER2, ORDER3, ORDER4, ORDER6):
-        assert invariant_betti(HolonomyInput(3, b)) == (1, 2, 2, 2, 1)
+        assert invariant_betti(HolonomyInput(b)) == (1, 2, 2, 2, 1)
     # rot3: identity holonomy, rotation derivation at scale pi
-    rot3 = HolonomyInput(2, Matrix.identity(2),
+    rot3 = HolonomyInput(Matrix.identity(2),
                          derivation=Matrix.from_rows([[0, 2], [-2, 0]]), scale=Scale.PI)
     assert invariant_betti(rot3) == (1, 3, 3, 1)
     # no finite cover is a torus: the paper's holonomy has a nilmanifold
     # double cover, and no power of the Anosov holonomy is unipotent
-    assert invariant_betti(HolonomyInput(2, JORDAN_MINUS1)) == (1, 1, 1, 1)
-    assert invariant_betti(HolonomyInput(2, ANOSOV)) == (1, 1, 1, 1)
+    assert invariant_betti(HolonomyInput(JORDAN_MINUS1)) == (1, 1, 1, 1)
+    assert invariant_betti(HolonomyInput(ANOSOV)) == (1, 1, 1, 1)
 
 
 def test_invariant_betti_bounds_the_dimension(tmp_path):
     # the quotient of dimension 13 is above the bound of 12; n = 11 takes
     # seconds, while n = 12 would take minutes
     with pytest.raises(DimensionTooLarge):
-        invariant_betti(HolonomyInput(12, Matrix.identity(12)))
+        invariant_betti(HolonomyInput(Matrix.identity(12)))
     holo = tmp_path / "b.txt"
     holo.write_text("12 12\n" + "".join(
         " ".join(str(int(i == j)) for j in range(12)) + "\n" for i in range(12)))
@@ -209,7 +209,7 @@ def test_invariant_betti_properties():
                      block_diag(ORDER3, companion((1, -1, 1)))]
     for b in finite_orders + _random_holonomies(rng, 60):
         n = b.rows
-        inp = HolonomyInput(n, b)
+        inp = HolonomyInput(b)
         betti = invariant_betti(inp)
         assert len(betti) == n + 2
         assert betti[0] == 1
@@ -219,7 +219,7 @@ def test_invariant_betti_properties():
         if det(b) == 1:
             assert all(betti[k] == betti[n + 1 - k] for k in range(n + 2))
         u = rand_unimodular(rng, n)
-        assert invariant_betti(HolonomyInput(n, u * b * inverse(u))) == betti
+        assert invariant_betti(HolonomyInput(u * b * inverse(u))) == betti
 
 
 def _oracle_wang(b: Matrix):
@@ -241,7 +241,7 @@ def test_invariant_betti_matches_minor_oracle():
     fixed = [ORDER2, ORDER3, ORDER4, ORDER6, ANOSOV, JORDAN_MINUS1,
              companion((1, -1, 0, 0, 1))]
     for b in fixed + _random_holonomies(random.Random(73), 24):
-        assert invariant_betti(HolonomyInput(b.rows, b)) == _oracle_wang(b)
+        assert invariant_betti(HolonomyInput(b)) == _oracle_wang(b)
 
 
 def test_invariant_betti_matches_nomizu_on_unipotent_holonomies():
@@ -257,7 +257,7 @@ def test_invariant_betti_matches_nomizu_on_unipotent_holonomies():
         cases.append(u * upper * inverse(u))
     for b in cases:
         g = almost_abelian_algebra(log_unipotent(b))
-        betti = invariant_betti(HolonomyInput(b.rows, b))
+        betti = invariant_betti(HolonomyInput(b))
         assert betti == cohomology(g).betti == oracle_betti(g)
 
 
@@ -270,7 +270,7 @@ def test_almost_abelian_algebra_shape():
 
 
 def test_analyze_report_fields():
-    rep = analyze(HolonomyInput(3, ORDER3))
+    rep = analyze(HolonomyInput(ORDER3))
     assert rep.b1 == 2
     assert rep.mostow is MostowStatus.FAILS
     assert rep.order_m == 3
@@ -279,23 +279,23 @@ def test_analyze_report_fields():
     assert dict(rep.cyclotomic) == {1: 1, 3: 1}
     assert rep.ce_betti is None and not rep.de_rham_valid
 
-    rep = analyze(HolonomyInput(2, ANOSOV))
+    rep = analyze(HolonomyInput(ANOSOV))
     assert rep.cover_type is CoverType.COMPLETELY_SOLVABLE
     assert rep.order_m is None and rep.invariant_betti == (1, 1, 1, 1)
 
-    rep = analyze(HolonomyInput(2, JORDAN_MINUS1))
+    rep = analyze(HolonomyInput(JORDAN_MINUS1))
     assert (rep.order_m, rep.cover_type) == (2, CoverType.NILMANIFOLD)
     assert rep.invariant_betti == (1, 1, 1, 1)
 
 
 def test_de_rham_label_iff_holds():
     cases = [
-        (HolonomyInput(2, ANOSOV, derivation=Matrix.diagonal([1, -1]),
+        (HolonomyInput(ANOSOV, derivation=Matrix.diagonal([1, -1]),
                        scale=Scale.ONE), MostowStatus.HOLDS),
-        (HolonomyInput(2, Matrix.identity(2),
+        (HolonomyInput(Matrix.identity(2),
                        derivation=Matrix.from_rows([[0, 2], [-2, 0]]),
                        scale=Scale.PI), MostowStatus.FAILS),
-        (HolonomyInput(2, Matrix.identity(2),
+        (HolonomyInput(Matrix.identity(2),
                        derivation=Matrix.from_rows([[0, 2], [-1, 0]]),
                        scale=Scale.PI), MostowStatus.HOLDS),
     ]
@@ -308,7 +308,7 @@ def test_de_rham_label_iff_holds():
 
 
 def test_sol3_ce_betti_via_derivation():
-    rep = analyze(HolonomyInput(2, ANOSOV, derivation=Matrix.diagonal([1, -1]),
+    rep = analyze(HolonomyInput(ANOSOV, derivation=Matrix.diagonal([1, -1]),
                                 scale=Scale.ONE))
     assert rep.ce_betti == (1, 1, 1, 1)
     assert rep.de_rham_valid

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from solvco import decompositions, polynomials
 from solvco.decompositions import (
     char_poly,
+    compact_part,
     complex_quadratic_factors,
     exp_nilpotent,
     jordan_chevalley,
@@ -20,7 +21,6 @@ from solvco.decompositions import (
     poly_of_matrix,
     rational_spectrum,
     semisimple_primary_components,
-    split_compact_parts,
 )
 from solvco.errors import NotRationallySplittable, NotUnipotent
 from solvco.matrices import Matrix
@@ -113,33 +113,30 @@ def test_jordan_chevalley_random_invariants():
 
 def test_split_compact_spec_examples():
     m = Matrix.from_rows([[0, 2], [-2, 0]])
-    parts = split_compact_parts(m)
-    assert parts.split.is_zero() and parts.compact == m
+    assert compact_part(m) == m
 
     m = Matrix.diagonal([1, -5])
-    parts = split_compact_parts(m)
-    assert parts.split == m and parts.compact.is_zero()
+    assert compact_part(m).is_zero()
 
     m = Matrix.from_rows([[1, 2], [-2, 1]])
-    parts = split_compact_parts(m)
-    assert parts.split == Matrix.identity(2)
-    assert parts.compact == Matrix.from_rows([[0, 2], [-2, 0]])
+    compact = compact_part(m)
+    assert m - compact == Matrix.identity(2)
+    assert compact == Matrix.from_rows([[0, 2], [-2, 0]])
 
 
 def check_split_compact_invariants(s):
-    parts = split_compact_parts(s)
-    assert parts.split + parts.compact == s
-    assert parts.split * parts.compact == parts.compact * parts.split
-    assert is_totally_real(minimal_polynomial(parts.split))
+    compact = compact_part(s)
+    split = s - compact
+    assert split * compact == compact * split
+    assert is_totally_real(minimal_polynomial(split))
     # compact minimal polynomial divides a product of x and x^2 + q^2 factors
-    mc = minimal_polynomial(parts.compact)
+    mc = minimal_polynomial(compact)
     if mc.coeffs and mc.coeffs[0] == 0:
         mc = mc // Polynomial.x()
     if mc.degree > 0:
         assert all(mc.coeffs[i] == 0 for i in range(1, len(mc.coeffs), 2))
         even = Polynomial(mc.coeffs[::2])  # substitute y = x^2
         assert sturm_real_root_count(even, None, Fraction(0)) == even.degree
-    return parts
 
 
 def test_split_compact_random_invariants():
@@ -154,12 +151,12 @@ def test_split_compact_rejects_quartic_complex_spectrum():
     # x^4 + 1 is irreducible with non-real roots and no rational quadratic split
     m = companion((1, 0, 0, 0, 1))
     with pytest.raises(NotRationallySplittable):
-        split_compact_parts(m)
+        compact_part(m)
 
 
 def test_split_compact_rejects_non_semisimple():
     with pytest.raises(ValueError):
-        split_compact_parts(Matrix.from_rows([[0, 1], [0, 0]]))
+        compact_part(Matrix.from_rows([[0, 1], [0, 0]]))
 
 
 def test_primary_components_partition_identity():
@@ -198,8 +195,7 @@ def test_rational_rotation_speeds_scale_by_their_denominator():
     comps = semisimple_primary_components(s)
     assert [c.factor for c in comps] == [X * X + b * b for b in speeds]
     assert all(c.is_complex_pair and c.real_part == 0 for c in comps)
-    parts = split_compact_parts(s)
-    assert parts.split.is_zero() and parts.compact == s
+    assert compact_part(s) == s
 
 
 @st.composite

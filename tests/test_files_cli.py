@@ -313,6 +313,26 @@ def test_cli_info_exit_codes(tmp_path):
     assert "completely-solvable undetermined" in text
 
 
+def test_cli_info_reads_the_derived_series_once(tmp_path, monkeypatch):
+    from solvco import cli, lie
+
+    calls = []
+    original = lie.derived_series
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(lie, "derived_series", counted)
+    monkeypatch.setattr(cli, "derived_series", counted)
+    src = tmp_path / "weights.txt"
+    src.write_text("dim 3\nd e2 = -1 e1^e2\nd e3 = 1 e1^e3\n")
+    code, text = run_command(["info", str(src)])
+    assert code == 0
+    assert "completely-solvable yes" in text
+    assert len(calls) == 1
+
+
 def test_cli_catalog():
     code, text = run_command(["catalog"])
     assert code == 0

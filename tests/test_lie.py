@@ -7,7 +7,6 @@ import pytest
 
 from solvco.catalog import catalog_get
 from solvco.errors import (
-    AntisymmetryViolation,
     DecompositionInvalid,
     JacobiViolation,
     NotSolvable,
@@ -70,16 +69,6 @@ def test_constructor_inverts_nonzero_brackets():
         assert again == g and hash(again) == hash(g)
         assert all(again.bracket_basis(i, j) == g.bracket_basis(i, j)
                    for i in range(1, g.dim + 1) for j in range(1, g.dim + 1))
-
-
-def test_from_tensor_antisymmetry():
-    z = [[[0] * 2 for _ in range(2)] for _ in range(2)]
-    z[0][0][1] = 1  # c[1][1][2] = 1 without the mirrored entry
-    with pytest.raises(AntisymmetryViolation):
-        LieAlgebra.from_tensor(z)
-    z[0][1][0] = -1
-    g = LieAlgebra.from_tensor(z)
-    assert g.bracket_basis(1, 2) == (1, 0)
 
 
 def test_ad_matrix_spec_examples():
@@ -166,6 +155,17 @@ def test_flag_requires_solvable():
     assert not is_solvable(sl2)
     with pytest.raises(NotSolvable):
         completely_solvable_flag(sl2)
+
+
+def test_flag_witness_needs_no_solvability():
+    # so(3): [e1,e2] = e3, [e2,e3] = e1, [e3,e1] = e2; ad(e1) has
+    # eigenvalues 0, +-i, which rule out a rational flag of ideals
+    so3 = LieAlgebra(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}})
+    validate(so3)
+    assert not is_solvable(so3)
+    cert = completely_solvable_flag(so3)
+    assert cert.status == "no"
+    assert cert.witness == (1, X * X + 1)
 
 
 def test_verify_nilpotent_complement_spec_examples():

@@ -10,6 +10,9 @@ the CLI maps only `SolvcoError` and `ValueError` to documented messages.
 A module-level function or class that no other code in the package names
 and that the package does not export is dead code: only tests could reach
 it, and it would keep a second copy of a path alive for them.
+The export alone must not keep one alive either: every exported function
+or class that no other module reaches is listed in `EXPORT_ONLY` with the
+reason it stays public.
 
 An error class in errors.py that nothing raises is dead code the same way,
 but its export in `__init__.py` hides it from the reach check, so every
@@ -76,10 +79,11 @@ def _names(node):
             yield sub.attr
 
 
-def _unreached(package):
-    """module:name of each module-level function or class in the package
-    directory that is neither referenced outside its own body nor imported
-    by the package's __init__.py."""
+def _unreferenced(package):
+    """(module:name, exported) for each module-level function or class in
+    the package directory that is not referenced outside its own body;
+    exported tells whether the package's __init__.py imports it (an import
+    is not a reference)."""
     paths = sorted(package.glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in paths}
@@ -91,12 +95,44 @@ def _unreached(package):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             inside = sum(1 for name in _names(node) if name == node.name)
-            if node.name not in exported and referenced[node.name] == inside:
-                yield f"{path.stem}:{node.name}"
+            if referenced[node.name] == inside:
+                yield f"{path.stem}:{node.name}", node.name in exported
+
+
+def _unreached(package):
+    """module:name of each unreferenced definition that __init__.py does
+    not export either."""
+    return [name for name, exported in _unreferenced(package) if not exported]
+
+
+def _export_only(package):
+    """module:name of each definition that only __init__.py reaches."""
+    return [name for name, exported in _unreferenced(package) if exported]
+
+
+# Exports that no command and no other module reaches, each kept on purpose.
+EXPORT_ONLY = {
+    "almost_abelian:b1_lattice":
+        "n + 1 - rank(B - id), the independent oracle the tests hold the "
+        "Wang-sequence b1 to",
+    "almost_abelian:torus_cover":
+        "the finite cover algebra of a quasi-unipotent holonomy, the input of "
+        "the paper's route to the cohomology of the quotient",
+    "lie:conjugate":
+        "change of basis, the public way to state basis invariance",
+    "splitting:nilshadow":
+        "the fully killed bracket under its own name; `split --kill full` "
+        "builds the same bracket through kill_map and modified_bracket",
+}
 
 
 def test_every_module_level_definition_is_reached():
-    assert list(_unreached(SOURCES[0].parent)) == []
+    assert _unreached(SOURCES[0].parent) == []
+
+
+def test_every_export_only_definition_is_listed():
+    assert _export_only(SOURCES[0].parent) == sorted(EXPORT_ONLY)
+    assert all(reason for reason in EXPORT_ONLY.values())
 
 
 def test_reach_check_sees_dead_definitions(tmp_path):
@@ -108,6 +144,17 @@ def test_reach_check_sees_dead_definitions(tmp_path):
         "def caller(ns):\n    return helper() + ns.by_attribute()\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
     assert list(_unreached(tmp_path)) == ["mod:caller", "mod:recursive"]
+
+
+def test_export_check_sees_exports_nothing_reaches(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .mod import Exported, used, recursive\n")
+    (tmp_path / "mod.py").write_text(
+        "class Exported:\n    pass\n"
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
+    (tmp_path / "other.py").write_text("from .mod import used\ndef f():\n    return used()\n")
+    assert _export_only(tmp_path) == ["mod:Exported", "mod:recursive"]
 
 
 def _unraised(package):

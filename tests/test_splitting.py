@@ -1,27 +1,29 @@
-"""Kill maps, modified brackets, nilshadows, and the full splitting."""
+"""Kill maps, modified brackets and nilshadows."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from solvco.almost_abelian import almost_abelian_algebra
 from solvco.catalog import catalog_get
 from solvco.cohomology import cohomology
-from solvco.decompositions import minimal_polynomial
+from solvco.decompositions import jordan_chevalley, minimal_polynomial
 from solvco.errors import DecompositionInvalid, NonCommutingTorus
 from solvco.lie import LieAlgebra, Subspace, ad_matrix, is_nilpotent
-from solvco.matrices import Matrix, basis_vector
+from solvco.matrices import Matrix, basis_vector, inverse
 from solvco.polynomials import is_totally_real
 from solvco.splitting import (
     KillMode,
     SplittingInput,
     _verify_kill_operators,
-    compact_components,
     kill_map,
-    malcev_splitting,
     modified_bracket,
     nilshadow,
 )
-from support import oscillator4
+from support import block_diag, oscillator4, rand_unimodular, rotation_block
 
 
 def catalog_input(name):
@@ -65,40 +67,37 @@ def test_kill_map_empty_complement():
 
 def test_modified_bracket_sol3_full_abelian():
     inp = catalog_input("sol3")
-    res = modified_bracket(inp, kill_map(inp, KillMode.FULL))
-    assert res.output == LieAlgebra.abelian(3)
-    assert res.identification == Matrix.identity(3)
+    assert modified_bracket(inp, kill_map(inp, KillMode.FULL)) == LieAlgebra.abelian(3)
 
 
 def test_modified_bracket_nakamura_compact():
     inp = catalog_input("nakamura")
-    res = modified_bracket(inp, kill_map(inp, KillMode.COMPACT))
-    assert res.output == catalog_get("nakamura_tilde").algebra
+    assert modified_bracket(inp, kill_map(inp, KillMode.COMPACT)) == \
+        catalog_get("nakamura_tilde").algebra
 
 
 def test_modified_bracket_rot3_both_modes_abelian():
     inp = catalog_input("rot3")
     for mode in (KillMode.FULL, KillMode.COMPACT):
-        res = modified_bracket(inp, kill_map(inp, mode))
-        assert res.output == LieAlgebra.abelian(3)
+        assert modified_bracket(inp, kill_map(inp, mode)) == LieAlgebra.abelian(3)
 
 
 def test_nilshadow_oscillator_keeps_heisenberg_part():
     osc = oscillator4()
     inp = SplittingInput(osc, Subspace.standard(4, (1,)),
                          Subspace.standard(4, (2, 3, 4)))
-    res = nilshadow(inp)
-    assert is_nilpotent(res.output)
+    shadow = nilshadow(inp)
+    assert is_nilpotent(shadow)
     # the central extension bracket [e2,e3] = e4 survives the kill
-    assert res.output.bracket_basis(2, 3) == (0, 0, 0, 1)
-    assert res.output.bracket_basis(1, 2) == (0, 0, 0, 0)
+    assert shadow.bracket_basis(2, 3) == (0, 0, 0, 1)
+    assert shadow.bracket_basis(1, 2) == (0, 0, 0, 0)
 
 
 def test_nilpotent_ideal_brackets_unchanged():
     for name in ("sol3", "rot3", "nakamura", "hyperelliptic4"):
         inp = catalog_input(name)
         for mode in (KillMode.FULL, KillMode.COMPACT):
-            out = modified_bracket(inp, kill_map(inp, mode)).output
+            out = modified_bracket(inp, kill_map(inp, mode))
             g = inp.algebra
             for u in inp.nilpotent_ideal.basis:
                 for w in inp.nilpotent_ideal.basis:
@@ -108,31 +107,30 @@ def test_nilpotent_ideal_brackets_unchanged():
 def test_full_mode_always_nilpotent():
     for name in ("sol3", "rot3", "nakamura", "hyperelliptic4", "nakamura_tilde"):
         inp = catalog_input(name)
-        assert is_nilpotent(nilshadow(inp).output)
+        assert is_nilpotent(nilshadow(inp))
 
 
 def test_compact_kill_identity_on_totally_real_inputs():
     for name in ("sol3", "nakamura_tilde", "heisenberg3", "abelian4"):
         inp = catalog_input(name)
-        res = modified_bracket(inp, kill_map(inp, KillMode.COMPACT))
-        assert res.output == inp.algebra
+        assert modified_bracket(inp, kill_map(inp, KillMode.COMPACT)) == inp.algebra
 
 
 def test_compact_output_has_real_v_spectra():
     for name in ("nakamura", "rot3", "hyperelliptic4"):
         inp = catalog_input(name)
-        out = modified_bracket(inp, kill_map(inp, KillMode.COMPACT)).output
+        out = modified_bracket(inp, kill_map(inp, KillMode.COMPACT))
         for a in inp.complement.basis:
             assert is_totally_real(minimal_polynomial(ad_matrix(out, a)))
 
 
 def test_compact_kill_idempotent():
     inp = catalog_input("nakamura")
-    tilde = modified_bracket(inp, kill_map(inp, KillMode.COMPACT)).output
+    tilde = modified_bracket(inp, kill_map(inp, KillMode.COMPACT))
     inp2 = SplittingInput(tilde, inp.complement, inp.nilpotent_ideal)
     km2 = kill_map(inp2, KillMode.COMPACT)
     assert all(op.is_zero() for op in km2.operators)
-    assert modified_bracket(inp2, km2).output == tilde
+    assert modified_bracket(inp2, km2) == tilde
 
 
 def test_nakamura_betti_change():
@@ -145,28 +143,13 @@ def test_nakamura_betti_change():
     assert b_g[6] == b_t[6] == 1
 
 
-def test_selected_mode():
-    # two rotation blocks with different speeds; kill only the first
+def test_compact_kill_flattens_every_rotation_plane():
+    # two rotation blocks with different speeds: both planes are killed
     g = LieAlgebra(
         5, {(1, 2): {3: 1}, (1, 3): {2: -1}, (1, 4): {5: 2}, (1, 5): {4: -2}})
     inp = SplittingInput(g, Subspace.standard(5, (1,)),
                          Subspace.standard(5, (2, 3, 4, 5)))
-    comps = compact_components(inp)
-    assert len(comps[0]) == 2
-    km = kill_map(inp, KillMode.SELECTED, selection={1: (0,)})
-    out = modified_bracket(inp, km).output
-    killed = [(i, j) for (i, j), _ in g.nonzero_brackets()
-              if out.bracket_basis(i, j) != g.bracket_basis(i, j)]
-    # exactly one of the two rotation planes was flattened
-    assert out != g and out != LieAlgebra.abelian(5)
-    assert killed in ([(1, 2), (1, 3)], [(1, 4), (1, 5)])
-    # selecting both components reproduces the compact kill
-    km_all = kill_map(inp, KillMode.SELECTED, selection={1: (0, 1)})
-    assert modified_bracket(inp, km_all).output == \
-        modified_bracket(inp, kill_map(inp, KillMode.COMPACT)).output
-    # empty selection keeps the algebra
-    km_none = kill_map(inp, KillMode.SELECTED)
-    assert modified_bracket(inp, km_none).output == g
+    assert modified_bracket(inp, kill_map(inp, KillMode.COMPACT)) == LieAlgebra.abelian(5)
 
 
 def test_verify_kill_operators_error_paths():
@@ -179,38 +162,57 @@ def test_verify_kill_operators_error_paths():
         _verify_kill_operators(keeps_v, [], [basis_vector(2, 0)])
 
 
-def test_malcev_splitting_nilpotent_input_is_trivial():
-    inp = catalog_input("heisenberg3")
-    res = malcev_splitting(inp)
-    assert res.output.dim == 3
-    assert res.output == inp.algebra
-    assert res.identification == Matrix.identity(3)
+def _jordan_block(lam, size):
+    return Matrix.from_rows([[lam if j == i else 1 if j == i + 1 else 0
+                              for j in range(size)] for i in range(size)])
 
 
-def test_malcev_splitting_sol3():
-    inp = catalog_input("sol3")
-    res = malcev_splitting(inp)
-    assert res.output.dim == 4
-    # the V copy acts on the g copy by the semisimple part
-    out = res.output
-    assert out.bracket_basis(1, 3) == (0, 0, -1, 0)  # [A1, e2-copy] = -e2
-    assert out.bracket_basis(1, 4) == (0, 0, 0, 1)
-    # embedded algebra copy through the identification
-    g = inp.algebra
-    for p in range(3):
-        col = tuple(res.identification.column(p))
-        assert col == (0,) + tuple(basis_vector(3, p))
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+SPEED = st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=2)
 
 
-def test_malcev_splitting_nakamura():
-    inp = catalog_input("nakamura")
-    res = malcev_splitting(inp)
-    assert res.output.dim == 8
-    from solvco.lie import validate
+@st.composite
+def planted_derivations(draw):
+    """(D, N, C): D = U B U^-1 for a block sum B of rotations rot(a, b)
+    (b != 0), Jordan blocks of size 2 or 3 and scalars, U unimodular; N and
+    C are U (+) N_k U^-1 and U (+) rot(0, b) U^-1, the nilpotent and compact
+    parts of D read off the blocks."""
+    blocks = draw(st.lists(st.one_of(
+        st.tuples(st.just("rot"), SMALL, SPEED),
+        st.tuples(st.just("jordan"), SMALL, st.integers(2, 3)),
+        st.tuples(st.just("scalar"), SMALL)), min_size=1, max_size=3))
+    whole, nil, compact = [], [], []
+    for kind, x, *rest in blocks:
+        if kind == "rot":
+            whole.append(rotation_block(x, rest[0]))
+            nil.append(Matrix.zeros(2, 2))
+            compact.append(rotation_block(0, rest[0]))
+        elif kind == "jordan":
+            whole.append(_jordan_block(x, rest[0]))
+            nil.append(_jordan_block(0, rest[0]))
+            compact.append(Matrix.zeros(rest[0], rest[0]))
+        else:
+            whole.append(Matrix.from_rows([[x]]))
+            nil.append(Matrix.zeros(1, 1))
+            compact.append(Matrix.zeros(1, 1))
+    n = sum(b.rows for b in whole)
+    u = rand_unimodular(draw(st.randoms(use_true_random=False)), n)
+    u_inv = inverse(u)
+    return tuple(u * block_diag(*parts) * u_inv for parts in (whole, nil, compact))
 
-    validate(res.output)
-    # the embedded nilshadow is abelian R^6
-    assert nilshadow(inp).output == LieAlgebra.abelian(6)
+
+@settings(max_examples=30, deadline=None)
+@given(planted_derivations())
+def test_kills_of_planted_derivations_match_their_blocks(planted):
+    d, nil, compact = planted
+    n = d.rows
+    g = almost_abelian_algebra(d)
+    inp = SplittingInput(g, Subspace.standard(n + 1, (1,)),
+                         Subspace.standard(n + 1, range(2, n + 2)))
+    assert jordan_chevalley(d).nilpotent == nil
+    assert nilshadow(inp) == almost_abelian_algebra(nil)
+    assert modified_bracket(inp, kill_map(inp, KillMode.COMPACT)) == \
+        almost_abelian_algebra(d - compact)
 
 
 def test_random_derivation_algebras_nilshadow():
@@ -222,4 +224,4 @@ def test_random_derivation_algebras_nilshadow():
         n = g.dim
         inp = SplittingInput(g, Subspace.standard(n, (1,)),
                              Subspace.standard(n, range(2, n + 1)))
-        assert is_nilpotent(nilshadow(inp).output)
+        assert is_nilpotent(nilshadow(inp))
