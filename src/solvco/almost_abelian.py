@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Optional
 
@@ -34,8 +33,7 @@ from .matrices import Matrix, det, exterior_power, rank
 from .polynomials import (
     cyclotomic_factors,
     euler_totient,
-    is_totally_real,
-    sturm_real_root_count,
+    real_root_counter,
 )
 
 
@@ -94,6 +92,13 @@ class HolonomyInput:
         p = char_poly(self.holonomy)
         return p, tuple(cyclotomic_factors(p))
 
+    @functools.cached_property
+    def real_spectrum(self):
+        """(some eigenvalue of the holonomy is negative real, every one is
+        real and positive), from one Sturm chain, computed once per input."""
+        s, count = real_root_counter(self.spectrum[0])
+        return count(None, 0) > 0, count(0, None) == s.degree
+
 
 def almost_abelian_algebra(derivation: Matrix) -> LieAlgebra:
     """Lie algebra of R x| R^n: e_1 acts on the abelian span of e_2..e_{n+1}."""
@@ -147,7 +152,7 @@ def mostow_status(inp: HolonomyInput):
         return (MostowStatus.UNDETERMINED,
                 f"derivation spectrum has a non-real factor of degree >= 3 "
                 f"({rest}); rational representability of i*pi not decided")
-    p, cyclo = inp.spectrum
+    _, cyclo = inp.spectrum
     bad = [d for d, _ in cyclo if d >= 2]
     if bad:
         d = bad[0]
@@ -155,11 +160,12 @@ def mostow_status(inp: HolonomyInput):
                 f"holonomy has a primitive {d}-th root of unity eigenvalue "
                 f"(cyclotomic factor of order {d}); the derivation has a "
                 "conjugate pair with imaginary part a rational multiple of pi")
-    if sturm_real_root_count(p, None, Fraction(0)) > 0:
+    negative, positive = inp.real_spectrum
+    if negative:
         return (MostowStatus.FAILS,
                 "holonomy has a negative real eigenvalue r; the derivation has "
                 "eigenvalues log|r| +- i*pi, so i*pi = (v - conj(v))/2")
-    if is_totally_real(p, Fraction(0)):
+    if positive:
         return (MostowStatus.HOLDS,
                 "all holonomy eigenvalues are real and positive, so the "
                 "derivation has real spectrum and no rational combination "
@@ -247,12 +253,11 @@ def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
     Mostow status is HOLDS, and the report says so via de_rham_valid.
     """
     status, reason = mostow_status(inp)
-    p, cyclo = inp.spectrum
     try:
         order_m, cover_type = _cover(inp)
     except NotQuasiUnipotent:
         order_m = None
-        cover_type = (CoverType.COMPLETELY_SOLVABLE if is_totally_real(p, Fraction(0))
+        cover_type = (CoverType.COMPLETELY_SOLVABLE if inp.real_spectrum[1]
                       else CoverType.OTHER)
     ce = None
     if inp.derivation is not None:
@@ -262,7 +267,7 @@ def analyze(inp: HolonomyInput) -> AlmostAbelianReport:
         b1=betti[1],  # kappa_1 + kappa_0 = n + 1 - rank(B - id), as in b1_lattice
         mostow=status,
         mostow_reason=reason,
-        cyclotomic=cyclo,
+        cyclotomic=inp.spectrum[1],
         order_m=order_m,
         cover_type=cover_type,
         invariant_betti=betti,

@@ -27,8 +27,8 @@ from .polynomials import (
     integer_divisors,
     monic_integral,
     poly_extended_gcd,
+    real_root_counter,
     squarefree_part,
-    sturm_real_root_count,
 )
 
 
@@ -228,11 +228,12 @@ def rational_spectrum(p: Polynomial):
     division checked exact), and whether every root of rest is real; rest
     may keep non-real roots of degree >= 3.
 
-    The real roots of the squarefree part are counted once.  When all its
-    roots are real there is no quadratic to search for; otherwise the quads
-    have no real roots, so rest is real exactly when it holds them all."""
-    rest = squarefree_part(p)
-    real_roots = sturm_real_root_count(rest)
+    One remainder sequence gives the squarefree part and the count of its
+    real roots.  When all its roots are real there is no quadratic to
+    search for; otherwise the quads have no real roots, so rest is real
+    exactly when it holds them all."""
+    rest, count = real_root_counter(p)
+    real_roots = count()
     if real_roots == rest.degree:
         return [], rest, True
     quads = complex_quadratic_factors(rest)

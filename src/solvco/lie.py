@@ -9,8 +9,9 @@ holds by construction and only the Jacobi identity needs a check.
 The algebra keeps one table, `_terms`: the nonzero (k, c) terms of each
 bracket.  Every invariant expands over it only: the series, `restrict` and
 the ideal checks bracket sparse vectors (`_sparse_bracket`), and
-`ad_matrix`, the flag search's quotient operators and the traces of
-`is_unimodular` read the terms directly.
+`ad_matrix` and the traces of `is_unimodular` read the terms directly.
+The flag search runs inside [g, g], on the matrices of the ad(e_i)
+restricted to it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .matrices import (
     rank_and_kernel,
     rational,
 )
-from .polynomials import (
-    rational_roots,
-)
+from .polynomials import Polynomial, rational_roots
 
 
 class LieAlgebra:
@@ -333,24 +332,33 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
     return bracket_subspaces(g, full, full)
 
 
-def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace over its own basis.
+def _coordinates(s: Subspace):
+    """The map from a sparse ambient vector to its coordinates {a: c} over
+    s.basis, None when it leaves s.  The basis is eliminated once, as rows
+    [b_a | e_a]: a sum c_a b_a reduces to [0 | -c]."""
+    n = s.ambient_dim
+    ech = Echelon(n + s.dim)
+    for a, v in enumerate(s.basis):
+        ech.add({**_sparse(v), n + a: 1})
 
-    The basis is eliminated once, as rows [b_a | e_a]: a bracket sum c_a b_a
-    reduces to [0 | -c], and any other remainder leaves the subspace."""
-    n, d = g.dim, s.dim
+    def coordinates(v: dict):
+        r = ech.reduce(v)
+        return None if any(c < n for c in r) else {c - n: -x for c, x in r.items()}
+    return coordinates
+
+
+def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
+    """Structure constants of a bracket-closed subspace over its own basis."""
     basis = [_sparse(v) for v in s.basis]
-    ech = Echelon(n + d)
-    for a, v in enumerate(basis):
-        ech.add({**v, n + a: 1})
+    coordinates = _coordinates(s)
     brackets = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            r = ech.reduce(_sparse_bracket(g, basis[a], basis[b]))
-            if any(c < n for c in r):
+    for a in range(s.dim):
+        for b in range(a + 1, s.dim):
+            w = coordinates(_sparse_bracket(g, basis[a], basis[b]))
+            if w is None:
                 raise ValueError("subspace is not closed under the bracket")
-            brackets[(a + 1, b + 1)] = {c - n + 1: -x for c, x in r.items()}
-    return LieAlgebra(d, brackets)
+            brackets[(a + 1, b + 1)] = {k + 1: x for k, x in w.items()}
+    return LieAlgebra(s.dim, brackets)
 
 
 def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
@@ -375,39 +383,23 @@ class FlagCertificate:
     witness: Optional[tuple] = None        # (basis index, Polynomial with non-real roots)
 
 
-def _quotient_operators(g: LieAlgebra, ideal: Subspace):
-    """Representative indices and induced ad(e_i) matrices on g / ideal."""
-    pivots = set(ideal._echelon.pivots)
-    reps = [t for t in range(g.dim) if t not in pivots]
-
-    def column(i, t):  # [e_i, e_t] is a table lookup, reduced modulo the ideal
-        reduced = ideal._echelon.reduce(
-            {k - 1: c for k, c in g._terms.get((i + 1, t + 1), ())})
-        return [reduced.get(r, 0) for r in reps]
-
-    ops = [Matrix.from_columns([column(i, t) for t in reps]) for i in range(g.dim)]
-    return reps, ops
-
-
-def _common_rational_eigenvector(ops, dim_q, polys=None):
-    """DFS over rational eigenvalues for a vector fixed up to scale by all ops;
-    polys, when given, are the minimal polynomials of ops, in order."""
-    # each distinct operator's rational eigenspaces, once per call
-    spaces = {}
-    for idx, a in enumerate(ops):
-        if a not in spaces:
-            p = polys[idx] if polys else minimal_polynomial(a)
-            spaces[a] = [
-                Subspace.span(dim_q, rank_and_kernel(a - lam * Matrix.identity(dim_q))[1])
-                for lam in rational_roots(p)]
+def _common_rational_eigenvector(ops, dim_q):
+    """DFS over rational eigenvalues for a vector fixed up to scale by all
+    ops, (matrix, candidate eigenvalues) pairs; each eigenspace is computed
+    when the search first reaches it, and empty ones are skipped."""
+    eye, spaces = Matrix.identity(dim_q), {}
 
     def recurse(space: Subspace, idx: int):
         if space.is_zero():
             return None
         if idx == len(ops):
             return space.basis[0]
-        for eig in spaces[ops[idx]]:
-            found = recurse(space.intersect(eig), idx + 1)
+        a, roots = ops[idx]
+        for lam in roots:
+            if (idx, lam) not in spaces:
+                spaces[idx, lam] = Subspace.span(dim_q, rank_and_kernel(a - lam * eye)[1])
+            eig = spaces[idx, lam]
+            found = None if eig.is_zero() else recurse(space.intersect(eig), idx + 1)
             if found is not None:
                 return found
         return None
@@ -419,33 +411,55 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     """Certificate for the existence of a full flag of ideals.
 
     'yes' comes with the chain; 'no' comes with a basis operator whose
-    minimal polynomial has a non-real factor.  Both are sound for any
-    algebra: a complete rational flag of ideals makes g solvable, and it
-    forces rational eigenvalues on every ad(e_i).  Anything else is
-    'undetermined', e.g. irrational real weights; only that outcome needs
-    solvability, so only there is the derived series computed, raising
-    NotSolvable on an algebra that is not solvable.
+    minimal polynomial has a non-real factor; both are sound for any
+    algebra.  Every subspace containing c = [g, g] is an ideal, so the flag
+    is searched inside c.  ad(e_i) maps g into c and kills e_i, so x times
+    the minimal polynomial of its restriction A_i to c has the radical of
+    its own: one spectrum per operator gives the witness and every
+    eigenvalue the search tries on each c / I.  A rest that does not split
+    over Q rules a rational flag out.  That and a failed search give
+    'undetermined', the only outcome that needs solvability, so only there
+    is the derived series computed, raising NotSolvable on an algebra that
+    is not solvable.
     """
-    polys = []
-    for i in range(g.dim):
-        polys.append(minimal_polynomial(ad_matrix(g, basis_vector(g.dim, i))))
-        quads, rest, real = rational_spectrum(polys[-1])
-        if quads or not real:  # prefer a quadratic factor as the witness
-            return FlagCertificate(status="no", witness=(i + 1, quads[0] if quads else rest))
-    ideal = Subspace.zero(g.dim)
-    chain = [ideal]
-    while ideal.dim < g.dim:
-        reps, ops = _quotient_operators(g, ideal)
-        # on g / 0 the operators are the ad(e_i) whose polynomials are known
-        vec = _common_rational_eigenvector(ops, len(reps), polys if ideal.is_zero() else None)
+    n = g.dim
+    comm = derived_subalgebra(g)
+    m = comm.dim
+    coordinates = _coordinates(comm)
+    basis = [_sparse(v) for v in comm.basis]
+    roots, split = {}, True  # each distinct A_i with its rational eigenvalues
+    for i in range(n):
+        a = Matrix.from_columns([_dense(m, coordinates(_sparse_bracket(g, {i: 1}, b)))
+                                 for b in basis])
+        if a not in roots:
+            quads, rest, real = rational_spectrum(Polynomial.x() * minimal_polynomial(a))
+            if quads or not real:  # prefer a quadratic factor as the witness
+                return FlagCertificate(status="no", witness=(i + 1, quads[0] if quads else rest))
+            roots[a] = rational_roots(rest)
+            split = split and len(roots[a]) == rest.degree
+    ideal, lifts = Echelon(m), []  # the flag inside c, in c's coordinates
+    while split and ideal.dim < m:
+        reps = [t for t in range(m) if t not in ideal.pivots]
+        induced = {}  # the distinct operators on c / ideal; 0 fixes every vector
+        for a, lams in roots.items():
+            cols = [ideal.reduce(a.column(t)) for t in reps]
+            b = Matrix.from_columns([[col[r] for r in reps] for col in cols])
+            if not b.is_zero():
+                induced.setdefault(b, lams)
+        vec = _common_rational_eigenvector(list(induced.items()), len(reps))
         if vec is None:
-            if not is_solvable(g):
-                raise NotSolvable("flag search requires a solvable algebra")
-            return FlagCertificate(status="undetermined")
-        lift = {t: c for c, t in zip(vec, reps) if c}
-        ideal = Subspace.span(g.dim, [*ideal.basis, lift])
-        chain.append(ideal)
-    return FlagCertificate(status="yes", chain=tuple(chain))
+            break
+        lifts.append(_dense(m, {t: c for c, t in zip(vec, reps)}))
+        ideal.add(lifts[-1])
+    if ideal.dim < m:
+        if not is_solvable(g):
+            raise NotSolvable("flag search requires a solvable algebra")
+        return FlagCertificate(status="undetermined")
+    # in g; basis vectors complete c, and every subspace containing it is an ideal
+    vectors = ([*map(Matrix.from_columns(comm.basis).apply, lifts)]
+               + [{t: 1} for t in range(n) if t not in comm._echelon.pivots])
+    return FlagCertificate(status="yes", chain=tuple(
+        Subspace.span(n, vectors[:k]) for k in range(n + 1)))
 
 
 def _is_ideal(g: LieAlgebra, n: Subspace) -> bool:

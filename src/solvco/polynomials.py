@@ -210,6 +210,8 @@ def _squarefree_chain(p: Polynomial):
     if p.is_zero():
         raise ValueError("root count of the zero polynomial")
     chain = _sturm_chain(p)
+    if chain[-1].degree == 0:  # p is squarefree: a constant divides nothing
+        return chain
     return [q // chain[-1] for q in chain]
 
 
@@ -239,7 +241,7 @@ def _chain_signs_at_infinity(chain, positive: bool) -> int:
     return _variations(signs)
 
 
-def _root_count(chain, lower, upper) -> int:
+def _root_count(chain, lower=None, upper=None) -> int:
     if lower is not None and upper is not None and Fraction(lower) >= Fraction(upper):
         return 0
     va = (_chain_signs_at_infinity(chain, positive=False) if lower is None
@@ -259,6 +261,14 @@ def sturm_real_root_count(p: Polynomial, lower=None, upper=None) -> int:
     of the squarefree part, so multiple roots are counted once.
     """
     return _root_count(_squarefree_chain(p), lower, upper)
+
+
+def real_root_counter(p: Polynomial):
+    """(s, count): the squarefree part s of p, made monic, and
+    count(lower, upper), the `sturm_real_root_count` of p, all from one
+    remainder sequence."""
+    chain = _squarefree_chain(p)
+    return chain[0].monic(), functools.partial(_root_count, chain)
 
 
 def is_totally_real(p: Polynomial, lower=None) -> bool:

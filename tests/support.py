@@ -408,6 +408,16 @@ def oscillator4() -> LieAlgebra:
         4, {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {4: 1}})
 
 
+def filiform(n) -> LieAlgebra:
+    """The filiform algebra L_n: [e1, e_i] = e_(i+1) for 2 <= i < n."""
+    return LieAlgebra(n, {(1, i): {i + 1: 1} for i in range(2, n)})
+
+
+def heisenberg(k) -> LieAlgebra:
+    """The Heisenberg algebra of dimension 2k + 1: [e_i, e_(k+i)] = e_(2k+1)."""
+    return LieAlgebra(2 * k + 1, {(i, k + i): {2 * k + 1: 1} for i in range(1, k + 1)})
+
+
 def base_algebras():
     """Small valid algebras the randomized suites conjugate and perturb."""
     from solvco.catalog import catalog_get

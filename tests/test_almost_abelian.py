@@ -269,6 +269,25 @@ def test_almost_abelian_algebra_shape():
     assert g.bracket_basis(2, 3) == (0, 0, 0)
 
 
+def test_one_sturm_chain_per_holonomy(monkeypatch):
+    from solvco import polynomials
+
+    chains = []
+    squarefree_chain = polynomials._squarefree_chain
+    monkeypatch.setattr(polynomials, "_squarefree_chain",
+                        lambda p: chains.append(p) or squarefree_chain(p))
+    # not quasi-unipotent: Mostow and the cover type both ask about real roots
+    report = analyze(HolonomyInput(ANOSOV))
+    assert report.mostow is MostowStatus.HOLDS
+    assert report.cover_type is CoverType.COMPLETELY_SOLVABLE
+    assert len(chains) == 1
+    chains.clear()
+    assert mostow_status(HolonomyInput(JORDAN_MINUS1))[0] is MostowStatus.FAILS
+    assert len(chains) == 0  # a cyclotomic factor decides before any root count
+    assert analyze(HolonomyInput(Matrix.from_rows([[0, 1], [1, 3]]))).mostow is MostowStatus.FAILS
+    assert len(chains) == 1  # negative real eigenvalue (3 - sqrt 13) / 2
+
+
 def test_analyze_report_fields():
     rep = analyze(HolonomyInput(ORDER3))
     assert rep.b1 == 2

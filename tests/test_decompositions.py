@@ -269,9 +269,11 @@ def test_one_remainder_sequence_per_root_question(monkeypatch):
         chains.clear()
         question(p)
         assert len(chains) == 1
-    chains.clear()
-    assert rational_spectrum(p)[0] == [X * X + 1]
-    assert len(chains) <= 2
+    # the split reads the squarefree part and its real-root count off one chain
+    for q, quads in ((p, [X * X + 1]), ((X - 1) * (X - 1) * (X * X - 2), []), (X * p, [X * X + 1])):
+        chains.clear()
+        assert rational_spectrum(q)[0] == quads
+        assert len(chains) == 1
     # a totally real spectrum skips the quadratic search
     searches = []
     monkeypatch.setattr(decompositions, "complex_quadratic_factors",

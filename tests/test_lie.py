@@ -27,10 +27,18 @@ from solvco.lie import (
     validate,
     verify_nilpotent_complement,
 )
+from solvco.almost_abelian import almost_abelian_algebra
 from solvco.decompositions import minimal_polynomial
-from solvco.matrices import basis_vector
+from solvco.matrices import Matrix, basis_vector, inverse
 from solvco.polynomials import Polynomial
-from support import oscillator4, rand_unimodular, rand_valid_algebra
+from support import (
+    companion,
+    filiform,
+    oscillator4,
+    rand_invertible_rational,
+    rand_unimodular,
+    rand_valid_algebra,
+)
 
 X = Polynomial.x()
 
@@ -166,6 +174,61 @@ def test_flag_witness_needs_no_solvability():
     cert = completely_solvable_flag(so3)
     assert cert.status == "no"
     assert cert.witness == (1, X * X + 1)
+
+
+def test_flag_witness_keeps_the_zero_eigenvalue():
+    # D = companion(x^3 - 2) is invertible, so ad(e1) restricted to
+    # [g, g] = R^3 has no zero eigenvalue; ad(e1) on g kills e1, and its
+    # minimal polynomial x (x^3 - 2) has no rational quadratic factor
+    g = almost_abelian_algebra(companion((-2, 0, 0, 1)))
+    cert = completely_solvable_flag(g)
+    assert cert.status == "no"
+    assert cert.witness == (1, Polynomial.monomial(4) - 2 * X)
+
+
+def test_flag_tries_each_operator_at_its_own_eigenvalues():
+    # R^2 x| R^3 for two commuting derivations with different spectra, in a
+    # rational basis U: eigenvalues of one operator never fit the other
+    u = rand_invertible_rational(random.Random(3), 3)
+    d1, d2 = (u * Matrix.diagonal(w) * inverse(u) for w in ((1, 2, 3), (5, -1, 7)))
+    g = LieAlgebra(5, {(i, 2 + j): {2 + k: d[k - 1, j - 1] for k in (1, 2, 3)}
+                       for i, d in ((1, d1), (2, d2)) for j in (1, 2, 3)})
+    validate(g)
+    cert = completely_solvable_flag(g)
+    assert cert.status == "yes"
+    comm = derived_subalgebra(g)
+    assert all(comm.contains_subspace(s) for s in cert.chain[:4])
+    for member in cert.chain:
+        assert all(member.contains(g.bracket(basis_vector(5, i), w))
+                   for i in range(5) for w in member.basis)
+
+
+@pytest.mark.parametrize("name", ["sol3", "filiform6", "heisenberg3", "irrational"])
+def test_flag_search_takes_one_spectrum_per_basis_operator(monkeypatch, name):
+    # a search that takes the spectra again on every g / I makes 7
+    # minimal polynomials on sol3 and 20 on the 6-dimensional filiform algebra
+    from solvco import lie
+
+    g = {"sol3": catalog_get("sol3").algebra, "filiform6": filiform(6),
+         "heisenberg3": HEISENBERG,
+         "irrational": almost_abelian_algebra(companion((-2, 0, 1)))}[name]
+    calls, searches = [], []
+    for fn in ("minimal_polynomial", "rational_roots"):
+        def counted(p, fn=fn, original=getattr(lie, fn)):
+            assert not searches, f"{fn} inside the flag's step loop"
+            calls.append(fn)
+            return original(p)
+        monkeypatch.setattr(lie, fn, counted)
+    search = lie._common_rational_eigenvector
+    monkeypatch.setattr(lie, "_common_rational_eigenvector",
+                        lambda *args: searches.append(args) or search(*args))
+    cert = completely_solvable_flag(g)
+    assert calls.count("minimal_polynomial") <= g.dim
+    assert calls.count("rational_roots") <= g.dim
+    if name == "irrational":  # x^2 - 2 does not split: decided before any search
+        assert cert.status == "undetermined" and not searches
+    else:
+        assert cert.status == "yes" and searches
 
 
 def test_verify_nilpotent_complement_spec_examples():

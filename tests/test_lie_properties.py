@@ -8,6 +8,12 @@ Algebras are random valid algebras in a random integer basis
 (40+-bit structure constants over large denominators), drawn from a
 hypothesis-controlled random source; the module is skipped where
 hypothesis is not installed.
+
+The flag certificate is held to planted spectra: R x|_D Q^k with
+D = U (blocks) U^-1, the blocks rational scalars, Jordan blocks, x^2 - 2,
+negative-discriminant quadratics and x^3 - 2, whose rational eigenvalues
+decide the status; R^2 x| Q^k for two commuting derivations with
+different spectra; and nilpotent algebras in a random basis.
 """
 
 from fractions import Fraction
@@ -19,6 +25,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
+from solvco.decompositions import minimal_polynomial, rational_spectrum  # noqa: E402
 from solvco.files import parse_structure_file, structure_equations  # noqa: E402
 from solvco.lie import (  # noqa: E402
     LieAlgebra,
@@ -34,8 +42,19 @@ from solvco.lie import (  # noqa: E402
     lower_central_series,
     restrict,
 )
-from solvco.matrices import Matrix  # noqa: E402
-from support import SympyLie, rand_large_rational, rand_valid_algebra  # noqa: E402
+from solvco.matrices import Matrix, basis_vector, inverse  # noqa: E402
+from support import (  # noqa: E402
+    SympyLie,
+    block_diag,
+    companion,
+    filiform,
+    heisenberg,
+    rand_fraction,
+    rand_invertible_rational,
+    rand_large_rational,
+    rand_unimodular,
+    rand_valid_algebra,
+)
 
 
 @st.composite
@@ -157,13 +176,74 @@ def test_flag_chain_is_a_chain_of_sympy_ideals(rng):
     cert = completely_solvable_flag(g)
     if cert.status != "yes":
         return
+    check_flag_chain(g, cert)
+
+
+def check_flag_chain(g, cert):
+    """A 'yes' chain is nested, has dims 0..n and consists of sympy-checked
+    ideals, of which the first dim [g, g] + 1 lie in [g, g]."""
     oracle = SympyLie(g)
+    units = [oracle.unit(i) for i in range(g.dim)]
+    comm = oracle.bracket_span(units, units)
     assert [s.dim for s in cert.chain] == list(range(g.dim + 1))
     for lower, upper in zip(cert.chain, cert.chain[1:]):
         assert upper.contains_subspace(lower)
     for s in cert.chain:
-        assert all(oracle.contains(s.basis, oracle.bracket(oracle.unit(i), w))
-                   for i in range(g.dim) for w in s.basis)
+        assert all(oracle.contains(s.basis, oracle.bracket(u, w)) for u in units for w in s.basis)
+    for s in cert.chain[:len(comm) + 1]:
+        assert all(oracle.contains(comm, w) for w in s.basis)
+
+
+def jordan_block(lam, k):
+    return Matrix(k, k, [lam if i == j else int(j == i + 1) for i in range(k) for j in range(k)])
+
+
+# planted blocks: (kind, matrix); kinds other than 'rational' decide the status
+PLANTED = {
+    "scalar": lambda rng: ("rational", Matrix.diagonal([rand_fraction(rng)])),
+    "jordan": lambda rng: ("rational", jordan_block(rand_fraction(rng), rng.randint(2, 3))),
+    "irrational": lambda rng: ("irrational", companion((-2, 0, 1))),
+    "complex": lambda rng: ("complex", companion((rng.randint(1, 3), rng.randint(-1, 1), 1))),
+    "cubic": lambda rng: ("complex", companion((-2, 0, 0, 1))),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.sampled_from(sorted(PLANTED)), min_size=1, max_size=3))
+def test_flag_status_is_decided_by_the_planted_spectrum(rng, kinds):
+    blocks = [PLANTED[kind](rng) for kind in kinds]
+    found = {kind for kind, _ in blocks}
+    d = block_diag(*(b for _, b in blocks))
+    u = rand_invertible_rational(rng, d.rows)
+    g = almost_abelian_algebra(u * d * inverse(u))
+    cert = completely_solvable_flag(g)
+    want = ("no" if "complex" in found else "undetermined" if "irrational" in found
+            else "yes")
+    assert cert.status == want
+    if want == "no":
+        # only e1 acts semisimply; the witness is read off ad(e1) on all of g
+        quads, rest, _ = rational_spectrum(minimal_polynomial(ad_matrix(g, basis_vector(g.dim, 0))))
+        assert cert.witness == (1, quads[0] if quads else rest)
+    if want == "yes":
+        check_flag_chain(g, cert)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_flag_of_two_commuting_derivations_and_of_nilpotent_algebras(rng):
+    # R^2 x| Q^k: e1 and e2 act by U diag(w1) U^-1 and U diag(w2) U^-1
+    k = rng.randint(1, 4)
+    u = rand_invertible_rational(rng, k)
+    ds = [u * Matrix.diagonal([rand_fraction(rng) for _ in range(k)]) * inverse(u)
+          for _ in range(2)]
+    two = LieAlgebra(k + 2, {(i + 1, 2 + j): {2 + t: d[t - 1, j - 1] for t in range(1, k + 1)}
+                             for i, d in enumerate(ds) for j in range(1, k + 1)})
+    nilpotent = rng.choice([heisenberg(rng.randint(1, 2)), filiform(rng.randint(3, 6))])
+    for g in (two, conjugate(nilpotent, rand_unimodular(rng, nilpotent.dim))):
+        cert = completely_solvable_flag(g)
+        assert cert.status == "yes"
+        check_flag_chain(g, cert)
 
 
 @settings(max_examples=100, deadline=None)
