@@ -65,16 +65,15 @@ def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be non-negative, got {max_degree}")
-    n, D = g.dim, g.denominator
+    n = g.dim
     # D d e^gen = - sum D c[gen][a][b] e^{ab}: collect the nonzero terms
     # once per generator bit, each as (mask of {a, b}, mask of the indices
-    # strictly between a and b, D c scaled exactly to an int)
+    # strictly between a and b, -D c), D c the int term of the bracket table
     terms = {}
-    for (a, b), coeffs in g.nonzero_brackets():
+    for (a, b), row in g.integer_brackets():
         ab, between = (1 << (a - 1)) | (1 << (b - 1)), (1 << (b - 1)) - (1 << a)
-        for gen, c in coeffs.items():
-            terms.setdefault(1 << (gen - 1), []).append(
-                (ab, between, -c.numerator * (D // c.denominator)))
+        for gen, c in row:
+            terms.setdefault(1 << (gen - 1), []).append((ab, between, -c))
     d_of_generator = sorted(terms.items())
     top = n if max_degree is None else min(max_degree, n)
     out = []

@@ -27,6 +27,7 @@ from .polynomials import (
     integer_divisors,
     monic_integral,
     poly_extended_gcd,
+    pseudo_divmod,
     real_root_counter,
     squarefree_part,
 )
@@ -188,23 +189,22 @@ def complex_quadratic_factors(p: Polynomial):
     of p.  Integer candidates x^2 - B x + C come from the divisors of P's
     constant term (after a root at zero is divided out) and of P(t), t the
     least positive integer with P(t) != 0 (any factor q satisfies
-    q(t) | P(t)); each candidate is verified by exact division, so the
-    search is complete and sound.
+    q(t) | P(t)); each candidate is verified by exact division in ints, so
+    the search is complete and sound.
     """
     if p.is_zero() or p.leading() != 1:
         raise ValueError("expected a monic polynomial")
-    q, den = monic_integral(p)
-    if q.coeffs[0] == 0:  # squarefree, so at most one root at zero
-        q = q // Polynomial.x()
-    if q.degree < 2:
+    big_p, den = monic_integral(p)
+    q = [c.numerator for c in big_p.coeffs]
+    q = q[1:] if q[0] == 0 else q  # squarefree, so at most one root at zero
+    if len(q) < 3:
         return []
-    c0 = int(q.coeffs[0])
     t = 1
-    while q(t) == 0:
+    while not (q_t := sum(c * t**i for i, c in enumerate(q))):
         t += 1
-    deltas = integer_divisors(int(q(t)))
+    deltas = integer_divisors(q_t)
     found = []
-    for big_c in integer_divisors(c0):
+    for big_c in integer_divisors(q[0]):
         for delta_abs in deltas:
             for delta in (delta_abs, -delta_abs):
                 num = t * t + big_c - delta
@@ -213,13 +213,11 @@ def complex_quadratic_factors(p: Polynomial):
                 big_b = num // t
                 if big_b * big_b >= 4 * big_c:
                     continue
-                cand = Polynomial((big_c, -big_b, 1))
-                if cand in found:
-                    continue
-                if cand.divides(q):
+                cand = [big_c, -big_b, 1]
+                if cand not in found and not pseudo_divmod(q, cand)[1]:
                     found.append(cand)
-    found.sort(key=lambda f: (f.coeffs[1], f.coeffs[0]))
-    return [Polynomial((f.coeffs[0] / den**2, f.coeffs[1] / den, 1)) for f in found]
+    found.sort(key=lambda f: (f[1], f[0]))
+    return [Polynomial((Fraction(c, den**2), Fraction(b, den), 1)) for c, b, _ in found]
 
 
 def rational_spectrum(p: Polynomial):

@@ -6,12 +6,13 @@ in structure files.  An algebra is built from its nonzero brackets only,
 in [e_i, e_j]; the (j, i) brackets follow by antisymmetry, so antisymmetry
 holds by construction and only the Jacobi identity needs a check.
 
-The algebra keeps one table, `_terms`: the nonzero (k, c) terms of each
-bracket.  Every invariant expands over it only: the series, `restrict` and
-the ideal checks bracket sparse vectors (`_sparse_bracket`), and
-`ad_matrix` and the traces of `is_unimodular` read the terms directly.
-The flag search runs inside [g, g], on the matrices of the ad(e_i)
-restricted to it.
+The algebra keeps one table, `_terms`: the nonzero terms (k, D * c) of
+each bracket, as ints over one denominator D.  Every invariant expands
+over it only: the series, `restrict` and the ideal checks bracket the
+integer rows of spans (`_sparse_bracket`, D times the bracket), and
+`ad_matrix`, the Jacobi sums and the traces of `is_unimodular` read the
+terms directly; `Fraction`s appear only in what a reader returns.  The
+flag search runs inside [g, g], on the matrices of the ad(e_i) on it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .matrices import (
     Echelon,
     Matrix,
     basis_vector,
+    clear_denominators,
     inverse,
     rank_and_kernel,
     rational,
@@ -49,8 +51,8 @@ class LieAlgebra:
         coefficients are dropped and zero brackets may be omitted.
 
         The one table `_terms` keeps each nonzero bracket as its nonzero
-        (k, c) terms in ascending k, under both (i, j) and (j, i), so
-        bracket sums skip zero coefficients.  `denominator` is the least
+        (k, D * c) int terms in ascending k, under both (i, j) and (j, i),
+        so bracket sums skip zero coefficients; `denominator` is the least
         D >= 1 with every D * c an integer."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -66,11 +68,13 @@ class LieAlgebra:
                 if c:
                     row.append((k, c))
             if row:
-                terms[(i, j)] = tuple(row)
-                terms[(j, i)] = tuple((k, -c) for k, c in row)
+                terms[(i, j)] = row
+                terms[(j, i)] = [(k, -c) for k, c in row]
+        D = lcm(*[c.denominator for row in terms.values() for _, c in row])
+        terms = {ij: tuple((k, c.numerator * (D // c.denominator)) for k, c in row)
+                 for ij, row in terms.items()}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "denominator",
-                           lcm(*[c.denominator for row in terms.values() for _, c in row]))
+        object.__setattr__(self, "denominator", D)
         object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
@@ -85,27 +89,35 @@ class LieAlgebra:
 
     def structure_constant(self, k: int, i: int, j: int) -> Fraction:
         """c[k][i][j]: coefficient of e_k in [e_i, e_j]."""
-        return dict(self._terms.get((i, j), ())).get(k, Fraction(0))
+        return Fraction(dict(self._terms.get((i, j), ())).get(k, 0), self.denominator)
 
     def bracket_basis(self, i: int, j: int):
         """[e_i, e_j] as a coefficient vector."""
-        return _dense(self.dim, {k - 1: c for k, c in self._terms.get((i, j), ())})
+        D = self.denominator
+        return _dense(self.dim, {k - 1: Fraction(x, D) for k, x in self._terms.get((i, j), ())})
 
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
-        return _dense(self.dim, _sparse_bracket(self, _sparse(x), _sparse(y)))
+        out = _sparse_bracket(self, _sparse(x), _sparse(y))
+        return _dense(self.dim, {t: Fraction(c, self.denominator) for t, c in out.items()})
+
+    def integer_brackets(self):
+        """Sorted list of ((i, j), ((k, D * c), ...)) with i < j, D =
+        `denominator`: the nonzero int terms of each bracket, ascending k."""
+        return [(ij, row) for ij, row in sorted(self._terms.items()) if ij[0] < ij[1]]
 
     def nonzero_brackets(self):
-        """Sorted list of ((i, j), {k: c}) with i < j, one per nonzero
-        bracket, holding its nonzero coefficients in ascending k."""
-        return [((i, j), dict(row)) for (i, j), row in sorted(self._terms.items()) if i < j]
+        """`integer_brackets` divided by D: ((i, j), {k: c}) in the same
+        order, with the nonzero coefficients in ascending k."""
+        D = self.denominator
+        return [(ij, {k: Fraction(x, D) for k, x in row}) for ij, row in self.integer_brackets()]
 
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self._terms == other._terms)
+                and self.denominator == other.denominator and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash((self.dim, self.denominator, frozenset(self._terms.items())))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self._terms) // 2})"
@@ -125,8 +137,9 @@ def _dense(n: int, v: dict) -> tuple:
 
 
 def _sparse_bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
-    """[x, y] of sparse vectors, summed over the nonzero bracket terms of
-    the pairs in their supports; entries that cancel are kept as zeros."""
+    """D [x, y] of sparse vectors, D = g.denominator, summed over the
+    nonzero int bracket terms of the pairs in their supports (ints for
+    int vectors); entries that cancel are kept as zeros."""
     terms = g._terms
     out = {}
     for i, xi in x.items():
@@ -143,7 +156,8 @@ def jacobi_violation(g: LieAlgebra):
     """First triple (i, j, k) violating Jacobi, with its residual, or None.
 
     The residual [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
-    is summed over the nonzero bracket terms only."""
+    is summed in ints over the nonzero bracket terms only, as D^2 times
+    itself, and divided by D^2 only for the returned witness."""
     terms = g._terms
     for i in range(1, g.dim + 1):
         for j in range(i + 1, g.dim + 1):
@@ -154,7 +168,8 @@ def jacobi_violation(g: LieAlgebra):
                         for r, y in terms.get((m, c), ()):
                             res[r] = res.get(r, 0) + x * y
                 if any(res.values()):
-                    return (i, j, k), _dense(g.dim, {r - 1: v for r, v in res.items()})
+                    return (i, j, k), _dense(g.dim, {r - 1: Fraction(v, g.denominator ** 2)
+                                                     for r, v in res.items()})
     return None
 
 
@@ -168,28 +183,27 @@ def validate(g: LieAlgebra) -> None:
 
 def ad_matrix(g: LieAlgebra, x) -> Matrix:
     """Matrix of y -> [x, y]: entry (k, j) sums x_i c[k][i][j] over the terms,
-    accumulated in ints as the numerators of x_i * D * c[k][i][j] over the
-    common denominator s * D of the x_i and the constants."""
+    accumulated in ints as s x_i times the int terms D c[k][i][j], over
+    s * D, s the common denominator of the x_i."""
     n = g.dim
     if len(x) != n:
         raise ValueError("vector length must equal dim")
-    x = [rational(xi) for xi in x]
-    s = lcm(*[xi.denominator for xi in x])
-    D = g.denominator
+    X, s = clear_denominators(x)
     num = [0] * (n * n)
     for (i, j), terms in g._terms.items():
-        xi = x[i - 1]
+        xi = X.get(i - 1)
         if xi:
-            xi = xi.numerator * (s // xi.denominator)
             for k, c in terms:
-                num[(k - 1) * n + j - 1] += xi * c.numerator * (D // c.denominator)
-    return Matrix.from_numerators(n, n, num, s * D)
+                num[(k - 1) * n + j - 1] += xi * c
+    return Matrix.from_numerators(n, n, num, s * g.denominator)
 
 
 class Subspace:
-    """Subspace of the ambient coordinate space, given by an independent basis."""
+    """Subspace of the ambient coordinate space, given by an independent
+    basis, and held as the integer rows of an `Echelon`; `span` leaves the
+    rational reduced rows that are its `basis` to be built on first read."""
 
-    __slots__ = ("ambient_dim", "basis", "_echelon")
+    __slots__ = ("ambient_dim", "_basis", "_echelon")
 
     def __init__(self, ambient_dim: int, basis):
         basis = tuple(tuple(rational(c) for c in v) for v in basis)
@@ -201,9 +215,9 @@ class Subspace:
                 raise ValueError("basis vectors are linearly dependent")
         self._set(ambient_dim, basis, ech)
 
-    def _set(self, ambient_dim: int, basis: tuple, ech: Echelon) -> None:
+    def _set(self, ambient_dim: int, basis, ech: Echelon) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_echelon", ech)
 
     def __setattr__(self, name, value):
@@ -229,7 +243,7 @@ class Subspace:
             ech.add(v)
         # the echelon rows are independent by construction: no second check
         space = cls.__new__(cls)
-        space._set(ambient_dim, tuple(ech.rows), ech)
+        space._set(ambient_dim, None, ech)
         return space
 
     @classmethod
@@ -238,20 +252,27 @@ class Subspace:
         return cls(ambient_dim, [basis_vector(ambient_dim, i - 1) for i in sorted(indices)])
 
     @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            object.__setattr__(self, "_basis", tuple(self._echelon.rows))
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._echelon.dim
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._echelon.dim
 
     def contains(self, v) -> bool:
         return self._echelon.contains(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(self.contains(v) for v in other._echelon.rows_from(0))
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.ambient_dim, self.basis + other.basis)
+        return Subspace.span(self.ambient_dim,
+                             self._echelon.rows_from(0) + other._echelon.rows_from(0))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the rows (u | u), u in self, and (v | 0), v in other,
@@ -259,9 +280,9 @@ class Subspace:
         the intersection, spanned by the echelon rows with pivot >= n."""
         n = self.ambient_dim
         ech = Echelon(2 * n)
-        for u in self.basis:
-            ech.add(u + u)
-        for v in other.basis:
+        for u in self._echelon.rows_from(0):
+            ech.add({**u, **{c + n: x for c, x in u.items()}})
+        for v in other._echelon.rows_from(0):
             ech.add(v)
         return Subspace.span(n, ech.rows_from(n))
 
@@ -280,10 +301,10 @@ class Subspace:
 
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of all pairwise brackets of basis vectors of a and b; for
-    [a, a] the pairs s < t suffice by antisymmetry."""
-    xs = [_sparse(u) for u in a.basis]
-    ys = xs if b is a else [_sparse(v) for v in b.basis]
+    """Span of all pairwise brackets of the integer rows spanning a and b;
+    for [a, a] the pairs s < t suffice by antisymmetry."""
+    xs = a._echelon.rows_from(0)
+    ys = xs if b is a else b._echelon.rows_from(0)
     return Subspace.span(g.dim, (_sparse_bracket(g, x, y) for s, x in enumerate(xs)
                                  for y in (ys[s + 1:] if b is a else ys)))
 
@@ -357,7 +378,7 @@ def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
             w = coordinates(_sparse_bracket(g, basis[a], basis[b]))
             if w is None:
                 raise ValueError("subspace is not closed under the bracket")
-            brackets[(a + 1, b + 1)] = {k + 1: x for k, x in w.items()}
+            brackets[(a + 1, b + 1)] = {k + 1: x / g.denominator for k, x in w.items()}
     return LieAlgebra(s.dim, brackets)
 
 
@@ -418,19 +439,24 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     its own: one spectrum per operator gives the witness and every
     eigenvalue the search tries on each c / I.  A rest that does not split
     over Q rules a rational flag out.  That and a failed search give
-    'undetermined', the only outcome that needs solvability, so only there
-    is the derived series computed, raising NotSolvable on an algebra that
-    is not solvable.
+    'undetermined', the only outcome that needs solvability, read off the
+    A_i by Cartan's criterion: g is solvable iff tr(ad x ad y) = 0 for x in
+    g and y in c, and as ad x ad y maps g into c, that is tr(A_x (ad y on
+    c)).  An algebra that is not solvable raises NotSolvable there.
     """
     n = g.dim
     comm = derived_subalgebra(g)
     m = comm.dim
     coordinates = _coordinates(comm)
     basis = [_sparse(v) for v in comm.basis]
+
+    def on_comm(x):  # ad(x) restricted to c, in the coordinates of comm.basis
+        return Fraction(1, g.denominator) * Matrix.from_columns(
+            [_dense(m, coordinates(_sparse_bracket(g, x, b))) for b in basis])
+
     roots, split = {}, True  # each distinct A_i with its rational eigenvalues
     for i in range(n):
-        a = Matrix.from_columns([_dense(m, coordinates(_sparse_bracket(g, {i: 1}, b)))
-                                 for b in basis])
+        a = on_comm({i: 1})
         if a not in roots:
             quads, rest, real = rational_spectrum(Polynomial.x() * minimal_polynomial(a))
             if quads or not real:  # prefer a quadratic factor as the witness
@@ -451,8 +477,9 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
             break
         lifts.append(_dense(m, {t: c for c, t in zip(vec, reps)}))
         ideal.add(lifts[-1])
-    if ideal.dim < m:
-        if not is_solvable(g):
+    if ideal.dim < m:  # Cartan's criterion on every distinct A_i
+        if any(sum((a * y)[t, t] for t in range(m))
+               for y in map(on_comm, basis) for a in roots):
             raise NotSolvable("flag search requires a solvable algebra")
         return FlagCertificate(status="undetermined")
     # in g; basis vectors complete c, and every subspace containing it is an ideal
@@ -463,8 +490,9 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
 
 
 def _is_ideal(g: LieAlgebra, n: Subspace) -> bool:
-    """[g, n] lies in n, checked on the sparse brackets [e_i, w]."""
-    ns = [_sparse(w) for w in n.basis]
+    """[g, n] lies in n, checked on the sparse brackets [e_i, w], w the
+    integer rows spanning n."""
+    ns = n._echelon.rows_from(0)
     return all(n.contains(_sparse_bracket(g, {i: 1}, w)) for i in range(g.dim) for w in ns)
 
 

@@ -26,7 +26,7 @@ def rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _integral(v):
+def clear_denominators(v):
     """(V, s) with v = V / s: V the nonzero entries of the dense or
     sparse vector v as a {column: int} dict, s >= 1 their least common
     denominator, so s and the entries of V have no common factor.  Ints
@@ -70,7 +70,7 @@ class Matrix:
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        V, den = _integral(entries)  # in lowest terms already
+        V, den = clear_denominators(entries)  # in lowest terms already
         num = [0] * len(entries)
         for c, x in V.items():
             num[c] = x
@@ -222,7 +222,7 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        V, s = _integral(v)
+        V, s = clear_denominators(v)
         den = self._den * s
         return tuple(Fraction(sum(r[c] * x for c, x in V.items()), den)
                      for r in self.numerator_rows())
@@ -384,7 +384,7 @@ class Echelon:
         entry of row p at p, f = V[p] and g = gcd(a, f), V <- (a/g) V -
         (f/g) row and s <- (a/g) s.  A row is zero before its pivot, so it
         can fill in only later pivot columns, which join the heap."""
-        V, s = _integral(v)
+        V, s = clear_denominators(v)
         piv, tails = self._piv, self._tails
         heap = [p for p in V if p in piv]
         heapq.heapify(heap)

@@ -1,19 +1,22 @@
 """Exact univariate polynomials over the rationals.
 
-Coefficients are stored lowest degree first.  Provides exact division and
-the extended gcd; one remainder sequence per polynomial, the Sturm chain,
-gives both its squarefree part and its real root count on any rational
-interval.  Rational roots are the integer roots of the monic integral form
-`monic_integral`, and cyclotomic factors are detected by trial division.
+Coefficients are stored lowest degree first.  `Polynomial` provides exact
+division and the extended gcd; one remainder sequence per polynomial, the
+Sturm chain, gives both its squarefree part and its real root count on any
+rational interval.  It runs on primitive int coefficient lists through one
+sign-safe pseudo-remainder kernel, `pseudo_divmod`, which also divides by
+the monic cyclotomic and quadratic candidates.  Rational roots are the
+integer roots of the monic integral form `monic_integral`.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CheckFailed
+from .matrices import clear_denominators
 
 
 class Polynomial:
@@ -114,9 +117,6 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero()
-
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -184,72 +184,87 @@ def poly_extended_gcd(a: Polynomial, b: Polynomial):
     return r0.monic(), inv * s0, inv * t0
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _primitive(coeffs) -> list:
+    """The primitive int coefficient list that is a positive multiple of
+    the given ints or Fractions."""
+    ints, _ = clear_denominators(coeffs)
+    g = gcd(*ints.values()) or 1
+    return [ints.get(i, 0) // g for i in range(len(coeffs))]
+
+
+def pseudo_divmod(a: list, b: list):
+    """(q, r) with |l|^k a = q b + r, deg r < deg b, for int coefficient
+    lists (b nonzero with lead l, k the number of steps): each step scales
+    by |l|, never by a sign, so q and r are positive multiples of the
+    rational quotient and remainder, and equal to them for monic b."""
+    r, d, m = list(a), len(b) - 1, abs(b[-1])
+    q = [0] * max(0, len(r) - d)
+    while len(r) > d:
+        shift, f = len(r) - 1 - d, r[-1] if b[-1] > 0 else -r[-1]
+        if m != 1:
+            r, q = [m * c for c in r], [m * c for c in q]
+        q[shift] = f
+        for i, c in enumerate(b):
+            r[shift + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def _value(c: list, a: int, b: int) -> int:
+    """The homogenised value sum c_i a^i b^(n - i), n = deg c: b^n c(a / b),
+    with the sign of c(a / b) for b > 0."""
+    acc, power = 0, 1
+    for x in reversed(c):
+        acc, power = acc * a + x * power, power * b
+    return acc
 
 
 def _sturm_chain(p: Polynomial):
-    """The remainder sequence p, p', -rem, ...; its last element is
-    gcd(p, p') up to a constant.  The only Euclidean loop besides
-    `poly_extended_gcd`."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero()]
+    """The remainder sequence p, p', -rem, ... as primitive int lists, each
+    a positive multiple of the rational element, so of the same signs; its
+    last element is gcd(p, p') up to a constant.  The only Euclidean loop
+    besides `poly_extended_gcd`."""
+    chain = [_primitive(p.coeffs)]
+    rem = [-i * c for i, c in enumerate(chain[0]) if i]
+    while rem:
+        chain.append(_primitive([-c for c in rem]))
+        rem = pseudo_divmod(chain[-2], chain[-1])[1] if len(chain[-1]) > 1 else []
+    return chain
 
 
 def _squarefree_chain(p: Polynomial):
-    """`_sturm_chain(p)` divided elementwise by its last element: a Sturm
-    chain of the squarefree part of p, which is its first element.
-    Consecutive elements are coprime and every division is exact, so it
-    counts the distinct roots of p, also at endpoints that are multiple
-    roots."""
+    """`_sturm_chain(p)` divided elementwise by its last element, each again
+    a primitive positive multiple: a Sturm chain of the squarefree part of
+    p, its first element.  Consecutive elements are coprime and every
+    division is exact, so it counts the distinct roots of p, also at
+    endpoints that are multiple roots."""
     if p.is_zero():
         raise ValueError("root count of the zero polynomial")
     chain = _sturm_chain(p)
-    if chain[-1].degree == 0:  # p is squarefree: a constant divides nothing
+    if len(chain[-1]) == 1:  # p is squarefree: a constant divides nothing
         return chain
-    return [q // chain[-1] for q in chain]
+    return [_primitive(pseudo_divmod(q, chain[-1])[0]) for q in chain]
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic; the radical of p up to a constant."""
-    if p.is_zero():
-        return p
-    return (p // _sturm_chain(p)[-1]).monic()
+    return p if p.is_zero() else real_root_counter(p)[0]
 
 
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _chain_signs_at(chain, x) -> int:
-    return _variations([_sign(q(x)) for q in chain])
-
-
-def _chain_signs_at_infinity(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = _sign(q.leading())
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
+def _chain_signs_at(chain, a: int, b: int) -> int:
+    """Sign variations at a / b, b > 0; (-1, 0) and (1, 0) stand for -oo, +oo."""
+    values = [v for v in (_value(q, a, b) for q in chain) if v]
+    return sum(1 for v, w in zip(values, values[1:]) if (v > 0) != (w > 0))
 
 
 def _root_count(chain, lower=None, upper=None) -> int:
-    if lower is not None and upper is not None and Fraction(lower) >= Fraction(upper):
+    lo = (-1, 0) if lower is None else Fraction(lower).as_integer_ratio()
+    hi = (1, 0) if upper is None else Fraction(upper).as_integer_ratio()
+    if lower is not None and upper is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
         return 0
-    va = (_chain_signs_at_infinity(chain, positive=False) if lower is None
-          else _chain_signs_at(chain, Fraction(lower)))
-    vb = (_chain_signs_at_infinity(chain, positive=True) if upper is None
-          else _chain_signs_at(chain, Fraction(upper)))
-    count = va - vb  # roots in the half-open interval (lower, upper]
-    if upper is not None and chain[0](Fraction(upper)) == 0:
+    count = _chain_signs_at(chain, *lo) - _chain_signs_at(chain, *hi)  # on (lower, upper]
+    if _value(chain[0], *hi) == 0:  # never at infinity, where it is the lead
         count -= 1
     return count
 
@@ -268,7 +283,7 @@ def real_root_counter(p: Polynomial):
     count(lower, upper), the `sturm_real_root_count` of p, all from one
     remainder sequence."""
     chain = _squarefree_chain(p)
-    return chain[0].monic(), functools.partial(_root_count, chain)
+    return Polynomial(chain[0]).monic(), functools.partial(_root_count, chain)
 
 
 def is_totally_real(p: Polynomial, lower=None) -> bool:
@@ -276,7 +291,7 @@ def is_totally_real(p: Polynomial, lower=None) -> bool:
     greater than lower (None stands for minus infinity, as in
     `sturm_real_root_count`)."""
     chain = _squarefree_chain(p)
-    return _root_count(chain, lower, None) == chain[0].degree
+    return _root_count(chain, lower, None) == len(chain[0]) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,22 +332,21 @@ def cyclotomic_factors(p: Polynomial):
     if p.is_zero():
         raise ValueError("zero polynomial")
     deg = p.degree
+    ints = _primitive(p.coeffs)
     found = []
-    d = 1
-    while d <= max(2 * deg * deg, 1):
+    for d in range(1, max(2 * deg * deg, 1) + 1):
         if euler_totient(d) <= deg:
-            phi = cyclotomic(d)
+            phi = [c.numerator for c in cyclotomic(d).coeffs]
             mult = 0
-            current = p
-            while current.degree >= phi.degree:
-                q, r = divmod(current, phi)
-                if not r.is_zero():
+            current = ints
+            while len(current) >= len(phi):
+                q, r = pseudo_divmod(current, phi)
+                if r:
                     break
                 mult += 1
                 current = q
             if mult:
                 found.append((d, mult))
-        d += 1
     return found
 
 

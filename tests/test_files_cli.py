@@ -331,6 +331,14 @@ def test_cli_info_reads_the_derived_series_once(tmp_path, monkeypatch):
     assert code == 0
     assert "completely-solvable yes" in text
     assert len(calls) == 1
+    # weights +-sqrt(2): the flag is undetermined, and its solvability guard
+    # reads Cartan's criterion off the operators it has, not a second series
+    calls.clear()
+    src.write_text("dim 3\nd e2 = 1 e1^e3\nd e3 = 2 e1^e2\n")
+    code, text = run_command(["info", str(src)])
+    assert code == 2
+    assert "completely-solvable undetermined" in text
+    assert len(calls) == 1
 
 
 def test_cli_catalog():

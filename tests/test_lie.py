@@ -312,3 +312,45 @@ def test_subspace_operations():
     assert join.dim == 3
     with pytest.raises(ValueError):
         Subspace(2, [(1, 0), (2, 0)])  # dependent basis
+
+
+def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
+    # the bracket table is ints over its denominator (here 12), spans keep
+    # integer echelon rows and the Sturm chain is in primitive ints, so the
+    # Jacobi check, both series and every squarefree chain that the flag
+    # search takes build no Fraction; a remainder sequence in Fractions
+    # and series over rational bases build hundreds
+    from solvco import polynomials
+
+    g = conjugate(filiform(7), rand_invertible_rational(random.Random(3), 7))
+    assert g.denominator == 12
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    def built(f, *args):
+        made.clear()
+        f(*args)
+        return len(made)
+
+    chains = []
+    squarefree_chain = polynomials._squarefree_chain
+
+    def counted_chain(p):
+        before = len(made)
+        out = squarefree_chain(p)
+        chains.append(len(made) - before)
+        return out
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(polynomials, "_squarefree_chain", counted_chain)
+    assert built(validate, g) == 0
+    assert built(lower_central_series, g) == 0
+    assert built(derived_series, g) == 0
+    assert completely_solvable_flag(g).status == "yes"
+    assert chains and sum(chains) == 0
+    p = minimal_polynomial(ad_matrix(g, (1, 2, 0, -1, 3, 0, 1)))
+    assert built(polynomials._squarefree_chain, p * p) == 0

@@ -4,10 +4,16 @@ structure constants, of `Subspace.intersect` against sympy's nullspace, and
 of the round trips through a structure file and through the bracket table.
 
 Algebras are random valid algebras in a random integer basis
-(`rand_valid_algebra`), half of them conjugated by `rand_large_rational`
-(40+-bit structure constants over large denominators), drawn from a
-hypothesis-controlled random source; the module is skipped where
-hypothesis is not installed.
+(`rand_valid_algebra`), two in three of them conjugated by
+`rand_invertible_rational` or `rand_large_rational` (40+-bit structure
+constants over large denominators), drawn from a hypothesis-controlled
+random source; the module is skipped where hypothesis is not installed.
+
+The integer bracket table (ints over `denominator`) is held to the
+constants it was built from: random tables with large, mostly coprime
+denominators, read back through every reader; the Jacobi residual of a
+planted violation is held to the dense reference
+`support.dense_jacobi_violation`.
 
 The flag certificate is held to planted spectra: R x|_D Q^k with
 D = U (blocks) U^-1, the blocks rational scalars, Jordan blocks, x^2 - 2,
@@ -17,6 +23,7 @@ different spectra; and nilpotent algebras in a random basis.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -27,6 +34,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
 from solvco.decompositions import minimal_polynomial, rational_spectrum  # noqa: E402
+from solvco.errors import NotSolvable  # noqa: E402
 from solvco.files import parse_structure_file, structure_equations  # noqa: E402
 from solvco.lie import (  # noqa: E402
     LieAlgebra,
@@ -39,14 +47,17 @@ from solvco.lie import (  # noqa: E402
     derived_subalgebra,
     is_solvable,
     is_unimodular,
+    jacobi_violation,
     lower_central_series,
     restrict,
+    validate,
 )
 from solvco.matrices import Matrix, basis_vector, inverse  # noqa: E402
 from support import (  # noqa: E402
     SympyLie,
     block_diag,
     companion,
+    dense_jacobi_violation,
     filiform,
     heisenberg,
     rand_fraction,
@@ -59,12 +70,13 @@ from support import (  # noqa: E402
 
 @st.composite
 def algebras(draw, max_dim=5):
-    """(algebra, random source): valid, or valid in a large-rational basis."""
+    """(algebra, random source): valid, in a random integer basis or
+    conjugated by a rational matrix with small or large entries (then its
+    constants almost always have a denominator D > 1)."""
     rng = draw(st.randoms(use_true_random=False))
     g = rand_valid_algebra(rng, max_dim)
-    if draw(st.booleans()):
-        g = conjugate(g, rand_large_rational(rng, g.dim))
-    return g, rng
+    change = draw(st.sampled_from([None, rand_invertible_rational, rand_large_rational]))
+    return (g if change is None else conjugate(g, change(rng, g.dim))), rng
 
 
 def rand_vector(rng, n):
@@ -269,3 +281,107 @@ def test_intersect_is_the_span_of_sympy_intersection(rng):
     # a basis given as is, not in echelon form, meets v in the same space
     scaled = Subspace(n, [tuple(x * (t + 2) for x in b) for t, b in enumerate(u.basis)])
     assert scaled.intersect(v).basis == got.basis
+
+
+def large_fraction(rng):
+    """A nonzero rational with a ~40-bit numerator over a denominator up
+    to 10^6, so denominators of different constants are mostly coprime."""
+    return Fraction(rng.choice((1, -1)) * rng.randrange(1, 2**40), rng.randrange(1, 10**6))
+
+
+@st.composite
+def bracket_tables(draw, max_dim=6):
+    """(dim, brackets, random source): a random table of i < j brackets
+    with large-denominator constants and some explicit zeros; the table
+    itself needs no Jacobi identity."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(1, max_dim)
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.6:
+                brackets[(i, j)] = {k: rng.choice((0, large_fraction(rng), large_fraction(rng)))
+                                    for k in rng.sample(range(1, n + 1), rng.randint(0, n))}
+    return n, brackets, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(bracket_tables())
+def test_every_reader_of_the_integer_table_returns_the_given_constants(case):
+    n, brackets, rng = case
+    g = LieAlgebra(n, brackets)
+    table = {(i, j, k): c for (i, j), coeffs in brackets.items() for k, c in coeffs.items()}
+
+    def const(k, i, j):  # c[k][i][j] from the input, antisymmetric
+        return table.get((i, j, k), 0) - table.get((j, i, k), 0)
+
+    units = range(1, n + 1)
+    assert g.denominator == lcm(*[c.denominator for c in table.values()])
+    for i in units:
+        for j in units:
+            assert g.bracket_basis(i, j) == tuple(const(k, i, j) for k in units)
+            for k in units:
+                assert g.structure_constant(k, i, j) == const(k, i, j)
+    nonzero = {(i, j): {k: c for k, c in sorted(coeffs.items()) if c}
+               for (i, j), coeffs in brackets.items() if any(coeffs.values())}
+    assert dict(g.nonzero_brackets()) == nonzero
+    assert [ij for ij, _ in g.nonzero_brackets()] == sorted(nonzero)
+    assert dict(g.integer_brackets()) == {
+        ij: tuple((k, int(c * g.denominator)) for k, c in coeffs.items())
+        for ij, coeffs in nonzero.items()}
+    again = LieAlgebra(n, dict(g.nonzero_brackets()))
+    assert again == g and hash(again) == hash(g)
+    # twice the constants: the same int terms over half the denominator
+    # when every constant has an even denominator, and still another algebra
+    assert (LieAlgebra(n, {ij: {k: 2 * c for k, c in coeffs.items()}
+                           for ij, coeffs in nonzero.items()}) == g) == (not nonzero)
+    x, y = rand_vector(rng, n), rand_vector(rng, n)
+    assert g.bracket(x, y) == tuple(
+        sum((x[i - 1] * y[j - 1] * const(k, i, j) for i in units for j in units), Fraction(0))
+        for k in units)
+    ad = ad_matrix(g, x)
+    assert [list(ad.row(k - 1)) for k in units] == [
+        [sum((x[i - 1] * const(k, i, j) for i in units), Fraction(0)) for j in units]
+        for k in units]
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_jacobi_residual_of_a_planted_violation_is_the_dense_one(case):
+    g, rng = case
+    validate(g)
+    if g.dim < 3:
+        return
+    brackets = dict(g.nonzero_brackets())
+    i, j = sorted(rng.sample(range(1, g.dim + 1), 2))
+    k = rng.randint(1, g.dim)
+    coeffs = brackets.setdefault((i, j), {})
+    coeffs[k] = coeffs.get(k, 0) + large_fraction(rng)
+    bad = LieAlgebra(g.dim, brackets)
+    found = jacobi_violation(bad)
+    assert found == dense_jacobi_violation(bad)
+
+
+# Lie algebras that are not solvable: sl2, gl2 = sl2 + R, sl2 acting on
+# R^2 by its standard representation, and so3 + R
+SL2 = {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}
+NOT_SOLVABLE = [
+    LieAlgebra(3, SL2),
+    LieAlgebra(4, SL2),
+    LieAlgebra(5, {**SL2, (1, 4): {4: 1}, (1, 5): {5: -1}, (2, 5): {4: 1}, (3, 4): {5: 1}}),
+    LieAlgebra(4, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(range(len(NOT_SOLVABLE))))
+def test_flag_of_an_algebra_that_is_not_solvable_is_no_or_raises(rng, t):
+    # the solvability guard reads Cartan's criterion off the A_i
+    g = conjugate(NOT_SOLVABLE[t], rand_invertible_rational(rng, NOT_SOLVABLE[t].dim))
+    validate(g)
+    assert not is_solvable(g)
+    try:
+        cert = completely_solvable_flag(g)
+    except NotSolvable:
+        return
+    assert cert.status == "no"

@@ -16,6 +16,7 @@ from solvco.polynomials import (
     is_totally_real,
     poly_extended_gcd,
     rational_roots,
+    real_root_counter,
     squarefree_part,
     sturm_real_root_count,
 )
@@ -171,3 +172,47 @@ def test_str_formatting():
 def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
         divmod(X, Polynomial())
+
+
+@st.composite
+def rational_products(draw):
+    """(p, ends): planted rational roots (often multiple) times random
+    rational factors of degree 1 to 3, each with multiplicity 1 to 3, under
+    a leading coefficient that is often negative; ends are the planted
+    roots, two other rationals and None."""
+    p, roots = draw(planted_roots())
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    for factor in draw(st.lists(st.lists(coeff, min_size=2, max_size=4), max_size=2)):
+        if factor[-1] != 0:
+            for _ in range(draw(st.integers(1, 3))):
+                p = p * Polynomial(factor)
+    return p, [None, *roots, Fraction(1, 2), Fraction(-7, 3)]
+
+
+def from_sympy(poly):
+    return Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_products(), st.data())
+def test_integer_sturm_chain_counts_are_sympy_count_roots(case, data):
+    # sympy counts the distinct roots in the closed interval; the open one
+    # drops an endpoint that is a root.  Negative leads and multiple roots
+    # put negative leading coefficients into the remainder sequence and
+    # the exact divisions by the gcd, where a pseudo-remainder that scaled
+    # by the signed lead would flip signs.
+    p, ends = case
+    lower, upper = data.draw(st.sampled_from(ends)), data.draw(st.sampled_from(ends))
+    poly = sympy_poly(p)
+    lo, hi = (None if e is None else sympy.Rational(e.numerator, e.denominator)
+              for e in (lower, upper))
+    if lo is not None and hi is not None and lo >= hi:
+        want = 0
+    else:
+        want = poly.count_roots(lo, hi) - sum(
+            1 for e in (lo, hi) if e is not None and poly.eval(e) == 0)
+    assert sturm_real_root_count(p, lower, upper) == want
+    assert squarefree_part(p) == from_sympy(poly.sqf_part().monic())
+    s, count = real_root_counter(p)
+    assert s == squarefree_part(p) and count(lower, upper) == want
+    assert is_totally_real(p) == (poly.count_roots() == s.degree)
