@@ -70,7 +70,7 @@ from .lie import (
     verify_nilpotent_complement,
 )
 from .matrices import Matrix, rank_and_kernel
-from .polynomials import Polynomial, cyclotomic, cyclotomic_factors, sturm_real_root_count
+from .polynomials import Polynomial, cyclotomic, cyclotomic_factors
 from .splitting import (
     KillMap,
     KillMode,

@@ -162,6 +162,8 @@ def _cmd_info(ns):
 
 
 def _cmd_cohomology(ns):
+    if ns.max_degree is not None and ns.max_degree < 0:
+        raise ParseError(0, f"--max-degree must be non-negative, got {ns.max_degree}")
     g = _load_algebra(ns.file)
     cx = build_complex(g, max_degree=ns.max_degree)
     res = betti_numbers(cx)

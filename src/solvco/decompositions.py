@@ -7,11 +7,11 @@ ints and eliminated in an `Echelon`, and the monic integral polynomial
 found for M is rescaled to D^(-deg) p_M(D x).  The additive
 semisimple/nilpotent decomposition is the Newton iteration on the
 squarefree part of the minimal polynomial.  The imaginary-spectrum
-(compact) part of a semisimple operator, `compact_part`, is read off its
-primary decomposition along the totally real part and the
-negative-discriminant quadratic factors, which `rational_spectrum` splits
-off for every spectral decision of the package; the real-spectrum (split)
-part is the operator minus it.
+(compact) part of a semisimple operator, `compact_part`, is built from one
+projector h(s) (h(s) + f(s))^(-1) per factor f of its minimal polynomial
+p, h = p / f: the negative-discriminant quadratics and the totally real
+block, which `rational_spectrum` splits off for every spectral decision of
+the package; the real-spectrum (split) part is the operator minus it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .polynomials import (
     Polynomial,
     integer_divisors,
     monic_integral,
-    poly_extended_gcd,
     pseudo_divmod,
     real_root_counter,
     squarefree_part,
@@ -242,24 +241,19 @@ def rational_spectrum(p: Polynomial):
     return quads, rest, real_roots == rest.degree
 
 
-@dataclass(frozen=True)
-class PrimaryComponent:
-    """One factor of the minimal polynomial with its spectral projector."""
+def compact_part(s: Matrix, p: Polynomial | None = None) -> Matrix:
+    """Imaginary-spectrum summand of a semisimple s: the sum of (s - a) P
+    over the quadratic factors f = x^2 - 2a x + c of its minimal polynomial
+    p (computed when omitted), P the projector onto ker f(s) along ker h(s),
+    h = p / f.
 
-    factor: Polynomial
-    projector: Matrix
-    real_part: Fraction          # a with factor = x^2 - 2a x + c; 0 on the real block
-    is_complex_pair: bool
-
-
-def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
-    """Primary decomposition of a semisimple rational matrix.
-
-    Returns a list of PrimaryComponent: at most one totally real block plus
-    one block per negative-discriminant quadratic factor of the minimal
-    polynomial.  Raises NotRationallySplittable when the minimal polynomial
-    has a factor of degree >= 3 with non-real roots.  p, when given, is the
-    minimal polynomial of s, such as `JordanDecomposition.semisimple_minpoly`.
+    As f and h are coprime, h(s) + f(s) is invertible and acts as h(s) on
+    ker f(s), so P = h(s) (h(s) + f(s))^(-1).  The projectors of the
+    quadratics and of the totally real block must resolve the identity.
+    The split part s minus the compact one is s on the totally real block
+    and a times the identity on a quadratic block; both parts are
+    polynomials in s, so they commute.  Raises NotRationallySplittable when
+    p has a non-real factor of degree >= 3.
     """
     if not s.is_square():
         raise ValueError("expected a square matrix")
@@ -268,47 +262,25 @@ def semisimple_primary_components(s: Matrix, p: Polynomial | None = None):
         if squarefree_part(p) != p:
             raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
     n = s.rows
+    compact = total = Matrix.zeros(n, n)
     if p.degree == 0:
-        return []
+        return compact
     quads, real_block, real = rational_spectrum(p)
     if not real:
         raise NotRationallySplittable(
             f"minimal polynomial has a non-real factor of degree >= 3: {real_block}"
         )
-    components = []
-    pieces = []
-    if real_block.degree >= 1:
-        pieces.append((real_block, Fraction(0), False))
-    pieces.extend((q, -q.coeffs[1] / 2, True) for q in quads)
-    for f, a, is_pair in pieces:
-        h = p // f
-        g, u, _ = poly_extended_gcd(h, f)
-        if g.degree != 0:
-            raise CheckFailed(f"primary factor {f} is not coprime to its cofactor")
-        projector = poly_of_matrix(u * h, s)
-        components.append(PrimaryComponent(factor=f, projector=projector,
-                                           real_part=a, is_complex_pair=is_pair))
-    total = Matrix.zeros(n, n)
-    for comp in components:
-        total = total + comp.projector
+    for f in quads + ([real_block] if real_block.degree >= 1 else []):
+        h = poly_of_matrix(p // f, s)
+        try:
+            projector = h * inverse(h + poly_of_matrix(f, s))
+        except ValueError:
+            raise CheckFailed(f"primary factor {f} is not coprime to its cofactor") from None
+        total = total + projector
+        if f is not real_block:
+            compact = compact + (s + f.coeffs[1] / 2 * Matrix.identity(n)) * projector
     if not total.is_identity():
         raise CheckFailed("primary projectors do not resolve the identity")
-    return components
-
-
-def compact_part(s: Matrix, p: Polynomial | None = None) -> Matrix:
-    """Imaginary-spectrum summand of a semisimple s: the sum of (s - a) P
-    over the quadratic factors x^2 - 2a x + c of its minimal polynomial p
-    (computed when omitted), P the primary projector.
-
-    Since the projectors resolve the identity, the split part s minus it is
-    s on the totally real block and a times the identity on a quadratic
-    block; both parts are polynomials in s, so they commute.
-    """
-    compact = Matrix.zeros(s.rows, s.rows)
-    for c in semisimple_primary_components(s, p):
-        if c.is_complex_pair:
-            compact = compact + (s - c.real_part * Matrix.identity(s.rows)) * c.projector
     return compact
 
 

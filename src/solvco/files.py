@@ -54,7 +54,7 @@ def parse_structure_file(text: str) -> LieAlgebra:
         if tokens[0] == "dim":
             if dim is not None:
                 raise ParseError(line_no, "duplicate dim line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError(line_no, "expected `dim N` with positive N")
             dim = int(tokens[1])
             if dim > MAX_FILE_DIM:
@@ -151,7 +151,7 @@ def parse_matrix(text: str) -> Matrix:
         raise ParseError(1, "empty matrix file")
     line_no, header = lines[0]
     tokens = header.split()
-    if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
+    if len(tokens) != 2 or not all(t.isdecimal() for t in tokens):
         raise ParseError(line_no, "expected `ROWS COLS` header")
     rows, cols = int(tokens[0]), int(tokens[1])
     if rows < 1 or cols < 1:

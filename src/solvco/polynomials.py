@@ -1,9 +1,9 @@
 """Exact univariate polynomials over the rationals.
 
 Coefficients are stored lowest degree first.  `Polynomial` provides exact
-division and the extended gcd; one remainder sequence per polynomial, the
-Sturm chain, gives both its squarefree part and its real root count on any
-rational interval.  It runs on primitive int coefficient lists through one
+arithmetic and division; one remainder sequence per polynomial, the Sturm
+chain, gives both its squarefree part and its real root count on any
+rational interval (`real_root_counter`), and no other gcd is taken.  It runs on primitive int coefficient lists through one
 sign-safe pseudo-remainder kernel, `pseudo_divmod`, which also divides by
 the monic cyclotomic and quadratic candidates.  Rational roots are the
 integer roots of the monic integral form `monic_integral`.
@@ -167,23 +167,6 @@ def _coerce(p) -> Polynomial:
     return Polynomial((p,))
 
 
-def poly_extended_gcd(a: Polynomial, b: Polynomial):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Polynomial((1,)), Polynomial()
-    t0, t1 = Polynomial(), Polynomial((1,))
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.leading()
-    inv = Polynomial((1 / lead,))
-    return r0.monic(), inv * s0, inv * t0
-
-
 def _primitive(coeffs) -> list:
     """The primitive int coefficient list that is a positive multiple of
     the given ints or Fractions."""
@@ -224,7 +207,7 @@ def _sturm_chain(p: Polynomial):
     """The remainder sequence p, p', -rem, ... as primitive int lists, each
     a positive multiple of the rational element, so of the same signs; its
     last element is gcd(p, p') up to a constant.  The only Euclidean loop
-    besides `poly_extended_gcd`."""
+    of the package."""
     chain = [_primitive(p.coeffs)]
     rem = [-i * c for i, c in enumerate(chain[0]) if i]
     while rem:
@@ -269,29 +252,13 @@ def _root_count(chain, lower=None, upper=None) -> int:
     return count
 
 
-def sturm_real_root_count(p: Polynomial, lower=None, upper=None) -> int:
-    """Number of distinct real roots of p in the open interval (lower, upper).
-
-    None stands for an infinite endpoint.  The count runs on a Sturm chain
-    of the squarefree part, so multiple roots are counted once.
-    """
-    return _root_count(_squarefree_chain(p), lower, upper)
-
-
 def real_root_counter(p: Polynomial):
     """(s, count): the squarefree part s of p, made monic, and
-    count(lower, upper), the `sturm_real_root_count` of p, all from one
-    remainder sequence."""
+    count(lower, upper), the number of distinct real roots of p in the open
+    interval (lower, upper), None standing for an infinite endpoint; both
+    come from one remainder sequence, a Sturm chain of s."""
     chain = _squarefree_chain(p)
     return Polynomial(chain[0]).monic(), functools.partial(_root_count, chain)
-
-
-def is_totally_real(p: Polynomial, lower=None) -> bool:
-    """True when every complex root of p is real and, for a rational lower,
-    greater than lower (None stands for minus infinity, as in
-    `sturm_real_root_count`)."""
-    chain = _squarefree_chain(p)
-    return _root_count(chain, lower, None) == len(chain[0]) - 1
 
 
 @functools.lru_cache(maxsize=None)

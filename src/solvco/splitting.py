@@ -30,7 +30,7 @@ from .lie import (
     verify_nilpotent_complement,
 )
 from .matrices import Matrix, inverse
-from .polynomials import is_totally_real
+from .polynomials import real_root_counter
 
 
 class KillMode(enum.Enum):
@@ -134,8 +134,8 @@ def modified_bracket(inp: SplittingInput, kill: KillMap) -> LieAlgebra:
             raise NotNilpotent("full-mode output is not nilpotent; check V and n")
     else:
         for a in inp.complement.basis:
-            p = minimal_polynomial(ad_matrix(out, a))
-            if not is_totally_real(p):
+            s, count = real_root_counter(minimal_polynomial(ad_matrix(out, a)))
+            if count() != s.degree:
                 raise CheckFailed(
                     "compact kill left a non-real V-adjoint spectrum")
     return out

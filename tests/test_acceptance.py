@@ -45,9 +45,8 @@ from solvco.lie import (
 from solvco.matrices import Matrix, det
 from solvco.polynomials import (
     Polynomial,
-    is_totally_real,
+    real_root_counter,
     squarefree_part,
-    sturm_real_root_count,
 )
 from solvco.splitting import KillMode, SplittingInput, kill_map, modified_bracket
 from support import (
@@ -211,14 +210,15 @@ def _suite_split_compact(rng):
     compact = compact_part(s)
     split = s - compact
     assert split * compact == compact * split
-    assert is_totally_real(minimal_polynomial(split))
+    sqf, count = real_root_counter(minimal_polynomial(split))
+    assert count() == sqf.degree
     mc = minimal_polynomial(compact)
     if mc.coeffs and mc.coeffs[0] == 0:
         mc = mc // Polynomial.x()
     if mc.degree > 0:
         assert all(mc.coeffs[i] == 0 for i in range(1, len(mc.coeffs), 2))
         even = Polynomial(mc.coeffs[::2])
-        assert sturm_real_root_count(even, None, Fraction(0)) == even.degree
+        assert real_root_counter(even)[1](None, Fraction(0)) == even.degree
 
 
 def _suite_betti_basis_invariance(rng):

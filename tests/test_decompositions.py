@@ -20,20 +20,19 @@ from solvco.decompositions import (
     nilpotency_index,
     poly_of_matrix,
     rational_spectrum,
-    semisimple_primary_components,
 )
-from solvco.errors import NotRationallySplittable, NotUnipotent
-from solvco.matrices import Matrix
+from solvco.errors import CheckFailed, NotRationallySplittable, NotUnipotent
+from solvco.matrices import Matrix, inverse
 from solvco.polynomials import (
     Polynomial,
-    is_totally_real,
     monic_integral,
+    real_root_counter,
     squarefree_part,
-    sturm_real_root_count,
 )
 from support import (
     block_diag,
     companion,
+    rand_invertible_rational,
     rand_matrix,
     rand_unimodular,
     rotation_block,
@@ -105,8 +104,6 @@ def test_jordan_chevalley_random_invariants():
     # structured non-semisimple inputs
     for _ in range(10):
         u = rand_unimodular(rng, 4)
-        from solvco.matrices import inverse
-
         core = block_diag(Matrix.from_rows([[2, 1], [0, 2]]), rotation_block(0, 1))
         check_jordan_invariants(u * core * inverse(u))
 
@@ -128,7 +125,8 @@ def check_split_compact_invariants(s):
     compact = compact_part(s)
     split = s - compact
     assert split * compact == compact * split
-    assert is_totally_real(minimal_polynomial(split))
+    sqf, count = real_root_counter(minimal_polynomial(split))
+    assert count() == sqf.degree
     # compact minimal polynomial divides a product of x and x^2 + q^2 factors
     mc = minimal_polynomial(compact)
     if mc.coeffs and mc.coeffs[0] == 0:
@@ -136,7 +134,7 @@ def check_split_compact_invariants(s):
     if mc.degree > 0:
         assert all(mc.coeffs[i] == 0 for i in range(1, len(mc.coeffs), 2))
         even = Polynomial(mc.coeffs[::2])  # substitute y = x^2
-        assert sturm_real_root_count(even, None, Fraction(0)) == even.degree
+        assert real_root_counter(even)[1](None, Fraction(0)) == even.degree
 
 
 def test_split_compact_random_invariants():
@@ -154,20 +152,53 @@ def test_split_compact_rejects_quartic_complex_spectrum():
         compact_part(m)
 
 
+def test_compact_part_certificates():
+    rot = rotation_block(0, 1)
+    # a repeated factor shares its roots with the cofactor
+    with pytest.raises(CheckFailed, match="not coprime"):
+        compact_part(rot, (X * X + 1) * (X * X + 1))
+    # a p that does not annihilate s leaves projectors that miss the identity
+    with pytest.raises(CheckFailed, match="resolve the identity"):
+        compact_part(block_diag(rot, Matrix.diagonal([1])), X * X + 1)
+
+
 def test_split_compact_rejects_non_semisimple():
     with pytest.raises(ValueError):
         compact_part(Matrix.from_rows([[0, 1], [0, 0]]))
 
 
-def test_primary_components_partition_identity():
-    m = block_diag(Matrix.diagonal([3]), rotation_block(1, 2), companion((-1, -3, 1)))
-    comps = semisimple_primary_components(m)
-    total = Matrix.zeros(5, 5)
-    for c in comps:
-        assert c.projector * c.projector == c.projector
-        total = total + c.projector
-    assert total == Matrix.identity(5)
-    assert sum(c.is_complex_pair for c in comps) == 1
+@st.composite
+def conjugated_rotations(draw):
+    """(s, compact): s = U (rot(a_1, b_1) + ... + rot(a_k, b_k) + R) U^-1
+    and compact = U (rot(0, b_1) + ... + rot(0, b_k) + 0) U^-1, U from
+    `rand_invertible_rational`.  Quadratics repeat, also as rot(a, -b), and
+    R is semisimple with totally real spectrum whose minimal polynomial has
+    degree >= 2: rational eigenvalues, often repeated, and often the roots
+    of x^2 - 2."""
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    speed = st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3)
+    rots = []
+    for a, b in draw(st.lists(st.tuples(small, speed), max_size=2)):
+        rots += [(a, b * sign) for sign in draw(st.lists(st.sampled_from((1, -1)),
+                                                         min_size=1, max_size=2))]
+    eigenvalues = draw(st.lists(small, max_size=3))
+    real = [Matrix.diagonal([r]) for r in eigenvalues]
+    if draw(st.booleans()) or len(set(eigenvalues)) < 2:
+        real.append(companion((-2, 0, 1)))
+    real_dim = sum(r.rows for r in real)
+    u = rand_invertible_rational(random.Random(draw(st.integers(0, 2**32))),
+                                 2 * len(rots) + real_dim)
+    s = block_diag(*(rotation_block(a, b) for a, b in rots), *real)
+    compact = block_diag(*(rotation_block(0, b) for _, b in rots),
+                         Matrix.zeros(real_dim, real_dim))
+    return u * s * inverse(u), u * compact * inverse(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_rotations())
+def test_compact_part_is_the_conjugated_rotation_speeds(case):
+    s, compact = case
+    assert compact_part(s) == compact
 
 
 def test_complex_quadratic_factor_search():
@@ -192,9 +223,8 @@ def test_rational_rotation_speeds_scale_by_their_denominator():
     speeds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)]
     s = block_diag(*(rotation_block(0, b) for b in speeds))
     assert monic_integral(minimal_polynomial(s))[1] == 3
-    comps = semisimple_primary_components(s)
-    assert [c.factor for c in comps] == [X * X + b * b for b in speeds]
-    assert all(c.is_complex_pair and c.real_part == 0 for c in comps)
+    assert rational_spectrum(minimal_polynomial(s))[:2] == ([X * X + b * b for b in speeds],
+                                                           Polynomial((1,)))
     assert compact_part(s) == s
 
 
@@ -236,9 +266,11 @@ def test_rational_spectrum_matches_sympy(p):
     assert len(quads) == len(expected) == len({q.coeffs for q in quads})
     assert {q.coeffs for q in quads} == expected
     real_rest = sympy.real_roots(sympy_poly(rest)) if rest.degree > 0 else []
-    assert rest_real == is_totally_real(rest) == (len(real_rest) == rest.degree)
+    rest_count = real_root_counter(rest)[1]
+    assert rest_real == (rest_count() == rest.degree) == (len(real_rest) == rest.degree)
     real = sympy.real_roots(sympy_poly(p)) if p.degree > 0 else []
-    assert is_totally_real(p, Fraction(0)) == (
+    sqf, count = real_root_counter(p)
+    assert (count(Fraction(0), None) == sqf.degree) == (
         len(real) == p.degree and all(r > 0 for r in real))
 
 
@@ -265,10 +297,14 @@ def test_one_remainder_sequence_per_root_question(monkeypatch):
     monkeypatch.setattr(polynomials, "_sturm_chain",
                         lambda p: chains.append(p) or sturm_chain(p))
     p = (X * X + 1) * (X - 2) * (X - 2) * (X * X * X - X + 1)
-    for question in (squarefree_part, sturm_real_root_count, is_totally_real):
-        chains.clear()
-        question(p)
-        assert len(chains) == 1
+    chains.clear()
+    squarefree_part(p)
+    assert len(chains) == 1
+    # every interval is counted on the chain real_root_counter builds once
+    chains.clear()
+    _, count = real_root_counter(p)
+    assert (count(), count(Fraction(0), None), count(None, Fraction(0))) == (2, 1, 1)
+    assert len(chains) == 1
     # the split reads the squarefree part and its real-root count off one chain
     for q, quads in ((p, [X * X + 1]), ((X - 1) * (X - 1) * (X * X - 2), []), (X * p, [X * X + 1])):
         chains.clear()

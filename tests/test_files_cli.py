@@ -130,7 +130,8 @@ def test_cli_validate_jacobi_violation(tmp_path):
 
 def test_cli_failed_self_check_exits_1(monkeypatch):
     # force the exact spectrum check after a compact kill to fail
-    monkeypatch.setattr("solvco.splitting.is_totally_real", lambda p: False)
+    monkeypatch.setattr("solvco.splitting.real_root_counter",
+                        lambda p: (p, lambda lower=None, upper=None: 0))
     code, text = run_command(["split", "nakamura", "--complement", "1,2", "--kill", "compact"])
     assert code == 1
     assert text == "error: compact kill left a non-real V-adjoint spectrum"
@@ -173,6 +174,21 @@ def test_cli_usage_errors():
     assert code == 3
     code, _ = run_command(["nonsense-command"])
     assert code == 3
+
+
+def test_cli_malformed_numbers_are_usage_errors(tmp_path):
+    # '²'.isdigit() holds but int('²') fails; a negative degree cut is a
+    # bad argument, not a mathematical failure
+    dim = tmp_path / "dim.txt"
+    dim.write_text("dim \u00b2\n", encoding="utf-8")
+    code, text = run_command(["validate", str(dim)])
+    assert (code, text) == (3, "error: line 1: expected `dim N` with positive N")
+    header = tmp_path / "header.mat"
+    header.write_text("\u00b2 2\n1 0\n0 1\n", encoding="utf-8")
+    code, text = run_command(["almost-abelian", "--holonomy", str(header)])
+    assert (code, text) == (3, "error: line 1: expected `ROWS COLS` header")
+    code, text = run_command(["cohomology", "heisenberg3", "--max-degree", "-1"])
+    assert (code, text) == (3, "error: line 0: --max-degree must be non-negative, got -1")
 
 
 def test_cli_degree_cut_keeps_the_dimension_bound(tmp_path):

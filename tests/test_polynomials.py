@@ -13,12 +13,9 @@ from solvco.polynomials import (
     cyclotomic,
     cyclotomic_factors,
     euler_totient,
-    is_totally_real,
-    poly_extended_gcd,
     rational_roots,
     real_root_counter,
     squarefree_part,
-    sturm_real_root_count,
 )
 from support import sympy_poly
 
@@ -34,47 +31,43 @@ def test_arithmetic_and_division():
     assert p(2) == 4
 
 
-def test_gcd_lcm():
-    a = (X - 1) * (X + 1)
-    b = (X - 1) * (X - 2)
-    g, u, v = poly_extended_gcd(a, b)
-    assert g == X - 1
-    assert u * a + v * b == g
-
-
 def test_squarefree_part():
     p = (X - 1) * (X - 1) * (X + 3)
     assert squarefree_part(p) == ((X - 1) * (X + 3)).monic()
 
 
+def count_roots(p, lower=None, upper=None):
+    return real_root_counter(p)[1](lower, upper)
+
+
 def test_sturm_spec_examples():
     p = X * X - 3 * X + 1
-    assert sturm_real_root_count(p) == 2            # discriminant 5 > 0
-    assert sturm_real_root_count(X * X + 1) == 0
-    assert sturm_real_root_count(p, Fraction(0), None) == 2  # both roots positive
+    assert count_roots(p) == 2            # discriminant 5 > 0
+    assert count_roots(X * X + 1) == 0
+    assert count_roots(p, Fraction(0), None) == 2  # both roots positive
 
 
 def test_sturm_open_interval_excludes_endpoint_roots():
     p = X * (X * X + 1)  # single real root at 0
-    assert sturm_real_root_count(p) == 1
-    assert sturm_real_root_count(p, Fraction(-1), Fraction(0)) == 0
-    assert sturm_real_root_count(p, Fraction(0), Fraction(1)) == 0
-    assert sturm_real_root_count(p, Fraction(-1), Fraction(1)) == 1
+    assert count_roots(p) == 1
+    assert count_roots(p, Fraction(-1), Fraction(0)) == 0
+    assert count_roots(p, Fraction(0), Fraction(1)) == 0
+    assert count_roots(p, Fraction(-1), Fraction(1)) == 1
 
 
 def test_sturm_counts_distinct_roots_of_non_squarefree_input():
     p = (X - 2) * (X - 2) * (X + 1)
-    assert sturm_real_root_count(p) == 2
+    assert count_roots(p) == 2
 
 
 def test_sturm_degenerate_interval():
-    assert sturm_real_root_count(X, Fraction(1), Fraction(1)) == 0
+    assert count_roots(X, Fraction(1), Fraction(1)) == 0
 
 
 def test_is_totally_real():
-    assert is_totally_real(X * X - 3 * X + 1)
-    assert not is_totally_real(X * X + 4)
-    assert is_totally_real(Polynomial((1,)))
+    for p, real in ((X * X - 3 * X + 1, True), (X * X + 4, False), (Polynomial((1,)), True)):
+        s, count = real_root_counter(p)
+        assert (count() == s.degree) == real
 
 
 def test_cyclotomic_polynomials():
@@ -153,9 +146,10 @@ def test_real_root_counts_match_sympy_at_root_endpoints(planted, data):
         return ((lo is None or bool(r > sympy.Rational(lo)))
                 and (hi is None or bool(r < sympy.Rational(hi))))
 
-    assert sturm_real_root_count(p, lower, upper) == sum(inside(r, lower, upper) for r in real)
+    s, count = real_root_counter(p)
+    assert count(lower, upper) == sum(inside(r, lower, upper) for r in real)
     distinct = poly.sqf_part().degree() if p.degree > 0 else 0
-    assert is_totally_real(p, lower) == (
+    assert (count(lower, None) == s.degree) == (
         len(real) == distinct and all(inside(r, lower, None) for r in real))
 
 
@@ -211,8 +205,7 @@ def test_integer_sturm_chain_counts_are_sympy_count_roots(case, data):
     else:
         want = poly.count_roots(lo, hi) - sum(
             1 for e in (lo, hi) if e is not None and poly.eval(e) == 0)
-    assert sturm_real_root_count(p, lower, upper) == want
     assert squarefree_part(p) == from_sympy(poly.sqf_part().monic())
     s, count = real_root_counter(p)
     assert s == squarefree_part(p) and count(lower, upper) == want
-    assert is_totally_real(p) == (poly.count_roots() == s.degree)
+    assert (count() == s.degree) == (poly.count_roots() == s.degree)

@@ -120,9 +120,6 @@ EXPORT_ONLY = {
         "the paper's route to the cohomology of the quotient",
     "lie:conjugate":
         "change of basis, the public way to state basis invariance",
-    "polynomials:sturm_real_root_count":
-        "distinct real roots on a rational interval for a single question; "
-        "the package asks several of one polynomial through real_root_counter",
     "splitting:nilshadow":
         "the fully killed bracket under its own name; `split --kill full` "
         "builds the same bracket through kill_map and modified_bracket",
