@@ -3,8 +3,10 @@
 Minimal and characteristic polynomials come from one integer Krylov
 kernel: m is scaled once to the integer matrix M = D * m (D the least
 common denominator of its entries), Krylov vectors are iterated in Python
-ints and eliminated in an `Echelon`, and the monic integral polynomial
-found for M is rescaled to D^(-deg) p_M(D x).  The additive
+ints and eliminated in an `Echelon` whose int remainders give the
+annihilators, these are multiplied as int coefficient lists, and the
+monic integral polynomial found for M is rescaled once to the
+`Polynomial` D^(-deg) p_M(D x).  The additive
 semisimple/nilpotent decomposition is the Newton iteration on the
 squarefree part of the minimal polynomial.  The imaginary-spectrum
 (compact) part of a semisimple operator, `compact_part`, is built from one
@@ -66,8 +68,9 @@ def _apply(columns, v: dict) -> dict:
 
 def _krylov_chain(krylov: Echelon, columns, v: dict):
     """Relative annihilator of v modulo the span W of the echelon (an
-    M-invariant subspace): the monic integer polynomial q of least degree
-    with q(M) v in W; None when v lies in W.
+    M-invariant subspace): the coefficient list, lowest degree first, of
+    the monic integer polynomial q of least degree with q(M) v in W; None
+    when v lies in W.
 
     The echelon has width 2n.  Its row for the t-th Krylov vector K_t added
     is [K_t reduced | coordinates], with a 1 at column n + t before
@@ -75,25 +78,43 @@ def _krylov_chain(krylov: Echelon, columns, v: dict):
     that its vector part equals.  The chain v, Mv, M^2 v, ... is added
     until M^k v reduces to zero in the vector part; its coordinates c then
     give M^k v + sum c_t K_t = 0, and those on this chain's own vectors are
-    the coefficients of q below x^k.  Every such q divides the
-    characteristic polynomial of the integer matrix M, so by Gauss's lemma
-    it is integral; that is checked, not assumed."""
+    the coefficients of q below x^k.  The remainder is read as ints V / s,
+    so a row goes in as V with s at column n + t.  Every such q divides
+    the characteristic polynomial of the integer matrix M, so by Gauss's
+    lemma it is integral; that is checked, not assumed."""
     n = len(columns)
     start = krylov.dim
     k = 0
     while True:
-        r = krylov.reduce(v)
-        if not r or min(r) >= n:
+        V, s = krylov.remainder(v)
+        if not V or min(V) >= n:
             if k == 0:
                 return None
-            coeffs = [r.get(n + start + j, 0) for j in range(k)]
-            if any(c.denominator != 1 for c in coeffs):
+            coeffs = [V.get(n + start + j, 0) for j in range(k)]
+            if any(c % s for c in coeffs):
                 raise CheckFailed("Krylov annihilator of an integer matrix is not integral")
-            return Polynomial(coeffs + [1])
-        r[n + start + k] = 1
-        krylov.add(r)
+            return [c // s for c in coeffs] + [1]
+        V[n + start + k] = s
+        krylov.add(V)
         v = _apply(columns, v)
         k += 1
+
+
+def _times(a: list, b: list) -> list:
+    """Product of two int coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _rescaled(p: list, scale: int) -> Polynomial:
+    """The monic D^(-deg) p(D x) of the monic int list p of M = D * m, the
+    polynomial of m: coefficient c_i / D^(deg - i) at x^i."""
+    deg = len(p) - 1
+    return Polynomial(Fraction(c, scale ** (deg - i)) for i, c in enumerate(p))
 
 
 def char_poly(m: Matrix) -> Polynomial:
@@ -102,21 +123,21 @@ def char_poly(m: Matrix) -> Polynomial:
     With M = D * m integral, chains of e_1, ..., e_n that are not yet in the
     span fill the space; each contributes its relative annihilator, the
     characteristic polynomial of M on the quotient its chain spans, and
-    their product is that of M.  One echelon of width 2n holds every
-    chain."""
+    their product, taken in ints, is that of M.  One echelon of width 2n
+    holds every chain."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
     scale, columns = _integer_columns(m)
     krylov = Echelon(2 * n)
-    result = Polynomial((1,))
+    result = [1]
     for i in range(n):
         q = _krylov_chain(krylov, columns, {i: 1})
         if q is not None:
-            result = result * q
+            result = _times(result, q)
             if krylov.dim == n:
                 break
-    return result.shift_scale(scale) * Fraction(1, scale ** result.degree)
+    return _rescaled(result, scale)
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
@@ -125,23 +146,24 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     With M = D * m integral and p the annihilator of e_1, ..., e_(i-1), the
     annihilator of p(M) e_i (a Krylov chain of its own) times p is the lcm
     of p and the annihilator of e_i, so no polynomial gcd is taken; a basis
-    vector with p(M) e_i = 0 is skipped, and the loop stops at degree n."""
+    vector with p(M) e_i = 0 is skipped, and the loop stops at degree n.
+    The product is taken in ints."""
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
     scale, columns = _integer_columns(m)
-    result = Polynomial((1,))
+    result = [1]
     for i in range(n):
         w = {i: 1}  # p(M) e_i by Horner's scheme; p is monic and integral
-        for c in reversed(result.coeffs[:-1]):
+        for c in reversed(result[:-1]):
             w = _apply(columns, w)
-            w[i] = w.get(i, 0) + c.numerator
+            w[i] = w.get(i, 0) + c
         q = _krylov_chain(Echelon(2 * n), columns, w)
         if q is not None:
-            result = result * q
-            if result.degree == n:
+            result = _times(result, q)
+            if len(result) == n + 1:
                 break
-    return result.shift_scale(scale) * Fraction(1, scale ** result.degree)
+    return _rescaled(result, scale)
 
 
 @dataclass(frozen=True)

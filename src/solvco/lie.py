@@ -7,19 +7,24 @@ in [e_i, e_j]; the (j, i) brackets follow by antisymmetry, so antisymmetry
 holds by construction and only the Jacobi identity needs a check.
 
 The algebra keeps one table, `_terms`: the nonzero terms (k, D * c) of
-each bracket, as ints over one denominator D.  Every invariant expands
-over it only: the series, `restrict` and the ideal checks bracket the
-integer rows of spans (`_sparse_bracket`, D times the bracket), and
-`ad_matrix`, the Jacobi sums and the traces of `is_unimodular` read the
-terms directly; `Fraction`s appear only in what a reader returns.  The
-flag search runs inside [g, g], on the matrices of the ad(e_i) on it.
+each bracket, as ints over one denominator D.  One builder makes it,
+`LieAlgebra.from_integer_brackets`, from int terms over an int
+denominator; the constructor clears the denominators of its `Fraction`s
+once and calls the same builder.  Every invariant expands over the table
+only: the series, `restrict` and the ideal checks bracket the integer
+rows of spans (`_sparse_bracket`, D times the bracket), and `ad_matrix`,
+the Jacobi sums and the traces of `is_unimodular` read the terms
+directly; `restrict` and the flag search read coordinates as an
+echelon's int remainders and build over one common denominator, so
+`Fraction`s appear only in what a reader returns.  The flag search runs
+inside [g, g], on the matrices of the ad(e_i) on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .decompositions import (
@@ -48,40 +53,61 @@ class LieAlgebra:
     def __init__(self, dim: int, brackets):
         """brackets maps (i, j) with 1 <= i < j <= dim to a {k: coefficient}
         dict with 1 <= k <= dim, the coefficient of e_k in [e_i, e_j]; zero
-        coefficients are dropped and zero brackets may be omitted.
+        coefficients are dropped and zero brackets may be omitted.  The
+        denominators are cleared once, and the builder behind
+        `from_integer_brackets` makes the table."""
+        brackets = {ij: [(k, rational(c)) for k, c in coeffs.items()]
+                    for ij, coeffs in brackets.items()}
+        D = lcm(*[c.denominator for row in brackets.values() for _, c in row])
+        self._set(dim, {ij: {k: c.numerator * (D // c.denominator) for k, c in row}
+                        for ij, row in brackets.items()}, D)
 
-        The one table `_terms` keeps each nonzero bracket as its nonzero
-        (k, D * c) int terms in ascending k, under both (i, j) and (j, i),
-        so bracket sums skip zero coefficients; `denominator` is the least
-        D >= 1 with every D * c an integer."""
+    @classmethod
+    def from_integer_brackets(cls, dim: int, brackets, denominator: int) -> "LieAlgebra":
+        """The algebra whose [e_i, e_j] has coefficient brackets[(i, j)][k] /
+        denominator at e_k: the mirror of `integer_brackets`, with the int
+        terms given as a {(i, j): {k: int}} dict, i < j, over one int
+        denominator > 0; zero terms may be given or omitted."""
+        g = cls.__new__(cls)
+        g._set(dim, brackets, denominator)
+        return g
+
+    def _set(self, dim: int, brackets, D: int) -> None:
+        """The one table builder.  `_terms` keeps each nonzero bracket as
+        its nonzero (k, D * c) int terms in ascending k, under both (i, j)
+        and (j, i), so bracket sums skip zero coefficients; gcd(D, every
+        term) is divided out, so `denominator` is the least D >= 1 with
+        every D * c an integer and equal algebras have equal tables."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        terms = {}
+        if D < 1:
+            raise ValueError(f"denominator must be positive, got {D}")
+        rows = {}
         for (i, j), coeffs in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bad bracket index pair ({i},{j})")
-            row = []
-            for k, c in sorted(coeffs.items()):
-                if not 1 <= k <= dim:
-                    raise ValueError(f"bad target index {k}")
-                c = rational(c)
-                if c:
-                    row.append((k, c))
+            row = sorted(coeffs.items())
+            if row and not (1 <= row[0][0] and row[-1][0] <= dim):
+                bad = next(k for k, _ in row if not 1 <= k <= dim)
+                raise ValueError(f"bad target index {bad}")
+            row = [(k, x) for k, x in row if x]
             if row:
-                terms[(i, j)] = row
-                terms[(j, i)] = [(k, -c) for k, c in row]
-        D = lcm(*[c.denominator for row in terms.values() for _, c in row])
-        terms = {ij: tuple((k, c.numerator * (D // c.denominator)) for k, c in row)
-                 for ij, row in terms.items()}
+                rows[(i, j)] = row
+        g = gcd(D, *[x for row in rows.values() for _, x in row])  # also rejects non-ints
+        terms = {}
+        for (i, j), row in rows.items():
+            terms[(i, j)] = tuple((k, x // g) for k, x in row)
+            terms[(j, i)] = tuple((k, -x // g) for k, x in row)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "denominator", D)
+        object.__setattr__(self, "denominator", D // g)
         object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def __reduce__(self):
-        return LieAlgebra, (self.dim, dict(self.nonzero_brackets()))
+        return LieAlgebra.from_integer_brackets, (
+            self.dim, {ij: dict(row) for ij, row in self.integer_brackets()}, self.denominator)
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -354,32 +380,42 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
 
 
 def _coordinates(s: Subspace):
-    """The map from a sparse ambient vector to its coordinates {a: c} over
-    s.basis, None when it leaves s.  The basis is eliminated once, as rows
-    [b_a | e_a]: a sum c_a b_a reduces to [0 | -c]."""
+    """The map from a sparse ambient vector to its coordinates over s.basis,
+    as (W, t) with W an {a: int} dict over the int t >= 1, None when it
+    leaves s.  The basis is eliminated once, as rows [b_a | e_a]: a sum
+    c_a b_a reduces to [0 | -c], read as the integer remainder."""
     n = s.ambient_dim
     ech = Echelon(n + s.dim)
     for a, v in enumerate(s.basis):
         ech.add({**_sparse(v), n + a: 1})
 
     def coordinates(v: dict):
-        r = ech.reduce(v)
-        return None if any(c < n for c in r) else {c - n: -x for c, x in r.items()}
+        W, t = ech.remainder(v)
+        return None if any(c < n for c in W) else ({c - n: -x for c, x in W.items()}, t)
     return coordinates
 
 
 def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace over its own basis."""
-    basis = [_sparse(v) for v in s.basis]
+    """Structure constants of a bracket-closed subspace over its own basis.
+
+    With each basis vector b_a = B_a / t_a over the integer vector B_a,
+    [b_a, b_b] has the coordinates W / (t t_a t_b D) when those of the int
+    D [B_a, B_b] are W / t; all go to the integer builder over one
+    common denominator."""
+    basis = [clear_denominators(v) for v in s.basis]
     coordinates = _coordinates(s)
     brackets = {}
-    for a in range(s.dim):
+    for a, (A, ta) in enumerate(basis):
         for b in range(a + 1, s.dim):
-            w = coordinates(_sparse_bracket(g, basis[a], basis[b]))
+            B, tb = basis[b]
+            w = coordinates(_sparse_bracket(g, A, B))
             if w is None:
                 raise ValueError("subspace is not closed under the bracket")
-            brackets[(a + 1, b + 1)] = {k + 1: x / g.denominator for k, x in w.items()}
-    return LieAlgebra(s.dim, brackets)
+            brackets[(a + 1, b + 1)] = (w[0], w[1] * ta * tb)
+    L = lcm(*[t for _, t in brackets.values()])
+    return LieAlgebra.from_integer_brackets(
+        s.dim, {ij: {k + 1: x * (L // t) for k, x in W.items()}
+                for ij, (W, t) in brackets.items()}, L * g.denominator)
 
 
 def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
@@ -402,6 +438,16 @@ class FlagCertificate:
     status: str  # 'yes' | 'no' | 'undetermined'
     chain: Optional[tuple] = None          # nested Subspaces, dims 0..n
     witness: Optional[tuple] = None        # (basis index, Polynomial with non-real roots)
+
+
+def _from_int_columns(keys, columns, den: int) -> Matrix:
+    """The matrix whose column a holds W_a / (s_a den) at the rows keys,
+    for the sparse int dicts W_a over ints s_a >= 1 in columns, built over
+    their one common denominator."""
+    L = lcm(*[s for _, s in columns])
+    columns = [(W, L // s) for W, s in columns]
+    return Matrix.from_numerators(len(keys), len(columns),
+                                  [W.get(r, 0) * f for r in keys for W, f in columns], L * den)
 
 
 def _common_rational_eigenvector(ops, dim_q):
@@ -448,11 +494,12 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     comm = derived_subalgebra(g)
     m = comm.dim
     coordinates = _coordinates(comm)
-    basis = [_sparse(v) for v in comm.basis]
+    basis = [clear_denominators(v) for v in comm.basis]  # (B, t): b = B / t
 
     def on_comm(x):  # ad(x) restricted to c, in the coordinates of comm.basis
-        return Fraction(1, g.denominator) * Matrix.from_columns(
-            [_dense(m, coordinates(_sparse_bracket(g, x, b))) for b in basis])
+        cols = [coordinates(_sparse_bracket(g, x, B)) for B, _ in basis]
+        return _from_int_columns(
+            range(m), [(W, s * t) for (W, s), (_, t) in zip(cols, basis)], g.denominator)
 
     roots, split = {}, True  # each distinct A_i with its rational eigenvalues
     for i in range(n):
@@ -468,8 +515,8 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
         reps = [t for t in range(m) if t not in ideal.pivots]
         induced = {}  # the distinct operators on c / ideal; 0 fixes every vector
         for a, lams in roots.items():
-            cols = [ideal.reduce(a.column(t)) for t in reps]
-            b = Matrix.from_columns([[col[r] for r in reps] for col in cols])
+            cols = list(zip(*a.numerator_rows()))
+            b = _from_int_columns(reps, [ideal.remainder(cols[t]) for t in reps], a.denominator)
             if not b.is_zero():
                 induced.setdefault(b, lams)
         vec = _common_rational_eigenvector(list(induced.items()), len(reps))
@@ -479,7 +526,7 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
         ideal.add(lifts[-1])
     if ideal.dim < m:  # Cartan's criterion on every distinct A_i
         if any(sum((a * y)[t, t] for t in range(m))
-               for y in map(on_comm, basis) for a in roots):
+               for y in (on_comm(B) for B, _ in basis) for a in roots):
             raise NotSolvable("flag search requires a solvable algebra")
         return FlagCertificate(status="undetermined")
     # in g; basis vectors complete c, and every subspace containing it is an ideal

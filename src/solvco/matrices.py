@@ -432,6 +432,11 @@ class Echelon:
             out[c] = x
         return tuple(out)
 
+    def remainder(self, v):
+        """(V, s): the remainder of v modulo the span as V / s, V a sparse
+        {column: int} dict and s >= 1 an int, before any Fraction is built."""
+        return self._reduce(v)
+
     def reduce(self, v):
         V, s = self._reduce(v)
         r = {c: Fraction(x, s) for c, x in V.items()}

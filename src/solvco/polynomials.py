@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CheckFailed
-from .matrices import clear_denominators
+from .matrices import clear_denominators, rational
 
 
 class Polynomial:
@@ -25,7 +25,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [rational(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -131,11 +131,6 @@ class Polynomial:
             return self
         lead = self.leading()
         return Polynomial(c / lead for c in self.coeffs)
-
-    def shift_scale(self, scale: Fraction) -> "Polynomial":
-        """p(scale * x), useful for rescaling eigenvalues."""
-        scale = Fraction(scale)
-        return Polynomial(c * scale**i for i, c in enumerate(self.coeffs))
 
     def __str__(self):
         if self.is_zero():

@@ -11,13 +11,16 @@ semisimple part of ad(A_i) the result is the nilshadow (a nilpotent algebra
 on the same space); with K(A_i) its imaginary-spectrum (compact) part the
 result is a new solvable algebra whose V-adjoints have totally real
 spectrum.  Both live on the vector space of g, so the result is the
-`LieAlgebra` itself.
+`LieAlgebra` itself.  The bracket is summed in ints, from the int rows of
+the projection onto V and of the kill operators and from the int bracket
+terms, over one common denominator, and built by the integer builder.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import lcm
 
 from .decompositions import compact_part, minimal_polynomial
 from .errors import CheckFailed, NonCommutingTorus, NotNilpotent
@@ -62,7 +65,8 @@ class SplittingInput:
             return Matrix.zeros(0, n_g)
         basis = list(self.complement.basis) + list(self.nilpotent_ideal.basis)
         change = inverse(Matrix.from_columns(basis))
-        return Matrix.from_rows([change.row(i) for i in range(k)])
+        return Matrix.from_numerators(k, n_g, [x for row in change.numerator_rows()[:k]
+                                               for x in row], change.denominator)
 
 
 @dataclass(frozen=True)
@@ -112,22 +116,38 @@ def modified_bracket(inp: SplittingInput, kill: KillMap) -> LieAlgebra:
     """
     g = inp.algebra
     n = g.dim
+    # K(e_t) = sum_c P[c, t] K_c, with P = v_projection() as int rows over
+    # its denominator and every K_c as ints over the lcm L of theirs: KD
+    # K(e_t) is an int matrix, KD = denominator(P) * L
     proj = inp.v_projection()
-    k_of_basis = []
-    for t in range(n):
-        coords = proj.column(t) if kill.operators else ()
-        total = Matrix.zeros(n, n)
-        for c, op in zip(coords, kill.operators):
-            if c != 0:
-                total = total + c * op
-        k_of_basis.append(total)
+    L = lcm(*[op.denominator for op in kill.operators])
+    kill_columns = []  # per operator, the columns of L * K_c as int lists
+    for op in kill.operators:
+        f = L // op.denominator
+        kill_columns.append([[f * x for x in col] for col in zip(*op.numerator_rows())])
+    weights = proj.numerator_rows()
+    KD = proj.denominator * L
+    E = lcm(g.denominator, KD)  # the common denominator of the output
+    fg, fk = E // g.denominator, E // KD
+
+    def killed(t, j):  # KD * K(e_t)(e_j)
+        acc = [0] * n
+        for row, columns in zip(weights, kill_columns):
+            if row[t]:
+                for r, y in enumerate(columns[j]):
+                    acc[r] += row[t] * y
+        return acc
+
+    table = dict(g.integer_brackets())
     brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            terms = zip(g.bracket_basis(i, j), k_of_basis[i - 1].column(j - 1),
-                        k_of_basis[j - 1].column(i - 1))
-            brackets[(i, j)] = {t: z - ki + kj for t, (z, ki, kj) in enumerate(terms, start=1)}
-    out = LieAlgebra(n, brackets)
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = {k: fg * x for k, x in table.get((i + 1, j + 1), ())}
+            for r, (ki, kj) in enumerate(zip(killed(i, j), killed(j, i)), start=1):
+                if ki != kj:
+                    coeffs[r] = coeffs.get(r, 0) + fk * (kj - ki)
+            brackets[(i + 1, j + 1)] = coeffs
+    out = LieAlgebra.from_integer_brackets(n, brackets, E)
     validate(out)  # a bad kill map surfaces here as a Jacobi violation
     if kill.mode is KillMode.FULL:
         if not is_nilpotent(out):

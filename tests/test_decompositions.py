@@ -22,7 +22,7 @@ from solvco.decompositions import (
     rational_spectrum,
 )
 from solvco.errors import CheckFailed, NotRationallySplittable, NotUnipotent
-from solvco.matrices import Matrix, inverse
+from solvco.matrices import Echelon, Matrix, inverse
 from solvco.polynomials import (
     Polynomial,
     monic_integral,
@@ -42,6 +42,11 @@ from support import (
 X = Polynomial.x()
 
 
+def shift_scale(p, scale):
+    """p(scale * x): every root of p divided by scale."""
+    return Polynomial(c * Fraction(scale) ** i for i, c in enumerate(p.coeffs))
+
+
 def test_minimal_polynomial_spec_examples():
     assert minimal_polynomial(Matrix.identity(3)) == X - 1
     assert minimal_polynomial(Matrix.from_rows([[0, 1], [0, 0]])) == X * X
@@ -59,6 +64,13 @@ def test_minimal_polynomial_divides_char_poly():
         cp = char_poly(m)
         assert (cp % mp).is_zero()
         assert poly_of_matrix(mp, m).is_zero()
+
+
+def test_krylov_annihilator_integrality_is_checked():
+    # the annihilator of the 1 x 1 matrix (1/2) is x - 1/2, which no integer
+    # matrix has: the chain raises instead of rounding its coefficient
+    with pytest.raises(CheckFailed, match="not integral"):
+        decompositions._krylov_chain(Echelon(2), [[(0, Fraction(1, 2))]], {0: 1})
 
 
 def test_char_poly_example():
@@ -245,7 +257,7 @@ def planted_spectra(draw):
         for _ in range(draw(st.integers(1, 2))):
             p = p * f
     scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
-    return p.shift_scale(scale).monic()
+    return shift_scale(p, scale).monic()
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,9 +298,9 @@ def test_complex_quadratic_factors_finds_planted_quadratics(pairs, roots, s):
     p = Polynomial((1,))
     for f in [*quads, *(X - r for r in roots)]:
         p = p * f
-    scaled = sorted((q.shift_scale(s).monic() for q in quads),
+    scaled = sorted((shift_scale(q, s).monic() for q in quads),
                     key=lambda f: (f.coeffs[1], f.coeffs[0]))
-    assert complex_quadratic_factors(p.shift_scale(s).monic()) == scaled
+    assert complex_quadratic_factors(shift_scale(p, s).monic()) == scaled
 
 
 def test_one_remainder_sequence_per_root_question(monkeypatch):

@@ -1,5 +1,6 @@
 """Structure/matrix file parsing, catalog dump round trips, CLI behavior."""
 
+import sys
 import time
 
 import pytest
@@ -189,6 +190,26 @@ def test_cli_malformed_numbers_are_usage_errors(tmp_path):
     assert (code, text) == (3, "error: line 1: expected `ROWS COLS` header")
     code, text = run_command(["cohomology", "heisenberg3", "--max-degree", "-1"])
     assert (code, text) == (3, "error: line 0: --max-degree must be non-negative, got -1")
+
+
+BIG = "7" * 5000  # longer than Python's limit for int conversion
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("info", f"dim 3\nd e3 = 1/{BIG} e1^e2\n", 2),
+    ("info", f"dim {BIG}\n", 1),
+    ("info", f"dim 3\nd e{BIG} = e1^e2\n", 2),
+    ("info", f"dim 3\nd e3 = e1^e{BIG}\n", 2),
+    ("almost-abelian", f"2 2\n-{BIG} 0\n0 1\n", 2),
+    ("almost-abelian", f"{BIG} 2\n1 0\n0 1\n", 1),
+], ids=["coefficient", "dim", "generator", "wedge-index", "matrix-entry", "matrix-header"])
+def test_cli_over_long_numbers_are_parse_errors(tmp_path, command, text, line):
+    # the int conversion limit stays in place, so the work stays bounded
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [command, str(path)] if command == "info" else [command, "--holonomy", str(path)]
+    assert run_command(argv) == (3, f"error: line {line}: number of 5000 digits exceeds "
+                                    f"the limit of {sys.get_int_max_str_digits()}")
 
 
 def test_cli_degree_cut_keeps_the_dimension_bound(tmp_path):

@@ -28,9 +28,11 @@ from solvco.lie import (
     verify_nilpotent_complement,
 )
 from solvco.almost_abelian import almost_abelian_algebra
-from solvco.decompositions import minimal_polynomial
+from solvco.decompositions import char_poly, minimal_polynomial
+from solvco.files import parse_structure_file, structure_equations
 from solvco.matrices import Matrix, basis_vector, inverse
 from solvco.polynomials import Polynomial
+from solvco.splitting import KillMode, SplittingInput, kill_map, modified_bracket
 from support import (
     companion,
     filiform,
@@ -319,11 +321,26 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     # integer echelon rows and the Sturm chain is in primitive ints, so the
     # Jacobi check, both series and every squarefree chain that the flag
     # search takes build no Fraction; a remainder sequence in Fractions
-    # and series over rational bases build hundreds
+    # and series over rational bases build hundreds.  Parsing reads int
+    # pairs into the integer builder and builds none; the Krylov chains
+    # read the echelon's int remainder and multiply int lists, so only the
+    # returned coefficients are Fractions (with Fraction products: 83 for
+    # the degree-6 minimal polynomial, 108 for the characteristic one);
+    # the flag's operators on [g, g] and the modified bracket are summed
+    # in ints over one denominator (in Fractions: 1,326 for the flag, 426
+    # and 537 for the full and compact brackets of nakamura)
     from solvco import polynomials
 
     g = conjugate(filiform(7), rand_invertible_rational(random.Random(3), 7))
     assert g.denominator == 12
+    text = structure_equations(g)
+    adjoints = [ad_matrix(g, (1, 2, 0, -1, 3, 0, 1)), ad_matrix(conjugate(
+        catalog_get("nakamura").algebra, rand_invertible_rational(random.Random(3), 6)),
+        (1, 1, 0, 0, 0, 0))]
+    krylov = [(f, a, f(a).degree) for f in (minimal_polynomial, char_poly) for a in adjoints]
+    entry = catalog_get("nakamura")
+    inp = SplittingInput(entry.algebra, entry.complement, entry.nilpotent_ideal)
+    kills = [kill_map(inp, mode) for mode in (KillMode.FULL, KillMode.COMPACT)]
     made = []
     new = Fraction.__new__
 
@@ -354,3 +371,7 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     assert chains and sum(chains) == 0
     p = minimal_polynomial(ad_matrix(g, (1, 2, 0, -1, 3, 0, 1)))
     assert built(polynomials._squarefree_chain, p * p) == 0
+    assert built(parse_structure_file, text) == 0
+    assert [built(f, a) <= degree + 1 for f, a, degree in krylov] == [True] * 4
+    assert built(completely_solvable_flag, g) <= 250
+    assert [built(modified_bracket, inp, kill) <= 40 for kill in kills] == [True, True]

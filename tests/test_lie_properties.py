@@ -13,7 +13,11 @@ The integer bracket table (ints over `denominator`) is held to the
 constants it was built from: random tables with large, mostly coprime
 denominators, read back through every reader; the Jacobi residual of a
 planted violation is held to the dense reference
-`support.dense_jacobi_violation`.
+`support.dense_jacobi_violation`.  The integer path is held to the
+`Fraction` one by ==, hash, denominator and the int terms: the integer
+builder on cleared (and commonly scaled) ints against the `Fraction`
+constructor, and parsing against the algebra written out and against
+hand-written signed and unreduced coefficient tokens.
 
 The flag certificate is held to planted spectra: R x|_D Q^k with
 D = U (blocks) U^-1, the blocks rational scalars, Jordan blocks, x^2 - 2,
@@ -360,6 +364,70 @@ def test_jacobi_residual_of_a_planted_violation_is_the_dense_one(case):
     bad = LieAlgebra(g.dim, brackets)
     found = jacobi_violation(bad)
     assert found == dense_jacobi_violation(bad)
+
+
+def table_of(g):
+    """What the integer path must agree on: ==, hash, the denominator and
+    the int terms."""
+    return g, hash(g), g.denominator, g.integer_brackets()
+
+
+@settings(max_examples=80, deadline=None)
+@given(bracket_tables(), st.integers(1, 2**20))
+def test_integer_builder_is_the_fraction_constructor_on_cleared_ints(case, scale):
+    n, brackets, _ = case
+    g = LieAlgebra(n, brackets)
+    D = lcm(*[Fraction(c).denominator for coeffs in brackets.values() for c in coeffs.values()])
+    cleared = {ij: {k: int(c * D) for k, c in coeffs.items()} for ij, coeffs in brackets.items()}
+    assert table_of(LieAlgebra.from_integer_brackets(n, cleared, D)) == table_of(g)
+    # a common factor of the terms and the denominator is divided out
+    scaled = {ij: {k: scale * x for k, x in coeffs.items()} for ij, coeffs in cleared.items()}
+    assert table_of(LieAlgebra.from_integer_brackets(n, scaled, scale * D)) == table_of(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_parsed_large_rational_conjugates_are_the_algebra(rng):
+    g = rand_valid_algebra(rng, 5)
+    g = conjugate(g, rand_large_rational(rng, g.dim))
+    assert table_of(parse_structure_file(structure_equations(g))) == table_of(g)
+
+
+def coefficient_token(rng):
+    """(token, value): a coefficient token p, +p, -p or an unreduced p/q,
+    or no token (value 1)."""
+    c = rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 12)), large_fraction(rng),
+                    Fraction(1), Fraction(-1)))
+    f = rng.randint(1, 4)
+    p, q = c.numerator * f, c.denominator * f
+    sign = "-" if p < 0 else rng.choice(("", "+"))
+    token = rng.choice((f"{sign}{abs(p)}/{q}",) + ((f"{sign}{abs(c.numerator)}", "")
+                                                   if c.denominator == 1 else ()))
+    return token, c if token else Fraction(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_signed_and_unreduced_coefficient_tokens_read_as_their_fractions(rng):
+    # d e_k = sum over i < j <= low of c e^i^e^j for each k above low: the
+    # brackets land in the centre, so every table is a Lie algebra; a sign
+    # token and a signed coefficient multiply, as in `- -1 e1^e2`
+    low, top = rng.randint(2, 4), rng.randint(1, 3)
+    lines, brackets = [f"dim {low + top}"], {}
+    for k in range(low + 1, low + top + 1):
+        terms = []
+        for i in range(1, low + 1):
+            for j in range(i + 1, low + 1):
+                if rng.random() < 0.7:
+                    sign = rng.choice(("+", "-") if terms else ("", "+", "-"))
+                    token, c = coefficient_token(rng)
+                    terms += [t for t in (sign, token, f"e{i}^e{j}") if t]
+                    # c[k][i][j] = -(coefficient of e^{ij} in d e^k)
+                    brackets.setdefault((i, j), {})[k] = c if sign == "-" else -c
+        if terms:
+            lines.append(f"d e{k} = " + " ".join(terms))
+    text = "\n".join(lines) + "\n"
+    assert table_of(parse_structure_file(text)) == table_of(LieAlgebra(low + top, brackets)), text
 
 
 # Lie algebras that are not solvable: sl2, gl2 = sl2 + R, sl2 acting on

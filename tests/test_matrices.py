@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from solvco.lie import LieAlgebra, Subspace
+from solvco.polynomials import Polynomial
 from solvco.matrices import (
     Echelon,
     Matrix,
@@ -127,9 +128,16 @@ def test_float_entries_raise_type_error():
                   lambda: Echelon(2).reduce({0: 0.25}),
                   lambda: Subspace(2, [(0.5, 1)]),
                   lambda: Subspace.span(2, [{1: 2.0}]),
-                  lambda: LieAlgebra(3, {(1, 2): {3: 0.5}})):
+                  lambda: LieAlgebra(3, {(1, 2): {3: 0.5}}),
+                  lambda: Polynomial((0.5, 1)),
+                  lambda: Polynomial.x() * 0.5,
+                  lambda: Polynomial.x() + 0.5):
         with pytest.raises(TypeError, match="not exact"):
             build()
+    # the integer builder takes ints only
+    for c in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            LieAlgebra.from_integer_brackets(3, {(1, 2): {3: c}}, 2)
     # ints, Fractions and strings stay exact
     assert Matrix(1, 3, [1, Fraction(1, 10), "1/10"]).row(0) == (1, Fraction(1, 10),
                                                                   Fraction(1, 10))

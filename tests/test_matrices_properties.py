@@ -12,8 +12,9 @@ arithmetic, entry reads and exterior powers are checked against sympy, and
 every result is checked to be in lowest terms, so that equal matrices reached
 by different paths are equal and hash equal.  An `Echelon` stores its rows
 in row echelon form only, so random interleavings of its operations check
-that every read still sees the reduced form of the vectors added.  The
-module is skipped where hypothesis is not installed.
+that every read still sees the reduced form of the vectors added.  A
+matrix file read in ints is held to the matrix of its `Fraction` tokens.
+The module is skipped where hypothesis is not installed.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from solvco.decompositions import char_poly, minimal_polynomial, poly_of_matrix  # noqa: E402
+from solvco.files import parse_matrix  # noqa: E402
 from solvco.matrices import (  # noqa: E402
     Echelon,
     Matrix,
@@ -203,6 +205,10 @@ def test_reduce_is_zero_at_pivots_and_leaves_a_span_element(data):
         ech.add(data.draw(as_input(m.row(i))))
     v = data.draw(as_input(data.draw(matrices(rows=1, cols=m.cols)).row(0)))
     r = ech.reduce(v)
+    V, s = ech.remainder(v)  # the same remainder as ints over s
+    assert all(type(x) is int for x in V.values()) and type(s) is int and s >= 1
+    assert {c: Fraction(x, s) for c, x in V.items() if x} == (
+        r if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x})
     assert isinstance(r, dict) == isinstance(v, dict)
     values = r.values() if isinstance(r, dict) else r
     assert all(type(x) is Fraction for x in values)
@@ -217,6 +223,30 @@ def test_reduce_is_zero_at_pivots_and_leaves_a_span_element(data):
     assert stacked.rank() == ref.rank()
     assert ech.contains(diff)
     assert ech.contains(v) == (not any(r))
+
+
+@st.composite
+def entry_token(draw, x: Fraction) -> str:
+    """A matrix-file token read as x: p, +p, -p or an unreduced p/q."""
+    f = draw(st.integers(1, 4))
+    sign = "-" if x < 0 else draw(st.sampled_from(("", "+")))
+    forms = [f"{sign}{abs(x.numerator) * f}/{x.denominator * f}"]
+    if x.denominator == 1:
+        forms.append(f"{sign}{abs(x.numerator)}")
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_parse_matrix_is_the_matrix_of_the_fraction_tokens(data):
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = data.draw(matrices(rows=n, cols=k))
+    rows = [[data.draw(entry_token(x)) for x in m.row(i)] for i in range(n)]
+    parsed = parse_matrix(f"{n} {k}\n" + "".join(" ".join(r) + "\n" for r in rows))
+    expected = Matrix(n, k, [Fraction(t) for r in rows for t in r])
+    assert expected == m
+    assert (parsed, hash(parsed), parsed.denominator, parsed.numerator_rows()) == (
+        expected, hash(expected), expected.denominator, expected.numerator_rows())
 
 
 @settings(max_examples=150, deadline=None)

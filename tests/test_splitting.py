@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solvco.almost_abelian import almost_abelian_algebra
@@ -12,7 +12,7 @@ from solvco.catalog import catalog_get
 from solvco.cohomology import cohomology
 from solvco.decompositions import jordan_chevalley, minimal_polynomial
 from solvco.errors import DecompositionInvalid, NonCommutingTorus
-from solvco.lie import LieAlgebra, Subspace, ad_matrix, is_nilpotent
+from solvco.lie import LieAlgebra, Subspace, ad_matrix, conjugate, is_nilpotent
 from solvco.matrices import Matrix, basis_vector, inverse
 from solvco.polynomials import real_root_counter
 from solvco.splitting import (
@@ -23,7 +23,13 @@ from solvco.splitting import (
     modified_bracket,
     nilshadow,
 )
-from support import block_diag, oscillator4, rand_unimodular, rotation_block
+from support import (
+    block_diag,
+    oscillator4,
+    rand_invertible_rational,
+    rand_unimodular,
+    rotation_block,
+)
 
 
 def catalog_input(name):
@@ -214,6 +220,29 @@ def test_kills_of_planted_derivations_match_their_blocks(planted):
     assert nilshadow(inp) == almost_abelian_algebra(nil)
     assert modified_bracket(inp, kill_map(inp, KillMode.COMPACT)) == \
         almost_abelian_algebra(d - compact)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["nakamura", "hyperelliptic4", "rot3", "sol3"]),
+       st.sampled_from([KillMode.FULL, KillMode.COMPACT]))
+def test_modified_bracket_commutes_with_a_rational_change_of_basis(rng, name, mode):
+    # in a rational basis the brackets, the projection onto V and the kill
+    # operators each have a denominator of their own, which the integer
+    # sums must bring to one
+    entry = catalog_get(name)
+    g, n = entry.algebra, entry.algebra.dim
+    p = rand_invertible_rational(rng, n) * Matrix.diagonal([Fraction(1, t + 2) for t in range(n)])
+    p_inv = inverse(p)
+
+    def moved(space):  # the same subspace in the coordinates of the new basis
+        return Subspace.span(n, [p_inv.apply(v) for v in space.basis])
+
+    inp = SplittingInput(conjugate(g, p), moved(entry.complement), moved(entry.nilpotent_ideal))
+    assume(inp.algebra.denominator > 1)
+    tilde = catalog_input(name)
+    assert modified_bracket(inp, kill_map(inp, mode)) == conjugate(
+        modified_bracket(tilde, kill_map(tilde, mode)), p)
 
 
 def test_random_derivation_algebras_nilshadow():
