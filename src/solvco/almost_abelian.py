@@ -17,12 +17,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from .cohomology import DEFAULT_DIM_BOUND, cohomology
 from .decompositions import (
-    char_poly,
+    integer_char_poly,
     log_unipotent,
     perfect_square_root,
     rational_spectrum,
@@ -31,6 +32,7 @@ from .errors import DimensionTooLarge, NotQuasiUnipotent
 from .lie import LieAlgebra
 from .matrices import Matrix, det, exterior_power, rank
 from .polynomials import (
+    Polynomial,
     cyclotomic_factors,
     euler_totient,
     real_root_counter,
@@ -87,17 +89,18 @@ class HolonomyInput:
 
     @functools.cached_property
     def spectrum(self):
-        """(characteristic polynomial of the holonomy, its cyclotomic
-        factors as (d, multiplicity) pairs), computed once per input."""
-        p = char_poly(self.holonomy)
-        return p, tuple(cyclotomic_factors(p))
+        """(characteristic polynomial of the holonomy as a monic int list,
+        the integer matrix being its own scale, its cyclotomic factors as
+        (d, multiplicity) pairs), computed once per input."""
+        P, _ = integer_char_poly(self.holonomy)
+        return P, tuple(cyclotomic_factors(P))
 
     @functools.cached_property
     def real_spectrum(self):
         """(some eigenvalue of the holonomy is negative real, every one is
         real and positive), from one Sturm chain, computed once per input."""
         s, count = real_root_counter(self.spectrum[0])
-        return count(None, 0) > 0, count(0, None) == s.degree
+        return count(None, 0) > 0, count(0, None) == len(s) - 1
 
 
 def almost_abelian_algebra(derivation: Matrix) -> LieAlgebra:
@@ -133,13 +136,14 @@ def mostow_status(inp: HolonomyInput):
                 "rational derivation: eigenvalues are algebraic, i*pi is "
                 "transcendental, so i*pi is not a rational combination")
     if inp.derivation is not None:
-        quads, rest, real = rational_spectrum(char_poly(inp.derivation))
-        for factor in quads:
-            big_c, big_b = factor.coeffs[0], -factor.coeffs[1]
-            root = perfect_square_root(4 * big_c - big_b * big_b)  # roots (B +- i root)/2
+        P, scale = integer_char_poly(inp.derivation)
+        quads, rest, real = rational_spectrum(P, scale)
+        for big_c, big_b, _ in quads:  # x^2 + (B/D) x + C/D^2: roots (-B/D +- i root)/2
+            root = perfect_square_root(Fraction(4 * big_c - big_b * big_b, scale * scale))
             if root is None:
                 continue
             div = root if root.denominator == 1 else f"({root})"  # /(4/3), not /4/3
+            factor = Polynomial.from_scaled([big_c, big_b, 1], scale)
             return (MostowStatus.FAILS,
                     f"conjugate pair of factor {factor} has rational imaginary "
                     f"part {root / 2}: i = (v - conj(v))/{div}, so i*pi is a rational "
@@ -151,7 +155,8 @@ def mostow_status(inp: HolonomyInput):
                     "combination of the eigenvalues equals i")
         return (MostowStatus.UNDETERMINED,
                 f"derivation spectrum has a non-real factor of degree >= 3 "
-                f"({rest}); rational representability of i*pi not decided")
+                f"({Polynomial.from_scaled(rest, scale)}); rational "
+                "representability of i*pi not decided")
     _, cyclo = inp.spectrum
     bad = [d for d, _ in cyclo if d >= 2]
     if bad:

@@ -4,16 +4,18 @@ Minimal and characteristic polynomials come from one integer Krylov
 kernel: m is scaled once to the integer matrix M = D * m (D the least
 common denominator of its entries), Krylov vectors are iterated in Python
 ints and eliminated in an `Echelon` whose int remainders give the
-annihilators, these are multiplied as int coefficient lists, and the
-monic integral polynomial found for M is rescaled once to the
-`Polynomial` D^(-deg) p_M(D x).  The additive
-semisimple/nilpotent decomposition is the Newton iteration on the
-squarefree part of the minimal polynomial.  The imaginary-spectrum
-(compact) part of a semisimple operator, `compact_part`, is built from one
-projector h(s) (h(s) + f(s))^(-1) per factor f of its minimal polynomial
-p, h = p / f: the negative-discriminant quadratics and the totally real
-block, which `rational_spectrum` splits off for every spectral decision of
-the package; the real-spectrum (split) part is the operator minus it.
+annihilators, and these are multiplied as int coefficient lists into the
+monic int list P of M: the int form (P, D) of `polynomials`, which every
+spectral decision reads (`integer_minimal_polynomial`,
+`integer_char_poly`); `minimal_polynomial` and `char_poly` build the
+`Polynomial` D^(-deg) P(D x) for a reader.  `rational_spectrum` splits
+off the negative-discriminant quadratics and the totally real block of
+the squarefree part, at the same scale.  The additive semisimple/nilpotent
+decomposition is the Newton iteration on that squarefree part, and the
+imaginary-spectrum (compact) part of a semisimple operator, the operator
+minus its split part, is built from one projector h(s) (h(s) + f(s))^(-1)
+per factor f of its minimal polynomial p, h = p / f; `poly_of_matrix`
+evaluates these int lists at a matrix in ints.
 """
 
 from __future__ import annotations
@@ -27,22 +29,35 @@ from .matrices import Echelon, Matrix, inverse
 from .polynomials import (
     Polynomial,
     integer_divisors,
-    monic_integral,
+    least_scale,
     pseudo_divmod,
     real_root_counter,
-    squarefree_part,
 )
 
 
-def poly_of_matrix(p: Polynomial, m: Matrix) -> Matrix:
-    """Evaluate p at a square matrix by Horner's scheme."""
+def poly_of_matrix(P: list, scale: int, m: Matrix) -> Matrix:
+    """The value at a square m of D^(-deg) P(D x), the int list P at scale
+    D.  With D m = X / Y in lowest terms (X the int rows), that is the sum
+    of P_i X^i Y^(deg - i) over (D Y)^deg, taken by Horner's scheme in
+    ints, acc <- acc X + P_i Y^(deg - i) I, and built as one matrix."""
     if not m.is_square():
         raise ValueError("polynomial of a non-square matrix")
-    n = m.rows
-    acc = Matrix.zeros(n, n)
-    for c in reversed(p.coeffs):
-        acc = acc * m + c * Matrix.identity(n)
-    return acc
+    n, x = m.rows, m * scale
+    y = x.denominator
+    rows = [[(j, v) for j, v in enumerate(r) if v] for r in x.numerator_rows()]
+    acc, power = [[0] * n for _ in range(n)], 1
+    for c in reversed(P):
+        nxt = []
+        for i, r in enumerate(acc):
+            out = [0] * n
+            for k, a in enumerate(r):
+                if a:
+                    for j, b in rows[k]:
+                        out[j] += a * b
+            out[i] += c * power
+            nxt.append(out)
+        acc, power = nxt, power * y
+    return Matrix.from_numerators(n, n, [v for r in acc for v in r], (scale * y) ** (len(P) - 1))
 
 
 def _integer_columns(m: Matrix):
@@ -110,21 +125,16 @@ def _times(a: list, b: list) -> list:
     return out
 
 
-def _rescaled(p: list, scale: int) -> Polynomial:
-    """The monic D^(-deg) p(D x) of the monic int list p of M = D * m, the
-    polynomial of m: coefficient c_i / D^(deg - i) at x^i."""
-    deg = len(p) - 1
-    return Polynomial(Fraction(c, scale ** (deg - i)) for i, c in enumerate(p))
+def integer_char_poly(m: Matrix):
+    """(P, D): the characteristic polynomial det(xI - m) as the monic int
+    list P of the integer matrix M = D * m at its scale D, from Krylov
+    chains.
 
-
-def char_poly(m: Matrix) -> Polynomial:
-    """Characteristic polynomial det(xI - m) from Krylov chains.
-
-    With M = D * m integral, chains of e_1, ..., e_n that are not yet in the
-    span fill the space; each contributes its relative annihilator, the
-    characteristic polynomial of M on the quotient its chain spans, and
-    their product, taken in ints, is that of M.  One echelon of width 2n
-    holds every chain."""
+    Chains of e_1, ..., e_n that are not yet in the span fill the space;
+    each contributes its relative annihilator, the characteristic
+    polynomial of M on the quotient its chain spans, and their product,
+    taken in ints, is that of M.  One echelon of width 2n holds every
+    chain."""
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
@@ -137,17 +147,19 @@ def char_poly(m: Matrix) -> Polynomial:
             result = _times(result, q)
             if krylov.dim == n:
                 break
-    return _rescaled(result, scale)
+    return result, scale
 
 
-def minimal_polynomial(m: Matrix) -> Polynomial:
-    """Monic least-degree annihilator, grown over the basis vectors.
+def integer_minimal_polynomial(m: Matrix):
+    """(P, D): the monic least-degree annihilator of m as the monic int
+    list P of the integer matrix M = D * m at its scale D, grown over the
+    basis vectors.
 
-    With M = D * m integral and p the annihilator of e_1, ..., e_(i-1), the
-    annihilator of p(M) e_i (a Krylov chain of its own) times p is the lcm
-    of p and the annihilator of e_i, so no polynomial gcd is taken; a basis
-    vector with p(M) e_i = 0 is skipped, and the loop stops at degree n.
-    The product is taken in ints."""
+    With p the annihilator of e_1, ..., e_(i-1), the annihilator of
+    p(M) e_i (a Krylov chain of its own) times p is the lcm of p and the
+    annihilator of e_i, so no polynomial gcd is taken; a basis vector with
+    p(M) e_i = 0 is skipped, and the loop stops at degree n.  The product
+    is taken in ints."""
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
@@ -163,7 +175,17 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
             result = _times(result, q)
             if len(result) == n + 1:
                 break
-    return _rescaled(result, scale)
+    return result, scale
+
+
+def char_poly(m: Matrix) -> Polynomial:
+    """Characteristic polynomial det(xI - m), from `integer_char_poly`."""
+    return Polynomial.from_scaled(*integer_char_poly(m))
+
+
+def minimal_polynomial(m: Matrix) -> Polynomial:
+    """Monic minimal polynomial of m, from `integer_minimal_polynomial`."""
+    return Polynomial.from_scaled(*integer_minimal_polynomial(m))
 
 
 @dataclass(frozen=True)
@@ -172,51 +194,62 @@ class JordanDecomposition:
 
     semisimple: Matrix
     nilpotent: Matrix
-    # the squarefree part of the minimal polynomial of m, which is the
-    # minimal polynomial of the semisimple part
-    semisimple_minpoly: Polynomial
+    # (F, D): the squarefree part of the minimal polynomial of m, which is
+    # the minimal polynomial of the semisimple part, in the int form of
+    # `integer_minimal_polynomial(m)` (F a tuple, so the value hashes)
+    minpoly_form: tuple
+
+    @property
+    def semisimple_minpoly(self) -> Polynomial:
+        return Polynomial.from_scaled(*self.minpoly_form)
 
 
 def jordan_chevalley(m: Matrix) -> JordanDecomposition:
     """Newton iteration on the squarefree part f of the minimal polynomial.
 
-    Starting from S = m, S <- S - f(S) * f'(S)^{-1} until f(S) = 0; f'(S)
-    stays invertible because the iterates keep the spectrum of m and f is
-    squarefree.  Terminates within ceil(log2 n) + 1 steps.
+    m is semisimple exactly when its minimal polynomial is squarefree;
+    otherwise, starting from S = m, S <- S - f(S) * f'(S)^{-1} until
+    f(S) = 0; f'(S) stays invertible because the iterates keep the
+    spectrum of m and f is squarefree.  Terminates within ceil(log2 n) + 1
+    steps.  f and f' are evaluated in the int form of f, F at the scale D
+    of m, whose derivative D^(1 - deg) F'(D x) is f'.
     """
     if not m.is_square():
         raise ValueError("decomposition of a non-square matrix")
     n = m.rows
-    f = squarefree_part(minimal_polynomial(m))
+    P, scale = integer_minimal_polynomial(m)
+    F = real_root_counter(P)[0]
     s = m
-    fs = poly_of_matrix(f, s)
-    steps = 0
-    limit = max(1, n).bit_length() + 2
-    while not fs.is_zero():
-        if steps >= limit:
-            raise CheckFailed("Newton iteration failed to converge")
-        s = s - fs * inverse(poly_of_matrix(f.derivative(), s))
-        fs = poly_of_matrix(f, s)
-        steps += 1
-    return JordanDecomposition(semisimple=s, nilpotent=m - s, semisimple_minpoly=f)
+    if F != P:
+        derivative = [i * c for i, c in enumerate(F) if i]
+        fs = poly_of_matrix(F, scale, s)
+        steps = 0
+        limit = max(1, n).bit_length() + 2
+        while not fs.is_zero():
+            if steps >= limit:
+                raise CheckFailed("Newton iteration failed to converge")
+            s = s - fs * inverse(poly_of_matrix(derivative, scale, s))
+            fs = poly_of_matrix(F, scale, s)
+            steps += 1
+    return JordanDecomposition(semisimple=s, nilpotent=m - s, minpoly_form=(tuple(F), scale))
 
 
-def complex_quadratic_factors(p: Polynomial):
-    """Monic quadratics x^2 - b x + c with b^2 < 4c dividing p.
+def complex_quadratic_factors(P: list, scale: int):
+    """Monic quadratics x^2 - b x + c with b^2 < 4c dividing the monic
+    squarefree int list P at scale D, as int lists at scale D.
 
-    p must be monic and squarefree.  The search runs on the monic integral
-    P = D^deg p(x / D) of `monic_integral`, whose monic factors are integral
-    by Gauss's lemma; a factor x^2 - B x + C of P is x^2 - (B/D) x + C/D^2
-    of p.  Integer candidates x^2 - B x + C come from the divisors of P's
-    constant term (after a root at zero is divided out) and of P(t), t the
-    least positive integer with P(t) != 0 (any factor q satisfies
-    q(t) | P(t)); each candidate is verified by exact division in ints, so
-    the search is complete and sound.
+    The search runs at the least scale d, on Q from `least_scale(P, D)`,
+    whose monic factors are integral by Gauss's lemma; a factor
+    x^2 - B x + C of Q is x^2 - (B/d) x + C/d^2, and [C e^2, -B e, 1],
+    e = D / d, at scale D.  Integer candidates x^2 - B x + C come from the
+    divisors of Q's constant term (after a root at zero is divided out)
+    and of Q(t), t the least positive integer with Q(t) != 0 (any factor
+    q satisfies q(t) | Q(t)); each candidate is verified by exact division
+    in ints, so the search is complete and sound.
     """
-    if p.is_zero() or p.leading() != 1:
+    if not P or P[-1] != 1:
         raise ValueError("expected a monic polynomial")
-    big_p, den = monic_integral(p)
-    q = [c.numerator for c in big_p.coeffs]
+    q, den = least_scale(P, scale)
     q = q[1:] if q[0] == 0 else q  # squarefree, so at most one root at zero
     if len(q) < 3:
         return []
@@ -238,69 +271,82 @@ def complex_quadratic_factors(p: Polynomial):
                 if cand not in found and not pseudo_divmod(q, cand)[1]:
                     found.append(cand)
     found.sort(key=lambda f: (f[1], f[0]))
-    return [Polynomial((Fraction(c, den**2), Fraction(b, den), 1)) for c, b, _ in found]
+    e = scale // den
+    return [[c * e * e, b * e, 1] for c, b, _ in found]
 
 
-def rational_spectrum(p: Polynomial):
-    """(quads, rest, real): the negative-discriminant quadratic factors of
-    the squarefree part of p, that part with them divided out (each
-    division checked exact), and whether every root of rest is real; rest
+def rational_spectrum(P: list, scale: int):
+    """(quads, rest, real) for the monic int list P at scale D: the
+    negative-discriminant quadratic factors of the squarefree part of P,
+    that part with them divided out (each division checked exact), both
+    as int lists at scale D, and whether every root of rest is real; rest
     may keep non-real roots of degree >= 3.
 
     One remainder sequence gives the squarefree part and the count of its
     real roots.  When all its roots are real there is no quadratic to
     search for; otherwise the quads have no real roots, so rest is real
     exactly when it holds them all."""
-    rest, count = real_root_counter(p)
+    rest, count = real_root_counter(P)
     real_roots = count()
-    if real_roots == rest.degree:
+    if real_roots == len(rest) - 1:
         return [], rest, True
-    quads = complex_quadratic_factors(rest)
+    quads = complex_quadratic_factors(rest, scale)
     for q in quads:
-        rest, remainder = divmod(rest, q)
-        if not remainder.is_zero():
-            raise CheckFailed(f"conjugate-pair factor {q} does not divide {p}")
-    return quads, rest, real_roots == rest.degree
+        rest, remainder = pseudo_divmod(rest, q)
+        if remainder:
+            raise CheckFailed(f"conjugate-pair factor {q} does not divide {P} at scale {scale}")
+    return quads, rest, real_roots == len(rest) - 1
 
 
 def compact_part(s: Matrix, p: Polynomial | None = None) -> Matrix:
-    """Imaginary-spectrum summand of a semisimple s: the sum of (s - a) P
-    over the quadratic factors f = x^2 - 2a x + c of its minimal polynomial
-    p (computed when omitted), P the projector onto ker f(s) along ker h(s),
-    h = p / f.
-
-    As f and h are coprime, h(s) + f(s) is invertible and acts as h(s) on
-    ker f(s), so P = h(s) (h(s) + f(s))^(-1).  The projectors of the
-    quadratics and of the totally real block must resolve the identity.
-    The split part s minus the compact one is s on the totally real block
-    and a times the identity on a quadratic block; both parts are
-    polynomials in s, so they commute.  Raises NotRationallySplittable when
-    p has a non-real factor of degree >= 3.
-    """
+    """`integer_compact_part` of a semisimple s, given its minimal
+    polynomial p or computing it when omitted; raises ValueError when s is
+    not semisimple."""
     if not s.is_square():
         raise ValueError("expected a square matrix")
-    if p is None:
-        p = minimal_polynomial(s)
-        if squarefree_part(p) != p:
-            raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
+    if p is not None:
+        return integer_compact_part(s, *p.integral_form())
+    P, scale = integer_minimal_polynomial(s)
+    if real_root_counter(P)[0] != P:
+        raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")
+    return integer_compact_part(s, P, scale)
+
+
+def integer_compact_part(s: Matrix, P: list, scale: int) -> Matrix:
+    """Imaginary-spectrum summand of a semisimple s with minimal polynomial
+    p, given as the monic int list P at scale D: the sum of (s - a) Pr over
+    the quadratic factors f = x^2 - 2a x + c of p, Pr the projector onto
+    ker f(s) along ker h(s), h = p / f.
+
+    As f and h are coprime, h(s) + f(s) is invertible and acts as h(s) on
+    ker f(s), so Pr = h(s) (h(s) + f(s))^(-1).  The projectors of the
+    quadratics and of the totally real block must resolve the identity.
+    The factors of `rational_spectrum` and their cofactors from
+    `pseudo_divmod` stay at scale D, where f has coefficient -2a D at x,
+    and `poly_of_matrix` evaluates them at s.  The split part s minus the
+    compact one is s on the totally real block and a times the identity on
+    a quadratic block; both parts are polynomials in s, so they commute.
+    Raises NotRationallySplittable when p has a non-real factor of degree
+    >= 3.
+    """
     n = s.rows
     compact = total = Matrix.zeros(n, n)
-    if p.degree == 0:
+    if len(P) == 1:
         return compact
-    quads, real_block, real = rational_spectrum(p)
+    quads, real_block, real = rational_spectrum(P, scale)
     if not real:
-        raise NotRationallySplittable(
-            f"minimal polynomial has a non-real factor of degree >= 3: {real_block}"
-        )
-    for f in quads + ([real_block] if real_block.degree >= 1 else []):
-        h = poly_of_matrix(p // f, s)
+        raise NotRationallySplittable("minimal polynomial has a non-real factor of degree "
+                                      f">= 3: {Polynomial.from_scaled(real_block, scale)}")
+    for f in quads + ([real_block] if len(real_block) > 1 else []):
+        h = poly_of_matrix(pseudo_divmod(P, f)[0], scale, s)
         try:
-            projector = h * inverse(h + poly_of_matrix(f, s))
+            projector = h * inverse(h + poly_of_matrix(f, scale, s))
         except ValueError:
-            raise CheckFailed(f"primary factor {f} is not coprime to its cofactor") from None
+            raise CheckFailed(f"primary factor {Polynomial.from_scaled(f, scale)} "
+                              "is not coprime to its cofactor") from None
         total = total + projector
         if f is not real_block:
-            compact = compact + (s + f.coeffs[1] / 2 * Matrix.identity(n)) * projector
+            compact = compact + s * projector + Fraction(f[1], 2 * scale) * projector
     if not total.is_identity():
         raise CheckFailed("primary projectors do not resolve the identity")
     return compact

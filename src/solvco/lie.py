@@ -17,7 +17,9 @@ the Jacobi sums and the traces of `is_unimodular` read the terms
 directly; `restrict` and the flag search read coordinates as an
 echelon's int remainders and build over one common denominator, so
 `Fraction`s appear only in what a reader returns.  The flag search runs
-inside [g, g], on the matrices of the ad(e_i) on it.
+inside [g, g], on the matrices of the ad(e_i) on it, and reads their
+spectra from the int form of their minimal polynomials; only a `no`
+witness becomes a `Polynomial`.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from math import gcd, lcm
 from typing import Optional
 
 from .decompositions import (
+    integer_minimal_polynomial,
     jordan_chevalley,
-    minimal_polynomial,
     rational_spectrum,
 )
 from .errors import DecompositionInvalid, JacobiViolation, NotSolvable
@@ -505,11 +507,13 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     for i in range(n):
         a = on_comm({i: 1})
         if a not in roots:
-            quads, rest, real = rational_spectrum(Polynomial.x() * minimal_polynomial(a))
+            P, scale = integer_minimal_polynomial(a)
+            quads, rest, real = rational_spectrum([0] + P, scale)
             if quads or not real:  # prefer a quadratic factor as the witness
-                return FlagCertificate(status="no", witness=(i + 1, quads[0] if quads else rest))
-            roots[a] = rational_roots(rest)
-            split = split and len(roots[a]) == rest.degree
+                return FlagCertificate(status="no", witness=(
+                    i + 1, Polynomial.from_scaled(quads[0] if quads else rest, scale)))
+            roots[a] = rational_roots(rest, scale)
+            split = split and len(roots[a]) == len(rest) - 1
     ideal, lifts = Echelon(m), []  # the flag inside c, in c's coordinates
     while split and ideal.dim < m:
         reps = [t for t in range(m) if t not in ideal.pivots]

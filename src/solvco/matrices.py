@@ -123,7 +123,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.from_numerators(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
+        num = [0] * (n * n)
+        num[:: n + 1] = [1] * n
+        return cls.from_numerators(n, n, num, 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -199,7 +201,7 @@ class Matrix:
                             acc[j] += a * b
                 out.extend(acc)
             return Matrix.from_numerators(self.rows, other.cols, out, self._den * other._den)
-        c = rational(other)
+        c = other if type(other) is int else rational(other)
         return Matrix.from_numerators(self.rows, self.cols, [c.numerator * a for a in self._num],
                                       self._den * c.denominator)
 
@@ -234,7 +236,9 @@ class Matrix:
         return self.rows == self.cols
 
     def is_identity(self) -> bool:
-        return self.is_square() and self == Matrix.identity(self.rows)
+        n, num = self.rows, self._num  # n ones on the diagonal, no other entry
+        return (self.cols == n and self._den == 1
+                and num[:: n + 1].count(1) == n == sum(map(abs, num)))
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -295,7 +299,8 @@ def det(m: Matrix) -> Fraction:
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse: with M = D * m integral, the reduced echelon form of
     [M | I] is [I | M^-1], and m^-1 = D * M^-1; raises ValueError when m is
-    singular."""
+    singular.  Row p of M^-1 is the int tail of the reduced row at p over
+    its pivot entry, and m^-1 is built over their lcm."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
@@ -303,7 +308,10 @@ def inverse(m: Matrix) -> Matrix:
                            for i, row in enumerate(m.numerator_rows())))
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows([row[n:] for row in ech.rows]) * m.denominator
+    rows = [ech._reduced(p) for p in range(n)]
+    den = lcm(*[a for a, _ in rows])
+    return Matrix.from_numerators(n, n, [tail.get(n + j, 0) * (den // a) * m.denominator
+                                         for a, tail in rows for j in range(n)], den)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,18 @@
-"""Exact univariate polynomials over the rationals.
+"""Exact univariate polynomials over the rationals, in one integer form.
 
-Coefficients are stored lowest degree first.  `Polynomial` provides exact
-arithmetic and division; one remainder sequence per polynomial, the Sturm
-chain, gives both its squarefree part and its real root count on any
-rational interval (`real_root_counter`), and no other gcd is taken.  It runs on primitive int coefficient lists through one
-sign-safe pseudo-remainder kernel, `pseudo_divmod`, which also divides by
-the monic cyclotomic and quadratic candidates.  Rational roots are the
-integer roots of the monic integral form `monic_integral`.
+Coefficients are stored lowest degree first.  Every spectral decision
+runs on int coefficient lists: a monic int list P with a scale D >= 1
+stands for the rational polynomial D^(-deg) P(D x), whose roots are
+those of P divided by D; the Krylov kernel of `decompositions` hands out
+the minimal and characteristic polynomials of a matrix m in this form,
+P the polynomial of the integer matrix D m.  One remainder sequence per
+polynomial, the Sturm chain, gives both its squarefree part and its real
+root count on any rational interval (`real_root_counter`), and no other
+gcd is taken; it runs on primitive int lists through one sign-safe
+pseudo-remainder kernel, `pseudo_divmod`, which also does every exact
+division.  Rational roots are the integer roots of P at its least scale
+(`least_scale`).  `Polynomial` is the value a reader gets, built from the
+int form by `Polynomial.from_scaled`; it does no arithmetic.
 """
 
 from __future__ import annotations
@@ -16,11 +22,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CheckFailed
-from .matrices import clear_denominators, rational
+from .matrices import rational
 
 
 class Polynomial:
-    """Dense rational polynomial; the zero polynomial has degree -1."""
+    """Dense rational polynomial, the value a reader gets; the zero
+    polynomial has degree -1.  It does no arithmetic: every computation
+    runs on the int form, and `from_scaled` builds the value from it."""
 
     __slots__ = ("coeffs",)
 
@@ -34,12 +42,19 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
+    def from_scaled(cls, P: list, scale: int) -> "Polynomial":
+        """D^(-deg) P(D x) for the int list P at scale D: coefficient
+        P_i / D^(deg - i) at x^i."""
+        deg = len(P) - 1
+        return cls(Fraction(c, scale ** (deg - i)) for i, c in enumerate(P))
 
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Polynomial":
-        return cls((0,) * degree + (coeff,))
+    def integral_form(self):
+        """(P, D): this polynomial made monic, as the monic int list P at
+        scale D, D the lcm of the denominators of its coefficients."""
+        lead, deg = self.leading(), self.degree
+        q = [c / lead for c in self.coeffs]
+        scale = lcm(*(c.denominator for c in q))
+        return [int(c * scale ** (deg - i)) for i, c in enumerate(q)], scale
 
     @property
     def degree(self) -> int:
@@ -58,79 +73,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __divmod__(self, other):
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.leading()
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            shift = len(r) - 1 - d
-            factor = r[-1] / lead
-            q[shift] = factor
-            for i, b in enumerate(other.coeffs):
-                r[shift + i] -= factor * b
-            while r and r[-1] == 0:
-                r.pop()
-        return Polynomial(q), Polynomial(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Polynomial(c / lead for c in self.coeffs)
 
     def __str__(self):
         if self.is_zero():
@@ -156,18 +98,10 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _coerce(p) -> Polynomial:
-    if isinstance(p, Polynomial):
-        return p
-    return Polynomial((p,))
-
-
-def _primitive(coeffs) -> list:
-    """The primitive int coefficient list that is a positive multiple of
-    the given ints or Fractions."""
-    ints, _ = clear_denominators(coeffs)
-    g = gcd(*ints.values()) or 1
-    return [ints.get(i, 0) // g for i in range(len(coeffs))]
+def _primitive(c: list) -> list:
+    """The primitive int list that is a positive multiple of the ints c."""
+    g = gcd(*c) or 1
+    return [x // g for x in c]
 
 
 def pseudo_divmod(a: list, b: list):
@@ -175,6 +109,8 @@ def pseudo_divmod(a: list, b: list):
     lists (b nonzero with lead l, k the number of steps): each step scales
     by |l|, never by a sign, so q and r are positive multiples of the
     rational quotient and remainder, and equal to them for monic b."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     r, d, m = list(a), len(b) - 1, abs(b[-1])
     q = [0] * max(0, len(r) - d)
     while len(r) > d:
@@ -198,12 +134,12 @@ def _value(c: list, a: int, b: int) -> int:
     return acc
 
 
-def _sturm_chain(p: Polynomial):
-    """The remainder sequence p, p', -rem, ... as primitive int lists, each
-    a positive multiple of the rational element, so of the same signs; its
-    last element is gcd(p, p') up to a constant.  The only Euclidean loop
-    of the package."""
-    chain = [_primitive(p.coeffs)]
+def _sturm_chain(P: list):
+    """The remainder sequence P, P', -rem, ... of a nonzero int list as
+    primitive int lists, each a positive multiple of the rational element,
+    so of the same signs; its last element is gcd(P, P') up to a constant.
+    The only Euclidean loop of the package."""
+    chain = [_primitive(P)]
     rem = [-i * c for i, c in enumerate(chain[0]) if i]
     while rem:
         chain.append(_primitive([-c for c in rem]))
@@ -211,23 +147,20 @@ def _sturm_chain(p: Polynomial):
     return chain
 
 
-def _squarefree_chain(p: Polynomial):
-    """`_sturm_chain(p)` divided elementwise by its last element, each again
-    a primitive positive multiple: a Sturm chain of the squarefree part of
-    p, its first element.  Consecutive elements are coprime and every
-    division is exact, so it counts the distinct roots of p, also at
-    endpoints that are multiple roots."""
-    if p.is_zero():
+def _squarefree_chain(P: list):
+    """`_sturm_chain(P)` divided elementwise by its last element, each again
+    primitive, and negated as a whole when that makes its first element's
+    lead positive: a Sturm chain of the squarefree part of P, its first
+    element (monic for a monic P, by Gauss's lemma).  Consecutive elements
+    are coprime and every division is exact, so it counts the distinct
+    roots of P, also at endpoints that are multiple roots; dividing or
+    negating every element alike changes no sign variation."""
+    if not any(P):
         raise ValueError("root count of the zero polynomial")
-    chain = _sturm_chain(p)
-    if len(chain[-1]) == 1:  # p is squarefree: a constant divides nothing
-        return chain
-    return [_primitive(pseudo_divmod(q, chain[-1])[0]) for q in chain]
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), monic; the radical of p up to a constant."""
-    return p if p.is_zero() else real_root_counter(p)[0]
+    chain = _sturm_chain(P)
+    if len(chain[-1]) > 1:  # a constant gcd divides nothing
+        chain = [_primitive(pseudo_divmod(q, chain[-1])[0]) for q in chain]
+    return chain if chain[0][-1] > 0 else [[-c for c in q] for q in chain]
 
 
 def _chain_signs_at(chain, a: int, b: int) -> int:
@@ -247,27 +180,29 @@ def _root_count(chain, lower=None, upper=None) -> int:
     return count
 
 
-def real_root_counter(p: Polynomial):
-    """(s, count): the squarefree part s of p, made monic, and
-    count(lower, upper), the number of distinct real roots of p in the open
-    interval (lower, upper), None standing for an infinite endpoint; both
-    come from one remainder sequence, a Sturm chain of s."""
-    chain = _squarefree_chain(p)
-    return Polynomial(chain[0]).monic(), functools.partial(_root_count, chain)
+def real_root_counter(P: list):
+    """(S, count) for a nonzero int coefficient list P: its squarefree part
+    S, a primitive int list with positive lead (monic when P is), and
+    count(lower, upper), the number of distinct real roots of P in the
+    open interval (lower, upper), None standing for an infinite endpoint;
+    both come from one remainder sequence, a Sturm chain of S."""
+    chain = _squarefree_chain(P)
+    return chain[0], functools.partial(_root_count, chain)
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic(d: int) -> Polynomial:
-    """d-th cyclotomic polynomial via x^d - 1 = prod over e | d of Phi_e."""
+def cyclotomic(d: int) -> tuple:
+    """The d-th cyclotomic polynomial as an int coefficient tuple, via
+    x^d - 1 = prod over e | d of Phi_e."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = Polynomial.monomial(d) - Polynomial((1,))
+    num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num, r = divmod(num, cyclotomic(e))
-            if not r.is_zero():
+            num, r = pseudo_divmod(num, cyclotomic(e))
+            if r:
                 raise CheckFailed(f"cyclotomic({e}) does not divide x^{d} - 1")
-    return num
+    return tuple(num)
 
 
 def euler_totient(d: int) -> int:
@@ -285,22 +220,22 @@ def euler_totient(d: int) -> int:
     return result
 
 
-def cyclotomic_factors(p: Polynomial):
-    """All (d, multiplicity) with Phi_d^multiplicity dividing p.
+def cyclotomic_factors(P: list):
+    """All (d, multiplicity) with Phi_d^multiplicity dividing the nonzero
+    int coefficient list P.
 
-    Tries every d whose totient does not exceed deg p; d is bounded by
-    2*(deg p)^2 because totient(d) >= sqrt(d/2).
+    Tries every d whose totient does not exceed deg P; d is bounded by
+    2*(deg P)^2 because totient(d) >= sqrt(d/2).
     """
-    if p.is_zero():
+    if not any(P):
         raise ValueError("zero polynomial")
-    deg = p.degree
-    ints = _primitive(p.coeffs)
+    deg = len(P) - 1
     found = []
     for d in range(1, max(2 * deg * deg, 1) + 1):
         if euler_totient(d) <= deg:
-            phi = [c.numerator for c in cyclotomic(d).coeffs]
+            phi = cyclotomic(d)
             mult = 0
-            current = ints
+            current = P
             while len(current) >= len(phi):
                 q, r = pseudo_divmod(current, phi)
                 if r:
@@ -331,36 +266,35 @@ def integer_divisors(n: int, limit=None):
     return small + large[::-1]
 
 
-def monic_integral(p: Polynomial):
-    """(P, D): P(x) = D^n q(x / D) for q = p made monic of degree n, with
-    D > 0 the least integer that makes P integral (q itself when D = 1).
+def least_scale(P: list, scale: int):
+    """(Q, d): the monic int list P at scale D rewritten at the least scale
+    d that keeps it integral, D^(-deg) P(D x) = d^(-deg) Q(d x), so
+    Q_i = P_i / e^(deg - i) with e = D / d.
 
-    The roots of P are D times those of p, and P is monic, so its rational
-    roots are integers.  D divides the lcm L of the denominators of q
-    (L itself works), and it is usually much smaller: roots with
+    The d that work are the multiples of the least one, so it divides D and
+    the lcm L of the denominators of the coefficients P_i / D^(deg - i) (L
+    works): it is the least divisor of gcd(D, L) that works.  Roots with
     denominator d in a factor of degree k give L up to d^k but need only
-    D = d.  A small D keeps the integers of the divisor searches small.
+    d, and a small d keeps the integers of the divisor searches small.
     """
-    q = p.monic()
-    n = q.degree
-    for d in integer_divisors(lcm(*(c.denominator for c in q.coeffs))):
-        scaled = [c * d ** (n - i) for i, c in enumerate(q.coeffs)]
-        if all(c.denominator == 1 for c in scaled):
-            return (q if d == 1 else Polynomial(scaled)), d
+    deg = len(P) - 1
+    dens = (scale ** (deg - i) // gcd(c, scale ** (deg - i)) for i, c in enumerate(P))
+    for d in integer_divisors(gcd(scale, lcm(*dens))):
+        e = scale // d
+        if all(c % e ** (deg - i) == 0 for i, c in enumerate(P)):
+            return [c // e ** (deg - i) for i, c in enumerate(P)], d
 
 
-def rational_roots(p: Polynomial):
-    """All rational roots of p, ascending: the integer roots of P from
-    `monic_integral(p)` divided by D.  A nonzero integer root of the monic
-    integral P divides its lowest nonzero coefficient, and by Fujiwara's
-    bound its size is at most 2 max |c_(n-i)|^(1/i) over the coefficients
-    c_(n-i) of P below the leading one; 2^ceil(bits / i) bounds each term
-    exactly, so the divisor search stops at the size of the roots, not at
-    the square root of the coefficient."""
-    if p.is_zero():
-        raise ValueError("every rational is a root of the zero polynomial")
-    big_p, den = monic_integral(p)
-    coeffs = [int(c) for c in big_p.coeffs]
+def rational_roots(P: list, scale: int):
+    """All rational roots, ascending, of the monic int list P at scale D:
+    the integer roots of Q from `least_scale(P, D) = (Q, d)`, divided by
+    d.  A nonzero integer root of the monic integral Q divides its lowest
+    nonzero coefficient, and by Fujiwara's bound its size is at most
+    2 max |c_(n-i)|^(1/i) over the coefficients c_(n-i) of Q below the
+    leading one; 2^ceil(bits / i) bounds each term exactly, so the divisor
+    search stops at the size of the roots, not at the square root of the
+    coefficient."""
+    coeffs, den = least_scale(P, scale)
     low = next(c for c in coeffs if c)
     bound = 2 * max((1 << -(-abs(c).bit_length() // i)
                      for i, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)

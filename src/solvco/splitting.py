@@ -10,7 +10,9 @@ removes the action of the chosen torus part: with K(A_i) the full
 semisimple part of ad(A_i) the result is the nilshadow (a nilpotent algebra
 on the same space); with K(A_i) its imaginary-spectrum (compact) part the
 result is a new solvable algebra whose V-adjoints have totally real
-spectrum.  Both live on the vector space of g, so the result is the
+spectrum, checked on the int form of their minimal polynomials; the
+compact part is read off the int form that the Jordan-Chevalley step
+kept.  Both live on the vector space of g, so the result is the
 `LieAlgebra` itself.  The bracket is summed in ints, from the int rows of
 the projection onto V and of the kill operators and from the int bracket
 terms, over one common denominator, and built by the integer builder.
@@ -22,7 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from math import lcm
 
-from .decompositions import compact_part, minimal_polynomial
+from .decompositions import integer_compact_part, integer_minimal_polynomial
 from .errors import CheckFailed, NonCommutingTorus, NotNilpotent
 from .lie import (
     LieAlgebra,
@@ -96,13 +98,13 @@ def kill_map(inp: SplittingInput, mode: KillMode = KillMode.FULL) -> KillMap:
     """Build the torus-kill operators K_i from the decomposition.
 
     FULL uses the whole semisimple part of ad(A_i); COMPACT only its
-    imaginary-spectrum summand (`compact_part`).
+    imaginary-spectrum summand (`integer_compact_part`).
     """
     semis = [dec.semisimple for dec in inp.jordan_parts]
     if mode is KillMode.FULL:
         operators = semis
     else:
-        operators = [compact_part(dec.semisimple, dec.semisimple_minpoly)
+        operators = [integer_compact_part(dec.semisimple, *dec.minpoly_form)
                      for dec in inp.jordan_parts]
     _verify_kill_operators(operators, semis, inp.complement.basis)
     return KillMap(operators=tuple(operators), mode=mode)
@@ -154,8 +156,8 @@ def modified_bracket(inp: SplittingInput, kill: KillMap) -> LieAlgebra:
             raise NotNilpotent("full-mode output is not nilpotent; check V and n")
     else:
         for a in inp.complement.basis:
-            s, count = real_root_counter(minimal_polynomial(ad_matrix(out, a)))
-            if count() != s.degree:
+            s, count = real_root_counter(integer_minimal_polynomial(ad_matrix(out, a))[0])
+            if count() != len(s) - 1:
                 raise CheckFailed(
                     "compact kill left a non-real V-adjoint spectrum")
     return out

@@ -9,19 +9,23 @@ the alternating-sum differentials on a Fraction Gauss-Jordan of its own,
 and brackets, adjoints and series on a dense sympy model of the structure
 constants.  `sympy_columns` and `apply_columns` read the library's sparse
 differential columns for comparison with them; `sympy_poly` hands a
-polynomial to sympy's root finding.
+polynomial to sympy's root finding.  The package computes on int
+coefficient lists and its `Polynomial` does no arithmetic, so `Poly` adds
+the ring operations the tests plant polynomials with, and `ints` hands a
+planted polynomial to the int-list functions.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import sympy
 
 from solvco.lie import LieAlgebra
-from solvco.matrices import Matrix
+from solvco.matrices import Matrix, clear_denominators
+from solvco.polynomials import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,80 @@ def sympy_poly(p):
     """A library `Polynomial` as a sympy Poly in x, for the root oracles."""
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(p.coeffs)], sympy.Symbol("x"))
+
+
+class Poly(Polynomial):
+    """A `Polynomial` with exact ring arithmetic, division and evaluation,
+    to write planted polynomials as expressions in `Poly.x()`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def x(cls) -> "Poly":
+        return cls((0, 1))
+
+    @staticmethod
+    def lift(p) -> "Poly":
+        return Poly(p.coeffs if isinstance(p, Polynomial) else (p,))
+
+    def __add__(self, other):
+        a, b = self.coeffs, self.lift(other).coeffs
+        n = max(len(a), len(b))
+        return Poly(x + y for x, y in zip(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -self.lift(other)
+
+    def __rsub__(self, other):
+        return self.lift(other) - self
+
+    def __mul__(self, other):
+        b = self.lift(other).coeffs
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        b = self.lift(other).coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r = [Fraction(0)] * max(0, len(self.coeffs) - len(b) + 1), list(self.coeffs)
+        while len(r) >= len(b):
+            shift, f = len(r) - len(b), r[-1] / b[-1]
+            q[shift] = f
+            for i, c in enumerate(b):
+                r[shift + i] -= f * c
+            r.pop()
+        return Poly(q), Poly(r)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def monic(self) -> "Poly":
+        return Poly(c / self.leading() for c in self.coeffs) if self.coeffs else self
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def ints(p) -> list:
+    """The primitive int coefficient list that is a positive multiple of
+    the nonzero polynomial p: the same roots, and the same signs."""
+    V, _ = clear_denominators(p.coeffs)
+    g = gcd(*V.values())
+    return [V.get(i, 0) // g for i in range(len(p.coeffs))]
 
 
 def apply_columns(columns, vec):

@@ -14,6 +14,8 @@ from solvco.decompositions import (
     compact_part,
     complex_quadratic_factors,
     exp_nilpotent,
+    integer_char_poly,
+    integer_minimal_polynomial,
     jordan_chevalley,
     log_unipotent,
     minimal_polynomial,
@@ -25,26 +27,41 @@ from solvco.errors import CheckFailed, NotRationallySplittable, NotUnipotent
 from solvco.matrices import Echelon, Matrix, inverse
 from solvco.polynomials import (
     Polynomial,
-    monic_integral,
+    cyclotomic,
+    least_scale,
+    pseudo_divmod,
+    rational_roots,
     real_root_counter,
-    squarefree_part,
 )
 from support import (
+    Poly,
     block_diag,
     companion,
     rand_invertible_rational,
+    rand_large_rational,
     rand_matrix,
     rand_unimodular,
+    ints,
     rotation_block,
     sympy_poly,
 )
 
-X = Polynomial.x()
+X = Poly.x()
 
 
 def shift_scale(p, scale):
     """p(scale * x): every root of p divided by scale."""
-    return Polynomial(c * Fraction(scale) ** i for i, c in enumerate(p.coeffs))
+    return Poly(c * Fraction(scale) ** i for i, c in enumerate(p.coeffs))
+
+
+def form(p):
+    """The int form (P, D) of p made monic."""
+    return Poly.lift(p).integral_form()
+
+
+def is_squarefree(m):
+    P, _ = integer_minimal_polynomial(m)
+    return real_root_counter(P)[0] == P
 
 
 def test_minimal_polynomial_spec_examples():
@@ -53,17 +70,20 @@ def test_minimal_polynomial_spec_examples():
     m = Matrix.from_rows([[0, 2], [-2, 0]])
     p = minimal_polynomial(m)
     assert p == X * X + 4
-    assert poly_of_matrix(p, m).is_zero()  # direct substitution check
+    assert poly_of_matrix(*integer_minimal_polynomial(m), m).is_zero()  # direct substitution
+    # the int form at a scale other than the matrix's: x^2 + 4 at scale 3
+    assert poly_of_matrix([36, 0, 1], 3, m).is_zero()
+    assert poly_of_matrix([1, 0, 1], 1, Matrix.from_rows([[0, Fraction(1, 2)], [-2, 0]])).is_zero()
 
 
 def test_minimal_polynomial_divides_char_poly():
     rng = random.Random(23)
     for _ in range(25):
         m = rand_matrix(rng, rng.randint(1, 4), span=2)
-        mp = minimal_polynomial(m)
-        cp = char_poly(m)
-        assert (cp % mp).is_zero()
-        assert poly_of_matrix(mp, m).is_zero()
+        (mp, scale), (cp, _) = integer_minimal_polynomial(m), integer_char_poly(m)
+        assert pseudo_divmod(cp, mp)[1] == []  # both at the scale of m
+        assert poly_of_matrix(mp, scale, m).is_zero()
+        assert minimal_polynomial(m) == Polynomial.from_scaled(mp, scale)
 
 
 def test_krylov_annihilator_integrality_is_checked():
@@ -93,9 +113,8 @@ def test_jordan_chevalley_spec_examples():
     assert dec.nilpotent == Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     assert dec.semisimple + dec.nilpotent == m
     assert dec.semisimple * dec.nilpotent == dec.nilpotent * dec.semisimple
-    mp = minimal_polynomial(dec.semisimple)
-    assert mp == (X - 2) * (X - 3)
-    assert squarefree_part(mp) == mp
+    assert minimal_polynomial(dec.semisimple) == (X - 2) * (X - 3) == dec.semisimple_minpoly
+    assert is_squarefree(dec.semisimple)
 
 
 def check_jordan_invariants(m):
@@ -104,8 +123,8 @@ def check_jordan_invariants(m):
     assert dec.semisimple + dec.nilpotent == m
     assert dec.semisimple * dec.nilpotent == dec.nilpotent * dec.semisimple
     assert (dec.nilpotent**n).is_zero()
-    mp = minimal_polynomial(dec.semisimple)
-    assert squarefree_part(mp) == mp
+    assert is_squarefree(dec.semisimple)
+    assert dec.semisimple_minpoly == minimal_polynomial(dec.semisimple)
     return dec
 
 
@@ -137,16 +156,17 @@ def check_split_compact_invariants(s):
     compact = compact_part(s)
     split = s - compact
     assert split * compact == compact * split
-    sqf, count = real_root_counter(minimal_polynomial(split))
-    assert count() == sqf.degree
-    # compact minimal polynomial divides a product of x and x^2 + q^2 factors
-    mc = minimal_polynomial(compact)
-    if mc.coeffs and mc.coeffs[0] == 0:
-        mc = mc // Polynomial.x()
-    if mc.degree > 0:
-        assert all(mc.coeffs[i] == 0 for i in range(1, len(mc.coeffs), 2))
-        even = Polynomial(mc.coeffs[::2])  # substitute y = x^2
-        assert real_root_counter(even)[1](None, Fraction(0)) == even.degree
+    sqf, count = real_root_counter(integer_minimal_polynomial(split)[0])
+    assert count() == len(sqf) - 1
+    # compact minimal polynomial divides a product of x and x^2 + q^2
+    # factors; the int form has the roots times a positive scale
+    mc = integer_minimal_polynomial(compact)[0]
+    if mc[0] == 0:
+        mc = mc[1:]
+    if len(mc) > 1:
+        assert all(mc[i] == 0 for i in range(1, len(mc), 2))
+        even = mc[::2]  # substitute y = x^2
+        assert real_root_counter(even)[1](None, 0) == len(even) - 1
 
 
 def test_split_compact_random_invariants():
@@ -213,19 +233,30 @@ def test_compact_part_is_the_conjugated_rotation_speeds(case):
     assert compact_part(s) == compact
 
 
+def quadratic_factors(p):
+    """`complex_quadratic_factors` of p as Polynomials."""
+    P, scale = form(p)
+    return [Polynomial.from_scaled(q, scale) for q in complex_quadratic_factors(P, scale)]
+
+
 def test_complex_quadratic_factor_search():
     p = (X * X + 1) * (X * X - 2 * X + 5) * (X - 3)
-    found = complex_quadratic_factors(p)
+    found = quadratic_factors(p)
     assert X * X + 1 in found
     assert X * X - 2 * X + 5 in found
     assert len(found) == 2
     # positive-discriminant quadratics stay in the totally real part
-    assert complex_quadratic_factors((X * X - 2) * (X - 1)) == []
+    assert quadratic_factors((X * X - 2) * (X - 1)) == []
     # rational coefficients: roots scaled by 9, where the denominator lcm is 27
     quads = [X * X - 6 * X + Fraction(244, 27), X * X - 6 * X + 54, X * X + 4 * X + 5]
     p = quads[0] * quads[1] * quads[2]
-    assert monic_integral(p)[1] == 9
-    assert complex_quadratic_factors(p) == quads
+    assert form(p)[1] == 27 and least_scale(*form(p))[1] == 9
+    assert quadratic_factors(p) == quads
+    # found at scale 9 and carried back to the input scale 27 * 5
+    P, scale = form(p)
+    P = [c * 5 ** (len(P) - 1 - i) for i, c in enumerate(P)]
+    assert [Polynomial.from_scaled(q, scale * 5)
+            for q in complex_quadratic_factors(P, scale * 5)] == quads
 
 
 def test_rational_rotation_speeds_scale_by_their_denominator():
@@ -234,9 +265,11 @@ def test_rational_rotation_speeds_scale_by_their_denominator():
     # which keeps the divisor search over small integers
     speeds = [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3)]
     s = block_diag(*(rotation_block(0, b) for b in speeds))
-    assert monic_integral(minimal_polynomial(s))[1] == 3
-    assert rational_spectrum(minimal_polynomial(s))[:2] == ([X * X + b * b for b in speeds],
-                                                           Polynomial((1,)))
+    P, scale = integer_minimal_polynomial(s)
+    assert scale == 3 and least_scale(P, scale)[1] == 3
+    quads, rest, real = rational_spectrum(P, scale)
+    assert [Polynomial.from_scaled(q, scale) for q in quads] == [X * X + b * b for b in speeds]
+    assert (rest, real) == ([1], True)
     assert compact_part(s) == s
 
 
@@ -252,7 +285,7 @@ def planted_spectra(draw):
     factors += [X - r for r in draw(st.lists(small, max_size=2))]
     if draw(st.booleans()):
         factors.append(X * X * X - X + 1)
-    p = Polynomial((1,))
+    p = Poly((1,))
     for f in factors:
         for _ in range(draw(st.integers(1, 2))):
             p = p * f
@@ -263,11 +296,16 @@ def planted_spectra(draw):
 @settings(max_examples=40, deadline=None)
 @given(planted_spectra())
 def test_rational_spectrum_matches_sympy(p):
-    quads, rest, rest_real = rational_spectrum(p)
+    P, scale = form(p)
+    quads, rest, rest_real = rational_spectrum(P, scale)
+    quads = [Polynomial.from_scaled(q, scale) for q in quads]
+    rest = Poly.lift(Polynomial.from_scaled(rest, scale))
     product = rest
     for q in quads:
         product = product * q
-    assert product == squarefree_part(p)
+    sqf = sympy_poly(p).sqf_part().monic().all_coeffs()
+    assert product == Polynomial.from_scaled(real_root_counter(P)[0], scale) == Polynomial(
+        Fraction(int(c.p), int(c.q)) for c in reversed(sqf))
     # the negative-discriminant quadratics among sympy's rational factors
     expected = set()
     for f, _ in sympy_poly(p).factor_list()[1]:
@@ -278,11 +316,11 @@ def test_rational_spectrum_matches_sympy(p):
     assert len(quads) == len(expected) == len({q.coeffs for q in quads})
     assert {q.coeffs for q in quads} == expected
     real_rest = sympy.real_roots(sympy_poly(rest)) if rest.degree > 0 else []
-    rest_count = real_root_counter(rest)[1]
+    rest_count = real_root_counter(ints(rest))[1]
     assert rest_real == (rest_count() == rest.degree) == (len(real_rest) == rest.degree)
     real = sympy.real_roots(sympy_poly(p)) if p.degree > 0 else []
-    sqf, count = real_root_counter(p)
-    assert (count(Fraction(0), None) == sqf.degree) == (
+    sqf, count = real_root_counter(ints(p))
+    assert (count(Fraction(0), None) == len(sqf) - 1) == (
         len(real) == p.degree and all(r > 0 for r in real))
 
 
@@ -295,12 +333,72 @@ def test_complex_quadratic_factors_finds_planted_quadratics(pairs, roots, s):
     +-3), every root divided by s: the integral form has the roots s r, so
     its least positive non-root, the evaluation point, is above 3."""
     quads = {X * X - 2 * a * X + a * a + d for a, d in pairs}
-    p = Polynomial((1,))
+    p = Poly((1,))
     for f in [*quads, *(X - r for r in roots)]:
         p = p * f
     scaled = sorted((shift_scale(q, s).monic() for q in quads),
                     key=lambda f: (f.coeffs[1], f.coeffs[0]))
-    assert complex_quadratic_factors(shift_scale(p, s).monic()) == scaled
+    assert quadratic_factors(shift_scale(p, s).monic()) == scaled
+
+
+@st.composite
+def planted_products(draw):
+    """A random rational lead times distinct monic irreducible factors,
+    each to the power 1 or 2 up to degree 6: linear factors x - r with
+    denominators up to 24, negative-discriminant quadratics x^2 - 2a x + c
+    (a and c - a^2 > 0 rational over denominators up to 6), real
+    quadratics x^2 - r (r not a square) and cyclotomic polynomials.  The
+    quadratic search is exponential in the bits of the constant term at
+    the least scale, which bounds the heights."""
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(("linear", "complex", "real", "cyclotomic")),
+                              min_size=1, max_size=3)):
+        if kind == "linear":
+            f = X - Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 24)))
+        elif kind == "complex":
+            a = draw(st.fractions(min_value=-8, max_value=8, max_denominator=6))
+            b = draw(st.fractions(min_value=Fraction(1, 6), max_value=12, max_denominator=6))
+            f = X * X - 2 * a * X + a * a + b
+        elif kind == "real":
+            f = X * X - draw(st.sampled_from((2, 3, Fraction(5, 3), Fraction(7, 4))))
+        else:
+            f = Poly(cyclotomic(draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10, 12)))))
+        if f not in factors:
+            factors.append(f)
+    p = Poly((draw(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)),))
+    for f in factors:
+        for _ in range(draw(st.integers(1, 2)) if p.degree + 2 * f.degree <= 6 else 1):
+            p = p * f
+    return p
+
+
+def from_sympy(f):
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_products(), st.randoms(use_true_random=False),
+       st.sampled_from((rand_invertible_rational, rand_large_rational)))
+def test_int_spectral_split_matches_sympy_factor_list(p, rng, family):
+    # p made monic, through the companion matrix of a rational conjugate:
+    # the Krylov scale D of m is the lcm of its entries' denominators, far
+    # above the least scale d of the polynomial for rand_large_rational
+    u = family(rng, p.degree)
+    m = u * companion(p.monic().coeffs) * inverse(u)
+    P, scale = integer_minimal_polynomial(m)
+    assert Polynomial.from_scaled(P, scale) == p.monic()
+    quads, rest, real = rational_spectrum(P, scale)
+    factors = [from_sympy(f) for f, _ in sympy_poly(p).factor_list()[1]]
+    want = [f for f in factors if f.degree == 2 and f.coeffs[1] ** 2 < 4 * f.coeffs[0]]
+    others = [f for f in factors if f not in want]
+    assert sorted(Polynomial.from_scaled(q, scale).coeffs for q in quads) == sorted(
+        f.coeffs for f in want)
+    product = Poly((1,))
+    for f in others:
+        product = product * f
+    assert Polynomial.from_scaled(rest, scale) == product
+    assert real == all(len(sympy.real_roots(sympy_poly(f))) == f.degree for f in others)
+    assert rational_roots(rest, scale) == sorted(-f.coeffs[0] for f in others if f.degree == 1)
 
 
 def test_one_remainder_sequence_per_root_question(monkeypatch):
@@ -309,24 +407,23 @@ def test_one_remainder_sequence_per_root_question(monkeypatch):
     monkeypatch.setattr(polynomials, "_sturm_chain",
                         lambda p: chains.append(p) or sturm_chain(p))
     p = (X * X + 1) * (X - 2) * (X - 2) * (X * X * X - X + 1)
-    chains.clear()
-    squarefree_part(p)
-    assert len(chains) == 1
     # every interval is counted on the chain real_root_counter builds once
     chains.clear()
-    _, count = real_root_counter(p)
+    _, count = real_root_counter(ints(p))
     assert (count(), count(Fraction(0), None), count(None, Fraction(0))) == (2, 1, 1)
     assert len(chains) == 1
     # the split reads the squarefree part and its real-root count off one chain
-    for q, quads in ((p, [X * X + 1]), ((X - 1) * (X - 1) * (X * X - 2), []), (X * p, [X * X + 1])):
+    for q, quads in ((p, [[1, 0, 1]]), ((X - 1) * (X - 1) * (X * X - 2), []),
+                     (X * p, [[1, 0, 1]])):
         chains.clear()
-        assert rational_spectrum(q)[0] == quads
+        assert rational_spectrum(ints(q), 1)[0] == quads
         assert len(chains) == 1
     # a totally real spectrum skips the quadratic search
     searches = []
     monkeypatch.setattr(decompositions, "complex_quadratic_factors",
-                        lambda p: searches.append(p) or [])
-    assert rational_spectrum((X - 1) * (X - 1) * (X * X - 2)) == ([], (X - 1) * (X * X - 2), True)
+                        lambda *p: searches.append(p) or [])
+    assert rational_spectrum(ints((X - 1) * (X - 1) * (X * X - 2)), 1) == (
+        [], ints((X - 1) * (X * X - 2)), True)
     assert searches == []
 
 

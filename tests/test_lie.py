@@ -28,12 +28,18 @@ from solvco.lie import (
     verify_nilpotent_complement,
 )
 from solvco.almost_abelian import almost_abelian_algebra
-from solvco.decompositions import char_poly, minimal_polynomial
+from solvco.decompositions import (
+    char_poly,
+    compact_part,
+    integer_minimal_polynomial,
+    jordan_chevalley,
+    minimal_polynomial,
+)
 from solvco.files import parse_structure_file, structure_equations
 from solvco.matrices import Matrix, basis_vector, inverse
-from solvco.polynomials import Polynomial
 from solvco.splitting import KillMode, SplittingInput, kill_map, modified_bracket
 from support import (
+    Poly,
     companion,
     filiform,
     oscillator4,
@@ -42,7 +48,7 @@ from support import (
     rand_valid_algebra,
 )
 
-X = Polynomial.x()
+X = Poly.x()
 
 HEISENBERG = LieAlgebra(3, {(1, 2): {3: 1}})
 
@@ -185,7 +191,7 @@ def test_flag_witness_keeps_the_zero_eigenvalue():
     g = almost_abelian_algebra(companion((-2, 0, 0, 1)))
     cert = completely_solvable_flag(g)
     assert cert.status == "no"
-    assert cert.witness == (1, Polynomial.monomial(4) - 2 * X)
+    assert cert.witness == (1, X * X * X * X - 2 * X)
 
 
 def test_flag_tries_each_operator_at_its_own_eigenvalues():
@@ -215,17 +221,17 @@ def test_flag_search_takes_one_spectrum_per_basis_operator(monkeypatch, name):
          "heisenberg3": HEISENBERG,
          "irrational": almost_abelian_algebra(companion((-2, 0, 1)))}[name]
     calls, searches = [], []
-    for fn in ("minimal_polynomial", "rational_roots"):
-        def counted(p, fn=fn, original=getattr(lie, fn)):
+    for fn in ("integer_minimal_polynomial", "rational_roots"):
+        def counted(*args, fn=fn, original=getattr(lie, fn)):
             assert not searches, f"{fn} inside the flag's step loop"
             calls.append(fn)
-            return original(p)
+            return original(*args)
         monkeypatch.setattr(lie, fn, counted)
     search = lie._common_rational_eigenvector
     monkeypatch.setattr(lie, "_common_rational_eigenvector",
                         lambda *args: searches.append(args) or search(*args))
     cert = completely_solvable_flag(g)
-    assert calls.count("minimal_polynomial") <= g.dim
+    assert calls.count("integer_minimal_polynomial") <= g.dim
     assert calls.count("rational_roots") <= g.dim
     if name == "irrational":  # x^2 - 2 does not split: decided before any search
         assert cert.status == "undetermined" and not searches
@@ -328,15 +334,21 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     # the degree-6 minimal polynomial, 108 for the characteristic one);
     # the flag's operators on [g, g] and the modified bracket are summed
     # in ints over one denominator (in Fractions: 1,326 for the flag, 426
-    # and 537 for the full and compact brackets of nakamura)
-    from solvco import polynomials
+    # and 537 for the full and compact brackets of nakamura).  The flag's
+    # spectra, the Newton step and the compact part read the int form of
+    # the minimal polynomial, so the flags build only their eigenvalues and
+    # eigenvectors, the decomposition none, and the compact part one (with
+    # Fraction polynomials: 208 and 68 for the two flags, 12 for the
+    # decomposition, 149 for the compact part and 146 for the compact kill)
+    from solvco import decompositions, polynomials
 
     g = conjugate(filiform(7), rand_invertible_rational(random.Random(3), 7))
     assert g.denominator == 12
     text = structure_equations(g)
-    adjoints = [ad_matrix(g, (1, 2, 0, -1, 3, 0, 1)), ad_matrix(conjugate(
-        catalog_get("nakamura").algebra, rand_invertible_rational(random.Random(3), 6)),
-        (1, 1, 0, 0, 0, 0))]
+    nakamura = conjugate(catalog_get("nakamura").algebra,
+                         rand_invertible_rational(random.Random(3), 6))
+    adjoints = [ad_matrix(g, (1, 2, 0, -1, 3, 0, 1)), ad_matrix(nakamura, (1, 1, 0, 0, 0, 0))]
+    semisimple = jordan_chevalley(adjoints[1]).semisimple
     krylov = [(f, a, f(a).degree) for f in (minimal_polynomial, char_poly) for a in adjoints]
     entry = catalog_get("nakamura")
     inp = SplittingInput(entry.algebra, entry.complement, entry.nilpotent_ideal)
@@ -369,9 +381,13 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     assert built(derived_series, g) == 0
     assert completely_solvable_flag(g).status == "yes"
     assert chains and sum(chains) == 0
-    p = minimal_polynomial(ad_matrix(g, (1, 2, 0, -1, 3, 0, 1)))
-    assert built(polynomials._squarefree_chain, p * p) == 0
+    P, _ = integer_minimal_polynomial(adjoints[0])
+    assert built(polynomials._squarefree_chain, decompositions._times(P, P)) == 0
     assert built(parse_structure_file, text) == 0
     assert [built(f, a) <= degree + 1 for f, a, degree in krylov] == [True] * 4
-    assert built(completely_solvable_flag, g) <= 250
+    assert built(completely_solvable_flag, g) <= 104
+    assert built(completely_solvable_flag, nakamura) <= 15
+    assert built(jordan_chevalley, adjoints[1]) == 0
+    assert built(compact_part, semisimple) <= 1
+    assert built(kill_map, inp, KillMode.COMPACT) <= 25
     assert [built(modified_bracket, inp, kill) <= 40 for kill in kills] == [True, True]

@@ -37,7 +37,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
-from solvco.decompositions import minimal_polynomial, rational_spectrum  # noqa: E402
+from solvco.decompositions import (  # noqa: E402
+    integer_minimal_polynomial,
+    minimal_polynomial,
+    rational_spectrum,
+)
+from solvco.polynomials import Polynomial  # noqa: E402
 from solvco.errors import NotSolvable  # noqa: E402
 from solvco.files import parse_structure_file, structure_equations  # noqa: E402
 from solvco.lie import (  # noqa: E402
@@ -69,6 +74,7 @@ from support import (  # noqa: E402
     rand_large_rational,
     rand_unimodular,
     rand_valid_algebra,
+    sympy_poly,
 )
 
 
@@ -239,8 +245,13 @@ def test_flag_status_is_decided_by_the_planted_spectrum(rng, kinds):
     assert cert.status == want
     if want == "no":
         # only e1 acts semisimply; the witness is read off ad(e1) on all of g
-        quads, rest, _ = rational_spectrum(minimal_polynomial(ad_matrix(g, basis_vector(g.dim, 0))))
-        assert cert.witness == (1, quads[0] if quads else rest)
+        ad = ad_matrix(g, basis_vector(g.dim, 0))
+        P, scale = integer_minimal_polynomial(ad)
+        quads, rest, _ = rational_spectrum(P, scale)
+        assert cert.witness == (1, Polynomial.from_scaled(quads[0] if quads else rest, scale))
+        # a monic factor of the minimal polynomial, by sympy
+        witness = sympy_poly(cert.witness[1])
+        assert witness.LC() == 1 and sympy_poly(minimal_polynomial(ad)).rem(witness).is_zero
     if want == "yes":
         check_flag_chain(g, cert)
 

@@ -129,9 +129,7 @@ def test_float_entries_raise_type_error():
                   lambda: Subspace(2, [(0.5, 1)]),
                   lambda: Subspace.span(2, [{1: 2.0}]),
                   lambda: LieAlgebra(3, {(1, 2): {3: 0.5}}),
-                  lambda: Polynomial((0.5, 1)),
-                  lambda: Polynomial.x() * 0.5,
-                  lambda: Polynomial.x() + 0.5):
+                  lambda: Polynomial((0.5, 1))):
         with pytest.raises(TypeError, match="not exact"):
             build()
     # the integer builder takes ints only

@@ -28,7 +28,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from solvco.decompositions import char_poly, minimal_polynomial, poly_of_matrix  # noqa: E402
+from solvco.decompositions import (  # noqa: E402
+    char_poly,
+    integer_minimal_polynomial,
+    minimal_polynomial,
+    poly_of_matrix,
+)
 from solvco.files import parse_matrix  # noqa: E402
 from solvco.matrices import (  # noqa: E402
     Echelon,
@@ -39,6 +44,7 @@ from solvco.matrices import (  # noqa: E402
     rank,
     rank_and_kernel,
 )
+from support import rand_invertible_rational, rand_large_rational  # noqa: E402
 
 ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 LARGE = st.builds(
@@ -180,6 +186,29 @@ def test_det_and_inverse_match_sympy(m):
     else:
         inv = inverse(m)
         assert [inv.row(i) for i in range(inv.rows)] == from_sympy(ref.inv().tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6),
+       st.sampled_from((rand_invertible_rational, rand_large_rational)))
+def test_inverse_is_two_sided_and_singular_matrices_raise(rng, n, family):
+    # the inverse is built from the echelon's int rows over their lcm;
+    # rand_large_rational has ~20-bit numerators over denominators up to 10^6
+    m = family(rng, n)
+    eye = Matrix.identity(n)
+    assert inverse(m) * m == m * inverse(m) == eye
+    assert eye.is_identity() and inverse(eye) == eye == Matrix.diagonal([1] * n)
+    assert m.is_identity() == (m == eye) and not (eye * 2).is_identity()
+    if n > 1:  # identity diagonal, one entry off it
+        assert not (eye + Matrix.from_rows([[int(i == 0 and j == n - 1) for j in range(n)]
+                                            for i in range(n)])).is_identity()
+    # the last row replaced by a rational combination of the others
+    rows = [m.row(i) for i in range(n - 1)]
+    weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 10**6)) for _ in rows]
+    rows.append(tuple(sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0))
+                      for j in range(n)))
+    with pytest.raises(ValueError, match="singular"):
+        inverse(Matrix.from_rows(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,7 +399,7 @@ def test_kernel_calls_never_mutate_their_input(data):
 def test_minimal_polynomial_annihilates_with_krylov_degree(m):
     p = minimal_polynomial(m)
     assert p.leading() == 1
-    assert poly_of_matrix(p, m).is_zero()
+    assert poly_of_matrix(*integer_minimal_polynomial(m), m).is_zero()
     # deg p = dim span{m^0, ..., m^n}
     ref = to_sympy(m)
     powers = sympy.Matrix(m.rows + 1, m.rows**2, [x for k in range(m.rows + 1)

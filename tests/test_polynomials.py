@@ -1,4 +1,5 @@
-"""Polynomial arithmetic, Sturm counting, cyclotomic detection."""
+"""Int-list division, Sturm counting, cyclotomic detection, rational roots
+and the least scale of the int form."""
 
 import random
 from fractions import Fraction
@@ -13,31 +14,36 @@ from solvco.polynomials import (
     cyclotomic,
     cyclotomic_factors,
     euler_totient,
+    integer_divisors,
+    least_scale,
+    pseudo_divmod,
     rational_roots,
     real_root_counter,
-    squarefree_part,
 )
-from support import sympy_poly
+from support import Poly, ints, sympy_poly
 
-X = Polynomial.x()
+X = Poly.x()
 
 
 def test_arithmetic_and_division():
-    p = (X - 1) * (X + 2)
-    assert p == Polynomial((-2, 1, 1))
-    q, r = divmod(p, X - 1)
-    assert q == X + 2 and r.is_zero()
-    assert p(Fraction(1)) == 0
-    assert p(2) == 4
+    # exact by a monic divisor; otherwise scaled by |lead| at each step
+    assert pseudo_divmod([-2, 1, 1], [-1, 1]) == ([2, 1], [])
+    assert pseudo_divmod([1, 0, 1], [1, 2]) == ([-1, 2], [5])  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
+    assert pseudo_divmod([1, 0, 1], [1, -2]) == ([-1, -2], [5])  # 4 times -x/2 - 1/4
+    # the reader's value of the int form: D^(-deg) P(D x)
+    assert Polynomial.from_scaled([-2, 1, 1], 2) == Polynomial((Fraction(-1, 2), Fraction(1, 2), 1))
+    assert (X * X - Fraction(1, 3)).integral_form() == ([-3, 0, 1], 3)
 
 
 def test_squarefree_part():
     p = (X - 1) * (X - 1) * (X + 3)
-    assert squarefree_part(p) == ((X - 1) * (X + 3)).monic()
+    assert real_root_counter(ints(p))[0] == ints((X - 1) * (X + 3)) == [-3, 2, 1]
+    # a negative lead: the chain is negated as a whole, so the part is monic
+    assert real_root_counter([-c for c in ints(p)])[0] == [-3, 2, 1]
 
 
 def count_roots(p, lower=None, upper=None):
-    return real_root_counter(p)[1](lower, upper)
+    return real_root_counter(ints(p))[1](lower, upper)
 
 
 def test_sturm_spec_examples():
@@ -66,23 +72,23 @@ def test_sturm_degenerate_interval():
 
 def test_is_totally_real():
     for p, real in ((X * X - 3 * X + 1, True), (X * X + 4, False), (Polynomial((1,)), True)):
-        s, count = real_root_counter(p)
-        assert (count() == s.degree) == real
+        s, count = real_root_counter(ints(p))
+        assert (count() == len(s) - 1) == real
 
 
 def test_cyclotomic_polynomials():
-    assert cyclotomic(1) == X - 1
-    assert cyclotomic(2) == X + 1
-    assert cyclotomic(3) == X * X + X + 1
-    assert cyclotomic(4) == X * X + 1
-    assert cyclotomic(6) == X * X - X + 1
-    assert cyclotomic(12) == Polynomial((1, 0, -1, 0, 1))
+    assert cyclotomic(1) == (-1, 1)
+    assert cyclotomic(2) == (1, 1)
+    assert cyclotomic(3) == (1, 1, 1)
+    assert cyclotomic(4) == (1, 0, 1)
+    assert cyclotomic(6) == (1, -1, 1)
+    assert cyclotomic(12) == (1, 0, -1, 0, 1)
 
 
 def test_cyclotomic_factors_spec_examples():
-    assert cyclotomic_factors(X * X + X + 1) == [(3, 1)]
-    assert cyclotomic_factors(Polynomial((-1, 0, 0, 0, 1))) == [(1, 1), (2, 1), (4, 1)]
-    assert cyclotomic_factors(X * X - 3 * X + 1) == []
+    assert cyclotomic_factors([1, 1, 1]) == [(3, 1)]
+    assert cyclotomic_factors([-1, 0, 0, 0, 1]) == [(1, 1), (2, 1), (4, 1)]
+    assert cyclotomic_factors([1, -3, 1]) == []
 
 
 def test_cyclotomic_factors_detects_planted_factor():
@@ -91,21 +97,27 @@ def test_cyclotomic_factors_detects_planted_factor():
         d = rng.randint(1, 12)
         # cyclotomic-free cofactor with no root of unity eigenvalues
         q = (X - 2) * (X + 3) if rng.random() < 0.5 else X * X - 3 * X + 1
-        found = dict(cyclotomic_factors(cyclotomic(d) * q))
+        found = dict(cyclotomic_factors(ints(Poly(cyclotomic(d)) * q)))
         assert found.get(d, 0) >= 1
-        assert dict(cyclotomic_factors(q)) == {}
+        assert dict(cyclotomic_factors(ints(q))) == {}
 
 
 def test_cyclotomic_multiplicity():
-    p = cyclotomic(3) * cyclotomic(3) * (X - 5)
-    assert (3, 2) in cyclotomic_factors(p)
+    p = Poly(cyclotomic(3)) * Poly(cyclotomic(3)) * (X - 5)
+    assert (3, 2) in cyclotomic_factors(ints(p))
+
+
+def roots_of(p):
+    return rational_roots(*p.integral_form())
 
 
 def test_rational_roots():
     p = (X - 1) * (2 * X - 3) * (X * X + 1)
-    assert rational_roots(p) == [Fraction(1), Fraction(3, 2)]
-    assert rational_roots(X * X + 1) == []
-    assert rational_roots(X * (X - 2)) == [Fraction(0), Fraction(2)]
+    assert roots_of(p) == [Fraction(1), Fraction(3, 2)]
+    assert roots_of(X * X + 1) == []
+    assert roots_of(X * (X - 2)) == [Fraction(0), Fraction(2)]
+    # at scale 12 the roots 6 and 9 of x^2 - 15 x + 54 are 1/2 and 3/4
+    assert rational_roots([54, -15, 1], 12) == [Fraction(1, 2), Fraction(3, 4)]
 
 
 @st.composite
@@ -115,13 +127,13 @@ def planted_roots(draw):
     choices) times an irreducible cofactor or 1."""
     roots = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                           max_size=4))
-    p = Polynomial((draw(st.sampled_from([1, -1, Fraction(2, 3), Fraction(-5, 4), 6])),))
+    p = Poly((draw(st.sampled_from([1, -1, Fraction(2, 3), Fraction(-5, 4), 6])),))
     for r in roots:
         for _ in range(draw(st.integers(1, 3))):
             p = p * (X - r)
     cofactor = draw(st.sampled_from([(1,), (1, 0, 1), (-2, 0, 1), (1, -1, 0, 1),
                                      (1, 0, 0, 0, 1), (Fraction(1, 3), 2, 0, 5)]))
-    return p * Polynomial(cofactor), roots
+    return p * Poly(cofactor), roots
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,7 +142,7 @@ def test_rational_roots_match_sympy(planted):
     p, roots = planted
     expected = sorted({Fraction(int(r.p), int(r.q))
                        for r in sympy.roots(sympy_poly(p), filter="Q")})
-    assert rational_roots(p) == expected == sorted(set(roots))
+    assert roots_of(p) == expected == sorted(set(roots))
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,10 +158,10 @@ def test_real_root_counts_match_sympy_at_root_endpoints(planted, data):
         return ((lo is None or bool(r > sympy.Rational(lo)))
                 and (hi is None or bool(r < sympy.Rational(hi))))
 
-    s, count = real_root_counter(p)
+    s, count = real_root_counter(ints(p))
     assert count(lower, upper) == sum(inside(r, lower, upper) for r in real)
     distinct = poly.sqf_part().degree() if p.degree > 0 else 0
-    assert (count(lower, None) == s.degree) == (
+    assert (count(lower, None) == len(s) - 1) == (
         len(real) == distinct and all(inside(r, lower, None) for r in real))
 
 
@@ -165,7 +177,7 @@ def test_str_formatting():
 
 def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
-        divmod(X, Polynomial())
+        pseudo_divmod([0, 1], [])
 
 
 @st.composite
@@ -179,7 +191,7 @@ def rational_products(draw):
     for factor in draw(st.lists(st.lists(coeff, min_size=2, max_size=4), max_size=2)):
         if factor[-1] != 0:
             for _ in range(draw(st.integers(1, 3))):
-                p = p * Polynomial(factor)
+                p = p * Poly(factor)
     return p, [None, *roots, Fraction(1, 2), Fraction(-7, 3)]
 
 
@@ -205,7 +217,31 @@ def test_integer_sturm_chain_counts_are_sympy_count_roots(case, data):
     else:
         want = poly.count_roots(lo, hi) - sum(
             1 for e in (lo, hi) if e is not None and poly.eval(e) == 0)
-    assert squarefree_part(p) == from_sympy(poly.sqf_part().monic())
-    s, count = real_root_counter(p)
-    assert s == squarefree_part(p) and count(lower, upper) == want
-    assert (count() == s.degree) == (poly.count_roots() == s.degree)
+    s, count = real_root_counter(ints(p))
+    assert s == ints(from_sympy(poly.sqf_part().monic())) and count(lower, upper) == want
+    assert (count() == len(s) - 1) == (poly.count_roots() == len(s) - 1)
+
+
+def brute_least_scale(P, scale):
+    """The least divisor d of D with every P_i d^(deg - i) / D^(deg - i)
+    an integer, tried in Fractions."""
+    deg = len(P) - 1
+    return next(d for d in integer_divisors(scale)
+                if all((Fraction(d, scale) ** (deg - i) * c).denominator == 1
+                       for i, c in enumerate(P)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12), max_size=4),
+       st.integers(1, 400))
+def test_least_scale_is_the_brute_force_least_divisor(coeffs, k):
+    # a monic rational polynomial at a scale D = k L, L the lcm of its
+    # denominators, so that D is often far above the least scale
+    q = Poly([*coeffs, 1])
+    P, scale = q.integral_form()
+    scale_k = scale * k
+    P = [c * k ** (len(P) - 1 - i) for i, c in enumerate(P)]  # the same polynomial at k L
+    Q, d = least_scale(P, scale_k)
+    assert d == brute_least_scale(P, scale_k)
+    assert scale_k % d == 0
+    assert Polynomial.from_scaled(Q, d) == Polynomial.from_scaled(P, scale_k) == q

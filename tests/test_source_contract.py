@@ -30,6 +30,11 @@ that reads them: other modules use `add`, `reduce`, `row`, `kernel`, ....
 A `LieAlgebra` keeps its brackets in one private table `_terms`, and
 other modules read it through `nonzero_brackets`, `bracket_basis`,
 `ad_matrix`, ... in the same way.
+
+Polynomials are computed on as int coefficient lists at a scale; a
+`Polynomial` of `Fraction`s is built only for a reader, in the functions
+named in `POLYNOMIAL_READERS`, so the spectral layer cannot slip back
+into `Fraction` arithmetic unseen.
 """
 
 import ast
@@ -118,6 +123,16 @@ EXPORT_ONLY = {
     "almost_abelian:torus_cover":
         "the finite cover algebra of a quasi-unipotent holonomy, the input of "
         "the paper's route to the cohomology of the quotient",
+    "decompositions:char_poly":
+        "the characteristic polynomial as a `Polynomial` for a reader; the "
+        "package reads the int form of `integer_char_poly`",
+    "decompositions:compact_part":
+        "the compact part of a semisimple matrix, given its minimal polynomial "
+        "as a `Polynomial` or none; the compact kill calls "
+        "`integer_compact_part` with the int form it already has",
+    "decompositions:minimal_polynomial":
+        "the minimal polynomial as a `Polynomial` for a reader; the package "
+        "reads the int form of `integer_minimal_polynomial`",
     "lie:conjugate":
         "change of basis, the public way to state basis invariance",
     "splitting:nilshadow":
@@ -131,7 +146,7 @@ def test_every_module_level_definition_is_reached():
 
 
 def test_every_export_only_definition_is_listed():
-    assert _export_only(SOURCES[0].parent) == sorted(EXPORT_ONLY)
+    assert sorted(_export_only(SOURCES[0].parent)) == sorted(EXPORT_ONLY)
     assert all(reason for reason in EXPORT_ONLY.values())
 
 
@@ -274,3 +289,56 @@ def test_storage_check_sees_every_form(tmp_path):
         "lie:2: _num", "other:4: _den", "other:4: _num", "other:5: _den"]
     assert sorted(_storage_uses(tmp_path, "lie.py", {"_terms"})) == ["other:7: _terms"]
 
+
+
+# The functions that build a `Polynomial` for a reader, each with what it
+# hands out; every other function computes on int coefficient lists.
+POLYNOMIAL_READERS = {
+    "almost_abelian:mostow_status": "the factor a Mostow reason names",
+    "decompositions:JordanDecomposition.semisimple_minpoly":
+        "the minimal polynomial of the semisimple part",
+    "decompositions:char_poly": "the public characteristic polynomial",
+    "decompositions:integer_compact_part": "the factor an error names",
+    "decompositions:minimal_polynomial": "the public minimal polynomial",
+    "lie:completely_solvable_flag": "the `no` witness",
+}
+
+
+def _polynomial_builders(package):
+    """module:function (module:Class.method for a method) of each call
+    `Polynomial(...)` or `Polynomial.<name>(...)` outside the class
+    `Polynomial` itself, which defines how one is built."""
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name != "Polynomial":
+                scopes += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                           if isinstance(sub, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+        for name, scope in scopes:
+            for sub in ast.walk(scope):
+                if isinstance(sub, ast.Call) and "Polynomial" in (
+                        getattr(sub.func, "id", None),
+                        getattr(getattr(sub.func, "value", None), "id", None)):
+                    yield f"{path.stem}:{name}"
+                    break
+
+
+def test_only_reader_boundaries_build_polynomials():
+    assert sorted(set(_polynomial_builders(SOURCES[0].parent))) == sorted(POLYNOMIAL_READERS)
+    assert all(reason for reason in POLYNOMIAL_READERS.values())
+
+
+def test_polynomial_check_sees_every_form(tmp_path):
+    (tmp_path / "polynomials.py").write_text(
+        "class Polynomial:\n    @classmethod\n    def x(cls):\n        return Polynomial((0, 1))\n"
+        "def helper(c):\n    return Polynomial(c)\n")
+    (tmp_path / "other.py").write_text(
+        "from .polynomials import Polynomial\n"
+        "def witness(P):\n    return Polynomial.from_scaled(P, 1)\n"
+        "def ints(P):\n    return [0] + P\n"
+        "class Report:\n    def factor(self):\n        return Polynomial.x()\n")
+    assert list(_polynomial_builders(tmp_path)) == [
+        "other:witness", "other:Report.factor", "polynomials:helper"]
