@@ -200,8 +200,8 @@ def sympy_poly(p):
 
 
 class Poly(Polynomial):
-    """A `Polynomial` with exact ring arithmetic, division and evaluation,
-    to write planted polynomials as expressions in `Poly.x()`."""
+    """A `Polynomial` with exact ring arithmetic, to write planted
+    polynomials as expressions in `Poly.x()`."""
 
     __slots__ = ()
 
@@ -226,9 +226,6 @@ class Poly(Polynomial):
     def __sub__(self, other):
         return self + -self.lift(other)
 
-    def __rsub__(self, other):
-        return self.lift(other) - self
-
     def __mul__(self, other):
         b = self.lift(other).coeffs
         out = [Fraction(0)] * max(0, len(self.coeffs) + len(b) - 1)
@@ -239,30 +236,8 @@ class Poly(Polynomial):
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        b = self.lift(other).coeffs
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = [Fraction(0)] * max(0, len(self.coeffs) - len(b) + 1), list(self.coeffs)
-        while len(r) >= len(b):
-            shift, f = len(r) - len(b), r[-1] / b[-1]
-            q[shift] = f
-            for i, c in enumerate(b):
-                r[shift + i] -= f * c
-            r.pop()
-        return Poly(q), Poly(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def monic(self) -> "Poly":
         return Poly(c / self.leading() for c in self.coeffs) if self.coeffs else self
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def ints(p) -> list:
