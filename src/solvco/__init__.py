@@ -69,7 +69,7 @@ from .lie import (
     validate,
     verify_nilpotent_complement,
 )
-from .matrices import Matrix, rank_and_kernel
+from .matrices import Matrix
 from .polynomials import Polynomial, cyclotomic, cyclotomic_factors
 from .splitting import (
     KillMap,

@@ -9,7 +9,9 @@ quotient is the mapping torus of B on the n-torus, so its Betti numbers
 come from the Wang sequence with no condition on B.  All decisions are
 exact: failure certificates come from cyclotomic factors, negative real
 eigenvalues or conjugate pairs with rational imaginary part, never from
-floating-point logarithms.
+floating-point logarithms.  B is in GL(n, Z) exactly when the constant
+term (-1)^n det B of its int characteristic polynomial is +-1, which is
+how the input is checked.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .decompositions import (
 )
 from .errors import DimensionTooLarge, NotQuasiUnipotent
 from .lie import LieAlgebra
-from .matrices import Matrix, det, exterior_power, rank
+from .matrices import Matrix, exterior_power, rank
 from .polynomials import (
     Polynomial,
     cyclotomic_factors,
@@ -75,7 +77,7 @@ class HolonomyInput:
             raise ValueError("holonomy must be n x n")
         if b.denominator != 1:
             raise ValueError("holonomy must have integer entries")
-        if det(b) not in (1, -1):
+        if abs(self.spectrum[0][0]) != 1:  # the constant term is (-1)^n det B
             raise ValueError("holonomy must be invertible over the integers")
         if self.derivation is not None:
             z = self.derivation

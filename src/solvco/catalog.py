@@ -94,7 +94,8 @@ def catalog_get(name: str) -> CatalogEntry:
         return _cache[name]
     abelian = re.fullmatch(r"abelian([1-9]\d*)", name)
     if abelian:
-        n = int(abelian.group(1))
+        digits = abelian.group(1)  # counted first: int() refuses over-long digit strings
+        n = int(digits) if len(digits) <= len(str(_MAX_ABELIAN)) else _MAX_ABELIAN + 1
         if n > _MAX_ABELIAN:
             raise UnknownName(f"abelian catalog entries stop at dimension {_MAX_ABELIAN}")
         spec = (f"dim {n}", NILPOTENT, (), range(1, n + 1), "")

@@ -209,9 +209,9 @@ class CohomologyResult:
             spanned = self._images[k - 1].copy() if k else Echelon(width)
             out = []
             for vec in rows.kernel():
-                added = spanned.add(vec)
-                if added:
-                    out.append(spanned.sparse_row(added[0]))
+                p = spanned.add(vec)
+                if p is not None:
+                    out.append(spanned.sparse_row(p))
             reps.append(tuple(out))
         return tuple(reps)
 

@@ -298,14 +298,11 @@ def rational_spectrum(P: list, scale: int):
     return quads, rest, real_roots == len(rest) - 1
 
 
-def compact_part(s: Matrix, p: Polynomial | None = None) -> Matrix:
-    """`integer_compact_part` of a semisimple s, given its minimal
-    polynomial p or computing it when omitted; raises ValueError when s is
-    not semisimple."""
+def compact_part(s: Matrix) -> Matrix:
+    """`integer_compact_part` of a semisimple s, from its minimal
+    polynomial; raises ValueError when s is not semisimple."""
     if not s.is_square():
         raise ValueError("expected a square matrix")
-    if p is not None:
-        return integer_compact_part(s, *p.integral_form())
     P, scale = integer_minimal_polynomial(s)
     if real_root_counter(P)[0] != P:
         raise ValueError("matrix is not semisimple (minimal polynomial not squarefree)")

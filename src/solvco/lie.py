@@ -19,7 +19,9 @@ echelon's int remainders and build over one common denominator, so
 `Fraction`s appear only in what a reader returns.  The flag search runs
 inside [g, g], on the matrices of the ad(e_i) on it, and reads their
 spectra from the int form of their minimal polynomials; only a `no`
-witness becomes a `Polynomial`.
+witness becomes a `Polynomial`.  Its common eigenvectors are int kernel
+vectors of one echelon per search branch, and its chain is summed in
+ints.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .matrices import (
     basis_vector,
     clear_denominators,
     inverse,
-    rank_and_kernel,
     rational,
 )
 from .polynomials import Polynomial, rational_roots
@@ -239,7 +240,7 @@ class Subspace:
         for v in basis:
             if len(v) != ambient_dim:
                 raise ValueError("vector length must equal ambient dimension")
-            if not ech.add(v):
+            if ech.add(v) is None:
                 raise ValueError("basis vectors are linearly dependent")
         self._set(ambient_dim, basis, ech)
 
@@ -253,10 +254,6 @@ class Subspace:
 
     def __reduce__(self):
         return Subspace, (self.ambient_dim, self.basis)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -301,18 +298,6 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace.span(self.ambient_dim,
                              self._echelon.rows_from(0) + other._echelon.rows_from(0))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: the rows (u | u), u in self, and (v | 0), v in other,
-        span the (u + v | u); those zero in the first half are (0 | w), w in
-        the intersection, spanned by the echelon rows with pivot >= n."""
-        n = self.ambient_dim
-        ech = Echelon(2 * n)
-        for u in self._echelon.rows_from(0):
-            ech.add({**u, **{c + n: x for c, x in u.items()}})
-        for v in other._echelon.rows_from(0):
-            ech.add(v)
-        return Subspace.span(n, ech.rows_from(n))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -454,26 +439,30 @@ def _from_int_columns(keys, columns, den: int) -> Matrix:
 
 def _common_rational_eigenvector(ops, dim_q):
     """DFS over rational eigenvalues for a vector fixed up to scale by all
-    ops, (matrix, candidate eigenvalues) pairs; each eigenspace is computed
-    when the search first reaches it, and empty ones are skipped."""
-    eye, spaces = Matrix.identity(dim_q), {}
+    ops, (matrix, candidate eigenvalues) pairs, as a sparse int vector.
+    A branch stacks in one echelon the int rows of q D (a - p/q), D =
+    a.denominator, for each eigenvalue p/q it takes, so the echelon's
+    kernel is the common eigenspace, and a full rank ends the branch.  The
+    rows go in with their columns reversed: the last kernel vector, read
+    back, is then a positive multiple of the first row of the reduced
+    echelon basis of that eigenspace."""
 
-    def recurse(space: Subspace, idx: int):
-        if space.is_zero():
-            return None
+    def recurse(ech: Echelon, idx: int):
         if idx == len(ops):
-            return space.basis[0]
+            return {dim_q - 1 - c: x for c, x in ech.kernel()[-1].items()}
         a, roots = ops[idx]
         for lam in roots:
-            if (idx, lam) not in spaces:
-                spaces[idx, lam] = Subspace.span(dim_q, rank_and_kernel(a - lam * eye)[1])
-            eig = spaces[idx, lam]
-            found = None if eig.is_zero() else recurse(space.intersect(eig), idx + 1)
+            branch, (p, q) = ech.copy(), lam.as_integer_ratio()
+            for i, row in enumerate(a.numerator_rows()):
+                row = [q * x for x in row]
+                row[i] -= p * a.denominator
+                branch.add(row[::-1])
+            found = recurse(branch, idx + 1) if branch.dim < dim_q else None
             if found is not None:
                 return found
         return None
 
-    return recurse(Subspace.full(dim_q), 0)
+    return recurse(Echelon(dim_q), 0)
 
 
 def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
@@ -526,15 +515,18 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
         vec = _common_rational_eigenvector(list(induced.items()), len(reps))
         if vec is None:
             break
-        lifts.append(_dense(m, {t: c for c, t in zip(vec, reps)}))
+        lifts.append({reps[c]: x for c, x in vec.items()})
         ideal.add(lifts[-1])
     if ideal.dim < m:  # Cartan's criterion on every distinct A_i
         if any(sum((a * y)[t, t] for t in range(m))
                for y in (on_comm(B) for B, _ in basis) for a in roots):
             raise NotSolvable("flag search requires a solvable algebra")
         return FlagCertificate(status="undetermined")
-    # in g; basis vectors complete c, and every subspace containing it is an ideal
-    vectors = ([*map(Matrix.from_columns(comm.basis).apply, lifts)]
+    # in g, as int vectors: the columns of the integer matrix of comm.basis
+    # times the lifts; basis vectors complete c, and every subspace
+    # containing it is an ideal
+    rows = _from_int_columns(range(n), basis, 1).numerator_rows()
+    vectors = ([[sum(r[a] * x for a, x in vec.items()) for r in rows] for vec in lifts]
                + [{t: 1} for t in range(n) if t not in comm._echelon.pivots])
     return FlagCertificate(status="yes", chain=tuple(
         Subspace.span(n, vectors[:k]) for k in range(n + 1)))

@@ -2,7 +2,9 @@
 
 Nothing here ever rounds.  `Matrix` and `Echelon` compute in Python ints
 and build `Fraction`s only for what a caller reads; a float entry raises
-TypeError.
+TypeError.  Every elimination runs in an `Echelon`, which hands out int
+rows (a remainder, a kernel basis, the stored rows) and builds
+`Fraction`s only for the reduced rows a reader asks for.
 """
 
 from __future__ import annotations
@@ -261,41 +263,6 @@ def rank(m: Matrix) -> int:
     return _echelon(m.cols, m.numerator_rows()).dim
 
 
-def rank_and_kernel(m: Matrix):
-    """Exact rank and a basis of the right kernel.
-
-    The kernel basis is the standard one read off the reduced echelon form:
-    one vector per free column, with a 1 in the free position.  Both are
-    those of the integer matrix D * m.
-    """
-    ech = _echelon(m.cols, m.numerator_rows())
-    pivots = set(ech.pivots)
-    free = [f for f in range(m.cols) if f not in pivots]
-    return ech.dim, [ech._dense({c: Fraction(x, v[f]) for c, x in v.items()})
-                     for f, v in zip(free, ech.kernel())]
-
-
-def det(m: Matrix) -> Fraction:
-    """Determinant: with D * m integral, det(D * m) / D^n, where det(D * m)
-    is the product of the pivots divided out while its rows are inserted,
-    signed by the permutation of the pivot columns."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    ech = Echelon(m.cols)
-    num, den = 1, m.denominator ** m.rows
-    pivots = []
-    for row in m.numerator_rows():
-        added = ech.add(row)
-        if added is None:
-            return Fraction(0)
-        p, a, s = added
-        num *= a
-        den *= s
-        pivots.append(p)
-    inversions = sum(a > b for t, a in enumerate(pivots) for b in pivots[t + 1 :])
-    return Fraction(-num if inversions % 2 else num, den)
-
-
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse: with M = D * m integral, the reduced echelon form of
     [M | I] is [I | M^-1], and m^-1 = D * M^-1; raises ValueError when m is
@@ -373,11 +340,11 @@ class Echelon:
     touches the rows already stored.  Reducing a vector clears the pivots
     in ascending order and leaves the unique element of v + span that is
     zero at every pivot, whatever order the rows came in; the rows of the
-    rational reduced row echelon form are computed only when read (`row`,
-    `rows`, `kernel`).  Vectors go in as dense tuples or sparse dicts of
-    ints or Fractions; each is cleared of denominators once, eliminated
-    fraction-free, and `Fraction`s appear only in what the methods return.
-    `reduce` returns the kind it was given.
+    reduced row echelon form are computed only when read (`row`, `rows`,
+    `kernel`).  Vectors go in as dense tuples or sparse dicts of ints or
+    Fractions; each is cleared of denominators once and eliminated
+    fraction-free.  `remainder`, `kernel` and `rows_from` hand out int
+    rows; only `row`, `rows` and `sparse_row` build `Fraction`s.
     """
 
     def __init__(self, width: int):
@@ -445,29 +412,22 @@ class Echelon:
         {column: int} dict and s >= 1 an int, before any Fraction is built."""
         return self._reduce(v)
 
-    def reduce(self, v):
-        V, s = self._reduce(v)
-        r = {c: Fraction(x, s) for c, x in V.items()}
-        return r if isinstance(v, dict) else self._dense(r)
-
     def add(self, v):
-        """Insert v.  When it enlarges the span, returns (p, num, den): the
-        new pivot column p and the entry num / den (den > 0) of the reduced
-        v at p, the factor divided out of the new rational row; otherwise
-        None.  The new row is zero at every pivot, so it is reduced."""
+        """Insert v.  Returns the new pivot column when v enlarges the span,
+        otherwise None.  The new row is zero at every pivot, so it is
+        reduced."""
         V, s = self._reduce(v)
         if not V:
             return None
         p = min(V)
-        num = V[p]
         g = gcd(*V.values())
-        if num < 0:
+        if V[p] < 0:
             g = -g
         if g != 1:
             V = {c: x // g for c, x in V.items()}
         self._piv[p] = V.pop(p)
         self._tails[p] = V
-        return p, num, s
+        return p
 
     def copy(self) -> "Echelon":
         """An independent echelon with the same basis rows."""

@@ -48,25 +48,12 @@ class Polynomial:
         deg = len(P) - 1
         return cls(Fraction(c, scale ** (deg - i)) for i, c in enumerate(P))
 
-    def integral_form(self):
-        """(P, D): this polynomial made monic, as the monic int list P at
-        scale D, D the lcm of the denominators of its coefficients."""
-        lead, deg = self.leading(), self.degree
-        q = [c / lead for c in self.coeffs]
-        scale = lcm(*(c.denominator for c in q))
-        return [int(c * scale ** (deg - i)) for i, c in enumerate(q)], scale
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

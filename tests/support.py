@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import sympy
 
@@ -237,7 +237,7 @@ class Poly(Polynomial):
     __rmul__ = __mul__
 
     def monic(self) -> "Poly":
-        return Poly(c / self.leading() for c in self.coeffs) if self.coeffs else self
+        return Poly(c / self.coeffs[-1] for c in self.coeffs) if self.coeffs else self
 
 
 def ints(p) -> list:
@@ -246,6 +246,15 @@ def ints(p) -> list:
     V, _ = clear_denominators(p.coeffs)
     g = gcd(*V.values())
     return [V.get(i, 0) // g for i in range(len(p.coeffs))]
+
+
+def int_form(p) -> tuple:
+    """(P, D): the nonzero polynomial p made monic, as the monic int list P
+    at scale D, D the lcm of the denominators of its monic coefficients,
+    so that p is a multiple of D^(-deg) P(D x)."""
+    monic = [Fraction(c) / p.coeffs[-1] for c in p.coeffs]
+    scale, deg = lcm(*(c.denominator for c in monic)), len(monic) - 1
+    return [int(c * scale ** (deg - i)) for i, c in enumerate(monic)], scale
 
 
 def apply_columns(columns, vec):

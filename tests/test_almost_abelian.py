@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvco.almost_abelian import (
     CoverType,
@@ -26,7 +28,7 @@ from solvco.cohomology import cohomology
 from solvco.decompositions import log_unipotent
 from solvco.errors import DimensionTooLarge, NotQuasiUnipotent
 from solvco.lie import LieAlgebra, is_nilpotent
-from solvco.matrices import Matrix, det, inverse
+from solvco.matrices import Matrix, inverse
 from support import (
     block_diag,
     companion,
@@ -45,10 +47,33 @@ JORDAN_MINUS1 = Matrix.from_rows([[-1, 1], [0, -1]])  # the source paper's holon
 
 
 def test_holonomy_input_validation():
-    with pytest.raises(ValueError):
+    # checked in this order: square, integral, unimodular
+    with pytest.raises(ValueError, match="n x n"):
+        HolonomyInput(Matrix(2, 3, [Fraction(1, 2), 0, 0, 0, 2, 0]))
+    with pytest.raises(ValueError, match="invertible over the integers"):
         HolonomyInput(Matrix.from_rows([[2, 0], [0, 1]]))  # det 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integer entries"):  # det 1
         HolonomyInput(Matrix.from_rows([[Fraction(1, 2), 0], [0, 2]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4),
+       st.sampled_from((0, 1, -1, 2, -2, None)))
+def test_holonomy_is_accepted_exactly_when_its_det_is_a_unit(rng, n, d):
+    # the check reads the constant term of the characteristic polynomial;
+    # U diag(d, 1, ..., 1) V has det +-d, and None draws entries in [-2, 2]
+    if d is None:
+        b = Matrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
+    else:
+        b = rand_unimodular(rng, n) * Matrix.diagonal([d] + [1] * (n - 1)) \
+            * rand_unimodular(rng, n)
+    unit = abs(laplace_det([b.row(i) for i in range(n)])) == 1
+    try:
+        HolonomyInput(b)
+    except ValueError as err:
+        assert not unit and str(err) == "holonomy must be invertible over the integers"
+    else:
+        assert unit
 
 
 def test_b1_spec_examples():
@@ -215,8 +240,9 @@ def test_invariant_betti_properties():
         assert betti[0] == 1
         assert betti[1] == b1_lattice(inp)
         assert sum((-1) ** k * x for k, x in enumerate(betti)) == 0
-        assert betti[-1] == (1 if det(b) == 1 else 0)
-        if det(b) == 1:
+        det = laplace_det([b.row(i) for i in range(n)])
+        assert betti[-1] == (1 if det == 1 else 0)
+        if det == 1:
             assert all(betti[k] == betti[n + 1 - k] for k in range(n + 2))
         u = rand_unimodular(rng, n)
         assert invariant_betti(HolonomyInput(u * b * inverse(u))) == betti

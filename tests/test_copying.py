@@ -38,7 +38,7 @@ def _values():
         Matrix.zeros(0, 0),
         Subspace.span(3, [(1, Fraction(1, 2), 0), (0, 0, 5)]),
         Subspace(3, [(2, 1, 0)]),
-        Subspace.zero(2),
+        Subspace(2, ()),
         catalog_get("nakamura").algebra,
         _rational_algebra(),
         LieAlgebra.abelian(0),

@@ -15,6 +15,7 @@ from solvco.decompositions import (
     complex_quadratic_factors,
     exp_nilpotent,
     integer_char_poly,
+    integer_compact_part,
     integer_minimal_polynomial,
     jordan_chevalley,
     log_unipotent,
@@ -41,6 +42,7 @@ from support import (
     rand_large_rational,
     rand_matrix,
     rand_unimodular,
+    int_form,
     ints,
     rotation_block,
     sympy_poly,
@@ -56,7 +58,7 @@ def shift_scale(p, scale):
 
 def form(p):
     """The int form (P, D) of p made monic."""
-    return Poly.lift(p).integral_form()
+    return int_form(Poly.lift(p))
 
 
 def is_squarefree(m):
@@ -186,12 +188,12 @@ def test_split_compact_rejects_quartic_complex_spectrum():
 
 def test_compact_part_certificates():
     rot = rotation_block(0, 1)
-    # a repeated factor shares its roots with the cofactor
+    # a repeated factor (x^2 + 1)^2 shares its roots with the cofactor
     with pytest.raises(CheckFailed, match="not coprime"):
-        compact_part(rot, (X * X + 1) * (X * X + 1))
+        integer_compact_part(rot, [1, 0, 2, 0, 1], 1)
     # a p that does not annihilate s leaves projectors that miss the identity
     with pytest.raises(CheckFailed, match="resolve the identity"):
-        compact_part(block_diag(rot, Matrix.diagonal([1])), X * X + 1)
+        integer_compact_part(block_diag(rot, Matrix.diagonal([1])), [1, 0, 1], 1)
 
 
 def test_split_compact_rejects_non_semisimple():

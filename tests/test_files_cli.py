@@ -212,6 +212,16 @@ def test_cli_over_long_numbers_are_parse_errors(tmp_path, command, text, line):
                                     f"the limit of {sys.get_int_max_str_digits()}")
 
 
+@pytest.mark.parametrize("command", ["catalog", "info"])
+def test_cli_over_long_abelian_names_are_unknown(command):
+    # the digits are counted before the int conversion, whose limit they exceed
+    for name in ("abelian13", f"abelian{'9' * 5000}"):
+        code, text = run_command([command, name])
+        assert code == 3 and "Exceeds the limit" not in text
+    with pytest.raises(UnknownName, match="stop at dimension 12"):
+        catalog_get(f"abelian{'9' * 5000}")
+
+
 def test_cli_degree_cut_keeps_the_dimension_bound(tmp_path):
     # the filiform algebra of dimension 14: [e1, e_(k-1)] = e_k
     fil14 = tmp_path / "fil14.txt"

@@ -27,7 +27,7 @@ from solvco.lie import (
     validate,
     verify_nilpotent_complement,
 )
-from solvco.almost_abelian import almost_abelian_algebra
+from solvco.almost_abelian import HolonomyInput, almost_abelian_algebra
 from solvco.decompositions import (
     char_poly,
     compact_part,
@@ -240,7 +240,7 @@ def test_flag_search_takes_one_spectrum_per_basis_operator(monkeypatch, name):
 
 
 def test_verify_nilpotent_complement_spec_examples():
-    verify_nilpotent_complement(HEISENBERG, Subspace.zero(3), Subspace.full(3))
+    verify_nilpotent_complement(HEISENBERG, Subspace(3, ()), Subspace.full(3))
     sol3 = catalog_get("sol3").algebra
     verify_nilpotent_complement(
         sol3, Subspace.standard(3, (1,)), Subspace.standard(3, (2, 3)))
@@ -314,12 +314,12 @@ def test_conjugation_preserves_structure():
 def test_subspace_operations():
     a = Subspace.standard(3, (1, 2))
     b = Subspace.standard(3, (2, 3))
-    meet = a.intersect(b)
-    assert meet.dim == 1 and meet.contains((0, 1, 0))
     join = a.add(b)
-    assert join.dim == 3
+    assert join.dim == 3 and a.contains((1, 1, 0)) and not a.contains((0, 1, 1))
     with pytest.raises(ValueError):
         Subspace(2, [(1, 0), (2, 0)])  # dependent basis
+    # the first vector's pivot is column 0, which is no sign of dependence
+    assert Subspace(2, [(1, 0), (0, 1)]).dim == 2
 
 
 def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
@@ -337,9 +337,14 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     # and 537 for the full and compact brackets of nakamura).  The flag's
     # spectra, the Newton step and the compact part read the int form of
     # the minimal polynomial, so the flags build only their eigenvalues and
-    # eigenvectors, the decomposition none, and the compact part one (with
-    # Fraction polynomials: 208 and 68 for the two flags, 12 for the
-    # decomposition, 149 for the compact part and 146 for the compact kill)
+    # the rational basis of [g, g], the decomposition none, and the compact
+    # part one (with Fraction polynomials: 208 and 68 for the two flags, 12
+    # for the decomposition, 149 for the compact part and 146 for the
+    # compact kill).  The flag's eigenvectors come from the int kernel of
+    # stacked int rows and its chain is summed in ints (with Fraction
+    # eigenspaces, their intersections and lifts: 104 for the filiform
+    # flag), and the lattice check reads det B off the int characteristic
+    # polynomial (one Fraction with an elimination determinant)
     from solvco import decompositions, polynomials
 
     g = conjugate(filiform(7), rand_invertible_rational(random.Random(3), 7))
@@ -385,7 +390,8 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     assert built(polynomials._squarefree_chain, decompositions._times(P, P)) == 0
     assert built(parse_structure_file, text) == 0
     assert [built(f, a) <= degree + 1 for f, a, degree in krylov] == [True] * 4
-    assert built(completely_solvable_flag, g) <= 104
+    assert built(completely_solvable_flag, g) <= 18
+    assert built(HolonomyInput, Matrix.from_rows([[2, 1], [1, 1]])) == 0
     assert built(completely_solvable_flag, nakamura) <= 15
     assert built(jordan_chevalley, adjoints[1]) == 0
     assert built(compact_part, semisimple) <= 1

@@ -1,7 +1,8 @@
 """Property tests of the Lie layer's sparse bracket kernel against the dense
 sympy model `support.SympyLie`, which builds its own brackets from the
-structure constants, of `Subspace.intersect` against sympy's nullspace, and
-of the round trips through a structure file and through the bracket table.
+structure constants, of the flag search's common eigenvector against
+sympy's nullspace, and of the round trips through a structure file and
+through the bracket table.
 
 Algebras are random valid algebras in a random integer basis
 (`rand_valid_algebra`), two in three of them conjugated by
@@ -26,6 +27,7 @@ decide the status; R^2 x| Q^k for two commuting derivations with
 different spectra; and nilpotent algebras in a random basis.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -45,6 +47,7 @@ from solvco.decompositions import (  # noqa: E402
 from solvco.polynomials import Polynomial  # noqa: E402
 from solvco.errors import NotSolvable  # noqa: E402
 from solvco.files import parse_structure_file, structure_equations  # noqa: E402
+from solvco import lie  # noqa: E402
 from solvco.lie import (  # noqa: E402
     LieAlgebra,
     Subspace,
@@ -273,29 +276,42 @@ def test_flag_of_two_commuting_derivations_and_of_nilpotent_algebras(rng):
         check_flag_chain(g, cert)
 
 
+def first_sympy_common_eigenvector(ops, n):
+    """The first row of the sympy RREF of the common eigenspace of the
+    first eigenvalue choice, in the order the flag search tries them, whose
+    common eigenspace is not zero; None when there is none."""
+    eye = sympy.eye(n)
+    for lams in itertools.product(*[roots for _, roots in ops]):
+        stacked = sympy.Matrix.vstack(sympy.zeros(1, n), *[
+            sympy.Matrix(n, n, [sympy.Rational(str(x)) for i in range(n) for x in a.row(i)])
+            - sympy.Rational(str(lam)) * eye for (a, _), lam in zip(ops, lams)])
+        null = stacked.nullspace()
+        if null:
+            return [Fraction(str(x)) for x in sympy.Matrix.hstack(*null).T.rref()[0].row(0)]
+    return None
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_intersect_is_the_span_of_sympy_intersection(rng):
-    n = rng.randint(0, 6)
-    # a shared part, and few enough others that neither space is often the whole
-    common = [rand_vector(rng, n) for _ in range(rng.randint(0, 2))]
-    u, v = (Subspace.span(n, common + [rand_vector(rng, n)
-                                       for _ in range(rng.randint(0, n // 2 + 1))])
-            for _ in range(2))
-    got = u.intersect(v)
-    # x = U a = V b exactly when (a, b) lies in the nullspace of [U | -V]
-    ref = []
-    if u.dim and v.dim:
-        U, V = (sympy.Matrix([[sympy.Rational(str(x)) for x in b] for b in w.basis]).T
-                for w in (u, v))
-        ref = [list(U * w[:u.dim, :]) for w in U.row_join(-V).nullspace()]
-    oracle = SympyLie(LieAlgebra.abelian(n))
-    assert got.basis == oracle.span(ref)
-    assert got.dim + len(oracle.span(u.basis + v.basis)) == u.dim + v.dim
-    assert v.intersect(u).basis == got.basis
-    # a basis given as is, not in echelon form, meets v in the same space
-    scaled = Subspace(n, [tuple(x * (t + 2) for x in b) for t, b in enumerate(u.basis)])
-    assert scaled.intersect(v).basis == got.basis
+def test_common_eigenvector_is_the_first_sympy_rref_row_of_the_eigenspace(rng):
+    # commuting operators U diag U^-1 with small planted spectra, or random
+    # ones, each with candidate eigenvalues that may or may not occur
+    n = rng.randint(1, 4)
+    u = rand_invertible_rational(rng, n)
+    ops = []
+    for _ in range(rng.randint(0, 3)):
+        a = (u * Matrix.diagonal([rng.choice((0, 1, Fraction(1, 2))) for _ in range(n)])
+             * inverse(u)) if rng.random() < 0.7 else Matrix.from_rows(
+                 [[rand_fraction(rng, 1) for _ in range(n)] for _ in range(n)])
+        ops.append((a, rng.sample((0, 1, Fraction(1, 2), -1), rng.randint(1, 3))))
+    got = lie._common_rational_eigenvector(ops, n)
+    want = first_sympy_common_eigenvector(ops, n)
+    if want is None:
+        assert got is None
+    else:  # a positive int multiple of the reduced row, with its lead 1
+        assert all(type(x) is int for x in got.values())
+        lead = got[min(got)]
+        assert lead > 0 and [got.get(c, 0) for c in range(n)] == [lead * x for x in want]
 
 
 def large_fraction(rng):

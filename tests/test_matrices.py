@@ -1,46 +1,58 @@
-"""Exact linear algebra: elimination, kernels, exterior powers."""
+"""Exact linear algebra: elimination, kernels, exterior powers.
+
+Rank and kernel are read off one `Echelon` of the integer rows of a
+matrix; a determinant is read off the constant term of the characteristic
+polynomial, as the lattice check reads det B."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from solvco.decompositions import integer_char_poly
 from solvco.lie import LieAlgebra, Subspace
 from solvco.polynomials import Polynomial
 from solvco.matrices import (
     Echelon,
     Matrix,
-    det,
     exterior_power,
     inverse,
-    rank_and_kernel,
+    rank,
 )
-from support import minor_rank, rand_matrix, rand_unimodular
+from support import densify, minor_rank, rand_matrix, rand_unimodular
+
+
+def rank_and_kernel(m: Matrix):
+    """(rank, int kernel basis) of one echelon of the integer rows of m."""
+    ech = Echelon(m.cols)
+    for row in m.numerator_rows():
+        ech.add(row)
+    return ech.dim, ech.kernel()
+
+
+def det(m: Matrix) -> Fraction:
+    """(-1)^n times the constant term of det(xI - m) = D^(-n) P(D x)."""
+    P, scale = integer_char_poly(m)
+    return Fraction((-1) ** m.rows * P[0], scale**m.rows)
 
 
 def test_rank_kernel_identity():
     r, kernel = rank_and_kernel(Matrix.identity(2))
-    assert r == 2
+    assert r == 2 == rank(Matrix.identity(2))
     assert kernel == []
 
 
 def test_rank_kernel_zero_matrix():
     r, kernel = rank_and_kernel(Matrix.zeros(3, 3))
     assert r == 0
-    assert kernel == [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-    ]
+    assert kernel == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_rank_kernel_rank_one():
     r, kernel = rank_and_kernel(Matrix.from_rows([[1, 1], [1, 1]]))
     assert r == 1
-    assert len(kernel) == 1
-    # kernel spans (1, -1)
-    v = kernel[0]
-    assert v[0] == -v[1] != 0
+    # one vector for the free column 1, with 1 there: (-1, 1)
+    assert kernel == [{1: 1, 0: -1}]
 
 
 def test_rank_plus_kernel_dim_is_cols():
@@ -51,7 +63,8 @@ def test_rank_plus_kernel_dim_is_cols():
         r, kernel = rank_and_kernel(mat)
         assert r + len(kernel) == m
         for v in kernel:
-            assert all(x == 0 for x in mat.apply(v))
+            assert all(type(x) is int for x in v.values())
+            assert all(x == 0 for x in mat.apply(densify(v, m)))
 
 
 def test_rank_matches_minor_oracle():
@@ -59,7 +72,7 @@ def test_rank_matches_minor_oracle():
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         mat = Matrix(n, m, [rng.randint(-2, 2) for _ in range(n * m)])
-        assert rank_and_kernel(mat)[0] == minor_rank(mat)
+        assert rank(mat) == rank_and_kernel(mat)[0] == minor_rank(mat)
 
 
 def test_det_and_inverse():
@@ -70,6 +83,7 @@ def test_det_and_inverse():
     assert det(singular) == 0
     with pytest.raises(ValueError):
         inverse(singular)
+    assert det(Matrix.from_rows([[Fraction(1, 2), 3], [1, -4]])) == -5
 
 
 def test_det_matches_unimodular_construction():
@@ -104,9 +118,9 @@ def test_exterior_power_multiplicative():
 
 def test_echelon_membership():
     e = Echelon(3)
-    assert e.add((1, 1, 0))
-    assert e.add((0, 1, 1))
-    assert not e.add((1, 2, 1))
+    assert e.add((1, 1, 0)) == 0  # the new pivot column, falsy at 0
+    assert e.add((0, 1, 1)) == 1
+    assert e.add((1, 2, 1)) is None
     assert e.contains((2, 3, 1))
     assert not e.contains((0, 0, 1))
     assert e.dim == 2
@@ -125,7 +139,7 @@ def test_float_entries_raise_type_error():
                   lambda: Matrix.identity(2) * 0.5,
                   lambda: Matrix.identity(2).apply((1, 0.0)),
                   lambda: Echelon(2).add((0.5, 1)),
-                  lambda: Echelon(2).reduce({0: 0.25}),
+                  lambda: Echelon(2).remainder({0: 0.25}),
                   lambda: Subspace(2, [(0.5, 1)]),
                   lambda: Subspace.span(2, [{1: 2.0}]),
                   lambda: LieAlgebra(3, {(1, 2): {3: 0.5}}),

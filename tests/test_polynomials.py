@@ -20,7 +20,7 @@ from solvco.polynomials import (
     rational_roots,
     real_root_counter,
 )
-from support import Poly, ints, sympy_poly
+from support import Poly, int_form, ints, sympy_poly
 
 X = Poly.x()
 
@@ -32,7 +32,7 @@ def test_arithmetic_and_division():
     assert pseudo_divmod([1, 0, 1], [1, -2]) == ([-1, -2], [5])  # 4 times -x/2 - 1/4
     # the reader's value of the int form: D^(-deg) P(D x)
     assert Polynomial.from_scaled([-2, 1, 1], 2) == Polynomial((Fraction(-1, 2), Fraction(1, 2), 1))
-    assert (X * X - Fraction(1, 3)).integral_form() == ([-3, 0, 1], 3)
+    assert int_form(X * X - Fraction(1, 3)) == ([-3, 0, 1], 3)
 
 
 def test_squarefree_part():
@@ -108,7 +108,7 @@ def test_cyclotomic_multiplicity():
 
 
 def roots_of(p):
-    return rational_roots(*p.integral_form())
+    return rational_roots(*int_form(p))
 
 
 def test_rational_roots():
@@ -238,7 +238,7 @@ def test_least_scale_is_the_brute_force_least_divisor(coeffs, k):
     # a monic rational polynomial at a scale D = k L, L the lcm of its
     # denominators, so that D is often far above the least scale
     q = Poly([*coeffs, 1])
-    P, scale = q.integral_form()
+    P, scale = int_form(q)
     scale_k = scale * k
     P = [c * k ** (len(P) - 1 - i) for i, c in enumerate(P)]  # the same polynomial at k L
     Q, d = least_scale(P, scale_k)

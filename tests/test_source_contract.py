@@ -12,7 +12,9 @@ and that the package does not export is dead code: only tests could reach
 it, and it would keep a second copy of a path alive for them.
 The export alone must not keep one alive either: every exported function
 or class that no other module reaches is listed in `EXPORT_ONLY` with the
-reason it stays public.
+reason it stays public.  The same holds for the public methods of the
+package's classes: one that no other code in the package names is listed
+in `READER_METHODS` with the reason it stays.
 
 An error class in errors.py that nothing raises is dead code the same way,
 but its export in `__init__.py` hides it from the reach check, so every
@@ -26,10 +28,10 @@ A `Matrix` keeps int numerators over one denominator in private slots;
 other modules go through its methods (`denominator`, `numerator_rows`,
 `row`, `column`, ...), so the representation can change in one file.  The
 same holds for the stored rows of an `Echelon` and the private reduction
-that reads them: other modules use `add`, `reduce`, `row`, `kernel`, ....
-A `LieAlgebra` keeps its brackets in one private table `_terms`, and
-other modules read it through `nonzero_brackets`, `bracket_basis`,
-`ad_matrix`, ... in the same way.
+that reads them: other modules use `add`, `remainder`, `kernel`,
+`rows_from`, ....  A `LieAlgebra` keeps its brackets in one private table
+`_terms`, and other modules read it through `integer_brackets`,
+`nonzero_brackets`, `ad_matrix`, ... in the same way.
 
 Polynomials are computed on as int coefficient lists at a scale; a
 `Polynomial` of `Fraction`s is built only for a reader, in the functions
@@ -104,6 +106,26 @@ def _unreferenced(package):
                 yield f"{path.stem}:{node.name}", node.name in exported
 
 
+def _unreferenced_methods(package):
+    """Class.method of each public method (properties included) of a
+    module-level class in the package that no code names outside the
+    method's own body; a method counts as named wherever its name is, since
+    the receiver of an attribute is not resolved."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(package.glob("*.py"))]
+    referenced = Counter(name for tree in trees for name in _names(tree))
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not sub.name.startswith("_")):
+                    inside = sum(1 for name in _names(sub) if name == sub.name)
+                    if referenced[sub.name] == inside:
+                        yield f"{node.name}.{sub.name}"
+
+
 def _unreached(package):
     """module:name of each unreferenced definition that __init__.py does
     not export either."""
@@ -127,9 +149,9 @@ EXPORT_ONLY = {
         "the characteristic polynomial as a `Polynomial` for a reader; the "
         "package reads the int form of `integer_char_poly`",
     "decompositions:compact_part":
-        "the compact part of a semisimple matrix, given its minimal polynomial "
-        "as a `Polynomial` or none; the compact kill calls "
-        "`integer_compact_part` with the int form it already has",
+        "the compact part of a semisimple matrix, with the semisimplicity "
+        "check; the compact kill calls `integer_compact_part` with the int "
+        "form it already has",
     "decompositions:minimal_polynomial":
         "the minimal polynomial as a `Polynomial` for a reader; the package "
         "reads the int form of `integer_minimal_polynomial`",
@@ -148,6 +170,42 @@ def test_every_module_level_definition_is_reached():
 def test_every_export_only_definition_is_listed():
     assert sorted(_export_only(SOURCES[0].parent)) == sorted(EXPORT_ONLY)
     assert all(reason for reason in EXPORT_ONLY.values())
+
+
+# Public methods that no other code in the package names, each kept on
+# purpose for a reader.
+READER_METHODS = {
+    "JordanDecomposition.semisimple_minpoly":
+        "the minimal polynomial of the semisimple part as a `Polynomial`; the "
+        "package reads the int form `minpoly_form`",
+    "LieAlgebra.bracket_basis":
+        "[e_i, e_j] as a dense vector, the structure constants in the form a "
+        "structure file states them",
+    "LieAlgebra.structure_constant":
+        "c[k][i][j] in the paper's notation; the package reads the int terms",
+    "Matrix.diagonal":
+        "the public constructor of a diagonal matrix, the simplest holonomy "
+        "or derivation to state in code",
+}
+
+
+def test_every_public_method_is_named_or_listed():
+    assert sorted(_unreferenced_methods(SOURCES[0].parent)) == sorted(READER_METHODS)
+    assert all(reason for reason in READER_METHODS.values())
+
+
+def test_method_check_sees_unnamed_methods(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import Box\n")
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return 2\n"
+        "    @classmethod\n    def empty(cls):\n        return cls()\n"
+        "    def loop(self, n):\n        return self.loop(n - 1) if n else 0\n"
+        "    def _private(self):\n        return 3\n"
+        "def f(box):\n    return box.size\n")
+    assert list(_unreferenced_methods(tmp_path)) == ["Box.empty", "Box.loop"]
 
 
 def test_reach_check_sees_dead_definitions(tmp_path):
