@@ -18,6 +18,7 @@ from .catalog import catalog_get, catalog_names
 from .cohomology import (
     betti_numbers,
     build_complex,
+    cohomology,
     format_cocycle,
     structural_checks,
 )
@@ -165,8 +166,9 @@ def _cmd_cohomology(ns):
     if ns.max_degree is not None and ns.max_degree < 0:
         raise ParseError(0, f"--max-degree must be non-negative, got {ns.max_degree}")
     g = _load_algebra(ns.file)
-    cx = build_complex(g, max_degree=ns.max_degree)
-    res = betti_numbers(cx)
+    # representatives depend on the basis: --reps builds in the given one
+    res = (betti_numbers(build_complex(g, max_degree=ns.max_degree)) if ns.reps
+           else cohomology(g, ns.max_degree))
     full = ns.max_degree is None or ns.max_degree >= g.dim
     lines = []
     if ns.format == "tsv":

@@ -21,26 +21,49 @@ The rank pass inserts each degree's columns sparsest first.  The order of
 insertion changes neither the span, nor the pivot set, nor any remainder
 modulo the span, so Betti numbers and representatives do not depend on it;
 it changes only the fill-in, and with it the cost.
+
+The basis changes the cost too.  `cohomology` ranks the full complex of
+a solvable, non-nilpotent g of dim 8 to 12 with more than 2 dim g bracket
+terms in `lie.cyclic_basis` (Krylov chains of ad x on [g, g]) when that
+has fewer terms.  There ad x is a companion block on each chain, under 2
+terms per vector, so a sparser g gains too little to pay for the build.
+Representatives depend on the basis and are computed in the given one: on
+a result ranked in the cyclic basis they cost a second complex (+31%,
++23%, +17% at dense dims 8, 9, 10).  Mean ms, 10 algebras per dim and
+family, 2-vCPU VM, to rank and report in the given basis, through the
+gate, and with the cyclic basis built at every dim and term count; dense
+is R x| R^(d-1), D a rational semisimple block sum in a rational basis,
+sparse the same in block form and nakamura_like (+) R^(d-6):
+
+    dim              5     6     7     8     9    10    11    12
+    dense   given  0.46  0.67  1.69  3.02  10.1  20.6  84.0   303
+            gate   0.47  0.68  1.74  2.76  6.34  17.7  48.4   104
+            always 0.65  0.92  1.65  2.61  6.47  16.3  50.6   100
+    sparse  given                    1.42  2.90  5.59  12.0  18.7
+            gate                     1.43  2.79  5.38  11.9  17.9
+            always                   1.76  3.02  6.25  12.8  18.8
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Optional
 
 from .errors import DimensionTooLarge, JacobiViolation
 from .lie import (
     LieAlgebra,
+    cyclic_basis,
     derived_series,
-    is_nilpotent,
     is_unimodular,
+    lower_central_series,
 )
 from .matrices import Echelon, wedge_positions
 
 DEFAULT_DIM_BOUND = 12
+CYCLIC_MIN_DIM = 8  # 2^8 forms: the cyclic basis pays for itself from here
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,6 +197,10 @@ class CohomologyResult:
     # image echelon of each d[k] from the rank pass, the boundary echelon
     # of degree k+1; read, never extended
     _images: tuple = field(default=(), repr=False)
+    # the given algebra when _cx is in the cyclic basis, for representatives
+    _given: Optional[LieAlgebra] = field(default=None, repr=False)
+    # (g, derived series, lower central series) when the gate computed them
+    _series: tuple = field(default=(), repr=False)
 
     def __eq__(self, other):
         return (isinstance(other, CohomologyResult) and self.betti == other.betti
@@ -200,6 +227,8 @@ class CohomologyResult:
         basis comes from the reduced form, and a remainder is the unique
         element of v + span zero at every pivot, so the output is
         reproducible."""
+        if self._given is not None:
+            return betti_numbers(build_complex(self._given)).representatives
         reps = []
         for k, columns in enumerate(self._cx.columns):
             width = len(columns)
@@ -272,7 +301,9 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     """Duality vs unimodularity, Euler characteristic, and first Betti bounds.
 
     Only meaningful for a full complex (betti lists all degrees 0..dim).
-    Solvability and [g, g] come from one derived series.
+    Solvability and [g, g] come from one derived series, the one the gate
+    of `cohomology` computed for this g when it did; b1 = dim g - dim
+    [g, g] cross-checks a change of basis.
     """
     n = g.dim
     betti = res.betti
@@ -281,12 +312,14 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     uni = is_unimodular(g)
     duality = all(betti[k] == betti[n - k] for k in range(n + 1))
     euler = sum((-1) ** k * b for k, b in enumerate(betti))
-    series = derived_series(g)
-    solv = series[-1].is_zero()
-    nilp = solv and is_nilpotent(g)  # nilpotent implies solvable
+    known = res._series if res._series and res._series[0] is g else None
+    derived = known[1] if known else derived_series(g)
+    solv = derived[-1].is_zero()
+    # nilpotent implies solvable
+    nilp = solv and (known[2] if known else lower_central_series(g))[-1].is_zero()
     b1 = betti[1] if n >= 1 else 0
     # the series stops at g itself when [g, g] = g
-    b1_expected = n - series[1 if len(series) > 1 else 0].dim
+    b1_expected = n - derived[1 if len(derived) > 1 else 0].dim
     # g/[g, g] is nonzero for solvable g != 0, and at least 2-dimensional
     # for nilpotent g of dimension >= 2
     bound = min(n, 2 if nilp else 1) if solv else 0
@@ -305,9 +338,24 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     )
 
 
+def _term_count(g: LieAlgebra) -> int:
+    return sum(len(row) for _, row in g.integer_brackets())
+
+
 def cohomology(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyResult:
-    """Convenience wrapper: build the complex and take Betti numbers."""
-    return betti_numbers(build_complex(g, max_degree=max_degree))
+    """Betti numbers through max_degree, in the basis the module docstring
+    says.  Representatives read from a result ranked in the cyclic basis
+    cost a second full complex in the given one; a caller that wants them
+    calls `betti_numbers(build_complex(g))`, as `cohomology --reps` does."""
+    series = ()
+    if (max_degree is None and CYCLIC_MIN_DIM <= g.dim <= DEFAULT_DIM_BOUND
+            and _term_count(g) > 2 * g.dim):
+        series = (g, derived_series(g), lower_central_series(g))
+        if series[1][-1].is_zero() and not series[2][-1].is_zero():
+            h = cyclic_basis(g, series[1][1])
+            if _term_count(h) < _term_count(g):
+                return replace(betti_numbers(build_complex(h)), _given=g, _series=series)
+    return replace(betti_numbers(build_complex(g, max_degree=max_degree)), _series=series)
 
 
 def format_multi_index(idx) -> str:

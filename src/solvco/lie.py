@@ -11,12 +11,12 @@ each bracket, as ints over one denominator D.  One builder makes it,
 `LieAlgebra.from_integer_brackets`, from int terms over an int
 denominator; the constructor clears the denominators of its `Fraction`s
 once and calls the same builder.  Every invariant expands over the table
-only: the series, `restrict` and the ideal checks bracket the integer
-rows of spans (`_sparse_bracket`, D times the bracket), and `ad_matrix`,
-the Jacobi sums and the traces of `is_unimodular` read the terms
-directly; `restrict` and the flag search read coordinates as an
-echelon's int remainders and build over one common denominator, so
-`Fraction`s appear only in what a reader returns.  The flag search runs
+only: the series, the changes of basis and the ideal checks bracket int
+rows (`_sparse_bracket`, D times the bracket), and `ad_matrix`, the Jacobi
+sums and the traces of `is_unimodular` read the terms directly; a change
+of basis (`restrict`, `conjugate`, `cyclic_basis`) and the flag search
+read coordinates as an echelon's int remainders, so `Fraction`s appear
+only in what a reader returns.  The flag search runs
 inside [g, g], on the matrices of the ad(e_i) on it, and reads their
 spectra from the int form of their minimal polynomials; only a `no`
 witness becomes a `Polynomial`.  Its common eigenvectors are int kernel
@@ -42,7 +42,6 @@ from .matrices import (
     Matrix,
     basis_vector,
     clear_denominators,
-    inverse,
     rational,
 )
 from .polynomials import Polynomial, rational_roots
@@ -127,7 +126,7 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
-        out = _sparse_bracket(self, _sparse(x), _sparse(y))
+        out = _sparse_bracket(self, *({t: c for t, c in enumerate(v) if c} for v in (x, y)))
         return _dense(self.dim, {t: Fraction(c, self.denominator) for t, c in out.items()})
 
     def integer_brackets(self):
@@ -150,11 +149,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self._terms) // 2})"
-
-
-def _sparse(v) -> dict:
-    """Nonzero entries {0-based column: coefficient} of a dense vector."""
-    return {t: c for t, c in enumerate(v) if c}
 
 
 def _dense(n: int, v: dict) -> tuple:
@@ -366,34 +360,34 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
     return bracket_subspaces(g, full, full)
 
 
-def _coordinates(s: Subspace):
-    """The map from a sparse ambient vector to its coordinates over s.basis,
-    as (W, t) with W an {a: int} dict over the int t >= 1, None when it
-    leaves s.  The basis is eliminated once, as rows [b_a | e_a]: a sum
-    c_a b_a reduces to [0 | -c], read as the integer remainder."""
-    n = s.ambient_dim
-    ech = Echelon(n + s.dim)
-    for a, v in enumerate(s.basis):
-        ech.add({**_sparse(v), n + a: 1})
+def _coordinates(n: int, basis):
+    """The map from a sparse vector of Q^n to (W, s), its coordinates W / s
+    over the b_a = B_a / t_a of basis, (B_a, t_a) pairs of a sparse int
+    dict and an int, or None outside their span.  The rows [B_a | e_a] are
+    eliminated once, so c_a B_a reduces to [0 | -c]; a pivot in the e part
+    marks a B_a that depends on those before it, and raises ValueError."""
+    ech = Echelon(n + len(basis))
+    for a, (B, _) in enumerate(basis):
+        if ech.add({**B, n + a: 1}) >= n:
+            raise ValueError("basis vectors are linearly dependent")
 
     def coordinates(v: dict):
-        W, t = ech.remainder(v)
-        return None if any(c < n for c in W) else ({c - n: -x for c, x in W.items()}, t)
+        W, s = ech.remainder(v)
+        return None if any(c < n for c in W) else (
+            {c - n: -x * basis[c - n][1] for c, x in W.items()}, s)
     return coordinates
 
 
-def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace over its own basis.
-
-    With each basis vector b_a = B_a / t_a over the integer vector B_a,
-    [b_a, b_b] has the coordinates W / (t t_a t_b D) when those of the int
-    D [B_a, B_b] are W / t; all go to the integer builder over one
-    common denominator."""
-    basis = [clear_denominators(v) for v in s.basis]
-    coordinates = _coordinates(s)
+def _in_basis(g: LieAlgebra, basis) -> LieAlgebra:
+    """g's bracket over the b_a of basis, as `_coordinates` takes them: the
+    one int change of basis, behind `restrict`, `conjugate` and
+    `cyclic_basis`.  [b_a, b_b] has the coordinates W / (t t_a t_b D) when
+    the int D [B_a, B_b] has W / t.  Raises ValueError when the b_a are
+    dependent or a bracket leaves their span."""
+    coordinates = _coordinates(g.dim, basis)
     brackets = {}
     for a, (A, ta) in enumerate(basis):
-        for b in range(a + 1, s.dim):
+        for b in range(a + 1, len(basis)):
             B, tb = basis[b]
             w = coordinates(_sparse_bracket(g, A, B))
             if w is None:
@@ -401,21 +395,41 @@ def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
             brackets[(a + 1, b + 1)] = (w[0], w[1] * ta * tb)
     L = lcm(*[t for _, t in brackets.values()])
     return LieAlgebra.from_integer_brackets(
-        s.dim, {ij: {k + 1: x * (L // t) for k, x in W.items()}
-                for ij, (W, t) in brackets.items()}, L * g.denominator)
+        len(basis), {ij: {k + 1: x * (L // t) for k, x in W.items()}
+                     for ij, (W, t) in brackets.items()}, L * g.denominator)
+
+
+def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
+    """Structure constants of a bracket-closed subspace over s.basis, read
+    as int rows: the given basis, or the reduced echelon rows."""
+    return _in_basis(g, s._echelon.reduced_rows() if s._basis is None
+                     else [clear_denominators(v) for v in s._basis])
 
 
 def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
-    """Algebra in the new basis f_j = sum_i p[i, j] e_i (p invertible)."""
+    """Algebra in the new basis f_j = sum_i p[i, j] e_i, the int columns of
+    p over its denominator; a singular or mis-shaped p raises ValueError."""
     if p.rows != g.dim or p.cols != g.dim:
         raise ValueError("change of basis must be dim x dim")
-    p_inv = inverse(p)
-    brackets = {}
-    for i in range(1, g.dim + 1):
-        for j in range(i + 1, g.dim + 1):
-            w = g.bracket(p.column(i - 1), p.column(j - 1))
-            brackets[(i, j)] = dict(enumerate(p_inv.apply(w), start=1))
-    return LieAlgebra(g.dim, brackets)
+    return _in_basis(g, [({i: x for i, x in enumerate(col) if x}, p.denominator)
+                         for col in zip(*p.numerator_rows())])
+
+
+def cyclic_basis(g: LieAlgebra, comm: Subspace) -> LieAlgebra:
+    """g in the cyclic basis of A = ad x on c = comm = [g, g], x the first
+    standard vector outside c: the Krylov chains v, Av, A^2 v, ... (as D^k
+    A^k v over D^k, D = g.denominator) of the int rows spanning c, each run
+    until it depends on the vectors taken, then the standard vectors
+    outside c, x first; ad x is a companion block on each chain."""
+    n = g.dim
+    rest = [t for t in range(n) if t not in comm._echelon.pivots]
+    x, taken, basis = {rest[0]: 1}, Echelon(n), []
+    for v in comm._echelon.rows_from(0):
+        t = 1
+        while taken.add(v) is not None:
+            basis.append((v, t))
+            v, t = _sparse_bracket(g, x, v), t * g.denominator
+    return _in_basis(g, basis + [({s: 1}, 1) for s in rest])
 
 
 @dataclass(frozen=True)
@@ -484,8 +498,8 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     n = g.dim
     comm = derived_subalgebra(g)
     m = comm.dim
-    coordinates = _coordinates(comm)
-    basis = [clear_denominators(v) for v in comm.basis]  # (B, t): b = B / t
+    basis = comm._echelon.reduced_rows()  # (B, t): comm.basis[a] = B / t
+    coordinates = _coordinates(n, basis)
 
     def on_comm(x):  # ad(x) restricted to c, in the coordinates of comm.basis
         cols = [coordinates(_sparse_bracket(g, x, B)) for B, _ in basis]

@@ -343,8 +343,8 @@ class Echelon:
     reduced row echelon form are computed only when read (`row`, `rows`,
     `kernel`).  Vectors go in as dense tuples or sparse dicts of ints or
     Fractions; each is cleared of denominators once and eliminated
-    fraction-free.  `remainder`, `kernel` and `rows_from` hand out int
-    rows; only `row`, `rows` and `sparse_row` build `Fraction`s.
+    fraction-free.  `remainder`, `kernel`, `rows_from` and `reduced_rows`
+    hand out int rows; only `row`, `rows` and `sparse_row` build `Fraction`s.
     """
 
     def __init__(self, width: int):
@@ -473,6 +473,11 @@ class Echelon:
         span the vectors of the span that are zero before column start."""
         return [{c - start: x for c, x in ((p, self._piv[p]), *self._tails[p].items())}
                 for p in self.pivots if p >= start]
+
+    def reduced_rows(self):
+        """`rows` as (R, a) pairs, R / a: R a primitive sparse int row with
+        a > 0 at its pivot."""
+        return [({p: a, **tail}, a) for p in self.pivots for a, tail in [self._reduced(p)]]
 
     def sparse_row(self, p: int) -> dict:
         """The basis row with pivot column p in the rational reduced form, as

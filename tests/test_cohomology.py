@@ -1,5 +1,6 @@
 """Exterior-form complex: differentials, Betti numbers, structural checks."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import comb
@@ -17,13 +18,27 @@ from solvco.cohomology import (
     sparse_differentials,
     structural_checks,
 )
+from solvco.almost_abelian import almost_abelian_algebra
+from solvco.cli import run_command
 from solvco.errors import DimensionTooLarge, JacobiViolation
-from solvco.lie import LieAlgebra, conjugate, is_unimodular, jacobi_violation
+from solvco.files import structure_equations
+from solvco.lie import (
+    LieAlgebra,
+    conjugate,
+    cyclic_basis,
+    derived_subalgebra,
+    is_nilpotent,
+    is_unimodular,
+    jacobi_violation,
+)
 from support import (
     apply_columns,
+    filiform,
     oracle_betti,
     oracle_differential,
     perturb_tensor,
+    rand_invertible_rational,
+    rand_semisimple,
     rand_unimodular,
     rand_valid_algebra,
     sympy_columns,
@@ -233,3 +248,94 @@ def test_format_cocycle():
     pairs = multi_indices(4, 2)
     vec = {pairs.index((1, 4)): Fraction(1), pairs.index((1, 2)): Fraction(-1, 2)}
     assert format_cocycle(vec, 4, 2) == "-1/2*e12 + 1*e14"
+
+
+def _terms(g):
+    return sum(len(row) for _, row in g.integer_brackets())
+
+
+def _semidirect(seed, n):
+    """R x| R^n for a rational semisimple D, in a rational basis."""
+    rng = random.Random(seed)
+    g = almost_abelian_algebra(rand_semisimple(rng, n))
+    return conjugate(g, rand_invertible_rational(rng, g.dim))
+
+
+def _diagonal(n):
+    """R x| R^n for a diagonal D in its eigenbasis: n bracket terms."""
+    return LieAlgebra(n + 1, {(1, j): {j: Fraction((-1) ** j * (j // 2))} for j in range(2, n + 2)})
+
+
+def _cyclic_calls(monkeypatch):
+    """Spy on the one call that builds the cyclic basis."""
+    module = importlib.import_module("solvco.cohomology")
+    calls = []
+    original = module.cyclic_basis
+
+    def spy(g, comm):
+        calls.append(g)
+        return original(g, comm)
+
+    monkeypatch.setattr(module, "cyclic_basis", spy)
+    return calls
+
+
+def test_adapted_complex_keeps_betti_and_representatives():
+    for seed, n in ((1, 7), (2, 8)):
+        g = _semidirect(seed, n)
+        h = cyclic_basis(g, derived_subalgebra(g))
+        assert _terms(h) < _terms(g)
+        res, given = cohomology(g), betti_numbers(build_complex(g))
+        assert res._cx.algebra == h and res._given is g
+        assert res.betti == given.betti
+        # the representatives depend on the basis: read in the given one
+        assert res.representatives == given.representatives
+        assert res == given
+        # the series the gate computed belong to g, and to no other algebra
+        assert structural_checks(res, g) == structural_checks(given, g)
+        other = filiform(g.dim)
+        assert structural_checks(res, other).nilpotent and is_nilpotent(other)
+
+
+def test_cli_builds_the_cyclic_basis_only_for_a_full_betti_command(tmp_path, monkeypatch):
+    calls = _cyclic_calls(monkeypatch)
+    adapted, nilpotent = tmp_path / "adapted.txt", tmp_path / "nilpotent.txt"
+    adapted.write_text(structure_equations(_semidirect(1, 7)))
+    nilpotent.write_text(structure_equations(
+        conjugate(filiform(8), rand_invertible_rational(random.Random(5), 8))))
+    # at most 2 terms per basis vector: as sparse as the cyclic basis gets
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text(structure_equations(_diagonal(8)))
+    never = ([str(nilpotent)], [str(nilpotent), "--format", "tsv"], [str(sparse)],
+             [str(adapted), "--reps"], [str(adapted), "--reps", "--format", "tsv"],
+             [str(adapted), "--max-degree", "3"], [str(adapted), "--max-degree", "8"])
+    for args in never:
+        code, _ = run_command(["cohomology"] + args)
+        assert code == 0 and calls == []
+    for tail in ([], ["--format", "tsv"]):
+        assert run_command(["cohomology", str(adapted)] + tail)[0] == 0
+    assert len(calls) == 2
+
+
+def test_cli_cohomology_computes_each_series_once(tmp_path, monkeypatch):
+    from solvco import cli, lie
+
+    module = importlib.import_module("solvco.cohomology")
+    counts = {"derived_series": 0, "lower_central_series": 0}
+    for name in counts:
+        original = getattr(lie, name)
+
+        def counted(g, name=name, original=original):
+            counts[name] += 1
+            return original(g)
+
+        for owner in (lie, cli, module):
+            monkeypatch.setattr(owner, name, counted)
+    for g in (_semidirect(1, 7), HEISENBERG, catalog_get("nakamura").algebra):
+        path = tmp_path / "algebra.txt"
+        path.write_text(structure_equations(g))
+        for tail in ([], ["--format", "tsv"], ["--reps"]):
+            for name in counts:
+                counts[name] = 0
+            assert run_command(["cohomology", str(path)] + tail)[0] == 0
+            assert counts == {"derived_series": 1, "lower_central_series": 1}

@@ -5,11 +5,14 @@ dense Jacobi check.
 
 Algebras come from the seeded generators in `support` (random valid
 algebras in a random integer basis, rank-one extensions by a random
-derivation, and valid algebras conjugated into a rational basis, with small
-or with large entries), driven by a hypothesis-controlled random source;
-the module is skipped where hypothesis is not installed.
+derivation, valid algebras conjugated into a rational basis, with small
+or with large entries, and R x| R^n, n = 7-8, with a rational semisimple
+derivation in a rational basis, whose full complex is built in the cyclic
+basis), driven by a hypothesis-controlled random source; the module is
+skipped where hypothesis is not installed.
 """
 
+import random
 from fractions import Fraction
 from importlib import import_module
 from math import comb, gcd
@@ -20,6 +23,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
+from solvco.cli import run_command  # noqa: E402
 from solvco.cohomology import (  # noqa: E402
     betti_numbers,
     build_complex,
@@ -28,7 +33,14 @@ from solvco.cohomology import (  # noqa: E402
     sparse_differentials,
 )
 from solvco.errors import JacobiViolation  # noqa: E402
-from solvco.lie import LieAlgebra, conjugate, jacobi_violation  # noqa: E402
+from solvco.files import structure_equations  # noqa: E402
+from solvco.lie import (  # noqa: E402
+    LieAlgebra,
+    conjugate,
+    cyclic_basis,
+    derived_subalgebra,
+    jacobi_violation,
+)
 from support import (  # noqa: E402
     apply_columns,
     dense_cohomology,
@@ -40,6 +52,8 @@ from support import (  # noqa: E402
     rand_derivation_algebra,
     rand_invertible_rational,
     rand_large_rational,
+    rand_semisimple,
+    rand_unimodular,
     rand_valid_algebra,
     sympy_columns,
 )
@@ -64,6 +78,22 @@ def large_rational_algebras(draw, max_dim=5):
     rng = draw(st.randoms(use_true_random=False))
     g = rand_valid_algebra(rng, max_dim)
     return conjugate(g, rand_large_rational(rng, g.dim))
+
+
+@st.composite
+def semidirect_algebras(draw):
+    """R x| R^n, n = 7-8, for a rational semisimple block sum D
+    (`rand_semisimple`), conjugated into a rational basis: solvable, not
+    nilpotent, of dimension 8-9, with a dense bracket table.  The source
+    is seeded from one drawn integer: these draw too many values for
+    hypothesis to take each from its own data."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = almost_abelian_algebra(rand_semisimple(rng, rng.randint(7, 8)))
+    return conjugate(g, rand_invertible_rational(rng, g.dim))
+
+
+def term_count(g):
+    return sum(len(row) for _, row in g.integer_brackets())
 
 
 @st.composite
@@ -228,3 +258,41 @@ def test_rank_pass_column_order_changes_no_result(g, max_degree, rng):
         assert orders == [len(columns) for columns in cx.columns]
         assert res.betti == ref.betti
         assert res.representatives == ref.representatives
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(algebras(max_dim=6), semidirect_algebras()), st.randoms(use_true_random=False))
+def test_cohomology_command_output_is_the_same_in_every_basis(tmp_path_factory, g, rng):
+    # the Betti lines and the structural report do not depend on the basis,
+    # whether the complex is built in the given one or in the cyclic one
+    folder = tmp_path_factory.mktemp("bases")
+    outputs = set()
+    for t, h in enumerate((g, conjugate(g, rand_unimodular(rng, g.dim)),
+                           conjugate(g, rand_invertible_rational(rng, g.dim)))):
+        path = folder / f"basis{t}.txt"
+        path.write_text(structure_equations(h))
+        outputs.add(tuple(run_command(["cohomology", str(path)] + tail)
+                          for tail in ([], ["--format", "tsv"])))
+    assert len(outputs) == 1
+    (plain_code, plain), (tsv_code, tsv) = outputs.pop()
+    assert plain_code == tsv_code == 0
+    betti = tuple(int(line.split()[2]) for line in plain.splitlines() if line.startswith("betti "))
+    assert betti == tuple(int(line.split("\t")[1]) for line in tsv.splitlines()
+                          if line.startswith("betti."))
+    if g.dim <= 6:
+        assert betti == oracle_betti(g)
+    else:
+        assert betti == betti_numbers(build_complex(g)).betti
+
+
+@settings(max_examples=15, deadline=None)
+@given(semidirect_algebras())
+def test_semidirect_complex_is_ranked_in_the_cyclic_basis(g):
+    h = cyclic_basis(g, derived_subalgebra(g))
+    # a rational basis that happens to be as sparse keeps the given one
+    assume(2 * g.dim < term_count(g) and term_count(h) < term_count(g))
+    res = cohomology(g)
+    assert res._cx.algebra == h and res._given is g
+    given = betti_numbers(build_complex(g))
+    assert res.betti == given.betti
+    assert res.representatives == given.representatives

@@ -17,6 +17,7 @@ from solvco.lie import (
     ad_matrix,
     completely_solvable_flag,
     conjugate,
+    cyclic_basis,
     derived_series,
     derived_subalgebra,
     is_nilpotent,
@@ -311,6 +312,16 @@ def test_conjugation_preserves_structure():
         assert is_unimodular(h) == is_unimodular(g)
 
 
+def test_conjugate_refuses_a_singular_or_misshaped_change():
+    g = catalog_get("sol3").algebra
+    with pytest.raises(ValueError, match="dependent"):
+        conjugate(g, Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="dim x dim"):
+        conjugate(g, Matrix.identity(2))
+    p = Matrix.from_rows([[1, Fraction(1, 2), 0], [0, 1, 0], [3, 0, -2]])
+    assert conjugate(conjugate(g, p), inverse(p)) == g
+
+
 def test_subspace_operations():
     a = Subspace.standard(3, (1, 2))
     b = Subspace.standard(3, (2, 3))
@@ -336,15 +347,21 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     # in ints over one denominator (in Fractions: 1,326 for the flag, 426
     # and 537 for the full and compact brackets of nakamura).  The flag's
     # spectra, the Newton step and the compact part read the int form of
-    # the minimal polynomial, so the flags build only their eigenvalues and
-    # the rational basis of [g, g], the decomposition none, and the compact
+    # the minimal polynomial, and they read [g, g] through its primitive int
+    # rows (with its rational basis: 18 and 15), so the flags build only
+    # their eigenvalues, the decomposition none, and the compact
     # part one (with Fraction polynomials: 208 and 68 for the two flags, 12
     # for the decomposition, 149 for the compact part and 146 for the
     # compact kill).  The flag's eigenvectors come from the int kernel of
     # stacked int rows and its chain is summed in ints (with Fraction
     # eigenspaces, their intersections and lifts: 104 for the filiform
     # flag), and the lattice check reads det B off the int characteristic
-    # polynomial (one Fraction with an elimination determinant)
+    # polynomial (one Fraction with an elimination determinant).  A change
+    # of basis brackets int columns and reads int coordinates, whether
+    # given by a matrix or as the cyclic basis of ad x on [g, g], and
+    # restrict reads the int rows of the reduced echelon form: none (with
+    # `g.bracket` and an inverse, 761 for the conjugation by p; with the
+    # rational basis, 14 for the restriction to [g, g])
     from solvco import decompositions, polynomials
 
     g = conjugate(filiform(7), rand_invertible_rational(random.Random(3), 7))
@@ -390,9 +407,12 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     assert built(polynomials._squarefree_chain, decompositions._times(P, P)) == 0
     assert built(parse_structure_file, text) == 0
     assert [built(f, a) <= degree + 1 for f, a, degree in krylov] == [True] * 4
-    assert built(completely_solvable_flag, g) <= 18
+    assert built(completely_solvable_flag, g) <= 4
     assert built(HolonomyInput, Matrix.from_rows([[2, 1], [1, 1]])) == 0
-    assert built(completely_solvable_flag, nakamura) <= 15
+    assert built(completely_solvable_flag, nakamura) <= 4
+    assert built(conjugate, g, rand_invertible_rational(random.Random(4), 7)) == 0
+    assert built(cyclic_basis, nakamura, derived_subalgebra(nakamura)) == 0
+    assert built(restrict, g, derived_series(g)[1]) == 0
     assert built(jordan_chevalley, adjoints[1]) == 0
     assert built(compact_part, semisimple) <= 1
     assert built(kill_map, inp, KillMode.COMPACT) <= 25

@@ -28,6 +28,7 @@ different spectra; and nilpotent algebras in a random basis.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -55,6 +56,7 @@ from solvco.lie import (  # noqa: E402
     bracket_subspaces,
     completely_solvable_flag,
     conjugate,
+    cyclic_basis,
     derived_series,
     derived_subalgebra,
     is_solvable,
@@ -64,7 +66,7 @@ from solvco.lie import (  # noqa: E402
     restrict,
     validate,
 )
-from solvco.matrices import Matrix, basis_vector, inverse  # noqa: E402
+from solvco.matrices import Matrix, basis_vector, clear_denominators, inverse  # noqa: E402
 from support import (  # noqa: E402
     SympyLie,
     block_diag,
@@ -75,6 +77,7 @@ from support import (  # noqa: E402
     rand_fraction,
     rand_invertible_rational,
     rand_large_rational,
+    rand_semisimple,
     rand_unimodular,
     rand_valid_algebra,
     sympy_poly,
@@ -90,6 +93,12 @@ def algebras(draw, max_dim=5):
     g = rand_valid_algebra(rng, max_dim)
     change = draw(st.sampled_from([None, rand_invertible_rational, rand_large_rational]))
     return (g if change is None else conjugate(g, change(rng, g.dim))), rng
+
+
+def semidirect(rng):
+    """R x| R^n, n = 7-8, for a rational semisimple D, in a rational basis."""
+    g = almost_abelian_algebra(rand_semisimple(rng, rng.randint(7, 8)))
+    return conjugate(g, rand_invertible_rational(rng, g.dim))
 
 
 def rand_vector(rng, n):
@@ -189,6 +198,71 @@ def test_restrict_reproduces_brackets_or_rejects_open_subspaces(case):
                               for t in range(s.dim)), Fraction(0)) for k in range(g.dim)]
                 want = [Fraction(str(v)) for v in oracle.bracket(basis[a], basis[b])]
                 assert image == want
+
+
+def bracket_errors(g, h, basis):
+    """The pairs a < b at which the structure constants of h are not the
+    bracket of g over the Fraction vectors basis: [b_a, b_b] = sum over c
+    of c[c][a][b] b_c, the brackets from the sympy model."""
+    oracle = SympyLie(g)
+    return [(a, b) for a in range(h.dim) for b in range(a + 1, h.dim)
+            if [sum((h.structure_constant(c + 1, a + 1, b + 1) * basis[c][k]
+                     for c in range(h.dim)), Fraction(0)) for k in range(g.dim)]
+            != [Fraction(str(v)) for v in oracle.bracket(basis[a], basis[b])]]
+
+
+def krylov_basis(g):
+    """The cyclic basis of ad x on [g, g] rebuilt in Fractions with the
+    sympy model: the chains start at the int rows spanning [g, g], each
+    runs until sympy's rank stops growing, and the standard vectors outside
+    [g, g] follow, x first; then the vector that ends the last chain."""
+    oracle = SympyLie(g)
+    comm = derived_subalgebra(g)
+    rows = [tuple(Fraction(row.get(t, 0)) for t in range(g.dim))
+            for row in comm._echelon.rows_from(0)]
+    assert oracle.span(rows) == oracle.derived_series()[1]
+    rest = [t for t in range(g.dim) if t not in comm._echelon.pivots]
+    x, basis, v = oracle.unit(rest[0]), [], None
+    for v in rows:
+        while len(oracle.span(basis + [v])) > len(basis):
+            basis.append(v)
+            v = tuple(Fraction(str(c)) for c in oracle.bracket(x, v))
+    return basis + [basis_vector(g.dim, t) for t in rest], v
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras())
+def test_conjugate_is_the_bracket_over_the_columns(case):
+    g, rng = case
+    p = rand_invertible_rational(rng, g.dim)
+    assert bracket_errors(g, conjugate(g, p), [p.column(j) for j in range(g.dim)]) == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(algebras(), st.integers(0, 2**32).map(
+    lambda s: (semidirect(random.Random(s)), None))))
+def test_cyclic_basis_is_the_bracket_over_the_krylov_chains(case):
+    g, _ = case
+    if not is_solvable(g):  # [g, g] = g leaves no x
+        return
+    basis, past = krylov_basis(g)
+    h = cyclic_basis(g, derived_subalgebra(g))
+    assert bracket_errors(g, h, basis) == []
+    # a seeded fault: one flipped term of the conjugated table is seen
+    table = {ij: dict(row) for ij, row in h.integer_brackets()}
+    if table:
+        (i, j), row = next(iter(table.items()))
+        k = next(iter(row))
+        row[k] = -row[k]
+        flipped = LieAlgebra.from_integer_brackets(h.dim, table, h.denominator)
+        assert bracket_errors(g, flipped, basis) == [(i - 1, j - 1)]
+    # the vector that ends the last chain depends on those taken: a chain
+    # run one step too far, in place of x, is refused
+    m = derived_subalgebra(g).dim
+    if m:
+        with pytest.raises(ValueError, match="dependent"):
+            lie._in_basis(g, [clear_denominators(v)
+                              for v in basis[:m] + [past] + basis[m + 1:]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,6 +386,37 @@ def test_common_eigenvector_is_the_first_sympy_rref_row_of_the_eigenspace(rng):
         assert all(type(x) is int for x in got.values())
         lead = got[min(got)]
         assert lead > 0 and [got.get(c, 0) for c in range(n)] == [lead * x for x in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_flag_line_is_read_in_the_reduced_basis_of_the_derived_algebra(rng):
+    # R x| R^n for a diagonal D with repeated eigenvalues, in a rational
+    # basis: common eigenspaces of dimension >= 2, where the line the search
+    # takes depends on the coordinates it reads c = [g, g] in
+    n = rng.randint(3, 6)
+    d = Matrix.diagonal([rng.choice((0, 1, 1, 2, -1)) for _ in range(n)])
+    g = conjugate(almost_abelian_algebra(d), rand_invertible_rational(rng, n + 1))
+    cert = completely_solvable_flag(g)
+    assert cert.status == "yes"
+    oracle = SympyLie(g)
+    units = [oracle.unit(i) for i in range(g.dim)]
+    comm = oracle.bracket_span(units, units)  # the reduced rows of c
+    if not comm:
+        return
+    pivots = [next(t for t, x in enumerate(b) if x) for b in comm]
+    ops = []  # the distinct nonzero ad(e_i) on c, in the order of i
+    for u in units:
+        # over the reduced rows, the coordinates of w in c are its pivot entries
+        images = [oracle.bracket(u, b) for b in comm]
+        a = Matrix.from_rows([[Fraction(str(w[p])) for w in images] for p in pivots])
+        if not a.is_zero() and all(a != b for b, _ in ops):
+            m = len(comm)
+            lams = sympy.Matrix(m, m, [sympy.Rational(str(x)) for i in range(m) for x in a.row(i)])
+            ops.append((a, sorted(Fraction(str(lam)) for lam in lams.eigenvals())))
+    want = first_sympy_common_eigenvector(ops, len(comm))
+    line = [sum(x * b[t] for x, b in zip(want, comm)) for t in range(g.dim)]
+    assert cert.chain[1].basis == oracle.span([line])
 
 
 def large_fraction(rng):

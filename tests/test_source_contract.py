@@ -178,6 +178,9 @@ READER_METHODS = {
     "JordanDecomposition.semisimple_minpoly":
         "the minimal polynomial of the semisimple part as a `Polynomial`; the "
         "package reads the int form `minpoly_form`",
+    "LieAlgebra.bracket":
+        "the bracket of two dense vectors in Fractions, for a reader; the "
+        "package brackets int vectors, and `conjugate` no longer reads it",
     "LieAlgebra.bracket_basis":
         "[e_i, e_j] as a dense vector, the structure constants in the form a "
         "structure file states them",
