@@ -25,8 +25,10 @@ it changes only the fill-in, and with it the cost.
 The basis changes the cost too.  `cohomology` ranks the full complex of
 a solvable, non-nilpotent g of dim 8 to 12 with more than 2 dim g bracket
 terms in `lie.cyclic_basis` (Krylov chains of ad x on [g, g]) when that
-has fewer terms.  There ad x is a companion block on each chain, under 2
-terms per vector, so a sparser g gains too little to pay for the build.
+has fewer terms; the gate and the structural report read solvability,
+nilpotency and [g, g] off the series that `lie` keeps with g.  There ad
+x is a companion block on each chain, under 2 terms per vector, so a
+sparser g gains too little to pay for the build.
 Representatives depend on the basis and are computed in the given one: on
 a result ranked in the cyclic basis they cost a second complex (+31%,
 +23%, +17% at dense dims 8, 9, 10).  Mean ms, 10 algebras per dim and
@@ -49,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -56,9 +59,10 @@ from .errors import DimensionTooLarge, JacobiViolation
 from .lie import (
     LieAlgebra,
     cyclic_basis,
-    derived_series,
+    derived_subalgebra,
+    is_nilpotent,
+    is_solvable,
     is_unimodular,
-    lower_central_series,
 )
 from .matrices import Echelon, wedge_positions
 
@@ -199,8 +203,6 @@ class CohomologyResult:
     _images: tuple = field(default=(), repr=False)
     # the given algebra when _cx is in the cyclic basis, for representatives
     _given: Optional[LieAlgebra] = field(default=None, repr=False)
-    # (g, derived series, lower central series) when the gate computed them
-    _series: tuple = field(default=(), repr=False)
 
     def __eq__(self, other):
         return (isinstance(other, CohomologyResult) and self.betti == other.betti
@@ -218,15 +220,14 @@ class CohomologyResult:
         the boundaries and the cocycles chosen before it, normalised to
         lead 1 and kept when nonzero.
 
-        One echelon per degree, a copy of the boundary echelon, takes each
-        integer kernel vector with one `add`: the remainder it inserts is
-        the new basis row, zero at every pivot so already reduced, and its
-        rational form (lead 1) is the cocycle; the rank pass's echelons are
-        left as they are.  Their stored rows depend on the order the
-        columns came in, but what is read from them does not: the kernel
-        basis comes from the reduced form, and a remainder is the unique
-        element of v + span zero at every pivot, so the output is
-        reproducible."""
+        One echelon per degree, a copy of the boundary echelon, reduces
+        each integer kernel vector: a nonzero remainder is zero at every
+        pivot, so already reduced; it joins the echelon, and over its lead
+        it is the cocycle; the rank pass's echelons are left as they are.
+        Their stored rows depend on the order the columns came in, but
+        what is read from them does not: the kernel basis comes from the
+        reduced form, and a remainder is the unique element of v + span
+        zero at every pivot, so the output is reproducible."""
         if self._given is not None:
             return betti_numbers(build_complex(self._given)).representatives
         reps = []
@@ -238,9 +239,11 @@ class CohomologyResult:
             spanned = self._images[k - 1].copy() if k else Echelon(width)
             out = []
             for vec in rows.kernel():
-                p = spanned.add(vec)
-                if p is not None:
-                    out.append(spanned.sparse_row(p))
+                V, _ = spanned.remainder(vec)
+                if V:
+                    spanned.add(V)
+                    lead = V[min(V)]
+                    out.append({c: Fraction(V[c], lead) for c in sorted(V)})
             reps.append(tuple(out))
         return tuple(reps)
 
@@ -301,9 +304,8 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     """Duality vs unimodularity, Euler characteristic, and first Betti bounds.
 
     Only meaningful for a full complex (betti lists all degrees 0..dim).
-    Solvability and [g, g] come from one derived series, the one the gate
-    of `cohomology` computed for this g when it did; b1 = dim g - dim
-    [g, g] cross-checks a change of basis.
+    Solvability, nilpotency and [g, g] are read off g's series; b1 = dim
+    g - dim [g, g] cross-checks a change of basis.
     """
     n = g.dim
     betti = res.betti
@@ -312,14 +314,9 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     uni = is_unimodular(g)
     duality = all(betti[k] == betti[n - k] for k in range(n + 1))
     euler = sum((-1) ** k * b for k, b in enumerate(betti))
-    known = res._series if res._series and res._series[0] is g else None
-    derived = known[1] if known else derived_series(g)
-    solv = derived[-1].is_zero()
-    # nilpotent implies solvable
-    nilp = solv and (known[2] if known else lower_central_series(g))[-1].is_zero()
+    solv, nilp = is_solvable(g), is_nilpotent(g)
     b1 = betti[1] if n >= 1 else 0
-    # the series stops at g itself when [g, g] = g
-    b1_expected = n - derived[1 if len(derived) > 1 else 0].dim
+    b1_expected = n - derived_subalgebra(g).dim
     # g/[g, g] is nonzero for solvable g != 0, and at least 2-dimensional
     # for nilpotent g of dimension >= 2
     bound = min(n, 2 if nilp else 1) if solv else 0
@@ -347,15 +344,12 @@ def cohomology(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyRes
     says.  Representatives read from a result ranked in the cyclic basis
     cost a second full complex in the given one; a caller that wants them
     calls `betti_numbers(build_complex(g))`, as `cohomology --reps` does."""
-    series = ()
     if (max_degree is None and CYCLIC_MIN_DIM <= g.dim <= DEFAULT_DIM_BOUND
-            and _term_count(g) > 2 * g.dim):
-        series = (g, derived_series(g), lower_central_series(g))
-        if series[1][-1].is_zero() and not series[2][-1].is_zero():
-            h = cyclic_basis(g, series[1][1])
-            if _term_count(h) < _term_count(g):
-                return replace(betti_numbers(build_complex(h)), _given=g, _series=series)
-    return replace(betti_numbers(build_complex(g, max_degree=max_degree)), _series=series)
+            and _term_count(g) > 2 * g.dim and is_solvable(g) and not is_nilpotent(g)):
+        h = cyclic_basis(g, derived_subalgebra(g))
+        if _term_count(h) < _term_count(g):
+            return replace(betti_numbers(build_complex(h)), _given=g)
+    return betti_numbers(build_complex(g, max_degree=max_degree))
 
 
 def format_multi_index(idx) -> str:

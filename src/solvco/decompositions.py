@@ -32,6 +32,7 @@ from .polynomials import (
     least_scale,
     pseudo_divmod,
     real_root_counter,
+    root_bound,
 )
 
 
@@ -244,8 +245,10 @@ def complex_quadratic_factors(P: list, scale: int):
     e = D / d, at scale D.  Integer candidates x^2 - B x + C come from the
     divisors of Q's constant term (after a root at zero is divided out)
     and of Q(t), t the least positive integer with Q(t) != 0 (any factor
-    q satisfies q(t) | Q(t)); each candidate is verified by exact division
-    in ints, so the search is complete and sound.
+    q satisfies q(t) | Q(t)), bounded by C = |z|^2 <= R^2 and q(t) =
+    |t - z|^2 <= (t + R)^2, z a root of q, R = `root_bound(Q)`; each
+    candidate is verified by exact division in ints, so the search is
+    complete and sound.
     """
     if not P or P[-1] != 1:
         raise ValueError("expected a monic polynomial")
@@ -256,9 +259,10 @@ def complex_quadratic_factors(P: list, scale: int):
     t = 1
     while not (q_t := sum(c * t**i for i, c in enumerate(q))):
         t += 1
-    deltas = integer_divisors(q_t)
+    R = root_bound(q)
+    deltas = integer_divisors(q_t, (t + R) ** 2)
     found = []
-    for big_c in integer_divisors(q[0]):
+    for big_c in integer_divisors(q[0], R * R):
         for delta_abs in deltas:
             for delta in (delta_abs, -delta_abs):
                 num = t * t + big_c - delta

@@ -14,12 +14,13 @@ once and calls the same builder.  Every invariant expands over the table
 only: the series, the changes of basis and the ideal checks bracket int
 rows (`_sparse_bracket`, D times the bracket), and `ad_matrix`, the Jacobi
 sums and the traces of `is_unimodular` read the terms directly; a change
-of basis (`restrict`, `conjugate`, `cyclic_basis`) and the flag search
-read coordinates as an echelon's int remainders, so `Fraction`s appear
-only in what a reader returns.  The flag search runs
-inside [g, g], on the matrices of the ad(e_i) on it, and reads their
-spectra from the int form of their minimal polynomials; only a `no`
-witness becomes a `Polynomial`.  Its common eigenvectors are int kernel
+of basis (`conjugate`, `cyclic_basis`) and the flag search read
+coordinates as an echelon's int remainders, so `Fraction`s appear only in
+what a reader returns.  Both series are computed once per algebra, into a
+memo slot that every reader of [g, g], solvability or nilpotency reads.
+The flag search runs inside [g, g], on the matrices of the ad(e_i) on it,
+and reads their spectra from the int form of their minimal polynomials;
+only a `no` witness becomes a `Polynomial`.  Its common eigenvectors are int kernel
 vectors of one echelon per search branch, and its chain is summed in
 ints.
 """
@@ -50,7 +51,8 @@ from .polynomials import Polynomial, rational_roots
 class LieAlgebra:
     """Finite-dimensional Lie algebra with rational structure constants."""
 
-    __slots__ = ("dim", "denominator", "_terms")
+    # _series: the memo of `_series_of`, left out of ==, hash and pickling
+    __slots__ = ("dim", "denominator", "_terms", "_series")
 
     def __init__(self, dim: int, brackets):
         """brackets maps (i, j) with 1 <= i < j <= dim to a {k: coefficient}
@@ -103,6 +105,7 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "denominator", D // g)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -273,7 +276,9 @@ class Subspace:
     @property
     def basis(self) -> tuple:
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(self._echelon.rows))
+            object.__setattr__(self, "_basis", tuple(
+                tuple(Fraction(R.get(c, 0), a) for c in range(self.ambient_dim))
+                for R, a in self._echelon.reduced_rows()))
         return self._basis
 
     @property
@@ -301,7 +306,8 @@ class Subspace:
 
     def __hash__(self):
         # the reduced echelon rows are the same for every basis of the span
-        return hash((self.ambient_dim, tuple(self._echelon.rows)))
+        return hash((self.ambient_dim, tuple(tuple(sorted(R.items()))
+                                             for R, _ in self._echelon.reduced_rows())))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient_dim})"
@@ -316,10 +322,9 @@ def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
                                  for y in (ys[s + 1:] if b is a else ys)))
 
 
-def _series(first: Subspace, step):
-    """first >= step(first) >= step(step(first)) >= ... until the
+def _descend(series: list, step) -> list:
+    """series extended by step(last), step(step(last)), ... until the
     dimension stops falling."""
-    series = [first]
     while True:
         nxt = step(series[-1])
         if nxt.dim == series[-1].dim:
@@ -327,23 +332,35 @@ def _series(first: Subspace, step):
         series.append(nxt)
 
 
+def _series_of(g: LieAlgebra) -> tuple:
+    """(derived series, lower central series) as tuples, computed on the
+    first read and kept in g's memo slot; the lower one starts from the
+    derived one's [g, g], and both stop at g itself when [g, g] = g."""
+    if g._series is None:
+        full = Subspace.full(g.dim)
+        derived = _descend([full], lambda s: bracket_subspaces(g, s, s))
+        lower = (_descend(derived[:2], lambda s: bracket_subspaces(g, s, full))
+                 if len(derived) > 1 else derived)
+        object.__setattr__(g, "_series", (tuple(derived), tuple(lower)))
+    return g._series
+
+
 def derived_series(g: LieAlgebra):
     """g = g_(0) >= [g_(0), g_(0)] >= ... until stabilization."""
-    return _series(Subspace.full(g.dim), lambda s: bracket_subspaces(g, s, s))
+    return list(_series_of(g)[0])
 
 
 def lower_central_series(g: LieAlgebra):
     """g = g_0 >= [g_0, g] >= [g_1, g] >= ... until stabilization."""
-    full = Subspace.full(g.dim)
-    return _series(full, lambda s: bracket_subspaces(g, s, full))
+    return list(_series_of(g)[1])
 
 
 def is_solvable(g: LieAlgebra) -> bool:
-    return derived_series(g)[-1].is_zero()
+    return _series_of(g)[0][-1].is_zero()
 
 
 def is_nilpotent(g: LieAlgebra) -> bool:
-    return lower_central_series(g)[-1].is_zero()
+    return _series_of(g)[1][-1].is_zero()
 
 
 def is_unimodular(g: LieAlgebra) -> bool:
@@ -356,8 +373,9 @@ def is_unimodular(g: LieAlgebra) -> bool:
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    full = Subspace.full(g.dim)
-    return bracket_subspaces(g, full, full)
+    """[g, g], read off the derived series (g itself when [g, g] = g)."""
+    derived = _series_of(g)[0]
+    return derived[1] if len(derived) > 1 else derived[0]
 
 
 def _coordinates(n: int, basis):
@@ -380,9 +398,9 @@ def _coordinates(n: int, basis):
 
 def _in_basis(g: LieAlgebra, basis) -> LieAlgebra:
     """g's bracket over the b_a of basis, as `_coordinates` takes them: the
-    one int change of basis, behind `restrict`, `conjugate` and
-    `cyclic_basis`.  [b_a, b_b] has the coordinates W / (t t_a t_b D) when
-    the int D [B_a, B_b] has W / t.  Raises ValueError when the b_a are
+    one int change of basis, behind `conjugate` and `cyclic_basis`.
+    [b_a, b_b] has the coordinates W / (t t_a t_b D) when the int D [B_a,
+    B_b] has W / t.  Raises ValueError when the b_a are
     dependent or a bracket leaves their span."""
     coordinates = _coordinates(g.dim, basis)
     brackets = {}
@@ -397,13 +415,6 @@ def _in_basis(g: LieAlgebra, basis) -> LieAlgebra:
     return LieAlgebra.from_integer_brackets(
         len(basis), {ij: {k + 1: x * (L // t) for k, x in W.items()}
                      for ij, (W, t) in brackets.items()}, L * g.denominator)
-
-
-def restrict(g: LieAlgebra, s: Subspace) -> LieAlgebra:
-    """Structure constants of a bracket-closed subspace over s.basis, read
-    as int rows: the given basis, or the reduced echelon rows."""
-    return _in_basis(g, s._echelon.reduced_rows() if s._basis is None
-                     else [clear_denominators(v) for v in s._basis])
 
 
 def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
@@ -573,10 +584,12 @@ def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> tupl
                                    f"dims {v.dim} + {n.dim} do not compose {g.dim}")
     if not _is_ideal(g, n):
         raise DecompositionInvalid("ideal", "n is not an ideal")
-    if not is_nilpotent(restrict(g, n)):
+    # n is an ideal: its lower central series, computed inside g (g's own when n = g)
+    lower = (lower_central_series(g) if n.dim == g.dim
+             else _descend([n], lambda s: bracket_subspaces(g, s, n)))
+    if not lower[-1].is_zero():
         raise DecompositionInvalid("nilpotent", "n is not nilpotent")
-    comm = derived_subalgebra(g)
-    if not n.contains_subspace(comm):
+    if not n.contains_subspace(derived_subalgebra(g)):
         raise DecompositionInvalid("commutator", "[g, g] is not contained in n")
     decs = tuple(jordan_chevalley(ad_matrix(g, a)) for a in v.basis)
     for dec in decs:

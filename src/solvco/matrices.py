@@ -3,8 +3,7 @@
 Nothing here ever rounds.  `Matrix` and `Echelon` compute in Python ints
 and build `Fraction`s only for what a caller reads; a float entry raises
 TypeError.  Every elimination runs in an `Echelon`, which hands out int
-rows (a remainder, a kernel basis, the stored rows) and builds
-`Fraction`s only for the reduced rows a reader asks for.
+rows only (a remainder, a kernel basis, the stored and the reduced rows).
 """
 
 from __future__ import annotations
@@ -340,11 +339,11 @@ class Echelon:
     touches the rows already stored.  Reducing a vector clears the pivots
     in ascending order and leaves the unique element of v + span that is
     zero at every pivot, whatever order the rows came in; the rows of the
-    reduced row echelon form are computed only when read (`row`, `rows`,
+    reduced row echelon form are computed only when read (`reduced_rows`,
     `kernel`).  Vectors go in as dense tuples or sparse dicts of ints or
     Fractions; each is cleared of denominators once and eliminated
     fraction-free.  `remainder`, `kernel`, `rows_from` and `reduced_rows`
-    hand out int rows; only `row`, `rows` and `sparse_row` build `Fraction`s.
+    hand out int rows, and no `Fraction` is built.
     """
 
     def __init__(self, width: int):
@@ -352,8 +351,9 @@ class Echelon:
         self._piv = {}  # pivot column -> pivot entry, a positive int
         self._tails = {}  # pivot column -> row entries after the pivot, {column: int}
 
-    def _reduce(self, v):
-        """(V, s) with V / s the remainder of v modulo the span.
+    def remainder(self, v):
+        """(V, s): the remainder of v modulo the span as V / s, V a sparse
+        {column: int} dict and s >= 1 an int.
 
         Pivots p are cleared in ascending order, fraction-free: with a the
         entry of row p at p, f = V[p] and g = gcd(a, f), V <- (a/g) V -
@@ -394,29 +394,18 @@ class Echelon:
         """(a, tail): the basis row with pivot column p in reduced form, zero
         at every other pivot, as a primitive integer row with entry a > 0 at
         p.  Its tail reduced modulo the span meets only rows below p."""
-        V, s = self._reduce(self._tails[p])
+        V, s = self.remainder(self._tails[p])
         a = s * self._piv[p]
         g = gcd(a, *V.values())
         if g != 1:
             V = {c: x // g for c, x in V.items()}
         return a // g, V
 
-    def _dense(self, v: dict) -> Vector:
-        out = [Fraction(0)] * self.width
-        for c, x in v.items():
-            out[c] = x
-        return tuple(out)
-
-    def remainder(self, v):
-        """(V, s): the remainder of v modulo the span as V / s, V a sparse
-        {column: int} dict and s >= 1 an int, before any Fraction is built."""
-        return self._reduce(v)
-
     def add(self, v):
         """Insert v.  Returns the new pivot column when v enlarges the span,
         otherwise None.  The new row is zero at every pivot, so it is
         reduced."""
-        V, s = self._reduce(v)
+        V, s = self.remainder(v)
         if not V:
             return None
         p = min(V)
@@ -437,7 +426,7 @@ class Echelon:
         return out
 
     def contains(self, v) -> bool:
-        return not self._reduce(v)[0]
+        return not self.remainder(v)[0]
 
     def kernel(self):
         """Sparse integer basis of the vectors orthogonal to every row, one
@@ -475,26 +464,6 @@ class Echelon:
                 for p in self.pivots if p >= start]
 
     def reduced_rows(self):
-        """`rows` as (R, a) pairs, R / a: R a primitive sparse int row with
-        a > 0 at its pivot."""
+        """The reduced rows, ordered by pivot, as (R, a) pairs, R / a: R a
+        primitive sparse int row with a > 0 at its pivot."""
         return [({p: a, **tail}, a) for p in self.pivots for a, tail in [self._reduced(p)]]
-
-    def sparse_row(self, p: int) -> dict:
-        """The basis row with pivot column p in the rational reduced form, as
-        its nonzero entries {column: Fraction} in ascending column order,
-        starting with 1 at p."""
-        a, tail = self._reduced(p)
-        row = {p: Fraction(1)}
-        for c in sorted(tail):
-            row[c] = Fraction(tail[c], a)
-        return row
-
-    def row(self, p: int) -> Vector:
-        """`sparse_row(p)` as a dense tuple."""
-        return self._dense(self.sparse_row(p))
-
-    @property
-    def rows(self):
-        """Basis rows of the rational reduced form as dense tuples, ordered
-        by pivot."""
-        return [self.row(p) for p in self.pivots]

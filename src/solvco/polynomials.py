@@ -272,19 +272,24 @@ def least_scale(P: list, scale: int):
             return [c // e ** (deg - i) for i, c in enumerate(P)], d
 
 
+def root_bound(coeffs: list) -> int:
+    """An int R >= |z| for every complex root z of the monic int list
+    coeffs: Fujiwara's 2 max |c_(n-i)|^(1/i) over the coefficients below
+    the lead, with 2^ceil(bits / i) bounding each term exactly."""
+    return 2 * max((1 << -(-abs(c).bit_length() // i)
+                    for i, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)
+
+
 def rational_roots(P: list, scale: int):
     """All rational roots, ascending, of the monic int list P at scale D:
     the integer roots of Q from `least_scale(P, D) = (Q, d)`, divided by
     d.  A nonzero integer root of the monic integral Q divides its lowest
-    nonzero coefficient, and by Fujiwara's bound its size is at most
-    2 max |c_(n-i)|^(1/i) over the coefficients c_(n-i) of Q below the
-    leading one; 2^ceil(bits / i) bounds each term exactly, so the divisor
-    search stops at the size of the roots, not at the square root of the
-    coefficient."""
+    nonzero coefficient and is at most `root_bound(Q)` in size, so the
+    divisor search stops at the size of the roots, not at the square root
+    of the coefficient."""
     coeffs, den = least_scale(P, scale)
     low = next(c for c in coeffs if c)
-    bound = 2 * max((1 << -(-abs(c).bit_length() // i)
-                     for i, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)
+    bound = root_bound(coeffs)
     candidates = [0] + [s * k for k in integer_divisors(low, bound) for s in (1, -1)]
     return sorted(Fraction(x, den) for x in candidates
                   if sum(c * x**i for i, c in enumerate(coeffs)) == 0)

@@ -399,14 +399,34 @@ class SympyLie:
                 return series
             series.append(nxt)
 
-    def lower_central_series(self):
-        full = self.span([self.unit(i) for i in range(self.dim)])
-        series = [full]
+    def lower_central_series(self, ideal=None):
+        """n >= [n, n] >= [[n, n], n] >= ... for n the span of the vectors
+        ideal, an ideal of g (g itself when None)."""
+        top = self.span([self.unit(i) for i in range(self.dim)] if ideal is None else ideal)
+        series = [top]
         while True:
-            nxt = self.bracket_span(series[-1], full)
+            nxt = self.bracket_span(series[-1], top)
             if len(nxt) == len(series[-1]):
                 return series
             series.append(nxt)
+
+
+def full_bracket_passes(monkeypatch):
+    """A list that records the algebra g of every [g, g] pass from then
+    on: each call `bracket_subspaces(g, a, b)` of the Lie layer with a and
+    b both all of g.  Work, not calls: a series read from its memo makes
+    no pass."""
+    from solvco import lie
+
+    passes, original = [], lie.bracket_subspaces
+
+    def spy(g, a, b):
+        if a.dim == b.dim == g.dim:
+            passes.append(g)
+        return original(g, a, b)
+
+    monkeypatch.setattr(lie, "bracket_subspaces", spy)
+    return passes
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from solvco.lie import (
 from support import (
     apply_columns,
     filiform,
+    full_bracket_passes,
     oracle_betti,
     oracle_differential,
     perturb_tensor,
@@ -291,7 +292,7 @@ def test_adapted_complex_keeps_betti_and_representatives():
         # the representatives depend on the basis: read in the given one
         assert res.representatives == given.representatives
         assert res == given
-        # the series the gate computed belong to g, and to no other algebra
+        # the report reads the series of the algebra it is handed
         assert structural_checks(res, g) == structural_checks(given, g)
         other = filiform(g.dim)
         assert structural_checks(res, other).nilpotent and is_nilpotent(other)
@@ -318,24 +319,14 @@ def test_cli_builds_the_cyclic_basis_only_for_a_full_betti_command(tmp_path, mon
 
 
 def test_cli_cohomology_computes_each_series_once(tmp_path, monkeypatch):
-    from solvco import cli, lie
-
-    module = importlib.import_module("solvco.cohomology")
-    counts = {"derived_series": 0, "lower_central_series": 0}
-    for name in counts:
-        original = getattr(lie, name)
-
-        def counted(g, name=name, original=original):
-            counts[name] += 1
-            return original(g)
-
-        for owner in (lie, cli, module):
-            monkeypatch.setattr(owner, name, counted)
+    # the gate, the report and both series read [g, g] from g's memo: one
+    # [g, g] pass per command, where a series computed apart from the
+    # other makes two
+    passes = full_bracket_passes(monkeypatch)
     for g in (_semidirect(1, 7), HEISENBERG, catalog_get("nakamura").algebra):
         path = tmp_path / "algebra.txt"
         path.write_text(structure_equations(g))
         for tail in ([], ["--format", "tsv"], ["--reps"]):
-            for name in counts:
-                counts[name] = 0
+            passes.clear()
             assert run_command(["cohomology", str(path)] + tail)[0] == 0
-            assert counts == {"derived_series": 1, "lower_central_series": 1}
+            assert passes == [g]

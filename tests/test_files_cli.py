@@ -16,6 +16,7 @@ from solvco.files import (
 )
 from solvco.lie import LieAlgebra
 from solvco.matrices import Matrix
+from support import full_bracket_passes
 
 HEISENBERG_FILE = """
 dim 3
@@ -361,31 +362,38 @@ def test_cli_info_exit_codes(tmp_path):
 
 
 def test_cli_info_reads_the_derived_series_once(tmp_path, monkeypatch):
-    from solvco import cli, lie
-
-    calls = []
-    original = lie.derived_series
-
-    def counted(g):
-        calls.append(g)
-        return original(g)
-
-    monkeypatch.setattr(lie, "derived_series", counted)
-    monkeypatch.setattr(cli, "derived_series", counted)
+    # both series, solvability and the flag's [g, g] come from one [g, g]
+    # pass (three when each reader computed its own)
+    passes = full_bracket_passes(monkeypatch)
     src = tmp_path / "weights.txt"
     src.write_text("dim 3\nd e2 = -1 e1^e2\nd e3 = 1 e1^e3\n")
     code, text = run_command(["info", str(src)])
     assert code == 0
     assert "completely-solvable yes" in text
-    assert len(calls) == 1
+    assert len(passes) == 1
     # weights +-sqrt(2): the flag is undetermined, and its solvability guard
     # reads Cartan's criterion off the operators it has, not a second series
-    calls.clear()
+    passes.clear()
     src.write_text("dim 3\nd e2 = 1 e1^e3\nd e3 = 2 e1^e2\n")
     code, text = run_command(["info", str(src)])
     assert code == 2
     assert "completely-solvable undetermined" in text
-    assert len(calls) == 1
+    assert len(passes) == 1
+
+
+def test_catalog_first_load_computes_the_derived_algebra_once(monkeypatch):
+    # the classification, the flag and every clause of the decomposition
+    # check read [g, g] from the entry's memo; with a pass per reader there
+    # were four or five: both series, the flag's [g, g] for an entry that
+    # is not nilpotent, the algebra built on n and the commutator clause
+    from solvco import catalog
+
+    passes = full_bracket_passes(monkeypatch)
+    monkeypatch.setattr(catalog, "_cache", {})
+    for name in catalog_names():
+        passes.clear()
+        entry = catalog_get(name)
+        assert passes == [entry.algebra], name
 
 
 def test_cli_catalog():

@@ -24,7 +24,6 @@ from solvco.lie import (
     is_solvable,
     is_unimodular,
     lower_central_series,
-    restrict,
     validate,
     verify_nilpotent_complement,
 )
@@ -282,8 +281,6 @@ def test_restrict_and_commutator_contained_in_lower_central():
         comm = derived_subalgebra(g)
         for term in lower_central_series(g)[1:]:
             assert comm.contains_subspace(term)
-        sub = restrict(g, comm)
-        assert sub.dim == comm.dim
 
 
 def test_catalog_classifications_match_recomputation():
@@ -358,10 +355,8 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     # flag), and the lattice check reads det B off the int characteristic
     # polynomial (one Fraction with an elimination determinant).  A change
     # of basis brackets int columns and reads int coordinates, whether
-    # given by a matrix or as the cyclic basis of ad x on [g, g], and
-    # restrict reads the int rows of the reduced echelon form: none (with
-    # `g.bracket` and an inverse, 761 for the conjugation by p; with the
-    # rational basis, 14 for the restriction to [g, g])
+    # given by a matrix or as the cyclic basis of ad x on [g, g]: none
+    # (with `g.bracket` and an inverse, 761 for the conjugation by p)
     from solvco import decompositions, polynomials
 
     g = conjugate(filiform(7), rand_invertible_rational(random.Random(3), 7))
@@ -412,7 +407,6 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     assert built(completely_solvable_flag, nakamura) <= 4
     assert built(conjugate, g, rand_invertible_rational(random.Random(4), 7)) == 0
     assert built(cyclic_basis, nakamura, derived_subalgebra(nakamura)) == 0
-    assert built(restrict, g, derived_series(g)[1]) == 0
     assert built(jordan_chevalley, adjoints[1]) == 0
     assert built(compact_part, semisimple) <= 1
     assert built(kill_map, inp, KillMode.COMPACT) <= 25

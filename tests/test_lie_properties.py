@@ -28,6 +28,7 @@ different spectra; and nilpotent algebras in a random basis.
 """
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -46,7 +47,7 @@ from solvco.decompositions import (  # noqa: E402
     rational_spectrum,
 )
 from solvco.polynomials import Polynomial  # noqa: E402
-from solvco.errors import NotSolvable  # noqa: E402
+from solvco.errors import DecompositionInvalid, NotSolvable  # noqa: E402
 from solvco.files import parse_structure_file, structure_equations  # noqa: E402
 from solvco import lie  # noqa: E402
 from solvco.lie import (  # noqa: E402
@@ -59,12 +60,13 @@ from solvco.lie import (  # noqa: E402
     cyclic_basis,
     derived_series,
     derived_subalgebra,
+    is_nilpotent,
     is_solvable,
     is_unimodular,
     jacobi_violation,
     lower_central_series,
-    restrict,
     validate,
+    verify_nilpotent_complement,
 )
 from solvco.matrices import Matrix, basis_vector, clear_denominators, inverse  # noqa: E402
 from support import (  # noqa: E402
@@ -145,6 +147,51 @@ def test_series_are_sympy_rref_of_bracket_spans(case):
 
 @settings(max_examples=60, deadline=None)
 @given(algebras())
+def test_series_are_computed_once_and_read_back_as_fresh_lists(case):
+    g, _ = case
+    derived = [s.basis for s in derived_series(g)]
+    lower = [s.basis for s in lower_central_series(g)]
+    # an equal algebra with an empty memo: pickling leaves the memo out
+    fresh = pickle.loads(pickle.dumps(g))
+    assert fresh == g and hash(fresh) == hash(g) and fresh._series is None
+    assert [s.basis for s in lower_central_series(fresh)] == lower  # lower first
+    assert [s.basis for s in derived_series(fresh)] == derived
+    assert derived_subalgebra(g).basis == derived[min(1, len(derived) - 1)]
+    solvable, nilpotent = is_solvable(fresh), is_nilpotent(fresh)
+    assert (is_solvable(g), is_nilpotent(g)) == (solvable, nilpotent)
+    # a caller that changes a returned list changes no later read
+    zero = Subspace.span(g.dim, [])
+    for read, want in ((derived_series, derived), (lower_central_series, lower)):
+        got = read(g)
+        got.insert(1, zero)
+        got.append(zero)
+        assert [s.basis for s in read(g)] == want
+    assert (is_solvable(g), is_nilpotent(g)) == (solvable, nilpotent)
+    assert derived_subalgebra(g).basis == derived[min(1, len(derived) - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_nilpotent_clause_is_the_sympy_lower_central_series_of_the_ideal(case):
+    # every term of either series is an ideal; with the standard vectors
+    # off its pivots as V, the direct-sum and ideal clauses hold, and the
+    # nilpotent clause fails exactly when the sympy model's lower central
+    # series of n, n >= [n, n] >= ..., stops above 0
+    g, _ = case
+    oracle = SympyLie(g)
+    for n in derived_series(g) + lower_central_series(g):
+        v = Subspace.standard(g.dim, [t + 1 for t in range(g.dim) if t not in n._echelon.pivots])
+        try:
+            verify_nilpotent_complement(g, v, n)
+            clause = None
+        except DecompositionInvalid as err:
+            clause = err.clause
+        assert clause not in ("direct_sum", "ideal")
+        assert (clause == "nilpotent") == bool(oracle.lower_central_series(n.basis)[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
 def test_bracket_subspaces_is_sympy_rref_of_pairwise_brackets(case):
     g, rng = case
     oracle = SympyLie(g)
@@ -174,30 +221,6 @@ def test_ad_matrix_is_sympy_adjoint_entrywise(case):
         # built from integer numerators, it is the same rational matrix
         expected = Matrix.from_rows(entries)
         assert ours == expected and hash(ours) == hash(expected)
-
-
-@settings(max_examples=60, deadline=None)
-@given(algebras())
-def test_restrict_reproduces_brackets_or_rejects_open_subspaces(case):
-    g, rng = case
-    oracle = SympyLie(g)
-    spaces = derived_series(g)[1:] + lower_central_series(g)[1:] + [rand_subspace(rng, g.dim)]
-    for s in spaces:
-        basis = s.basis
-        closed = all(oracle.contains(basis, oracle.bracket(u, v))
-                     for u in basis for v in basis)
-        if not closed:
-            with pytest.raises(ValueError, match="not closed"):
-                restrict(g, s)
-            continue
-        h = restrict(g, s)
-        assert h.dim == s.dim
-        for a in range(s.dim):
-            for b in range(s.dim):
-                image = [sum((h.structure_constant(t + 1, a + 1, b + 1) * basis[t][k]
-                              for t in range(s.dim)), Fraction(0)) for k in range(g.dim)]
-                want = [Fraction(str(v)) for v in oracle.bracket(basis[a], basis[b])]
-                assert image == want
 
 
 def bracket_errors(g, h, basis):

@@ -97,6 +97,18 @@ def densify(v, width):
         else tuple(Fraction(x) for x in v)
 
 
+def reduced(ech: Echelon):
+    """The reduced rows of ech as dense Fraction tuples: its int rows R / a
+    from `reduced_rows`, each a primitive int row R with a > 0 at the
+    pivot, checked to be so."""
+    out = []
+    for R, a in ech.reduced_rows():
+        assert all(type(x) is int for x in R.values()) and R[min(R)] == a > 0
+        assert gcd(*R.values()) == 1
+        out.append(densify({c: Fraction(x, a) for c, x in R.items()}, ech.width))
+    return out
+
+
 def to_sympy(m: Matrix):
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
                                          for i in range(m.rows) for x in m.row(i)])
@@ -223,7 +235,7 @@ def test_echelon_rows_are_sympy_rref_of_stacked_vectors(m):
     added = [ech.add(m.row(i)) is not None for i in range(m.rows)]
     ref_r, ref_pivots = to_sympy(m).rref()
     assert ech.dim == sum(added) == len(ref_pivots)
-    assert ech.rows == from_sympy(ref_r.tolist())[: len(ref_pivots)]
+    assert reduced(ech) == from_sympy(ref_r.tolist())[: len(ref_pivots)]
     assert ech.pivots == list(ref_pivots)
     for i in range(m.rows):
         assert ech.contains(m.row(i))
@@ -306,7 +318,8 @@ def reduced_form(width, vectors):
 
 
 # add weighted up, so that later pivots fall inside the tails of earlier rows
-OPERATIONS = ("add",) * 4 + ("remainder", "contains", "rows", "row", "kernel", "copy")
+OPERATIONS = ("add",) * 4 + ("remainder", "contains", "reduced_rows", "rows_from", "kernel",
+                             "copy")
 
 
 @settings(max_examples=150, deadline=None)
@@ -344,12 +357,16 @@ def test_interleaved_operations_read_the_reduced_form(data):
                 assert densify({c: Fraction(x, s) for c, x in V.items()}, width) == tuple(want)
             else:
                 assert ech.contains(v) == fresh.contains(v) == (not any(want))
-        elif op == "rows":
-            assert ech.rows == rows
-        elif op == "row":
-            if pivots:
-                t = data.draw(st.integers(0, len(pivots) - 1))
-                assert ech.row(pivots[t]) == rows[t]
+        elif op == "reduced_rows":
+            assert reduced(ech) == rows
+        elif op == "rows_from":
+            # the stored rows from a pivot on, shifted back, span the vectors
+            # of the span that are zero before it: the reduced rows from it on
+            start = data.draw(st.integers(0, width))
+            kept = [{c + start: x for c, x in row.items()} for row in ech.rows_from(start)]
+            assert all(type(x) is int for row in kept for x in row.values())
+            assert reduced_form(width, kept)[0] == [
+                row for p, row in zip(pivots, rows) if p >= start]
         elif op == "kernel":
             free = [f for f in range(width) if f not in pivots]
             kernel = ech.kernel()
@@ -363,9 +380,9 @@ def test_interleaved_operations_read_the_reduced_form(data):
             extra = [vector() for _ in range(data.draw(st.integers(1, 3)))]
             for v in extra:
                 other.add(v)
-            assert (other.rows, other.pivots) == reduced_form(width, inputs + extra)
+            assert (reduced(other), other.pivots) == reduced_form(width, inputs + extra)
         # reads and copies leave the echelon as the vectors added made it
-        assert (ech.rows, ech.pivots) == reduced_form(width, inputs)
+        assert (reduced(ech), ech.pivots) == reduced_form(width, inputs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -381,10 +398,10 @@ def test_kernel_calls_never_mutate_their_input(data):
             assert v == kept
             assert list(v) == list(kept)  # same keys in the same order
     # nor do the vectors handed out share state with the basis
-    rows = ech.rows
-    for vec in ech.kernel() + ech.rows_from(0):
+    rows = reduced(ech)
+    for vec in ech.kernel() + ech.rows_from(0) + [R for R, _ in ech.reduced_rows()]:
         vec[min(vec)] = Fraction(99)
-    assert ech.rows == rows
+    assert reduced(ech) == rows
 
 
 @settings(max_examples=100, deadline=None)

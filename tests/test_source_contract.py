@@ -31,7 +31,13 @@ same holds for the stored rows of an `Echelon` and the private reduction
 that reads them: other modules use `add`, `remainder`, `kernel`,
 `rows_from`, ....  A `LieAlgebra` keeps its brackets in one private table
 `_terms`, and other modules read it through `integer_brackets`,
-`nonzero_brackets`, `ad_matrix`, ... in the same way.
+`nonzero_brackets`, `ad_matrix`, ... in the same way; its memo of the
+derived and lower central series is read through `derived_series`,
+`is_nilpotent`, ....
+
+Every divisor search is bounded: a call of `integer_divisors` passes a
+`limit`, or is listed in `UNBOUNDED_DIVISOR_SEARCHES` with its reason,
+since trial division without one runs to the square root of its argument.
 
 Polynomials are computed on as int coefficient lists at a scale; a
 `Polynomial` of `Fraction`s is built only for a reader, in the functions
@@ -304,8 +310,13 @@ def test_import_check_sees_unused_names(tmp_path):
 
 
 STORAGE = {slot for slot in Matrix.__slots__ if slot.startswith("_")}
-ECHELON_STORAGE = {"_piv", "_tails", "_reduce", "_reduced"}
-LIE_STORAGE = {slot for slot in LieAlgebra.__slots__ if slot.startswith("_")}
+ECHELON_STORAGE = {"_piv", "_tails", "_reduced"}
+# The private slots of a `LieAlgebra`, each with what it holds.
+LIE_STORAGE = {
+    "_terms": "the one table of nonzero bracket terms that every invariant reads",
+    "_series": "the memo of the derived and lower central series, filled on the "
+               "first read; a reader outside lie.py could find it unfilled",
+}
 
 
 def _storage_uses(package, owner, slots):
@@ -333,9 +344,9 @@ def test_only_matrices_names_the_matrix_storage():
 
 
 def test_only_lie_names_the_bracket_table():
-    # the one table of nonzero bracket terms that every invariant reads
-    assert LIE_STORAGE == {"_terms"}
-    assert list(_storage_uses(SOURCES[0].parent, "lie.py", LIE_STORAGE)) == []
+    assert set(LIE_STORAGE) == {slot for slot in LieAlgebra.__slots__ if slot.startswith("_")}
+    assert all(LIE_STORAGE.values())
+    assert list(_storage_uses(SOURCES[0].parent, "lie.py", set(LIE_STORAGE))) == []
 
 
 def test_storage_check_sees_every_form(tmp_path):
@@ -403,3 +414,53 @@ def test_polynomial_check_sees_every_form(tmp_path):
         "class Report:\n    def factor(self):\n        return Polynomial.x()\n")
     assert list(_polynomial_builders(tmp_path)) == [
         "other:witness", "other:Report.factor", "polynomials:helper"]
+
+
+# Calls of `integer_divisors` without a limit, each with its reason.
+UNBOUNDED_DIVISOR_SEARCHES = {
+    "polynomials:least_scale":
+        "the least scale is a divisor of gcd(D, L) with no root size to bound "
+        "it; ROADMAP item 5 replaces the search by factor refinement",
+}
+
+
+def _unbounded_divisor_calls(package):
+    """module:function (module:Class.method for a method) of each call of
+    `integer_divisors` that passes no limit, or None as the limit."""
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                           if isinstance(sub, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+        for name, scope in scopes:
+            for sub in ast.walk(scope):
+                if isinstance(sub, ast.Call) and "integer_divisors" in (
+                        getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+                    limit = (sub.args[1:2] + [k.value for k in sub.keywords if k.arg == "limit"])
+                    if not limit or (isinstance(limit[0], ast.Constant)
+                                     and limit[0].value is None):
+                        yield f"{path.stem}:{name}"
+
+
+def test_every_divisor_search_passes_a_limit_or_is_listed():
+    assert (sorted(set(_unbounded_divisor_calls(SOURCES[0].parent)))
+            == sorted(UNBOUNDED_DIVISOR_SEARCHES))
+    assert all(reason for reason in UNBOUNDED_DIVISOR_SEARCHES.values())
+
+
+def test_divisor_check_sees_every_form(tmp_path):
+    (tmp_path / "polynomials.py").write_text(
+        "def integer_divisors(n, limit=None):\n    return [n]\n"
+        "def bounded(n):\n    return integer_divisors(n, 3) + integer_divisors(n, limit=2)\n"
+        "def bare(n):\n    return integer_divisors(n)\n"
+        "def none(n):\n    return integer_divisors(n, None)\n")
+    (tmp_path / "other.py").write_text(
+        "from . import polynomials\n"
+        "class Search:\n    def run(self, n):\n"
+        "        return polynomials.integer_divisors(n, limit=None)\n")
+    assert list(_unbounded_divisor_calls(tmp_path)) == [
+        "other:Search.run", "polynomials:bare", "polynomials:none"]
