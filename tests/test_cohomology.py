@@ -318,6 +318,19 @@ def test_cli_builds_the_cyclic_basis_only_for_a_full_betti_command(tmp_path, mon
     assert len(calls) == 2
 
 
+def test_golden_dense_file_is_ranked_in_the_cyclic_basis(tmp_path, monkeypatch):
+    from test_golden_cli import FILES
+
+    calls = _cyclic_calls(monkeypatch)
+    path = tmp_path / "rational8.txt"
+    path.write_text(FILES["rational8.txt"])
+    for tail in ([], ["--format", "tsv"]):
+        assert run_command(["cohomology", str(path)] + tail)[0] == 0
+    assert len(calls) == 2
+    assert run_command(["cohomology", str(path), "--reps"])[0] == 0
+    assert len(calls) == 2
+
+
 def test_cli_cohomology_computes_each_series_once(tmp_path, monkeypatch):
     # the gate, the report and both series read [g, g] from g's memo: one
     # [g, g] pass per command, where a series computed apart from the

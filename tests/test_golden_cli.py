@@ -41,6 +41,20 @@ d e6 = -4195722335/9908832926 e1^e2 + 1931008002/4954416463 e1^e3 + 1401772255/9
 d e7 = -18500685/4954416463 e1^e2 + 4114352319/4954416463 e1^e3 + 1634433034/4954416463 e1^e4 + 5097523592/4954416463 e1^e5 - 579776295/4954416463 e1^e6 - 194054543/4954416463 e1^e7
 """
 
+# R x| R^7 with a rational semisimple derivation in a rational basis: 110
+# bracket terms, so `cohomology` without --reps ranks the full complex in
+# the cyclic basis of `lie.cyclic_basis`, and --reps in the given one.
+RATIONAL8 = """dim 8
+d e1 = 27/2 e1^e3 - 11 e1^e4 + 12 e1^e5 + 3 e1^e6 - 66 e1^e7 + 100 e1^e8 - 33/2 e3^e4 - 36 e3^e5 - 9 e3^e6 - 99 e3^e7 + 150 e3^e8 + 44 e4^e5 + 11 e4^e6 - 264 e5^e7 + 400 e5^e8 - 66 e6^e7 + 100 e6^e8
+d e2 = 1 e1^e2 + 1 e1^e6 - 3/2 e2^e3 - 4 e2^e5 - 1 e2^e6 + 3/2 e3^e6 + 4 e5^e6
+d e3 = -2/3 e1^e4 - 8 e1^e7 + 32/3 e1^e8 - 1 e3^e4 - 12 e3^e7 + 16 e3^e8 + 8/3 e4^e5 + 2/3 e4^e6 - 32 e5^e7 + 128/3 e5^e8 - 8 e6^e7 + 32/3 e6^e8
+d e4 = -33/2 e1^e3 + 13 e1^e4 + 84 e1^e7 - 136 e1^e8 + 39/2 e3^e4 + 66 e3^e5 + 33/2 e3^e6 + 126 e3^e7 - 204 e3^e8 - 52 e4^e5 - 13 e4^e6 + 336 e5^e7 - 544 e5^e8 + 84 e6^e7 - 136 e6^e8
+d e5 = -1/2 e1^e2 - 27/8 e1^e3 + 3 e1^e4 - 3 e1^e5 - 1/2 e1^e6 + 39/2 e1^e7 - 29 e1^e8 + 3/4 e2^e3 + 2 e2^e5 + 1/2 e2^e6 + 9/2 e3^e4 + 9 e3^e5 + 21/8 e3^e6 + 117/4 e3^e7 - 87/2 e3^e8 - 12 e4^e5 - 3 e4^e6 + 1 e5^e6 + 78 e5^e7 - 116 e5^e8 + 39/2 e6^e7 - 29 e6^e8
+d e6 = 2 e1^e2 - 1 e1^e6 - 3 e2^e3 - 8 e2^e5 - 2 e2^e6 - 3/2 e3^e6 - 4 e5^e6
+d e7 = -19/4 e1^e3 + 19/6 e1^e4 + 22 e1^e7 - 106/3 e1^e8 + 19/4 e3^e4 + 19 e3^e5 + 19/4 e3^e6 + 33 e3^e7 - 53 e3^e8 - 38/3 e4^e5 - 19/6 e4^e6 + 88 e5^e7 - 424/3 e5^e8 + 22 e6^e7 - 106/3 e6^e8
+d e8 = -9/2 e1^e3 + 13/4 e1^e4 + 45/2 e1^e7 - 36 e1^e8 + 39/8 e3^e4 + 18 e3^e5 + 9/2 e3^e6 + 135/4 e3^e7 - 54 e3^e8 - 13 e4^e5 - 13/4 e4^e6 + 90 e5^e7 - 144 e5^e8 + 45/2 e6^e7 - 36 e6^e8
+"""
+
 # R x| R^4 in a rational basis whose ad(e1) has the non-real eigenvalues
 # (1 +- 2i) / 3 and a Jordan block at 1/2: flag answer `no`, with the
 # witness quadratic x^2 - 2/3 x + 5/9.
@@ -97,6 +111,7 @@ d e5 = -2116/23555 e1^e2 + 382/4711 e1^e3 - 382/14133 e1^e4 - 426/3365 e1^e5
 FILES = {
     "rational5.txt": RATIONAL5,
     "rational7.txt": RATIONAL7,
+    "rational8.txt": RATIONAL8,
     "rational_no.txt": RATIONAL_NO,
     "rational_undetermined.txt": RATIONAL_UNDETERMINED,
     "cubic_witness.txt": CUBIC_WITNESS,
@@ -164,6 +179,8 @@ def commands():
     algebras = [(name, _complement(name)) for name in catalog_names()]
     for name, comp in algebras + [("rational5.txt", "1")]:
         out += [
+            ["cohomology", name],
+            ["cohomology", name, "--format", "tsv"],
             ["cohomology", name, "--reps"],
             ["cohomology", name, "--reps", "--format", "tsv"],
             ["cohomology", name, "--max-degree", "1"],
@@ -173,8 +190,13 @@ def commands():
         for kill in ("full", "compact"):
             out.append(["split", name, "--kill", kill]
                        + (["--complement", comp] if comp else []))
-    out += [["cohomology", "rational7.txt", "--reps"],
-            ["cohomology", "rational7.txt", "--reps", "--format", "tsv"]]
+    out += [["cohomology", "rational7.txt"],
+            ["cohomology", "rational7.txt", "--format", "tsv"],
+            ["cohomology", "rational7.txt", "--reps"],
+            ["cohomology", "rational7.txt", "--reps", "--format", "tsv"],
+            ["cohomology", "rational8.txt"],
+            ["cohomology", "rational8.txt", "--format", "tsv"],
+            ["cohomology", "rational8.txt", "--reps"]]
     for name in ("rational_no.txt", "rational_undetermined.txt", "cubic_witness.txt",
                  "strip6.txt", "rational_yes.txt"):
         out += [["info", name], ["split", name, "--kill", "compact", "--complement", "1"]]
