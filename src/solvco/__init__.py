@@ -18,14 +18,13 @@ from .almost_abelian import (
 )
 from .catalog import CatalogEntry, catalog_get, catalog_names
 from .cohomology import (
-    CEComplex,
     CohomologyResult,
     StructuralReport,
-    betti_numbers,
     build_complex,
     cohomology,
     format_cocycle,
     multi_indices,
+    representatives,
     structural_checks,
 )
 from .decompositions import (

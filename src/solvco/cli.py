@@ -15,13 +15,7 @@ import sys
 from . import __version__
 from .almost_abelian import HolonomyInput, MostowStatus, Scale, analyze
 from .catalog import catalog_get, catalog_names
-from .cohomology import (
-    betti_numbers,
-    build_complex,
-    cohomology,
-    format_cocycle,
-    structural_checks,
-)
+from .cohomology import cohomology, format_cocycle, representatives, structural_checks
 from .errors import ParseError, SolvcoError, UnknownName
 from .files import parse_matrix, parse_structure_file, structure_equations
 from .lie import (
@@ -166,9 +160,7 @@ def _cmd_cohomology(ns):
     if ns.max_degree is not None and ns.max_degree < 0:
         raise ParseError(0, f"--max-degree must be non-negative, got {ns.max_degree}")
     g = _load_algebra(ns.file)
-    # representatives depend on the basis: --reps builds in the given one
-    res = (betti_numbers(build_complex(g, max_degree=ns.max_degree)) if ns.reps
-           else cohomology(g, ns.max_degree))
+    res = (representatives if ns.reps else cohomology)(g, ns.max_degree)
     full = ns.max_degree is None or ns.max_degree >= g.dim
     lines = []
     if ns.format == "tsv":

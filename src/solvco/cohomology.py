@@ -29,13 +29,13 @@ has fewer terms; the gate and the structural report read solvability,
 nilpotency and [g, g] off the series that `lie` keeps with g.  There ad
 x is a companion block on each chain, under 2 terms per vector, so a
 sparser g gains too little to pay for the build.
-Representatives depend on the basis and are computed in the given one: on
-a result ranked in the cyclic basis they cost a second complex (+31%,
-+23%, +17% at dense dims 8, 9, 10).  Mean ms, 10 algebras per dim and
-family, 2-vCPU VM, to rank and report in the given basis, through the
-gate, and with the cyclic basis built at every dim and term count; dense
-is R x| R^(d-1), D a rational semisimple block sum in a rational basis,
-sparse the same in block form and nakamura_like (+) R^(d-6):
+Representatives depend on the basis: `representatives` computes them in
+the given one and never builds the cyclic basis.  Mean ms, 10 algebras
+per dim and family, 2-vCPU VM, to rank and report in the given basis,
+through the gate, and with the cyclic basis built at every dim and term
+count; dense is R x| R^(d-1), D a rational semisimple block sum in a
+rational basis, sparse the same in block form and nakamura_like (+)
+R^(d-6):
 
     dim              5     6     7     8     9    10    11    12
     dense   given  0.46  0.67  1.69  3.02  10.1  20.6  84.0   303
@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import DimensionTooLarge, JacobiViolation
+from .errors import CheckFailed, DimensionTooLarge, JacobiViolation
 from .lie import (
     LieAlgebra,
     cyclic_basis,
@@ -63,6 +63,7 @@ from .lie import (
     is_nilpotent,
     is_solvable,
     is_unimodular,
+    validate,
 )
 from .matrices import Echelon, wedge_positions
 
@@ -152,24 +153,10 @@ def check_square_zero(columns) -> None:
                 raise JacobiViolation((0, 0, 0), f"d o d != 0 in degree {k}")
 
 
-@dataclass(frozen=True)
-class CEComplex:
-    """Exterior-form complex of an algebra: columns[k] holds the sparse
-    integer columns of D * d[k] (degree k to k+1), as sparse_differentials
-    returns them, for k up to the degree cut-off (every degree when there
-    is none); d[k] = columns[k] / denominator."""
-
-    algebra: LieAlgebra
-    columns: tuple
-
-    @property
-    def denominator(self) -> int:
-        """D, the least common denominator of the structure constants."""
-        return self.algebra.denominator
-
-
-def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
-    """The complex with d∘d = 0 checked exactly, raising JacobiViolation.
+def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> tuple:
+    """The sparse integer columns of D * d[k], as sparse_differentials
+    returns them, for k up to max_degree (every degree without a cut), with
+    d∘d = 0 checked exactly.
 
     The complex through max_degree has the basis forms of degrees up to
     max_degree + 1, 2^dim of them without a cut.  More than
@@ -177,7 +164,10 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
     Jacobi identity of g is d∘d = 0 on 1-forms, which only a complex
     through degree 2 sees: a cut below degree 2 builds a complex for any
     bracket.  `parse_structure_file` checks the Jacobi identity of every
-    algebra it reads.
+    algebra it reads.  A nonzero d∘d raises the JacobiViolation of
+    `validate`, with its triple; d∘d is a derivation, zero on every form
+    once it is on 1-forms, so when g satisfies Jacobi the differentials
+    are at fault and CheckFailed is raised.
     """
     top = g.dim if max_degree is None else min(max_degree + 1, g.dim)
     forms = sum(comb(g.dim, k) for k in range(top + 1))
@@ -187,82 +177,40 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> CEComplex:
             if max_degree is None else f"degree cut-off {max_degree} at dimension {g.dim}"
             f" builds {forms} forms, more than 2^{DEFAULT_DIM_BOUND} = {2**DEFAULT_DIM_BOUND}")
     columns = sparse_differentials(g, max_degree)
-    check_square_zero(columns)
-    return CEComplex(algebra=g, columns=tuple(columns))
+    try:
+        check_square_zero(columns)
+    except JacobiViolation as exc:
+        validate(g)
+        raise CheckFailed(f"{exc.residual} although the Jacobi identity holds") from exc
+    return tuple(columns)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CohomologyResult:
-    """Betti numbers per degree; the representative cocycles are computed
-    on first access to `representatives`."""
+    """Betti numbers per degree and, from `representatives`, a tuple per
+    degree of sparse {basis index: Fraction} cocycles (None from
+    `cohomology`)."""
 
     betti: tuple
-    _cx: Optional[CEComplex] = field(default=None, repr=False)
-    # image echelon of each d[k] from the rank pass, the boundary echelon
-    # of degree k+1; read, never extended
-    _images: tuple = field(default=(), repr=False)
-    # the given algebra when _cx is in the cyclic basis, for representatives
-    _given: Optional[LieAlgebra] = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, CohomologyResult) and self.betti == other.betti
-                and self.representatives == other.representatives)
-
-    def __hash__(self):
-        return hash(self.betti)
-
-    @functools.cached_property
-    def representatives(self) -> tuple:
-        """Per degree, a tuple of cocycles spanning a complement of the
-        boundaries, each a sparse {basis index: Fraction} dict of its
-        nonzero coefficients in ascending index order: the kernel basis of
-        d[k] read off its reduced row echelon form, each reduced against
-        the boundaries and the cocycles chosen before it, normalised to
-        lead 1 and kept when nonzero.
-
-        One echelon per degree, a copy of the boundary echelon, reduces
-        each integer kernel vector: a nonzero remainder is zero at every
-        pivot, so already reduced; it joins the echelon, and over its lead
-        it is the cocycle; the rank pass's echelons are left as they are.
-        Their stored rows depend on the order the columns came in, but
-        what is read from them does not: the kernel basis comes from the
-        reduced form, and a remainder is the unique element of v + span
-        zero at every pivot, so the output is reproducible."""
-        if self._given is not None:
-            return betti_numbers(build_complex(self._given)).representatives
-        reps = []
-        for k, columns in enumerate(self._cx.columns):
-            width = len(columns)
-            rows = Echelon(width)
-            for row in _transpose(columns, comb(self._cx.algebra.dim, k + 1)):
-                rows.add(row)
-            spanned = self._images[k - 1].copy() if k else Echelon(width)
-            out = []
-            for vec in rows.kernel():
-                V, _ = spanned.remainder(vec)
-                if V:
-                    spanned.add(V)
-                    lead = V[min(V)]
-                    out.append({c: Fraction(V[c], lead) for c in sorted(V)})
-            reps.append(tuple(out))
-        return tuple(reps)
+    representatives: Optional[tuple] = field(default=None, hash=False)
 
 
-def betti_numbers(cx: CEComplex) -> CohomologyResult:
-    """b_k = dim C^k - rank d[k] - rank d[k-1], with each rank the dimension
-    of the echelon spanned by the sparse integer columns of D * d[k],
-    inserted in ascending order of their nonzero counts (sparsest first,
-    ties in basis order), which keeps the fill-in of the echelon small."""
-    n = cx.algebra.dim
+def _rank(n: int, columns):
+    """(Betti numbers, image echelon of each d[k]) of the complex of an
+    n-dimensional algebra: b_k = dim C^k - rank d[k] - rank d[k-1], with
+    each rank the dimension of the echelon spanned by the sparse integer
+    columns of D * d[k], inserted in ascending order of their nonzero
+    counts (sparsest first, ties in basis order), which keeps the fill-in
+    of the echelon small."""
     images = []
-    for k, columns in enumerate(cx.columns):
+    for k, cols in enumerate(columns):
         image = Echelon(comb(n, k + 1))
-        for col in sorted(columns, key=len):
+        for col in sorted(cols, key=len):
             image.add(col)
         images.append(image)
-    betti = tuple(len(columns) - images[k].dim - (images[k - 1].dim if k else 0)
-                  for k, columns in enumerate(cx.columns))
-    return CohomologyResult(betti=betti, _cx=cx, _images=tuple(images))
+    betti = tuple(len(cols) - images[k].dim - (images[k - 1].dim if k else 0)
+                  for k, cols in enumerate(columns))
+    return betti, images
 
 
 @dataclass(frozen=True)
@@ -272,31 +220,21 @@ class StructuralReport:
     unimodular: bool
     duality_holds: bool
     euler_characteristic: int
-    euler_ok: bool
     b1: int
     b1_expected: int
-    b1_formula_ok: bool
     solvable: bool
     nilpotent: bool
     b1_bound: int  # b1 >= b1_bound; 0 when no bound applies
-    b1_bound_ok: bool
-
-    @property
-    def duality_as_expected(self) -> bool:
-        """Poincare duality should hold exactly for unimodular algebras."""
-        return self.duality_holds == self.unimodular
 
     def lines(self):
         out = [
             f"unimodular {str(self.unimodular).lower()}",
-            f"duality {'holds' if self.duality_holds else 'violated'}"
-            + ("" if self.duality_as_expected else " (unexpected)"),
+            f"duality {'holds' if self.duality_holds else 'violated'}",
             f"euler {self.euler_characteristic}",
             f"b1 {self.b1} (dim - dim[g,g] = {self.b1_expected})",
         ]
         if self.solvable:
-            out.append(f"b1-bound >= {self.b1_bound} "
-                       f"{'ok' if self.b1_bound_ok else 'violated'}")
+            out.append(f"b1-bound >= {self.b1_bound} ok")
         return out
 
 
@@ -304,8 +242,12 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     """Duality vs unimodularity, Euler characteristic, and first Betti bounds.
 
     Only meaningful for a full complex (betti lists all degrees 0..dim).
-    Solvability, nilpotency and [g, g] are read off g's series; b1 = dim
-    g - dim [g, g] cross-checks a change of basis.
+    Solvability, nilpotency and [g, g] are read off g's series.  Each of
+    these is a theorem, and CheckFailed is raised when the Betti numbers
+    break one: Poincare duality holds exactly when g is unimodular; the
+    Euler characteristic is 0 for dim g >= 1; b1 >= 1 for solvable g != 0,
+    b1 >= 2 for nilpotent g of dimension at least 2; and b1 = dim g - dim
+    [g, g], which also cross-checks a change of basis.
     """
     n = g.dim
     betti = res.betti
@@ -320,18 +262,24 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     # g/[g, g] is nonzero for solvable g != 0, and at least 2-dimensional
     # for nilpotent g of dimension >= 2
     bound = min(n, 2 if nilp else 1) if solv else 0
+    if duality != uni:
+        raise CheckFailed(f"Poincare duality {'holds' if duality else 'fails'} "
+                          f"but g is {'' if uni else 'not '}unimodular")
+    if n >= 1 and euler != 0:
+        raise CheckFailed(f"Euler characteristic {euler} != 0")
+    if b1 < bound:
+        raise CheckFailed(f"b1 = {b1} below the bound {bound}")
+    if b1 != b1_expected:
+        raise CheckFailed(f"b1 = {b1} but dim g - dim [g, g] = {b1_expected}")
     return StructuralReport(
         unimodular=uni,
         duality_holds=duality,
         euler_characteristic=euler,
-        euler_ok=(euler == 0) if n >= 1 else True,
         b1=b1,
         b1_expected=b1_expected,
-        b1_formula_ok=(b1 == b1_expected),
         solvable=solv,
         nilpotent=nilp,
         b1_bound=bound,
-        b1_bound_ok=b1 >= bound,
     )
 
 
@@ -341,15 +289,50 @@ def _term_count(g: LieAlgebra) -> int:
 
 def cohomology(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyResult:
     """Betti numbers through max_degree, in the basis the module docstring
-    says.  Representatives read from a result ranked in the cyclic basis
-    cost a second full complex in the given one; a caller that wants them
-    calls `betti_numbers(build_complex(g))`, as `cohomology --reps` does."""
+    says; no representatives."""
     if (max_degree is None and CYCLIC_MIN_DIM <= g.dim <= DEFAULT_DIM_BOUND
             and _term_count(g) > 2 * g.dim and is_solvable(g) and not is_nilpotent(g)):
         h = cyclic_basis(g, derived_subalgebra(g))
         if _term_count(h) < _term_count(g):
-            return replace(betti_numbers(build_complex(h)), _given=g)
-    return betti_numbers(build_complex(g, max_degree=max_degree))
+            g = h
+    return CohomologyResult(_rank(g.dim, build_complex(g, max_degree))[0])
+
+
+def representatives(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyResult:
+    """Betti numbers and representative cocycles through max_degree, from
+    one complex in the given basis.  Per degree, a tuple of cocycles
+    spanning a complement of the boundaries, each a sparse {basis index:
+    Fraction} dict of its nonzero coefficients in ascending index order:
+    the kernel basis of d[k] read off its reduced row echelon form, each
+    reduced against the boundaries and the cocycles chosen before it,
+    normalised to lead 1 and kept when nonzero.
+
+    One echelon per degree, a copy of the boundary echelon, reduces each
+    integer kernel vector: a nonzero remainder is zero at every pivot, so
+    already reduced; it joins the echelon, and over its lead it is the
+    cocycle; the rank pass's echelons are left as they are.  Their stored
+    rows depend on the order the columns came in, but what is read from
+    them does not: the kernel basis comes from the reduced form, and a
+    remainder is the unique element of v + span zero at every pivot, so
+    the output is reproducible."""
+    columns = build_complex(g, max_degree)
+    betti, images = _rank(g.dim, columns)
+    reps = []
+    for k, cols in enumerate(columns):
+        width = len(cols)
+        rows = Echelon(width)
+        for row in _transpose(cols, comb(g.dim, k + 1)):
+            rows.add(row)
+        spanned = images[k - 1].copy() if k else Echelon(width)
+        out = []
+        for vec in rows.kernel():
+            V, _ = spanned.remainder(vec)
+            if V:
+                spanned.add(V)
+                lead = V[min(V)]
+                out.append({c: Fraction(V[c], lead) for c in sorted(V)})
+        reps.append(tuple(out))
+    return CohomologyResult(betti, tuple(reps))
 
 
 def format_multi_index(idx) -> str:

@@ -17,6 +17,7 @@ planted polynomial to the int-list functions.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -409,6 +410,35 @@ class SympyLie:
             if len(nxt) == len(series[-1]):
                 return series
             series.append(nxt)
+
+
+def cyclic_calls(monkeypatch):
+    """A list that records the algebra of every call from then on that
+    builds the cyclic basis for the cohomology layer."""
+    # the module: the package exports the function `cohomology` by its name
+    cohomology = importlib.import_module("solvco.cohomology")
+    calls, original = [], cohomology.cyclic_basis
+
+    def spy(g, comm):
+        calls.append(g)
+        return original(g, comm)
+
+    monkeypatch.setattr(cohomology, "cyclic_basis", spy)
+    return calls
+
+
+def complex_builds(monkeypatch):
+    """A list that records the algebra of every complex the cohomology
+    layer builds from then on: each `sparse_differentials` call."""
+    cohomology = importlib.import_module("solvco.cohomology")
+    builds, original = [], cohomology.sparse_differentials
+
+    def spy(g, max_degree=None):
+        builds.append(g)
+        return original(g, max_degree)
+
+    monkeypatch.setattr(cohomology, "sparse_differentials", spy)
+    return builds
 
 
 def full_bracket_passes(monkeypatch):

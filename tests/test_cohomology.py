@@ -9,18 +9,19 @@ import pytest
 
 from solvco.catalog import catalog_get, catalog_names
 from solvco.cohomology import (
-    betti_numbers,
+    CohomologyResult,
     build_complex,
     check_square_zero,
     cohomology,
     format_cocycle,
     multi_indices,
+    representatives,
     sparse_differentials,
     structural_checks,
 )
 from solvco.almost_abelian import almost_abelian_algebra
 from solvco.cli import run_command
-from solvco.errors import DimensionTooLarge, JacobiViolation
+from solvco.errors import CheckFailed, DimensionTooLarge, JacobiViolation
 from solvco.files import structure_equations
 from solvco.lie import (
     LieAlgebra,
@@ -33,6 +34,8 @@ from solvco.lie import (
 )
 from support import (
     apply_columns,
+    complex_builds,
+    cyclic_calls,
     filiform,
     full_bracket_passes,
     oracle_betti,
@@ -50,13 +53,13 @@ HEISENBERG = LieAlgebra(3, {(1, 2): {3: 1}})
 
 def test_build_complex_abelian_all_zero():
     cx = build_complex(LieAlgebra.abelian(4))
-    assert not any(col for columns in cx.columns for col in columns)
+    assert not any(col for columns in cx for col in columns)
 
 
 def test_build_complex_heisenberg_generator():
     cx = build_complex(HEISENBERG)
     # d e3 = -e12: column of e3 in degree 1 has a single entry -1 at e12
-    d1 = cx.columns[1]
+    d1 = cx[1]
     pairs = multi_indices(3, 2)
     assert d1[2] == {pairs.index((1, 2)): -1}
     assert d1[0] == {}
@@ -66,7 +69,7 @@ def test_build_complex_nakamura_two_terms():
     g = catalog_get("nakamura").algebra
     cx = build_complex(g)
     pairs = multi_indices(6, 2)
-    col = cx.columns[1][2]  # d e3
+    col = cx[1][2]  # d e3
     nonzero = {pairs[r]: x for r, x in col.items()}
     assert nonzero == {(1, 3): Fraction(-1), (2, 4): Fraction(1)}
 
@@ -81,15 +84,15 @@ def _catalog_algebras(max_dim=8):
 def test_differential_squares_to_zero_on_catalog():
     for _, g in _catalog_algebras():
         cx = build_complex(g)
-        for k in range(len(cx.columns) - 1):
-            for col in cx.columns[k]:
-                assert not apply_columns(cx.columns[k + 1], col)
+        for k in range(len(cx) - 1):
+            for col in cx[k]:
+                assert not apply_columns(cx[k + 1], col)
 
 
 def test_betti_spec_examples():
     assert cohomology(LieAlgebra.abelian(3)).betti == (1, 3, 3, 1)
     assert cohomology(HEISENBERG).betti == (1, 2, 2, 1)
-    res = cohomology(catalog_get("hyperelliptic4").algebra)
+    res = representatives(catalog_get("hyperelliptic4").algebra)
     assert res.betti[1] == 2
     assert [format_cocycle(v, 4, 1) for v in res.representatives[1]] == ["1*e3", "1*e4"]
 
@@ -110,9 +113,10 @@ def test_differential_matrices_match_oracle():
 
 
 def test_structural_checks_spec_examples():
+    # each theorem the report checks holds, so it returns without raising
     rep = structural_checks(cohomology(HEISENBERG), HEISENBERG)
-    assert rep.duality_holds and rep.unimodular and rep.duality_as_expected
-    assert rep.b1 == 2 and rep.b1_bound == 2 and rep.b1_bound_ok and rep.nilpotent
+    assert rep.duality_holds and rep.unimodular
+    assert rep.b1 == 2 and rep.b1_bound == 2 and rep.nilpotent
 
     sol3 = catalog_get("sol3").algebra
     rep = structural_checks(cohomology(sol3), sol3)
@@ -124,10 +128,24 @@ def test_structural_checks_spec_examples():
     rep = structural_checks(res, two_dim)
     assert res.betti == (1, 1, 0)
     assert not rep.unimodular
-    assert not rep.duality_holds
-    assert rep.duality_as_expected  # violation is exactly what non-unimodularity predicts
-    assert rep.euler_ok and rep.b1_formula_ok
-    assert rep.solvable and rep.b1_bound == 1 and rep.b1_bound_ok
+    assert not rep.duality_holds  # exactly what non-unimodularity predicts
+    assert rep.euler_characteristic == 0 and rep.b1 == rep.b1_expected == 1
+    assert rep.solvable and rep.b1_bound == 1
+    assert "duality violated" in rep.lines()
+
+
+@pytest.mark.parametrize("g, betti, theorem", [
+    # Heisenberg is unimodular: duality must hold
+    (HEISENBERG, (1, 2, 1, 1), "Poincare duality fails but g is unimodular"),
+    # the 2-dimensional non-abelian algebra is not: duality must fail
+    (LieAlgebra(2, {(1, 2): {2: 1}}), (1, 1, 1), "Poincare duality holds but g is not"),
+    (LieAlgebra.abelian(4), (1, 4, 5, 4, 1), "Euler characteristic -1 != 0"),
+    (catalog_get("sol3").algebra, (1, 0, 0, 1), "b1 = 0 below the bound 1"),
+    (HEISENBERG, (1, 3, 3, 1), r"b1 = 3 but dim g - dim \[g, g\] = 2"),
+])
+def test_structural_checks_raise_on_a_broken_theorem(g, betti, theorem):
+    with pytest.raises(CheckFailed, match=theorem):
+        structural_checks(CohomologyResult(betti), g)
 
 
 def test_b1_bound_starts_at_two_from_dimension_two():
@@ -135,7 +153,7 @@ def test_b1_bound_starts_at_two_from_dimension_two():
     # dim g/[g, g] >= 2, so it applies from dimension 2 on
     rep = structural_checks(cohomology(LieAlgebra.abelian(1)), LieAlgebra.abelian(1))
     assert rep.nilpotent and rep.b1 == 1
-    assert rep.b1_bound == 1 and rep.b1_bound_ok
+    assert rep.b1_bound == 1
     assert "b1-bound >= 1 ok" in rep.lines()
     rep = structural_checks(cohomology(LieAlgebra.abelian(2)), LieAlgebra.abelian(2))
     assert rep.b1_bound == 2 and "b1-bound >= 2 ok" in rep.lines()
@@ -187,11 +205,11 @@ def test_euler_characteristic_zero():
     rng = random.Random(47)
     for _ in range(20):
         g = rand_valid_algebra(rng)
-        cx = build_complex(g)
-        betti = betti_numbers(cx).betti
+        betti = representatives(g).betti
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == 0
         # the space-level alternating sum vanishes as well
-        assert sum((-1) ** k * len(columns) for k, columns in enumerate(cx.columns)) == 0
+        cx = build_complex(g)
+        assert sum((-1) ** k * len(columns) for k, columns in enumerate(cx)) == 0
 
 
 def test_max_degree_prefix():
@@ -199,7 +217,7 @@ def test_max_degree_prefix():
     full = cohomology(g).betti
     partial = cohomology(g, max_degree=2).betti
     assert partial == full[:3]
-    assert [len(columns) for columns in build_complex(g, max_degree=2).columns] == [1, 6, 15]
+    assert [len(columns) for columns in build_complex(g, max_degree=2)] == [1, 6, 15]
     assert cohomology(g, max_degree=9).betti == full
     with pytest.raises(ValueError):
         cohomology(g, max_degree=-2)
@@ -211,12 +229,12 @@ def test_dimension_bound():
     with pytest.raises(DimensionTooLarge,
                        match=r"^dimension 13 exceeds bound 12; use a degree cut-off$"):
         build_complex(LieAlgebra.abelian(13))
-    assert len(build_complex(LieAlgebra.abelian(12)).columns) == 13  # 2^12 forms
+    assert len(build_complex(LieAlgebra.abelian(12))) == 13  # 2^12 forms
     # a degree cut-off passes while the forms it builds number at most 2^12:
     # degrees <= 6 of dimension 13 are 4096 forms, degrees <= 7 are 5812
     res = cohomology(LieAlgebra.abelian(13), max_degree=1)
     assert res.betti == (1, 13)
-    assert len(build_complex(LieAlgebra.abelian(13), max_degree=5).columns) == 6
+    assert len(build_complex(LieAlgebra.abelian(13), max_degree=5)) == 6
     with pytest.raises(DimensionTooLarge,
                        match=r"^degree cut-off 6 at dimension 13 builds 5812 forms, "
                              r"more than 2\^12 = 4096$"):
@@ -232,16 +250,46 @@ def test_build_complex_validates():
         build_complex(bad)
 
 
+def test_nonzero_d_squared_names_the_jacobi_triple():
+    g = LieAlgebra(3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {1: 1}})
+    assert jacobi_violation(g)[0] == (1, 2, 3)
+    for compute in (cohomology, representatives, build_complex):
+        with pytest.raises(JacobiViolation) as info:
+            compute(g)
+        assert info.value.triple == (1, 2, 3)
+
+
+def test_a_builder_fault_on_a_valid_algebra_fails_the_check(monkeypatch):
+    g = catalog_get("nakamura").algebra
+    original = sparse_differentials
+
+    def flipped(g, max_degree=None):
+        # negate one entry of d[3] e_s at a target e_t with d[4] e_t != 0:
+        # d[4] d[3] e_s picks up -2 x d[4] e_t
+        columns = original(g, max_degree)
+        s, t = next((s, t) for s, col in enumerate(columns[3]) for t in col if columns[4][t])
+        col = dict(columns[3][s])
+        col[t] = -col[t]
+        columns[3] = columns[3][:s] + (col,) + columns[3][s + 1:]
+        return columns
+
+    monkeypatch.setattr(importlib.import_module("solvco.cohomology"), "sparse_differentials",
+                        flipped)
+    with pytest.raises(CheckFailed, match="although the Jacobi identity holds"):
+        cohomology(g)
+    assert run_command(["cohomology", "nakamura"])[0] == 1
+
+
 def test_representatives_are_cocycles_and_deterministic():
     g = catalog_get("nakamura").algebra
     cx = build_complex(g)
-    res1 = betti_numbers(cx)
-    res2 = betti_numbers(build_complex(g))
-    assert res1.representatives == res2.representatives
+    res1 = representatives(g)
+    res2 = representatives(g)
+    assert res1 == res2
     for k, reps in enumerate(res1.representatives):
         assert len(reps) == res1.betti[k]
         for vec in reps:
-            assert not apply_columns(cx.columns[k], vec)
+            assert not apply_columns(cx[k], vec)
 
 
 def test_format_cocycle():
@@ -267,39 +315,29 @@ def _diagonal(n):
     return LieAlgebra(n + 1, {(1, j): {j: Fraction((-1) ** j * (j // 2))} for j in range(2, n + 2)})
 
 
-def _cyclic_calls(monkeypatch):
-    """Spy on the one call that builds the cyclic basis."""
-    module = importlib.import_module("solvco.cohomology")
-    calls = []
-    original = module.cyclic_basis
-
-    def spy(g, comm):
-        calls.append(g)
-        return original(g, comm)
-
-    monkeypatch.setattr(module, "cyclic_basis", spy)
-    return calls
-
-
-def test_adapted_complex_keeps_betti_and_representatives():
+def test_adapted_complex_keeps_betti_and_representatives(monkeypatch):
+    calls = cyclic_calls(monkeypatch)
     for seed, n in ((1, 7), (2, 8)):
         g = _semidirect(seed, n)
         h = cyclic_basis(g, derived_subalgebra(g))
         assert _terms(h) < _terms(g)
-        res, given = cohomology(g), betti_numbers(build_complex(g))
-        assert res._cx.algebra == h and res._given is g
-        assert res.betti == given.betti
+        calls.clear()
+        res = cohomology(g)
+        assert calls == [g] and res.representatives is None
         # the representatives depend on the basis: read in the given one
-        assert res.representatives == given.representatives
-        assert res == given
+        given = representatives(g)
+        assert calls == [g]
+        assert res.betti == given.betti == cohomology(h).betti
         # the report reads the series of the algebra it is handed
         assert structural_checks(res, g) == structural_checks(given, g)
         other = filiform(g.dim)
-        assert structural_checks(res, other).nilpotent and is_nilpotent(other)
+        assert is_nilpotent(other)
+        with pytest.raises(CheckFailed):
+            structural_checks(res, other)
 
 
 def test_cli_builds_the_cyclic_basis_only_for_a_full_betti_command(tmp_path, monkeypatch):
-    calls = _cyclic_calls(monkeypatch)
+    calls = cyclic_calls(monkeypatch)
     adapted, nilpotent = tmp_path / "adapted.txt", tmp_path / "nilpotent.txt"
     adapted.write_text(structure_equations(_semidirect(1, 7)))
     nilpotent.write_text(structure_equations(
@@ -321,7 +359,7 @@ def test_cli_builds_the_cyclic_basis_only_for_a_full_betti_command(tmp_path, mon
 def test_golden_dense_file_is_ranked_in_the_cyclic_basis(tmp_path, monkeypatch):
     from test_golden_cli import FILES
 
-    calls = _cyclic_calls(monkeypatch)
+    calls = cyclic_calls(monkeypatch)
     path = tmp_path / "rational8.txt"
     path.write_text(FILES["rational8.txt"])
     for tail in ([], ["--format", "tsv"]):
@@ -343,3 +381,18 @@ def test_cli_cohomology_computes_each_series_once(tmp_path, monkeypatch):
             passes.clear()
             assert run_command(["cohomology", str(path)] + tail)[0] == 0
             assert passes == [g]
+
+
+def test_each_cohomology_command_builds_one_complex(tmp_path, monkeypatch):
+    builds = complex_builds(monkeypatch)
+    # through the gate, sparse, nilpotent
+    for g in (_semidirect(1, 7), _diagonal(8), catalog_get("nakamura").algebra, HEISENBERG):
+        path = tmp_path / "algebra.txt"
+        path.write_text(structure_equations(g))
+        for tail in ([], ["--format", "tsv"], ["--reps"], ["--reps", "--format", "tsv"]):
+            builds.clear()
+            assert run_command(["cohomology", str(path)] + tail)[0] == 0
+            assert len(builds) == 1
+        builds.clear()
+        representatives(g)
+        assert builds == [g]
