@@ -108,7 +108,34 @@ d e4 = 164/3365 e1^e2 + 441/3365 e1^e3 - 164/673 e1^e4 - 4081/4038 e1^e5
 d e5 = -2116/23555 e1^e2 + 382/4711 e1^e3 - 382/14133 e1^e4 - 426/3365 e1^e5
 """
 
+# Inputs of the error paths: each command ends in a typed error and its
+# documented exit code.
+HEISENBERG13 = "dim 13\nd e13 = " + " + ".join(f"1 e{i}^e{i + 6}" for i in range(1, 7)) + "\n"
+ERROR_FILES = {
+    "bad_token.txt": "dim 3\nd e3 = 1 e1^e2 + x e1^e3\n",
+    "bad_header.txt": "dimension 3\nd e3 = 1 e1^e2\n",
+    # [e1, e2] = e3, [e1, e3] = e1, [e2, e3] = e1: Jacobi fails at (1, 2, 3)
+    "non_jacobi.txt": "dim 3\nd e1 = -1 e1^e3 - 1 e2^e3\nd e3 = -1 e1^e2\n",
+    "heisenberg13.txt": HEISENBERG13,
+    "identity12.txt": "12 12\n" + "".join(
+        " ".join("1" if i == j else "0" for j in range(12)) + "\n" for i in range(12)),
+}
+ERROR_COMMANDS = (
+    ["validate", "bad_token.txt"],
+    ["cohomology", "bad_token.txt"],
+    ["info", "bad_header.txt"],
+    ["validate", "non_jacobi.txt"],
+    ["info", "non_jacobi.txt"],
+    ["cohomology", "non_jacobi.txt"],
+    ["cohomology", "no_such_name"],
+    ["cohomology", "heisenberg3", "--max-degree", "-1"],
+    ["cohomology", "heisenberg13.txt"],
+    ["cohomology", "heisenberg13.txt", "--reps"],
+    ["almost-abelian", "--holonomy", "identity12.txt"],
+)
+
 FILES = {
+    **ERROR_FILES,
     "rational5.txt": RATIONAL5,
     "rational7.txt": RATIONAL7,
     "rational8.txt": RATIONAL8,
@@ -205,7 +232,7 @@ def commands():
     for holonomy in HOLONOMIES:
         out += [["almost-abelian"] + holonomy,
                 ["almost-abelian"] + holonomy + ["--format", "tsv"]]
-    return out
+    return out + [list(argv) for argv in ERROR_COMMANDS]
 
 
 def digest(argv):
