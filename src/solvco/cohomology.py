@@ -52,23 +52,31 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, prod
 from typing import Optional
 
+from .decompositions import (
+    _bounded_factors,
+    _poly_rows,
+    _primary_components,
+    jordan_chevalley,
+)
 from .errors import CheckFailed, DimensionTooLarge, JacobiViolation
 from .lie import (
     LieAlgebra,
-    cyclic_basis,
+    _in_basis,
+    ad_matrix,
     derived_subalgebra,
     is_nilpotent,
     is_solvable,
     is_unimodular,
     validate,
 )
-from .matrices import Echelon, wedge_positions
+from .matrices import Echelon, Matrix, wedge_positions
 
 DEFAULT_DIM_BOUND = 12
-CYCLIC_MIN_DIM = 8  # 2^8 forms: the cyclic basis pays for itself from here
+_WEIGHT_MIN_DIM = 8  # 2^8 forms: the weight-zero subcomplex pays for itself from here
+_FACTOR_SEARCH_LIMIT = 2**16  # the cap of each divisor search for the weight basis
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,55 +85,61 @@ def multi_indices(n: int, k: int):
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
-def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
-    """D * d[k] for k up to max_degree (all degrees when None), D =
-    g.denominator, as sparse integer columns: entry s of degree k is D
-    times d of the s-th degree-k basis form, as a {target index: int} dict
-    of its nonzero coefficients.  No validation; build_complex is the
-    checked entry point.
-
-    A basis form e_I is keyed by its bitmask, bit i - 1 for each i in I,
-    and `wedge_positions` maps a mask to its index.  On a basis form,
-    d e_I = sum over positions p of (-1)^p e_{i_1} ^ ... ^ d e_{i_p} ^ ...
-    ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p}, sorted into the
-    remaining indices R, lands on the basis form R + {a, b} with the sign
-    (-1)^(p + #R below a + #R below b) = (-1)^(p + #R between a and b).
-    """
-    if max_degree is not None and max_degree < 0:
-        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
-    n = g.dim
-    # D d e^gen = - sum D c[gen][a][b] e^{ab}: collect the nonzero terms
-    # once per generator bit, each as (mask of {a, b}, mask of the indices
-    # strictly between a and b, -D c), D c the int term of the bracket table
+def _generator_terms(g: LieAlgebra):
+    """D d on the generators, D = g.denominator: D d e^gen = - sum D
+    c[gen][a][b] e^{ab}, as (bit of gen, terms) pairs in ascending bit, each
+    term (mask of {a, b}, mask of the indices strictly between a and b,
+    -D c), D c the int term of the bracket table."""
     terms = {}
     for (a, b), row in g.integer_brackets():
         ab, between = (1 << (a - 1)) | (1 << (b - 1)), (1 << (b - 1)) - (1 << a)
         for gen, c in row:
             terms.setdefault(1 << (gen - 1), []).append((ab, between, -c))
-    d_of_generator = sorted(terms.items())
+    return sorted(terms.items())
+
+
+def _d_of_mask(generator_terms, mask: int) -> dict:
+    """D d e_I as {target mask: int}, I the indices of mask: on a basis form,
+    d e_I = sum over positions p of (-1)^p e_{i_1} ^ ... ^ d e_{i_p} ^ ...
+    ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p}, sorted into the
+    remaining indices R, lands on the basis form R + {a, b} with the sign
+    (-1)^(p + #R below a + #R below b) = (-1)^(p + #R between a and b)."""
+    col = {}
+    for bit, gen_terms in generator_terms:
+        if not mask & bit:
+            continue
+        rest = mask ^ bit
+        p = (mask & (bit - 1)).bit_count()
+        for ab, between, c in gen_terms:
+            if rest & ab:
+                continue
+            t = rest | ab
+            x = col.get(t, 0) + (-c if (p + (rest & between).bit_count()) & 1 else c)
+            if x:
+                col[t] = x
+            else:
+                del col[t]
+    return col
+
+
+def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
+    """D * d[k] for k up to max_degree (all degrees when None), D =
+    g.denominator, as sparse integer columns: entry s of degree k is D
+    times d of the s-th degree-k basis form, as a {target index: int} dict
+    of its nonzero coefficients.  No validation; build_complex is the
+    checked entry point.  A basis form e_I is keyed by its bitmask, bit
+    i - 1 for each i in I, and `wedge_positions` maps a mask to its index.
+    """
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be non-negative, got {max_degree}")
+    n = g.dim
+    terms = _generator_terms(g)
     top = n if max_degree is None else min(max_degree, n)
     out = []
     for k in range(top + 1):
         target = wedge_positions(n, k + 1)
-        columns = []
-        for mask in wedge_positions(n, k):
-            col = {}
-            for bit, gen_terms in d_of_generator:
-                if not mask & bit:
-                    continue
-                rest = mask ^ bit
-                p = (mask & (bit - 1)).bit_count()
-                for ab, between, c in gen_terms:
-                    if rest & ab:
-                        continue
-                    t = target[rest | ab]
-                    x = col.get(t, 0) + (-c if (p + (rest & between).bit_count()) & 1 else c)
-                    if x:
-                        col[t] = x
-                    else:
-                        del col[t]
-            columns.append(col)
-        out.append(tuple(columns))
+        out.append(tuple({target[t]: x for t, x in _d_of_mask(terms, mask).items()}
+                         for mask in wedge_positions(n, k)))
     return out
 
 
@@ -283,18 +297,254 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
     )
 
 
-def _term_count(g: LieAlgebra) -> int:
-    return sum(len(row) for _, row in g.integer_brackets())
+def _primary_basis(g: LieAlgebra):
+    """(h, s, blocks, D): g in a basis adapted to the semisimple part of ad x,
+    x the first standard vector outside [g, g] whose ad is not nilpotent,
+    with s that part in the new basis, a `Matrix`, and blocks the
+    (start, size, factor) of each primary component ker f(s) in basis
+    order: f runs over the linear and quadratic factors that the capped
+    searches of `_bounded_factors` find in the minimal polynomial of s, as
+    int lists at its scale D, then over their cofactor (the unfactored
+    block, when of degree >= 1).  The block of the root 0 starts with x,
+    as s x = 0, so that ad x in the new basis is ad of that basis vector,
+    and s is it when ad x is semisimple."""
+    n = g.dim
+    comm = derived_subalgebra(g)
+    for i in range(n):
+        if comm.contains({i: 1}):
+            continue
+        dec = jordan_chevalley(ad_matrix(g, [int(t == i) for t in range(n)]))
+        if dec.minpoly_form[0] != (0, 1):  # a squarefree part x: nilpotent
+            break
+    else:  # by Lie's theorem, ad of every such vector nilpotent makes g nilpotent
+        raise CheckFailed("no standard vector outside [g, g] has a non-nilpotent ad")
+    P, scale = dec.minpoly_form
+    factors, rest = _bounded_factors(list(P), scale, _FACTOR_SEARCH_LIMIT)
+    factors += [rest] if len(rest) > 1 else []
+    components = _primary_components(dec.semisimple, factors, scale)
+    basis, blocks, x = [], [], {i: 1}
+    for f, vectors in zip(factors, components):
+        if f == [0, 1]:  # x first, then the vectors independent of it
+            spanned = Echelon(n)
+            spanned.add(x)
+            vectors = [x] + [v for v in vectors if spanned.add(v) is not None]
+            if spanned.dim != len(components[len(blocks)]):
+                raise CheckFailed("x is not in the kernel of the semisimple part of ad x")
+            at = len(basis)
+        if not vectors or len(vectors) % (len(f) - 1):
+            raise CheckFailed(f"primary component of {f} at scale {scale} has dimension "
+                              f"{len(vectors)}")
+        blocks.append((len(basis), len(vectors), f))
+        basis += vectors
+    h = _in_basis(g, [(v, 1) for v in basis])
+    ad = ad_matrix(h, [int(t == at) for t in range(n)])
+    s = ad if dec.nilpotent.is_zero() else jordan_chevalley(ad).semisimple
+    rows = s.numerator_rows()
+    for start, size, f in blocks:  # s is block-diagonal, and f(s) = 0 on each block
+        block = range(start, start + size)
+        if any(rows[r][c] for r in block for c in range(n) if c not in block) or any(
+                map(any, _poly_rows(f, scale, Matrix.from_numerators(
+                    size, size, [rows[r][c] for r in block for c in block], s.denominator))[0])):
+            raise CheckFailed(f"s is not {f} at scale {scale} on its primary component")
+    return h, s, blocks, scale
+
+
+def _multi_degrees(s, blocks, scale: int, budget: int):
+    """(kept, single, work): the multi-degrees of forms on the blocks, as
+    tuples of one power per block, on which L_s has the weight 0; single
+    maps each (block, power) with one weight to it; work counts the
+    multi-degrees visited, and DimensionTooLarge is raised once it passes
+    budget.
+
+    A weight is a sum of eigenvalues of s, one per power, written in the
+    units 1/(2D), D the scale of the factors: a rational part and one
+    coordinate per class of quadratics whose discriminants have a square
+    product, in which the roots (-b +- sqrt(b^2 - 4c)) / 2 of a factor [c,
+    b, 1] sit at -b +- H, H = sqrt((b^2 - 4c) delta), delta the first
+    discriminant of the class.  The a-th power of a root r of a linear
+    factor has the one weight a r, and the top power of every block V the
+    one weight tr(s|V), read from the block itself; a power a of a
+    quadratic block of dimension 2m between has the rational part -a b
+    and the weights t H, t in -c, -c + 2, ..., c, c = min(a, 2m - a), in
+    its class, and one of the unfactored block between has unknown
+    weights.  The classes are independent over Q, so a sum is 0 exactly
+    when each coordinate is: a multi-degree is kept when its rational
+    part is 0 and every class has 0 in reach, and always when it has a
+    partial power of the unfactored block."""
+    rows, den = s.numerator_rows(), s.denominator
+    single, groups, classes, work = {}, [], [], 0
+    unfactored = None
+    for b, (start, size, f) in enumerate(blocks):
+        trace = 2 * scale * sum(rows[t][t] for t in range(start, start + size))
+        if trace % den:
+            raise CheckFailed(f"trace of s on the block of {f} is not a sum of its roots")
+        single[b, 0], single[b, size] = 0, trace // den
+        if len(f) == 2:
+            single.update({(b, a): -2 * f[0] * a for a in range(1, size)})
+            groups.append([(single[b, a], ((b, a),)) for a in range(size + 1)])
+        elif len(f) == 3:
+            disc = f[1] * f[1] - 4 * f[0]
+            for delta, members in classes:
+                H = isqrt(disc * delta) if disc * delta > 0 else -1
+                if H * H == disc * delta:
+                    break
+            else:
+                H, members = abs(disc), []
+                classes.append((disc, members))
+            members.append((b, size, -f[1], H))
+        else:
+            groups.append([(0, ((b, 0),)), (single[b, size], ((b, size),))])
+            unfactored = b
+    for _, members in classes:
+        options, reach = [], {}
+        for powers in itertools.product(*(range(m[1] + 1) for m in members)):
+            work += 1
+            spans = tuple(min(a, m[1] - a) for a, m in zip(powers, members))
+            if spans not in reach:
+                sums = {0}
+                for (_, _, _, H), c in zip(members, spans):
+                    sums = {x + t * H for x in sums for t in range(-c, c + 1, 2)}
+                reach[spans] = 0 in sums
+            if reach[spans]:
+                options.append((sum(a * m[2] if c else single[m[0], a]
+                                    for a, c, m in zip(powers, spans, members)),
+                                tuple((m[0], a) for a, m in zip(powers, members))))
+        groups.append(options)
+    kept = []
+    for combo in itertools.product(*groups):
+        work += 1
+        if work > budget:
+            break
+        if not sum(o[0] for o in combo):
+            powers = [0] * len(blocks)
+            for _, assigned in combo:
+                for b, a in assigned:
+                    powers[b] = a
+            kept.append(tuple(powers))
+    if unfactored is not None:
+        size = blocks[unfactored][1]
+        for powers in itertools.product(*(range(1, size) if b == unfactored else range(sz + 1)
+                                          for b, (_, sz, _) in enumerate(blocks))):
+            work += 1
+            if work > budget:
+                break
+            kept.append(powers)
+    if work > budget:
+        raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {len(rows)} visits "
+                                f"more than {budget} multi-degrees")
+    return kept, single, work
+
+
+def _kernel_of_l_s(entries, masks, shift: int) -> list:
+    """Int basis, as {mask: int} forms, of the forms on the basis forms
+    masks (powers of some blocks) killed by the int operator L + shift,
+    entries[i] the nonzero (j, A[i][j]) of row i of an int matrix A and L
+    its action on forms: L e^I sums, over i in I, e^I with e^i replaced by
+    e^i o A = sum A[i][j] e^j; moving e^j to its place passes the indices
+    of I strictly between i and j.  A is block-diagonal, so every e^J
+    reached is in masks."""
+    lines = {}
+    for t, I in enumerate(masks):
+        lines.setdefault(I, {})[t] = shift
+        rest = I
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            for j, c in entries[i]:
+                if j != i:
+                    if I >> j & 1:
+                        continue
+                    lo, hi = (i, j) if i < j else (j, i)
+                    if (I & ((1 << hi) - (2 << lo))).bit_count() & 1:
+                        c = -c
+                J = I ^ bit | 1 << j
+                line = lines.setdefault(J, {})
+                line[t] = line.get(t, 0) + c
+    kernel = Echelon(len(masks))
+    for line in lines.values():
+        kernel.add(line)
+    return [{masks[t]: x for t, x in v.items()} for v in kernel.kernel()]
+
+
+def _weight_zero_betti(g: LieAlgebra) -> tuple:
+    """Betti numbers of g, solvable and not nilpotent, from the weight-zero
+    subcomplex F = ker L_s, s the semisimple part of ad x, as the module
+    docstring says: in the basis of `_primary_basis`, on each kept
+    multi-degree, the powers with one weight w span a factor on which L_s
+    is w, and F is the int kernel of L_s + w on the other powers (of a
+    quadratic or the unfactored block), one kernel per distinct such part,
+    wedged with every basis form of that factor; where every power has
+    one weight, F is the whole multi-degree.  d is ranked on F alone, and
+    d o d = 0 is checked on F.  The multi-degrees visited and their forms
+    count against 2^DEFAULT_DIM_BOUND, beyond which DimensionTooLarge is
+    raised before any form is built."""
+    n = g.dim
+    h, s, blocks, scale = _primary_basis(g)
+    budget = 2**DEFAULT_DIM_BOUND
+    kept, single, work = _multi_degrees(s, blocks, scale, budget)
+    work += sum(prod(comb(size, a) for a, (_, size, _) in zip(powers, blocks))
+                for powers in kept)
+    if work > budget:
+        raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {n} visits and "
+                                f"builds {work} multi-degrees and forms, more than {budget}")
+    subsets = {}
+
+    def forms(pairs):  # the basis forms, as masks, of the given powers of blocks
+        out = [0]
+        for b, a in pairs:
+            if (b, a) not in subsets:
+                start, size, _ = blocks[b]
+                subsets[b, a] = [sum(1 << (start + t) for t in c)
+                                 for c in itertools.combinations(range(size), a)]
+            out = [m | t for m in out for t in subsets[b, a]]
+        return out
+
+    # 2D s as int rows, L_s on forms in units 1/(2D den s)
+    entries = [[(j, 2 * scale * c) for j, c in enumerate(row) if c] for row in s.numerator_rows()]
+    kernels, F = {(): [{0: 1}]}, [[] for _ in range(n + 1)]
+    for powers in kept:
+        fixed = [(b, a) for b, a in enumerate(powers) if a and (b, a) in single]
+        key = (tuple((b, a) for b, a in enumerate(powers) if (b, a) not in single),
+               sum(single[p] for p in fixed))
+        if key not in kernels:
+            kernels[key] = _kernel_of_l_s(entries, forms(key[0]), s.denominator * key[1])
+        F[sum(powers)] += [{m | t: x for m, x in v.items()}
+                           for t in forms(fixed) for v in kernels[key]]
+    terms, memo = _generator_terms(h), {}
+
+    def d(form):  # D d of a {mask: int} form
+        out = {}
+        for m, c in form.items():
+            col = memo.get(m)
+            if col is None:
+                col = memo[m] = _d_of_mask(terms, m)
+            for t, x in col.items():
+                out[t] = out.get(t, 0) + c * x
+        return {t: x for t, x in out.items() if x}
+
+    ranks = []
+    for k, basis in enumerate(F):
+        image = Echelon(1 << n)  # in the masks of degree k + 1
+        columns = [d(form) for form in basis]
+        for col in sorted(columns, key=len):
+            image.add(col)
+        if any(d(col) for col in columns):
+            validate(g)
+            raise CheckFailed(f"d o d != 0 on the weight-zero subcomplex in degree {k} "
+                              "although the Jacobi identity holds")
+        ranks.append(image.dim)
+    return tuple(len(F[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(n + 1))
 
 
 def cohomology(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyResult:
-    """Betti numbers through max_degree, in the basis the module docstring
-    says; no representatives."""
-    if (max_degree is None and CYCLIC_MIN_DIM <= g.dim <= DEFAULT_DIM_BOUND
-            and _term_count(g) > 2 * g.dim and is_solvable(g) and not is_nilpotent(g)):
-        h = cyclic_basis(g, derived_subalgebra(g))
-        if _term_count(h) < _term_count(g):
-            g = h
+    """Betti numbers through max_degree, with no representatives: all
+    degrees of a solvable, non-nilpotent g of dimension at least
+    _WEIGHT_MIN_DIM from the weight-zero subcomplex, every other case from
+    the full complex in the given basis."""
+    if (max_degree is None and g.dim >= _WEIGHT_MIN_DIM
+            and is_solvable(g) and not is_nilpotent(g)):
+        return CohomologyResult(_weight_zero_betti(g))
     return CohomologyResult(_rank(g.dim, build_complex(g, max_degree))[0])
 
 

@@ -20,9 +20,10 @@ evaluates these int lists at a matrix in ints.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
 from .matrices import Echelon, Matrix, inverse
@@ -31,6 +32,7 @@ from .polynomials import (
     integer_divisors,
     least_scale,
     pseudo_divmod,
+    rational_roots,
     real_root_counter,
     root_bound,
 )
@@ -38,9 +40,16 @@ from .polynomials import (
 
 def poly_of_matrix(P: list, scale: int, m: Matrix) -> Matrix:
     """The value at a square m of D^(-deg) P(D x), the int list P at scale
-    D.  With D m = X / Y in lowest terms (X the int rows), that is the sum
-    of P_i X^i Y^(deg - i) over (D Y)^deg, taken by Horner's scheme in
-    ints, acc <- acc X + P_i Y^(deg - i) I, and built as one matrix."""
+    D, built as one matrix from `_poly_rows`."""
+    rows, den = _poly_rows(P, scale, m)
+    return Matrix.from_numerators(m.rows, m.rows, [v for r in rows for v in r], den)
+
+
+def _poly_rows(P: list, scale: int, m: Matrix):
+    """(rows, den): the int rows of den times the value at a square m of
+    D^(-deg) P(D x).  With D m = X / Y in lowest terms (X the int rows),
+    that value is the sum of P_i X^i Y^(deg - i) over (D Y)^deg, taken by
+    Horner's scheme in ints, acc <- acc X + P_i Y^(deg - i) I."""
     if not m.is_square():
         raise ValueError("polynomial of a non-square matrix")
     n, x = m.rows, m * scale
@@ -58,7 +67,7 @@ def poly_of_matrix(P: list, scale: int, m: Matrix) -> Matrix:
             out[i] += c * power
             nxt.append(out)
         acc, power = nxt, power * y
-    return Matrix.from_numerators(n, n, [v for r in acc for v in r], (scale * y) ** (len(P) - 1))
+    return acc, (scale * y) ** (len(P) - 1)
 
 
 def _integer_columns(m: Matrix):
@@ -114,6 +123,56 @@ def _krylov_chain(krylov: Echelon, columns, v: dict):
         krylov.add(V)
         v = _apply(columns, v)
         k += 1
+
+
+def _primary_components(s: Matrix, factors, scale: int):
+    """Int bases of the components ker f(s) of a semisimple s, one list of
+    sparse int vectors per f in factors: monic int lists at scale D,
+    pairwise coprime, whose product is the minimal polynomial of s; all
+    but the last irreducible.
+
+    Read off the Krylov chains v, Mv, M^2 v, ... of standard vectors v, M
+    = L s an int matrix, L = lcm(D, den s), with the factors taken to
+    scale L.  The annihilator q of v divides the squarefree minimal
+    polynomial, and ker f(s) meets the span Z(v) of the chain in (q /
+    h)(s) Z(v), h = gcd(q, f), spanned by the x^k (q / h)(s) v for k <
+    deg h; h is f or 1 for an irreducible f, and for the last factor q
+    over the others that divide it.  Every vector is kept that is
+    independent of those kept, and a v already in their span is skipped:
+    the spans are s-invariant and the chains of all v fill the space, so
+    the kept vectors are bases of the components."""
+    n = s.rows
+    L = lcm(scale, s.denominator)
+    columns = _integer_columns(s * L)[1]
+    factors = [[c * (L // scale) ** (len(f) - 1 - i) for i, c in enumerate(f)] for f in factors]
+    spanned, out = Echelon(n), [[] for _ in factors]
+    for i in range(n):
+        if spanned.dim == n:
+            break
+        if spanned.contains({i: 1}):
+            continue
+        q = _krylov_chain(Echelon(2 * n), columns, {i: 1})
+        chain = [{i: 1}]
+        while len(chain) < len(q) - 1:
+            chain.append(_apply(columns, chain[-1]))
+        rest = q
+        for t, f in enumerate(factors):
+            h = rest if t == len(factors) - 1 else f
+            cofactor, remainder = pseudo_divmod(q, h)
+            if remainder or len(h) < 2:
+                continue
+            if t < len(factors) - 1:
+                rest = pseudo_divmod(rest, f)[0]
+            for k in range(len(h) - 1):
+                v = {}
+                for j, c in enumerate(cofactor, k):
+                    for r, x in chain[j].items():
+                        v[r] = v.get(r, 0) + c * x
+                if spanned.add(v) is not None:
+                    out[t].append({r: x for r, x in v.items() if x})
+    if spanned.dim != n:
+        raise CheckFailed(f"primary components span {spanned.dim} of {n} dimensions")
+    return out
 
 
 def _times(a: list, b: list) -> list:
@@ -237,7 +296,16 @@ def jordan_chevalley(m: Matrix) -> JordanDecomposition:
 
 def complex_quadratic_factors(P: list, scale: int):
     """Monic quadratics x^2 - b x + c with b^2 < 4c dividing the monic
-    squarefree int list P at scale D, as int lists at scale D.
+    squarefree int list P at scale D, as int lists at scale D: the
+    complete search of `_quadratic_factors`."""
+    return _quadratic_factors(P, scale, False)
+
+
+def _quadratic_factors(P: list, scale: int, real: bool, limit=None):
+    """Monic irreducible quadratics x^2 - b x + c dividing the monic
+    squarefree int list P at scale D, as int lists at scale D: those with
+    b^2 < 4c, and with `real` also those with a positive non-square
+    discriminant.
 
     The search runs at the least scale d, on Q from `least_scale(P, D)`,
     whose monic factors are integral by Gauss's lemma; a factor
@@ -245,10 +313,12 @@ def complex_quadratic_factors(P: list, scale: int):
     e = D / d, at scale D.  Integer candidates x^2 - B x + C come from the
     divisors of Q's constant term (after a root at zero is divided out)
     and of Q(t), t the least positive integer with Q(t) != 0 (any factor
-    q satisfies q(t) | Q(t)), bounded by C = |z|^2 <= R^2 and q(t) =
-    |t - z|^2 <= (t + R)^2, z a root of q, R = `root_bound(Q)`; each
-    candidate is verified by exact division in ints, so the search is
-    complete and sound.
+    q satisfies q(t) | Q(t)), bounded by |C| = |z z'| <= R^2 and |q(t)| =
+    |t - z| |t - z'| <= (t + R)^2, z and z' the roots of q, R =
+    `root_bound(Q)`; C > 0 for non-real roots.  Each candidate is verified
+    by exact division in ints, so the search is sound, and complete
+    without a limit; a limit caps both divisor searches, and a factor
+    beyond it is missed.
     """
     if not P or P[-1] != 1:
         raise ValueError("expected a monic polynomial")
@@ -260,16 +330,26 @@ def complex_quadratic_factors(P: list, scale: int):
     while not (q_t := sum(c * t**i for i, c in enumerate(q))):
         t += 1
     R = root_bound(q)
-    deltas = integer_divisors(q_t, (t + R) ** 2)
+    deltas = integer_divisors(q_t, (t + R) ** 2 if limit is None else min((t + R) ** 2, limit))
+    # a candidate q divides Q(u) by q(u) != 0 at every integer u outside
+    # the disk of radius R that holds the roots: checked at three such
+    # points, where q(u) is large, before any division
+    points = [(u, sum(c * u**i for i, c in enumerate(q))) for u in (R + 1, -R - 1, 2 * R + 3)]
     found = []
-    for big_c in integer_divisors(q[0], R * R):
-        for delta_abs in deltas:
-            for delta in (delta_abs, -delta_abs):
+    for c_abs in integer_divisors(q[0], R * R if limit is None else min(R * R, limit)):
+        for big_c in (c_abs, -c_abs) if real else (c_abs,):
+            # |B| = |z + z'| <= 2R puts q(t) = t^2 - B t + C within 2Rt of t^2 + C
+            lo, hi = t * t + big_c - 2 * R * t, t * t + big_c + 2 * R * t
+            for delta in (deltas[bisect_left(deltas, lo):bisect_right(deltas, hi)]
+                          + [-x for x in deltas[bisect_left(deltas, -hi):bisect_right(deltas, -lo)]]):
                 num = t * t + big_c - delta
                 if num % t != 0:
                     continue
                 big_b = num // t
-                if big_b * big_b >= 4 * big_c:
+                disc = big_b * big_b - 4 * big_c
+                if disc >= 0 and (not real or isqrt(disc) ** 2 == disc):
+                    continue
+                if any(v % (u * u - big_b * u + big_c) for u, v in points):
                     continue
                 cand = [big_c, -big_b, 1]
                 if cand not in found and not pseudo_divmod(q, cand)[1]:
@@ -277,6 +357,32 @@ def complex_quadratic_factors(P: list, scale: int):
     found.sort(key=lambda f: (f[1], f[0]))
     e = scale // den
     return [[c * e * e, b * e, 1] for c, b, _ in found]
+
+
+def _bounded_factors(P: list, scale: int, limit: int):
+    """(factors, rest): the linear factors and the irreducible quadratic
+    ones, of either discriminant sign, of the monic squarefree int list P
+    at scale D that root and factor searches capped at limit find, as int
+    lists at scale D, and P divided by them, each division checked exact.
+    A root r of D^(-deg) P(D x) makes D r a root of the monic int P, so an
+    int, and the factor x - r is [-D r, 1]."""
+    factors = []
+    for r in rational_roots(P, scale, limit):
+        num, den = r.as_integer_ratio()
+        if num * scale % den:
+            raise CheckFailed(f"rational root {r} of {P} at scale {scale} is not integral")
+        factors.append([-num * scale // den, 1])
+    rest = P
+    for f in factors:
+        rest, remainder = pseudo_divmod(rest, f)
+        if remainder:
+            raise CheckFailed(f"linear factor {f} does not divide {P} at scale {scale}")
+    quads = _quadratic_factors(rest, scale, True, limit)
+    for f in quads:
+        rest, remainder = pseudo_divmod(rest, f)
+        if remainder:
+            raise CheckFailed(f"quadratic factor {f} does not divide {P} at scale {scale}")
+    return factors + quads, rest
 
 
 def rational_spectrum(P: list, scale: int):

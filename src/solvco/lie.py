@@ -7,14 +7,16 @@ in [e_i, e_j]; the (j, i) brackets follow by antisymmetry, so antisymmetry
 holds by construction and only the Jacobi identity needs a check.
 
 The algebra keeps one table, `_terms`: the nonzero terms (k, D * c) of
-each bracket, as ints over one denominator D.  One builder makes it,
+each bracket, as ints over one denominator D, in one row per basis index
+i that maps each j with [e_i, e_j] != 0 to the terms.  One builder makes it,
 `LieAlgebra.from_integer_brackets`, from int terms over an int
 denominator; the constructor clears the denominators of its `Fraction`s
 once and calls the same builder.  Every invariant expands over the table
 only: the series, the changes of basis and the ideal checks bracket int
-rows (`_sparse_bracket`, D times the bracket), and `ad_matrix`, the Jacobi
-sums and the traces of `is_unimodular` read the terms directly; a change
-of basis (`conjugate`, `cyclic_basis`) and the flag search read
+rows (`_sparse_bracket`, D times the bracket, over the table rows of the
+support of x), and `ad_matrix`, the Jacobi sums and the traces of
+`is_unimodular` read the terms directly; a change of basis (`conjugate`,
+`_in_basis`) and the flag search read
 coordinates as an echelon's int remainders, so `Fraction`s appear only in
 what a reader returns.  Both series are computed once per algebra, into a
 memo slot that every reader of [g, g], solvability or nilpotency reads.
@@ -78,8 +80,9 @@ class LieAlgebra:
 
     def _set(self, dim: int, brackets, D: int) -> None:
         """The one table builder.  `_terms` keeps each nonzero bracket as
-        its nonzero (k, D * c) int terms in ascending k, under both (i, j)
-        and (j, i), so bracket sums skip zero coefficients; gcd(D, every
+        its nonzero (k, D * c) int terms in ascending k, at [i][j] and, with
+        the signs flipped, at [j][i], so bracket sums skip zero
+        coefficients and a row lists the nonzero brackets of e_i; gcd(D, every
         term) is divided out, so `denominator` is the least D >= 1 with
         every D * c an integer and equal algebras have equal tables."""
         if dim < 0:
@@ -100,8 +103,8 @@ class LieAlgebra:
         g = gcd(D, *[x for row in rows.values() for _, x in row])  # also rejects non-ints
         terms = {}
         for (i, j), row in rows.items():
-            terms[(i, j)] = tuple((k, x // g) for k, x in row)
-            terms[(j, i)] = tuple((k, -x // g) for k, x in row)
+            terms.setdefault(i, {})[j] = tuple((k, x // g) for k, x in row)
+            terms.setdefault(j, {})[i] = tuple((k, -x // g) for k, x in row)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "denominator", D // g)
         object.__setattr__(self, "_terms", terms)
@@ -120,12 +123,13 @@ class LieAlgebra:
 
     def structure_constant(self, k: int, i: int, j: int) -> Fraction:
         """c[k][i][j]: coefficient of e_k in [e_i, e_j]."""
-        return Fraction(dict(self._terms.get((i, j), ())).get(k, 0), self.denominator)
+        return Fraction(dict(self._terms.get(i, {}).get(j, ())).get(k, 0), self.denominator)
 
     def bracket_basis(self, i: int, j: int):
         """[e_i, e_j] as a coefficient vector."""
         D = self.denominator
-        return _dense(self.dim, {k - 1: Fraction(x, D) for k, x in self._terms.get((i, j), ())})
+        return _dense(self.dim, {k - 1: Fraction(x, D)
+                                 for k, x in self._terms.get(i, {}).get(j, ())})
 
     def bracket(self, x, y):
         """Bilinear extension of the basis brackets."""
@@ -135,7 +139,8 @@ class LieAlgebra:
     def integer_brackets(self):
         """Sorted list of ((i, j), ((k, D * c), ...)) with i < j, D =
         `denominator`: the nonzero int terms of each bracket, ascending k."""
-        return [(ij, row) for ij, row in sorted(self._terms.items()) if ij[0] < ij[1]]
+        return sorted(((i, j), terms) for i, row in self._terms.items()
+                      for j, terms in row.items() if i < j)
 
     def nonzero_brackets(self):
         """`integer_brackets` divided by D: ((i, j), {k: c}) in the same
@@ -148,10 +153,10 @@ class LieAlgebra:
                 and self.denominator == other.denominator and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.dim, self.denominator, frozenset(self._terms.items())))
+        return hash((self.dim, self.denominator, tuple(self.integer_brackets())))
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self._terms) // 2})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(self.integer_brackets())})"
 
 
 def _dense(n: int, v: dict) -> tuple:
@@ -165,16 +170,29 @@ def _dense(n: int, v: dict) -> tuple:
 def _sparse_bracket(g: LieAlgebra, x: dict, y: dict) -> dict:
     """D [x, y] of sparse vectors, D = g.denominator, summed over the
     nonzero int bracket terms of the pairs in their supports (ints for
-    int vectors); entries that cancel are kept as zeros."""
-    terms = g._terms
+    int vectors); entries that cancel are kept as zeros.  For each i in
+    the support of x, the pairs are read from the shorter of the table
+    row of e_i and the support of y."""
+    rows = g._terms
     out = {}
     for i, xi in x.items():
-        for j, yj in y.items():
-            t = terms.get((i + 1, j + 1))
-            if t:
-                f = xi * yj
-                for k, c in t:
-                    out[k - 1] = out.get(k - 1, 0) + f * c
+        row = rows.get(i + 1)
+        if not row:
+            continue
+        if len(row) < len(y):
+            for j, t in row.items():
+                yj = y.get(j - 1)
+                if yj:
+                    f = xi * yj
+                    for k, c in t:
+                        out[k - 1] = out.get(k - 1, 0) + f * c
+        else:
+            for j, yj in y.items():
+                t = row.get(j + 1)
+                if t:
+                    f = xi * yj
+                    for k, c in t:
+                        out[k - 1] = out.get(k - 1, 0) + f * c
     return out
 
 
@@ -184,14 +202,14 @@ def jacobi_violation(g: LieAlgebra):
     The residual [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
     is summed in ints over the nonzero bracket terms only, as D^2 times
     itself, and divided by D^2 only for the returned witness."""
-    terms = g._terms
+    rows, empty = g._terms, {}
     for i in range(1, g.dim + 1):
         for j in range(i + 1, g.dim + 1):
             for k in range(j + 1, g.dim + 1):
                 res = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, x in terms.get((a, b), ()):
-                        for r, y in terms.get((m, c), ()):
+                    for m, x in rows.get(a, empty).get(b, ()):
+                        for r, y in rows.get(m, empty).get(c, ()):
                             res[r] = res.get(r, 0) + x * y
                 if any(res.values()):
                     return (i, j, k), _dense(g.dim, {r - 1: Fraction(v, g.denominator ** 2)
@@ -216,9 +234,8 @@ def ad_matrix(g: LieAlgebra, x) -> Matrix:
         raise ValueError("vector length must equal dim")
     X, s = clear_denominators(x)
     num = [0] * (n * n)
-    for (i, j), terms in g._terms.items():
-        xi = X.get(i - 1)
-        if xi:
+    for i, xi in X.items():
+        for j, terms in g._terms.get(i + 1, {}).items():
             for k, c in terms:
                 num[(k - 1) * n + j - 1] += xi * c
     return Matrix.from_numerators(n, n, num, s * g.denominator)
@@ -366,10 +383,8 @@ def is_nilpotent(g: LieAlgebra) -> bool:
 def is_unimodular(g: LieAlgebra) -> bool:
     """True when tr(ad e_i), the sum of c[j][i][j] over j, vanishes for
     every basis vector (linearity does the rest); read off the terms."""
-    traces = {}
-    for (i, j), terms in g._terms.items():
-        traces[i] = traces.get(i, 0) + sum(c for k, c in terms if k == j)
-    return not any(traces.values())
+    return not any(sum(c for j, terms in row.items() for k, c in terms if k == j)
+                   for row in g._terms.values())
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -398,7 +413,8 @@ def _coordinates(n: int, basis):
 
 def _in_basis(g: LieAlgebra, basis) -> LieAlgebra:
     """g's bracket over the b_a of basis, as `_coordinates` takes them: the
-    one int change of basis, behind `conjugate` and `cyclic_basis`.
+    one int change of basis, behind `conjugate` and the weight basis of
+    `cohomology`.
     [b_a, b_b] has the coordinates W / (t t_a t_b D) when the int D [B_a,
     B_b] has W / t.  Raises ValueError when the b_a are
     dependent or a bracket leaves their span."""
@@ -424,23 +440,6 @@ def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
         raise ValueError("change of basis must be dim x dim")
     return _in_basis(g, [({i: x for i, x in enumerate(col) if x}, p.denominator)
                          for col in zip(*p.numerator_rows())])
-
-
-def cyclic_basis(g: LieAlgebra, comm: Subspace) -> LieAlgebra:
-    """g in the cyclic basis of A = ad x on c = comm = [g, g], x the first
-    standard vector outside c: the Krylov chains v, Av, A^2 v, ... (as D^k
-    A^k v over D^k, D = g.denominator) of the int rows spanning c, each run
-    until it depends on the vectors taken, then the standard vectors
-    outside c, x first; ad x is a companion block on each chain."""
-    n = g.dim
-    rest = [t for t in range(n) if t not in comm._echelon.pivots]
-    x, taken, basis = {rest[0]: 1}, Echelon(n), []
-    for v in comm._echelon.rows_from(0):
-        t = 1
-        while taken.add(v) is not None:
-            basis.append((v, t))
-            v, t = _sparse_bracket(g, x, v), t * g.denominator
-    return _in_basis(g, basis + [({s: 1}, 1) for s in rest])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CheckFailed
 from .matrices import rational
@@ -253,23 +253,95 @@ def integer_divisors(n: int, limit=None):
     return small + large[::-1]
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for ints n >= 1 and k >= 1, by Newton's method in ints."""
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _least_root(q: int) -> int:
+    """The r with q = r^j for the largest j."""
+    j = 2
+    while j <= q.bit_length():
+        r = _integer_root(q, j)
+        if r ** j == q:
+            q, j = r, 2
+        else:
+            j += 1
+    return q
+
+
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime ints > 1 whose products of powers give every one of
+    the positive ints numbers: factor refinement by gcds alone (Bach,
+    Driscoll and Shallit).  A number that shares g > 1 with a base element
+    b is replaced, with b, by g, a / g and b / g, which lowers the product
+    of everything left to place."""
+    base, todo = [], [n for n in numbers if n > 1]
+    while todo:
+        a = todo.pop()
+        for t, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[t]
+                todo += [x for x in (g, a // g, b // g) if x > 1]
+                break
+        else:
+            base.append(a)
+    return base
+
+
+_TRIAL_DIVISION_LIMIT = 2**10
+
+
 def least_scale(P: list, scale: int):
     """(Q, d): the monic int list P at scale D rewritten at the least scale
     d that keeps it integral, D^(-deg) P(D x) = d^(-deg) Q(d x), so
     Q_i = P_i / e^(deg - i) with e = D / d.
 
-    The d that work are the multiples of the least one, so it divides D and
-    the lcm L of the denominators of the coefficients P_i / D^(deg - i) (L
-    works): it is the least divisor of gcd(D, L) that works.  Roots with
-    denominator d in a factor of degree k give L up to d^k but need only
-    d, and a small d keeps the integers of the divisor searches small.
+    With m_i the denominator of P_i / D^(deg - i), a coefficient of the
+    rational polynomial, d is integral exactly when m_i divides
+    d^(deg - i), so the least d has the exponent max_i ceil(v_p(m_i) /
+    (deg - i)) at each prime p, and divides D.  The primes of D below
+    _TRIAL_DIVISION_LIMIT are found by trial division; the rest of D and of
+    the m_i is split into a coprime base by gcds, each element replaced by
+    its least root, and taken as a prime.  That is exact when each such
+    element is a power of a squarefree int, always for a prime, and a
+    valid scale dividing D otherwise.  Roots with denominator d in a factor
+    of degree k give m_i up to d^k but need only d, and a small d keeps the
+    integers of the divisor searches small.
     """
     deg = len(P) - 1
-    dens = (scale ** (deg - i) // gcd(c, scale ** (deg - i)) for i, c in enumerate(P))
-    for d in integer_divisors(gcd(scale, lcm(*dens))):
-        e = scale // d
-        if all(c % e ** (deg - i) == 0 for i, c in enumerate(P)):
-            return [c // e ** (deg - i) for i, c in enumerate(P)], d
+    dens = [(scale ** k // gcd(c, scale ** k), k) for k, c in zip(range(deg, 0, -1), P)]
+    dens = [(m, k) for m, k in dens if m > 1]
+    primes, rest, p = [], scale if dens else 1, 2
+    while p < _TRIAL_DIVISION_LIMIT and p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:  # coprime to the small primes: their parts of the m_i
+        primes += {_least_root(q) for q in _coprime_base(
+            [rest] + [gcd(m, rest ** k) for m, k in dens])}
+    d = 1
+    for p in primes:
+        need = 0
+        for m, k in dens:
+            e = 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            need = max(need, -(-e // k))
+        d *= p ** need
+    e = scale // d
+    Q = [c // e ** (deg - i) for i, c in enumerate(P)]
+    if scale % d or any(c != x * e ** (deg - i) for i, (c, x) in enumerate(zip(P, Q))):
+        raise CheckFailed(f"least scale {d} of {P} at scale {scale} is not integral")
+    return Q, d
 
 
 def root_bound(coeffs: list) -> int:
@@ -280,16 +352,17 @@ def root_bound(coeffs: list) -> int:
                     for i, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)
 
 
-def rational_roots(P: list, scale: int):
+def rational_roots(P: list, scale: int, limit=None):
     """All rational roots, ascending, of the monic int list P at scale D:
     the integer roots of Q from `least_scale(P, D) = (Q, d)`, divided by
     d.  A nonzero integer root of the monic integral Q divides its lowest
     nonzero coefficient and is at most `root_bound(Q)` in size, so the
     divisor search stops at the size of the roots, not at the square root
-    of the coefficient."""
+    of the coefficient.  With a limit, only integer roots up to it in size
+    are tried, so a larger root is missed."""
     coeffs, den = least_scale(P, scale)
     low = next(c for c in coeffs if c)
-    bound = root_bound(coeffs)
+    bound = root_bound(coeffs) if limit is None else min(root_bound(coeffs), limit)
     candidates = [0] + [s * k for k in integer_divisors(low, bound) for s in (1, -1)]
     return sorted(Fraction(x, den) for x in candidates
                   if sum(c * x**i for i, c in enumerate(coeffs)) == 0)

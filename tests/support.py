@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import random
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -412,18 +413,18 @@ class SympyLie:
             series.append(nxt)
 
 
-def cyclic_calls(monkeypatch):
+def weight_zero_calls(monkeypatch):
     """A list that records the algebra of every call from then on that
-    builds the cyclic basis for the cohomology layer."""
+    takes the weight-zero path of the cohomology layer."""
     # the module: the package exports the function `cohomology` by its name
     cohomology = importlib.import_module("solvco.cohomology")
-    calls, original = [], cohomology.cyclic_basis
+    calls, original = [], cohomology._weight_zero_betti
 
-    def spy(g, comm):
+    def spy(g):
         calls.append(g)
-        return original(g, comm)
+        return original(g)
 
-    monkeypatch.setattr(cohomology, "cyclic_basis", spy)
+    monkeypatch.setattr(cohomology, "_weight_zero_betti", spy)
     return calls
 
 
@@ -630,3 +631,70 @@ def rand_semisimple(rng, n):
     from solvco.matrices import inverse
 
     return u * block_diag(*blocks) * inverse(u)
+
+
+# ---------------------------------------------------------------------------
+# solvable algebras with a known spectrum of ad x
+# ---------------------------------------------------------------------------
+#
+# An eigenvalue is written in the Q-basis (1, i, sqrt 3, sqrt 13), linearly
+# independent over Q, so a sum of eigenvalues is zero exactly when each
+# coordinate sum is.
+
+SPECTRAL_BLOCKS = {
+    # name: (companion coefficients, low to high, eigenvalues)
+    "one": ((-1, 1), [(1, 0, 0, 0)]),
+    "minus1": ((1, 1), [(-1, 0, 0, 0)]),
+    "minus4": ((4, 1), [(-4, 0, 0, 0)]),
+    "i": ((1, 0, 1), [(0, 1, 0, 0), (0, -1, 0, 0)]),          # x^2 + 1
+    "2i": ((4, 0, 1), [(0, 2, 0, 0), (0, -2, 0, 0)]),         # x^2 + 4
+    "sqrt3": ((-3, 0, 1), [(0, 0, 1, 0), (0, 0, -1, 0)]),     # x^2 - 3
+    "1+i": ((2, -2, 1), [(1, 1, 0, 0), (1, -1, 0, 0)]),       # x^2 - 2x + 2
+    "-1+2i": ((5, 2, 1), [(-1, 2, 0, 0), (-1, -2, 0, 0)]),    # x^2 + 2x + 5
+    "(1+sqrt13)/2": ((-3, -1, 1), [(Fraction(1, 2), 0, 0, Fraction(1, 2)),
+                                   (Fraction(1, 2), 0, 0, Fraction(-1, 2))]),  # x^2 - x - 3
+    # x^3 - 2: one real root and a non-real pair, none in the Q-basis above
+    "cubic": ((-2, 0, 0, 1), None),
+    # (x - 1)^2: a Jordan block, so ad x is not semisimple
+    "jordan1": ((1, -2, 1), None),
+}
+DENSE14_BLOCKS = ("one", "i", "2i", "sqrt3", "1+i", "-1+2i", "(1+sqrt13)/2")
+
+
+def zero_sum_betti(eigenvalues):
+    """Betti numbers of R x| R^n for a semisimple derivation with the given
+    eigenvalues, from the zero sums of its k-subsets z_k (the weight-zero
+    k-forms on R^n): b_k = z_k + z_(k-1)."""
+    n = len(eigenvalues)
+    zero = (0,) * len(eigenvalues[0])
+    layers = [{zero: 1}] + [{} for _ in eigenvalues]
+    for e in eigenvalues:
+        for k in range(n, 0, -1):
+            for total, count in layers[k - 1].items():
+                t = tuple(a + b for a, b in zip(total, e))
+                layers[k][t] = layers[k].get(t, 0) + count
+    z = [layer.get(zero, 0) for layer in layers]
+    return tuple((z[k] if k <= n else 0) + (z[k - 1] if k else 0) for k in range(n + 2))
+
+
+def spectral_semidirect(rng, names):
+    """(R x| R^n, eigenvalues of its derivation): the companion blocks of
+    the names in SPECTRAL_BLOCKS, conjugated by a random unimodular matrix,
+    with the algebra then put in a random rational basis."""
+    from solvco.almost_abelian import almost_abelian_algebra
+    from solvco.lie import conjugate
+    from solvco.matrices import inverse
+
+    blocks = [companion(SPECTRAL_BLOCKS[name][0]) for name in names]
+    u = rand_unimodular(rng, sum(b.rows for b in blocks))
+    g = almost_abelian_algebra(u * block_diag(*blocks) * inverse(u))
+    return (conjugate(g, rand_invertible_rational(rng, g.dim)),
+            [e for name in names for e in SPECTRAL_BLOCKS[name][1] or ()])
+
+
+def dense14():
+    """(dense14, its Betti numbers): R x| R^13 with the blocks scalar 1,
+    rot(0, 1), rot(0, 2), quad(0, 3), rot(1, 1), rot(-1, 2) and
+    quad(1, 3), in a random rational basis; 16,384 forms, 160 of weight 0."""
+    g, eigenvalues = spectral_semidirect(random.Random("dense14"), DENSE14_BLOCKS)
+    return g, zero_sum_betti(eigenvalues)

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -23,29 +24,34 @@ from solvco.almost_abelian import almost_abelian_algebra
 from solvco.cli import run_command
 from solvco.errors import CheckFailed, DimensionTooLarge, JacobiViolation
 from solvco.files import structure_equations
+from solvco.decompositions import jordan_chevalley
 from solvco.lie import (
     LieAlgebra,
+    ad_matrix,
     conjugate,
-    cyclic_basis,
-    derived_subalgebra,
     is_nilpotent,
     is_unimodular,
     jacobi_violation,
 )
+from solvco.matrices import Matrix, basis_vector, inverse, wedge_positions
 from support import (
     apply_columns,
     complex_builds,
-    cyclic_calls,
+    dense14,
     filiform,
     full_bracket_passes,
     oracle_betti,
     oracle_differential,
     perturb_tensor,
     rand_invertible_rational,
+    rand_large_rational,
     rand_semisimple,
     rand_unimodular,
     rand_valid_algebra,
+    spectral_semidirect,
     sympy_columns,
+    weight_zero_calls,
+    zero_sum_betti,
 )
 
 HEISENBERG = LieAlgebra(3, {(1, 2): {3: 1}})
@@ -299,10 +305,6 @@ def test_format_cocycle():
     assert format_cocycle(vec, 4, 2) == "-1/2*e12 + 1*e14"
 
 
-def _terms(g):
-    return sum(len(row) for _, row in g.integer_brackets())
-
-
 def _semidirect(seed, n):
     """R x| R^n for a rational semisimple D, in a rational basis."""
     rng = random.Random(seed)
@@ -315,51 +317,56 @@ def _diagonal(n):
     return LieAlgebra(n + 1, {(1, j): {j: Fraction((-1) ** j * (j // 2))} for j in range(2, n + 2)})
 
 
+def _full_betti(g):
+    """Betti numbers of the full complex in the given basis."""
+    return cohomology(g, max_degree=g.dim).betti
+
+
 def test_adapted_complex_keeps_betti_and_representatives(monkeypatch):
-    calls = cyclic_calls(monkeypatch)
+    calls = weight_zero_calls(monkeypatch)
     for seed, n in ((1, 7), (2, 8)):
         g = _semidirect(seed, n)
-        h = cyclic_basis(g, derived_subalgebra(g))
-        assert _terms(h) < _terms(g)
-        calls.clear()
         res = cohomology(g)
         assert calls == [g] and res.representatives is None
-        # the representatives depend on the basis: read in the given one
+        # the representatives come from the full complex in the given basis
         given = representatives(g)
         assert calls == [g]
-        assert res.betti == given.betti == cohomology(h).betti
+        assert res.betti == given.betti == _full_betti(g)
         # the report reads the series of the algebra it is handed
         assert structural_checks(res, g) == structural_checks(given, g)
         other = filiform(g.dim)
         assert is_nilpotent(other)
         with pytest.raises(CheckFailed):
             structural_checks(res, other)
+        calls.clear()
 
 
-def test_cli_builds_the_cyclic_basis_only_for_a_full_betti_command(tmp_path, monkeypatch):
-    calls = cyclic_calls(monkeypatch)
+def test_cli_takes_the_weight_zero_path_only_for_a_full_betti_command(tmp_path, monkeypatch):
+    calls = weight_zero_calls(monkeypatch)
     adapted, nilpotent = tmp_path / "adapted.txt", tmp_path / "nilpotent.txt"
     adapted.write_text(structure_equations(_semidirect(1, 7)))
     nilpotent.write_text(structure_equations(
         conjugate(filiform(8), rand_invertible_rational(random.Random(5), 8))))
-    # at most 2 terms per basis vector: as sparse as the cyclic basis gets
-    sparse = tmp_path / "sparse.txt"
+    small, sparse = tmp_path / "small.txt", tmp_path / "sparse.txt"
+    small.write_text(structure_equations(_semidirect(1, 6)))
     sparse.write_text(structure_equations(_diagonal(8)))
-    never = ([str(nilpotent)], [str(nilpotent), "--format", "tsv"], [str(sparse)],
+    never = ([str(nilpotent)], [str(nilpotent), "--format", "tsv"], [str(small)],
              [str(adapted), "--reps"], [str(adapted), "--reps", "--format", "tsv"],
+             [str(sparse), "--reps"],
              [str(adapted), "--max-degree", "3"], [str(adapted), "--max-degree", "8"])
     for args in never:
         code, _ = run_command(["cohomology"] + args)
         assert code == 0 and calls == []
-    for tail in ([], ["--format", "tsv"]):
-        assert run_command(["cohomology", str(adapted)] + tail)[0] == 0
-    assert len(calls) == 2
+    for path in (adapted, sparse):
+        for tail in ([], ["--format", "tsv"]):
+            assert run_command(["cohomology", str(path)] + tail)[0] == 0
+    assert len(calls) == 4
 
 
-def test_golden_dense_file_is_ranked_in_the_cyclic_basis(tmp_path, monkeypatch):
+def test_golden_dense_file_takes_the_weight_zero_path(tmp_path, monkeypatch):
     from test_golden_cli import FILES
 
-    calls = cyclic_calls(monkeypatch)
+    calls = weight_zero_calls(monkeypatch)
     path = tmp_path / "rational8.txt"
     path.write_text(FILES["rational8.txt"])
     for tail in ([], ["--format", "tsv"]):
@@ -367,6 +374,91 @@ def test_golden_dense_file_is_ranked_in_the_cyclic_basis(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert run_command(["cohomology", str(path), "--reps"])[0] == 0
     assert len(calls) == 2
+
+
+def test_weight_zero_path_returns_on_a_large_rational_basis():
+    # x is a large multiple of the R generator plus a nilpotent part, so the
+    # minimal polynomial of ad x has coefficients of thousands of bits: the
+    # capped factor searches leave what they miss in the unfactored block
+    g, eigenvalues = spectral_semidirect(random.Random(1), ("one", "i", "2i", "sqrt3"))
+    h = conjugate(g, rand_large_rational(random.Random(0), 8))
+    assert h.denominator.bit_length() > 200
+    start = time.perf_counter()
+    betti = cohomology(h).betti
+    assert time.perf_counter() - start < 2
+    assert betti == zero_sum_betti(eigenvalues) == _full_betti(h)
+
+
+def test_dense14_returns_its_closed_form_through_the_cli(tmp_path):
+    # 2^14 forms: more than the full complex admits, 160 of weight 0
+    g, betti = dense14()
+    path = tmp_path / "dense14.txt"
+    path.write_text(structure_equations(g))
+    start = time.perf_counter()
+    code, text = run_command(["cohomology", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert tuple(int(line.split()[2]) for line in text.splitlines()
+                 if line.startswith("betti ")) == betti
+    with pytest.raises(DimensionTooLarge):
+        cohomology(g, max_degree=g.dim)
+
+
+@pytest.mark.parametrize("names", [
+    # a quadratic block of multiplicity 2: its top power has the weight
+    # tr(s|V) = 4, twice the root sum of its factor, which -4 cancels
+    ("1+i", "1+i", "minus4", "i"),
+    # real and complex quadratics whose weights cancel across blocks only
+    ("sqrt3", "sqrt3", "i", "2i", "one"),
+    # a cubic no search factors: the unfactored block
+    ("cubic", "one", "minus1", "i"),
+])
+def test_weight_zero_betti_match_the_closed_form(names):
+    g, eigenvalues = spectral_semidirect(random.Random(7), names)
+    assert cohomology(g).betti == _full_betti(g)
+    if "cubic" not in names:
+        assert cohomology(g).betti == zero_sum_betti(eigenvalues)
+
+
+def test_weight_zero_subcomplex_reads_the_semisimple_part():
+    # ad x = 1 + N on a Jordan block of R^2 and -1, -1 on R^2: the kernel of
+    # L_x misses forms of weight 0 that ker L_s holds, e.g. e^a ^ e^c with a
+    # the top of the Jordan block
+    d = Matrix.from_rows([[1, 1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, -1, 0, 0, 0, 0],
+                          [0, 0, 0, -1, 0, 0, 0], [0, 0, 0, 0, 0, -1, 0],
+                          [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 2]])
+    u = rand_unimodular(random.Random(3), 7)
+    g = almost_abelian_algebra(u * d * inverse(u))
+    assert cohomology(g).betti == representatives(g).betti
+    assert not jordan_chevalley(ad_matrix(g, basis_vector(8, 0))).nilpotent.is_zero()
+
+
+def test_weight_zero_path_checks_d_squared_and_the_budget(monkeypatch):
+    # a d that adds a term t with d t != 0 to d of the first 1-form of F
+    # is seen by d o d = 0 on F
+    module = importlib.import_module("solvco.cohomology")
+    g = catalog_get("nakamura").algebra
+    assert module._weight_zero_betti(g) == cohomology(g).betti
+    original, added = module._d_of_mask, []
+
+    def fault(terms, mask):
+        col = original(terms, mask)
+        if not added and mask:
+            t = next(t for t in wedge_positions(g.dim, 2) if original(terms, t))
+            col[t] = col.get(t, 0) + 1
+            added.append(mask)
+        return col
+
+    monkeypatch.setattr(module, "_d_of_mask", fault)
+    with pytest.raises(CheckFailed, match="weight-zero subcomplex"):
+        module._weight_zero_betti(g)
+    assert added
+    monkeypatch.undo()
+    # R x| R^14 with the weights +-1 has 2 C(14, 7) = 6,864 forms of weight
+    # 0, more than 2^12
+    big = almost_abelian_algebra(Matrix.diagonal([(-1) ** j for j in range(14)]))
+    with pytest.raises(DimensionTooLarge, match="weight-zero subcomplex"):
+        cohomology(big)
 
 
 def test_cli_cohomology_computes_each_series_once(tmp_path, monkeypatch):
@@ -385,14 +477,15 @@ def test_cli_cohomology_computes_each_series_once(tmp_path, monkeypatch):
 
 def test_each_cohomology_command_builds_one_complex(tmp_path, monkeypatch):
     builds = complex_builds(monkeypatch)
-    # through the gate, sparse, nilpotent
+    # solvable of dimension >= 8 (Betti numbers from the weight-zero
+    # subcomplex, no full complex), below, nilpotent
     for g in (_semidirect(1, 7), _diagonal(8), catalog_get("nakamura").algebra, HEISENBERG):
         path = tmp_path / "algebra.txt"
         path.write_text(structure_equations(g))
         for tail in ([], ["--format", "tsv"], ["--reps"], ["--reps", "--format", "tsv"]):
             builds.clear()
             assert run_command(["cohomology", str(path)] + tail)[0] == 0
-            assert len(builds) == 1
+            assert len(builds) == (0 if g.dim >= 8 and "--reps" not in tail else 1)
         builds.clear()
         representatives(g)
         assert builds == [g]

@@ -6,10 +6,12 @@ dense Jacobi check.
 Algebras come from the seeded generators in `support` (random valid
 algebras in a random integer basis, rank-one extensions by a random
 derivation, valid algebras conjugated into a rational basis, with small
-or with large entries, and R x| R^n, n = 7-8, with a rational semisimple
-derivation in a rational basis, whose full complex is built in the cyclic
-basis), driven by a hypothesis-controlled random source; the module is
-skipped where hypothesis is not installed.
+or with large entries, R x| R^n, n = 7-8, with a rational semisimple
+derivation in a rational basis, whose Betti numbers come from the
+weight-zero subcomplex, and solvable algebras with a planted spectrum of
+ad x, on which that subcomplex is held to the full complex and to sympy),
+driven by a hypothesis-controlled random source; the module is skipped
+where hypothesis is not installed.
 """
 
 import random
@@ -37,13 +39,13 @@ from solvco.files import structure_equations  # noqa: E402
 from solvco.lie import (  # noqa: E402
     LieAlgebra,
     conjugate,
-    cyclic_basis,
-    derived_subalgebra,
+    is_nilpotent,
+    is_solvable,
     jacobi_violation,
 )
 from support import (  # noqa: E402
+    SPECTRAL_BLOCKS,
     apply_columns,
-    cyclic_calls,
     dense_cohomology,
     dense_jacobi_violation,
     dense_representatives,
@@ -56,7 +58,9 @@ from support import (  # noqa: E402
     rand_semisimple,
     rand_unimodular,
     rand_valid_algebra,
+    spectral_semidirect,
     sympy_columns,
+    weight_zero_calls,
 )
 
 
@@ -91,10 +95,6 @@ def semidirect_algebras(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     g = almost_abelian_algebra(rand_semisimple(rng, rng.randint(7, 8)))
     return conjugate(g, rand_invertible_rational(rng, g.dim))
-
-
-def term_count(g):
-    return sum(len(row) for _, row in g.integer_brackets())
 
 
 @st.composite
@@ -265,7 +265,7 @@ def test_rank_pass_column_order_changes_no_result(g, max_degree, rng):
 @given(st.one_of(algebras(max_dim=6), semidirect_algebras()), st.randoms(use_true_random=False))
 def test_cohomology_command_output_is_the_same_in_every_basis(tmp_path_factory, g, rng):
     # the Betti lines and the structural report do not depend on the basis,
-    # whether the complex is built in the given one or in the cyclic one
+    # whether they come from the full complex or from the weight-zero one
     folder = tmp_path_factory.mktemp("bases")
     outputs = set()
     for t, h in enumerate((g, conjugate(g, rand_unimodular(rng, g.dim)),
@@ -288,13 +288,43 @@ def test_cohomology_command_output_is_the_same_in_every_basis(tmp_path_factory, 
 
 @settings(max_examples=15, deadline=None)
 @given(semidirect_algebras())
-def test_semidirect_complex_is_ranked_in_the_cyclic_basis(g):
-    h = cyclic_basis(g, derived_subalgebra(g))
-    # a rational basis that happens to be as sparse keeps the given one
-    assume(2 * g.dim < term_count(g) and term_count(h) < term_count(g))
+def test_semidirect_betti_come_from_the_weight_zero_subcomplex(g):
     with pytest.MonkeyPatch.context() as patch:
-        calls = cyclic_calls(patch)
+        calls = weight_zero_calls(patch)
         res = cohomology(g)
         given = representatives(g)
     assert calls == [g]
-    assert res.betti == given.betti == cohomology(h).betti
+    assert res.betti == given.betti
+
+
+@st.composite
+def weight_algebras(draw):
+    """Solvable, non-nilpotent algebras of dimension 3-8: R x| R^n for D
+    the companion blocks of 1-3 names of `SPECTRAL_BLOCKS` (rational
+    roots, complex and real quadratics, a cubic that no search factors, a
+    Jordan block, each possibly twice) in a random basis, half of them
+    plus a Heisenberg or abelian summand, then put in a basis changed by
+    `rand_unimodular` or `rand_invertible_rational`."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    names = [rng.choice(sorted(SPECTRAL_BLOCKS)) for _ in range(rng.randint(1, 3))]
+    while sum(len(SPECTRAL_BLOCKS[name][0]) - 1 for name in names) > 6:
+        names.pop()
+    g, _ = spectral_semidirect(rng, names)
+    extra = rng.choice((None, None, LieAlgebra(3, {(1, 2): {3: 1}}), LieAlgebra(1, {})))
+    if extra is not None and g.dim + extra.dim <= 8:
+        brackets = {ij: dict(row) for ij, row in g.nonzero_brackets()}
+        brackets.update({(i + g.dim, j + g.dim): {k + g.dim: c for k, c in row.items()}
+                         for (i, j), row in extra.nonzero_brackets()})
+        g = LieAlgebra(g.dim + extra.dim, brackets)
+    change = rng.choice((rand_unimodular, rand_invertible_rational))
+    return conjugate(g, change(rng, g.dim))
+
+
+@settings(max_examples=30, deadline=None)
+@given(weight_algebras())
+def test_weight_zero_subcomplex_has_the_betti_numbers_of_the_full_complex(g):
+    assert is_solvable(g) and not is_nilpotent(g)
+    betti = import_module("solvco.cohomology")._weight_zero_betti(g)
+    assert betti == representatives(g).betti
+    if g.dim <= 6:
+        assert betti == oracle_betti(g)

@@ -42,8 +42,9 @@ d e7 = -18500685/4954416463 e1^e2 + 4114352319/4954416463 e1^e3 + 1634433034/495
 """
 
 # R x| R^7 with a rational semisimple derivation in a rational basis: 110
-# bracket terms, so `cohomology` without --reps ranks the full complex in
-# the cyclic basis of `lie.cyclic_basis`, and --reps in the given one.
+# bracket terms; `cohomology` without --reps reads the Betti numbers off the
+# weight-zero subcomplex, and --reps ranks the full complex in the given
+# basis.
 RATIONAL8 = """dim 8
 d e1 = 27/2 e1^e3 - 11 e1^e4 + 12 e1^e5 + 3 e1^e6 - 66 e1^e7 + 100 e1^e8 - 33/2 e3^e4 - 36 e3^e5 - 9 e3^e6 - 99 e3^e7 + 150 e3^e8 + 44 e4^e5 + 11 e4^e6 - 264 e5^e7 + 400 e5^e8 - 66 e6^e7 + 100 e6^e8
 d e2 = 1 e1^e2 + 1 e1^e6 - 3/2 e2^e3 - 4 e2^e5 - 1 e2^e6 + 3/2 e3^e6 + 4 e5^e6

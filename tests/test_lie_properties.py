@@ -42,7 +42,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
 from solvco.decompositions import (  # noqa: E402
+    _bounded_factors,
+    _primary_components,
     integer_minimal_polynomial,
+    jordan_chevalley,
     minimal_polynomial,
     rational_spectrum,
 )
@@ -57,7 +60,6 @@ from solvco.lie import (  # noqa: E402
     bracket_subspaces,
     completely_solvable_flag,
     conjugate,
-    cyclic_basis,
     derived_series,
     derived_subalgebra,
     is_nilpotent,
@@ -234,23 +236,45 @@ def bracket_errors(g, h, basis):
             != [Fraction(str(v)) for v in oracle.bracket(basis[a], basis[b])]]
 
 
-def krylov_basis(g):
-    """The cyclic basis of ad x on [g, g] rebuilt in Fractions with the
-    sympy model: the chains start at the int rows spanning [g, g], each
-    runs until sympy's rank stops growing, and the standard vectors outside
-    [g, g] follow, x first; then the vector that ends the last chain."""
+def primary_basis(g):
+    """(x, the basis of `cohomology`'s weight path as Fraction vectors, one
+    (factor, scale, vectors) per component): x is the first standard
+    vector outside [g, g] whose ad is not nilpotent (by sympy), and each
+    component comes from `_primary_components` on the semisimple part s of
+    ad x, held here to sympy: its vectors are killed by f(s), and there are
+    as many as the nullity of f(s); x leads the component of the root 0.
+    None for a nilpotent g."""
     oracle = SympyLie(g)
-    comm = derived_subalgebra(g)
-    rows = [tuple(Fraction(row.get(t, 0)) for t in range(g.dim))
-            for row in comm._echelon.rows_from(0)]
-    assert oracle.span(rows) == oracle.derived_series()[1]
-    rest = [t for t in range(g.dim) if t not in comm._echelon.pivots]
-    x, basis, v = oracle.unit(rest[0]), [], None
-    for v in rows:
-        while len(oracle.span(basis + [v])) > len(basis):
-            basis.append(v)
-            v = tuple(Fraction(str(c)) for c in oracle.bracket(x, v))
-    return basis + [basis_vector(g.dim, t) for t in rest], v
+    comm = oracle.derived_series()[1] if len(oracle.derived_series()) > 1 else ()
+    for i in range(g.dim):
+        unit = basis_vector(g.dim, i)
+        ad = oracle.ad(unit)
+        if oracle.contains(comm, unit) or (ad ** g.dim).is_zero_matrix:
+            continue
+        dec = jordan_chevalley(ad_matrix(g, unit))
+        P, scale = dec.minpoly_form
+        factors, rest = _bounded_factors(list(P), scale, 2**16)
+        factors += [rest] if len(rest) > 1 else []
+        s = sympy.Matrix(dec.semisimple.numerator_rows()) / dec.semisimple.denominator
+        assert (s * ad - ad * s).is_zero_matrix and (ad - s) ** g.dim == sympy.zeros(g.dim)
+        out = []
+        for f, vectors in zip(factors, _primary_components(dec.semisimple, factors, scale)):
+            value = sympy.zeros(g.dim)
+            for k, c in enumerate(f):
+                value += sympy.Rational(c, scale ** (len(f) - 1 - k)) * s ** k
+            assert len(vectors) == g.dim - value.rank()
+            rows = [tuple(Fraction(v.get(t, 0)) for t in range(g.dim)) for v in vectors]
+            assert all((value * sympy.Matrix(r)).is_zero_matrix for r in rows)
+            if f == [0, 1]:
+                kept = [unit]
+                for r in rows:
+                    if len(oracle.span(kept + [r])) > len(kept):
+                        kept.append(r)
+                assert len(kept) == len(rows)
+                rows = kept
+            out.append((f, scale, rows))
+        return unit, out
+    return None
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,12 +288,14 @@ def test_conjugate_is_the_bracket_over_the_columns(case):
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(algebras(), st.integers(0, 2**32).map(
     lambda s: (semidirect(random.Random(s)), None))))
-def test_cyclic_basis_is_the_bracket_over_the_krylov_chains(case):
+def test_weight_basis_is_the_bracket_over_the_primary_components(case):
     g, _ = case
-    if not is_solvable(g):  # [g, g] = g leaves no x
+    if not is_solvable(g) or is_nilpotent(g):  # no x with a non-nilpotent ad
         return
-    basis, past = krylov_basis(g)
-    h = cyclic_basis(g, derived_subalgebra(g))
+    x, components = primary_basis(g)
+    basis = [v for _, _, rows in components for v in rows]
+    assert len(SympyLie(g).span(basis)) == g.dim
+    h = lie._in_basis(g, [clear_denominators(v) for v in basis])
     assert bracket_errors(g, h, basis) == []
     # a seeded fault: one flipped term of the conjugated table is seen
     table = {ij: dict(row) for ij, row in h.integer_brackets()}
@@ -279,13 +305,10 @@ def test_cyclic_basis_is_the_bracket_over_the_krylov_chains(case):
         row[k] = -row[k]
         flipped = LieAlgebra.from_integer_brackets(h.dim, table, h.denominator)
         assert bracket_errors(g, flipped, basis) == [(i - 1, j - 1)]
-    # the vector that ends the last chain depends on those taken: a chain
-    # run one step too far, in place of x, is refused
-    m = derived_subalgebra(g).dim
-    if m:
+    # a vector of one component in place of another's is refused
+    if len(basis) > 1:
         with pytest.raises(ValueError, match="dependent"):
-            lie._in_basis(g, [clear_denominators(v)
-                              for v in basis[:m] + [past] + basis[m + 1:]])
+            lie._in_basis(g, [clear_denominators(v) for v in [basis[1]] + basis[1:]])
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ and the least scale of the int form."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -245,3 +246,54 @@ def test_least_scale_is_the_brute_force_least_divisor(coeffs, k):
     assert d == brute_least_scale(P, scale_k)
     assert scale_k % d == 0
     assert Polynomial.from_scaled(Q, d) == Polynomial.from_scaled(P, scale_k) == q
+
+
+# primes below and above the trial division of `least_scale`
+SMALL_PRIMES, LARGE_PRIMES = (2, 3), (1031, 1033, 65537)
+
+
+def exponent(n, p):
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return e
+
+
+def least_over(q, primes):
+    """The least scale of the monic rational q from the primes of its
+    denominators: max_i ceil(v_p(den a_i) / (deg - i)) at each."""
+    deg = len(q.coeffs) - 1
+    return prod(p ** max([-(-exponent(a.denominator, p) // (deg - i))
+                          for i, a in enumerate(q.coeffs[:-1])], default=0) for p in primes)
+
+
+denominators = st.tuples(st.lists(st.sampled_from(SMALL_PRIMES), max_size=4),
+                         st.sets(st.sampled_from(LARGE_PRIMES))).map(
+    lambda ps: prod(ps[0]) * prod(ps[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), denominators), max_size=4),
+       st.lists(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES), max_size=3))
+def test_least_scale_is_the_least_over_the_primes_of_the_scale(coeffs, extra):
+    # coefficients over products of known primes, those past the trial
+    # division to the first power, at a scale D of their lcm times more
+    # primes, which may repeat: the large ones are then found by gcds
+    q = Poly([Fraction(num, den) for num, den in coeffs] + [1])
+    P, scale = int_form(q)
+    k = prod(extra)
+    P = [c * k ** (len(P) - 1 - i) for i, c in enumerate(P)]  # the same polynomial at k D
+    Q, d = least_scale(P, scale * k)
+    assert d == least_over(q, SMALL_PRIMES + LARGE_PRIMES)
+    assert Polynomial.from_scaled(Q, d) == q
+
+
+def test_least_scale_past_the_trial_division_is_a_valid_scale():
+    # x^2 + 1 / (p^2 r), p and r past the trial division: every number the
+    # gcds see is a power of p^2 r, which is taken as one prime, so the
+    # scale p^2 r is found where p r is the least
+    p, r = LARGE_PRIMES[:2]
+    q = X * X + Fraction(1, p * p * r)
+    Q, d = least_scale(*int_form(q))
+    assert d == p * p * r and least_over(q, (p, r)) == p * r
+    assert Polynomial.from_scaled(Q, d) == q

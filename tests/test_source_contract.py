@@ -417,11 +417,7 @@ def test_polynomial_check_sees_every_form(tmp_path):
 
 
 # Calls of `integer_divisors` without a limit, each with its reason.
-UNBOUNDED_DIVISOR_SEARCHES = {
-    "polynomials:least_scale":
-        "the least scale is a divisor of gcd(D, L) with no root size to bound "
-        "it; ROADMAP item 5 replaces the search by factor refinement",
-}
+UNBOUNDED_DIVISOR_SEARCHES = {}
 
 
 def _unbounded_divisor_calls(package):
