@@ -55,12 +55,7 @@ from fractions import Fraction
 from math import comb, isqrt, prod
 from typing import Optional
 
-from .decompositions import (
-    _bounded_factors,
-    _poly_rows,
-    _primary_components,
-    jordan_chevalley,
-)
+from .decompositions import _poly_rows, _semisimple_blocks, jordan_chevalley
 from .errors import CheckFailed, DimensionTooLarge, JacobiViolation
 from .lie import (
     LieAlgebra,
@@ -298,47 +293,50 @@ def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
 
 
 def _primary_basis(g: LieAlgebra):
-    """(h, s, blocks, D): g in a basis adapted to the semisimple part of ad x,
-    x the first standard vector outside [g, g] whose ad is not nilpotent,
-    with s that part in the new basis, a `Matrix`, and blocks the
-    (start, size, factor) of each primary component ker f(s) in basis
-    order: f runs over the linear and quadratic factors that the capped
-    searches of `_bounded_factors` find in the minimal polynomial of s, as
-    int lists at its scale D, then over their cofactor (the unfactored
-    block, when of degree >= 1).  The block of the root 0 starts with x,
-    as s x = 0, so that ad x in the new basis is ad of that basis vector,
-    and s is it when ad x is semisimple."""
+    """(h, s, blocks, D): g in a basis adapted to the semisimple part of ad
+    x, x the first standard vector outside [g, g] whose ad is not
+    nilpotent, with s that part in the new basis, a `Matrix`, and blocks
+    the (start, size, f) of each of its primary components in basis order,
+    from `_semisimple_blocks`: f is a linear or quadratic factor of the
+    minimal polynomial of s, an int list at its scale D, or None for the
+    unfactored block, which comes last.  The block of the root 0 starts
+    with x, as s x = 0, so that ad x in the new basis is ad of that basis
+    vector, and s is it when ad x is semisimple.  Every block is checked
+    to be invariant under s and killed by its factor."""
     n = g.dim
     comm = derived_subalgebra(g)
     for i in range(n):
         if comm.contains({i: 1}):
             continue
-        dec = jordan_chevalley(ad_matrix(g, [int(t == i) for t in range(n)]))
-        if dec.minpoly_form[0] != (0, 1):  # a squarefree part x: nilpotent
+        ad = ad_matrix(g, [int(t == i) for t in range(n)])
+        split = _semisimple_blocks(ad, _FACTOR_SEARCH_LIMIT)
+        semisimple = split is not None
+        if not semisimple:
+            split = _semisimple_blocks(jordan_chevalley(ad).semisimple, _FACTOR_SEARCH_LIMIT)
+            if split is None:
+                raise CheckFailed("the semisimple part of ad x is not semisimple")
+        scale, found, unfactored = split
+        if unfactored or [f for f, _ in found] != [[0, 1]]:  # s = 0: ad x nilpotent
             break
     else:  # by Lie's theorem, ad of every such vector nilpotent makes g nilpotent
         raise CheckFailed("no standard vector outside [g, g] has a non-nilpotent ad")
-    P, scale = dec.minpoly_form
-    factors, rest = _bounded_factors(list(P), scale, _FACTOR_SEARCH_LIMIT)
-    factors += [rest] if len(rest) > 1 else []
-    components = _primary_components(dec.semisimple, factors, scale)
     basis, blocks, x = [], [], {i: 1}
-    for f, vectors in zip(factors, components):
+    for f, vectors in found + [unfactored] * (unfactored is not None):
         if f == [0, 1]:  # x first, then the vectors independent of it
             spanned = Echelon(n)
             spanned.add(x)
-            vectors = [x] + [v for v in vectors if spanned.add(v) is not None]
-            if spanned.dim != len(components[len(blocks)]):
+            kept = [v for v in vectors if spanned.add(v) is not None]
+            if len(kept) != len(vectors) - 1:
                 raise CheckFailed("x is not in the kernel of the semisimple part of ad x")
-            at = len(basis)
-        if not vectors or len(vectors) % (len(f) - 1):
+            vectors, at = [x] + kept, len(basis)
+        if len(vectors) % (len(f) - 1) and (f, vectors) is not unfactored:
             raise CheckFailed(f"primary component of {f} at scale {scale} has dimension "
                               f"{len(vectors)}")
         blocks.append((len(basis), len(vectors), f))
         basis += vectors
     h = _in_basis(g, [(v, 1) for v in basis])
     ad = ad_matrix(h, [int(t == at) for t in range(n)])
-    s = ad if dec.nilpotent.is_zero() else jordan_chevalley(ad).semisimple
+    s = ad if semisimple else jordan_chevalley(ad).semisimple
     rows = s.numerator_rows()
     for start, size, f in blocks:  # s is block-diagonal, and f(s) = 0 on each block
         block = range(start, start + size)
@@ -346,6 +344,8 @@ def _primary_basis(g: LieAlgebra):
                 map(any, _poly_rows(f, scale, Matrix.from_numerators(
                     size, size, [rows[r][c] for r in block for c in block], s.denominator))[0])):
             raise CheckFailed(f"s is not {f} at scale {scale} on its primary component")
+    if unfactored is not None:
+        blocks[-1] = blocks[-1][:2] + (None,)
     return h, s, blocks, scale
 
 
@@ -379,10 +379,13 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
         if trace % den:
             raise CheckFailed(f"trace of s on the block of {f} is not a sum of its roots")
         single[b, 0], single[b, size] = 0, trace // den
-        if len(f) == 2:
+        if f is None:
+            groups.append([(0, ((b, 0),)), (single[b, size], ((b, size),))])
+            unfactored = b
+        elif len(f) == 2:
             single.update({(b, a): -2 * f[0] * a for a in range(1, size)})
             groups.append([(single[b, a], ((b, a),)) for a in range(size + 1)])
-        elif len(f) == 3:
+        else:
             disc = f[1] * f[1] - 4 * f[0]
             for delta, members in classes:
                 H = isqrt(disc * delta) if disc * delta > 0 else -1
@@ -392,9 +395,6 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
                 H, members = abs(disc), []
                 classes.append((disc, members))
             members.append((b, size, -f[1], H))
-        else:
-            groups.append([(0, ((b, 0),)), (single[b, size], ((b, size),))])
-            unfactored = b
     for _, members in classes:
         options, reach = [], {}
         for powers in itertools.product(*(range(m[1] + 1) for m in members)):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
 from .matrices import Echelon, Matrix, inverse
@@ -91,11 +91,12 @@ def _apply(columns, v: dict) -> dict:
     return {i: x for i, x in out.items() if x}
 
 
-def _krylov_chain(krylov: Echelon, columns, v: dict):
+def _krylov_chain(krylov: Echelon, columns, v: dict, chain=None):
     """Relative annihilator of v modulo the span W of the echelon (an
     M-invariant subspace): the coefficient list, lowest degree first, of
     the monic integer polynomial q of least degree with q(M) v in W; None
-    when v lies in W.
+    when v lies in W.  The vectors v, Mv, ..., M^(deg q - 1) v are
+    appended to the list chain when one is given.
 
     The echelon has width 2n.  Its row for the t-th Krylov vector K_t added
     is [K_t reduced | coordinates], with a 1 at column n + t before
@@ -121,58 +122,65 @@ def _krylov_chain(krylov: Echelon, columns, v: dict):
             return [c // s for c in coeffs] + [1]
         V[n + start + k] = s
         krylov.add(V)
+        if chain is not None:
+            chain.append(v)
         v = _apply(columns, v)
         k += 1
 
 
-def _primary_components(s: Matrix, factors, scale: int):
-    """Int bases of the components ker f(s) of a semisimple s, one list of
-    sparse int vectors per f in factors: monic int lists at scale D,
-    pairwise coprime, whose product is the minimal polynomial of s; all
-    but the last irreducible.
+def _semisimple_blocks(m: Matrix, limit: int):
+    """None when the square m is not semisimple; otherwise (D, found,
+    unfactored): D = den m, found one (f, vectors) per irreducible linear
+    or quadratic factor f of the minimal polynomial of m, as an int list
+    at scale D, that the searches of `_bounded_factors`, capped at limit,
+    find, with a basis of sparse int vectors of ker f(m); unfactored is
+    None, or (product, vectors) for the sum of the kernels of the factors
+    they miss, product the product of their distinct cofactors, which
+    kills it.
 
-    Read off the Krylov chains v, Mv, M^2 v, ... of standard vectors v, M
-    = L s an int matrix, L = lcm(D, den s), with the factors taken to
-    scale L.  The annihilator q of v divides the squarefree minimal
-    polynomial, and ker f(s) meets the span Z(v) of the chain in (q /
-    h)(s) Z(v), h = gcd(q, f), spanned by the x^k (q / h)(s) v for k <
-    deg h; h is f or 1 for an irreducible f, and for the last factor q
-    over the others that divide it.  Every vector is kept that is
-    independent of those kept, and a v already in their span is skipped:
-    the spans are s-invariant and the chains of all v fill the space, so
-    the kept vectors are bases of the components."""
-    n = s.rows
-    L = lcm(scale, s.denominator)
-    columns = _integer_columns(s * L)[1]
-    factors = [[c * (L // scale) ** (len(f) - 1 - i) for i, c in enumerate(f)] for f in factors]
-    spanned, out = Echelon(n), [[] for _ in factors]
+    Read off the Krylov chains v, Mv, M^2 v, ... of standard vectors v,
+    M = D m: the minimal polynomial is the lcm of the annihilators q of
+    the v, so m is semisimple exactly when each q is squarefree.  Each q
+    is split once, and a factor h of q, found or the cofactor of those
+    found, has its kernel meet the span Z(v) of the chain in (q / h)(M)
+    Z(v), spanned by the x^k (q / h)(M) v for k < deg h.  A vector is kept
+    when it is independent of those kept, and a v already in their span is
+    skipped: the spans are m-invariant and the chains of all v fill the
+    space, so the kept vectors are bases."""
+    n = m.rows
+    scale, columns = _integer_columns(m)
+    spanned, blocks, splits, rests = Echelon(n), {}, {}, {}
     for i in range(n):
         if spanned.dim == n:
             break
         if spanned.contains({i: 1}):
             continue
-        q = _krylov_chain(Echelon(2 * n), columns, {i: 1})
-        chain = [{i: 1}]
-        while len(chain) < len(q) - 1:
-            chain.append(_apply(columns, chain[-1]))
-        rest = q
-        for t, f in enumerate(factors):
-            h = rest if t == len(factors) - 1 else f
-            cofactor, remainder = pseudo_divmod(q, h)
-            if remainder or len(h) < 2:
-                continue
-            if t < len(factors) - 1:
-                rest = pseudo_divmod(rest, f)[0]
+        chain = []
+        q = _krylov_chain(Echelon(2 * n), columns, {i: 1}, chain)
+        if tuple(q) not in splits:
+            if real_root_counter(q)[0] != q:
+                return None
+            factors, rest = _bounded_factors(q, scale, limit)
+            splits[tuple(q)] = [(tuple(f), f) for f in factors] + [(None, rest)] * (len(rest) > 1)
+        for key, h in splits[tuple(q)]:
+            if key is None:
+                rests[tuple(h)] = h
+            cofactor, vectors = pseudo_divmod(q, h)[0], blocks.setdefault(key, [])
             for k in range(len(h) - 1):
                 v = {}
                 for j, c in enumerate(cofactor, k):
                     for r, x in chain[j].items():
                         v[r] = v.get(r, 0) + c * x
                 if spanned.add(v) is not None:
-                    out[t].append({r: x for r, x in v.items() if x})
+                    vectors.append({r: x for r, x in v.items() if x})
     if spanned.dim != n:
         raise CheckFailed(f"primary components span {spanned.dim} of {n} dimensions")
-    return out
+    product = [1]
+    for h in rests.values():
+        product = _times(product, h)
+    unfactored = blocks.pop(None, None)
+    return (scale, [(list(key), vectors) for key, vectors in blocks.items() if vectors],
+            (product, unfactored) if unfactored else None)
 
 
 def _times(a: list, b: list) -> list:
@@ -365,7 +373,11 @@ def _bounded_factors(P: list, scale: int, limit: int):
     at scale D that root and factor searches capped at limit find, as int
     lists at scale D, and P divided by them, each division checked exact.
     A root r of D^(-deg) P(D x) makes D r a root of the monic int P, so an
-    int, and the factor x - r is [-D r, 1]."""
+    int, and the factor x - r is [-D r, 1].  The quadratic search runs
+    only on a cofactor of degree 4 or more: one of degree 2 with no
+    rational root is irreducible unless its discriminant is a square (a
+    root the capped search missed), and one of degree 3 has no quadratic
+    factor without a linear one."""
     factors = []
     for r in rational_roots(P, scale, limit):
         num, den = r.as_integer_ratio()
@@ -377,7 +389,11 @@ def _bounded_factors(P: list, scale: int, limit: int):
         rest, remainder = pseudo_divmod(rest, f)
         if remainder:
             raise CheckFailed(f"linear factor {f} does not divide {P} at scale {scale}")
-    quads = _quadratic_factors(rest, scale, True, limit)
+    disc = rest[1] ** 2 - 4 * rest[0] if len(rest) == 3 else 0
+    if len(rest) > 4:
+        quads = _quadratic_factors(rest, scale, True, limit)
+    else:  # rest has no rational root: a quadratic is irreducible, a cubic has no quadratic factor
+        quads = [rest] if disc < 0 or isqrt(disc) ** 2 != disc else []
     for f in quads:
         rest, remainder = pseudo_divmod(rest, f)
         if remainder:

@@ -332,11 +332,13 @@ class Subspace:
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all pairwise brackets of the integer rows spanning a and b;
-    for [a, a] the pairs s < t suffice by antisymmetry."""
+    for [a, a] the pairs s < t suffice by antisymmetry.  A bracket that
+    vanishes is not handed to the echelon."""
     xs = a._echelon.rows_from(0)
     ys = xs if b is a else b._echelon.rows_from(0)
-    return Subspace.span(g.dim, (_sparse_bracket(g, x, y) for s, x in enumerate(xs)
-                                 for y in (ys[s + 1:] if b is a else ys)))
+    brackets = (_sparse_bracket(g, x, y) for s, x in enumerate(xs)
+                for y in (ys[s + 1:] if b is a else ys))
+    return Subspace.span(g.dim, (w for w in brackets if any(w.values())))
 
 
 def _descend(series: list, step) -> list:

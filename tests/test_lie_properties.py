@@ -42,8 +42,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
 from solvco.decompositions import (  # noqa: E402
-    _bounded_factors,
-    _primary_components,
+    _semisimple_blocks,
     integer_minimal_polynomial,
     jordan_chevalley,
     minimal_polynomial,
@@ -237,13 +236,15 @@ def bracket_errors(g, h, basis):
 
 
 def primary_basis(g):
-    """(x, the basis of `cohomology`'s weight path as Fraction vectors, one
-    (factor, scale, vectors) per component): x is the first standard
-    vector outside [g, g] whose ad is not nilpotent (by sympy), and each
-    component comes from `_primary_components` on the semisimple part s of
-    ad x, held here to sympy: its vectors are killed by f(s), and there are
-    as many as the nullity of f(s); x leads the component of the root 0.
-    None for a nilpotent g."""
+    """(x, one (factor, vectors) per primary component of the basis of
+    `cohomology`'s weight path, the vectors as Fraction tuples): x is the
+    first standard vector outside [g, g] whose ad is not nilpotent (by
+    sympy), and the components come from `_semisimple_blocks` on ad x, or
+    on its semisimple part s when ad x is not semisimple, held here to
+    sympy: s commutes with ad x and differs from it by a nilpotent, the
+    vectors of a factor f are killed by f(s), and there are as many as the
+    nullity of f(s); x leads the component of the root 0.  None for a
+    nilpotent g."""
     oracle = SympyLie(g)
     comm = oracle.derived_series()[1] if len(oracle.derived_series()) > 1 else ()
     for i in range(g.dim):
@@ -251,14 +252,17 @@ def primary_basis(g):
         ad = oracle.ad(unit)
         if oracle.contains(comm, unit) or (ad ** g.dim).is_zero_matrix:
             continue
-        dec = jordan_chevalley(ad_matrix(g, unit))
-        P, scale = dec.minpoly_form
-        factors, rest = _bounded_factors(list(P), scale, 2**16)
-        factors += [rest] if len(rest) > 1 else []
-        s = sympy.Matrix(dec.semisimple.numerator_rows()) / dec.semisimple.denominator
-        assert (s * ad - ad * s).is_zero_matrix and (ad - s) ** g.dim == sympy.zeros(g.dim)
+        m = ad_matrix(g, unit)
+        split = _semisimple_blocks(m, 2**16)
+        assert (split is None) == (not jordan_chevalley(m).nilpotent.is_zero())
+        if split is None:
+            m = jordan_chevalley(m).semisimple
+            split = _semisimple_blocks(m, 2**16)
+        scale, found, unfactored = split
+        s = sympy.Matrix(m.numerator_rows()) / m.denominator
+        assert (s * ad - ad * s).is_zero_matrix and ((ad - s) ** g.dim).is_zero_matrix
         out = []
-        for f, vectors in zip(factors, _primary_components(dec.semisimple, factors, scale)):
+        for f, vectors in found + ([unfactored] if unfactored else []):
             value = sympy.zeros(g.dim)
             for k, c in enumerate(f):
                 value += sympy.Rational(c, scale ** (len(f) - 1 - k)) * s ** k
@@ -272,7 +276,7 @@ def primary_basis(g):
                         kept.append(r)
                 assert len(kept) == len(rows)
                 rows = kept
-            out.append((f, scale, rows))
+            out.append((f, rows))
         return unit, out
     return None
 
@@ -293,7 +297,7 @@ def test_weight_basis_is_the_bracket_over_the_primary_components(case):
     if not is_solvable(g) or is_nilpotent(g):  # no x with a non-nilpotent ad
         return
     x, components = primary_basis(g)
-    basis = [v for _, _, rows in components for v in rows]
+    basis = [v for _, rows in components for v in rows]
     assert len(SympyLie(g).span(basis)) == g.dim
     h = lie._in_basis(g, [clear_denominators(v) for v in basis])
     assert bracket_errors(g, h, basis) == []
