@@ -22,28 +22,44 @@ insertion changes neither the span, nor the pivot set, nor any remainder
 modulo the span, so Betti numbers and representatives do not depend on it;
 it changes only the fill-in, and with it the cost.
 
-The basis changes the cost too.  `cohomology` ranks the full complex of
-a solvable, non-nilpotent g of dim 8 to 12 with more than 2 dim g bracket
-terms in `lie.cyclic_basis` (Krylov chains of ad x on [g, g]) when that
-has fewer terms; the gate and the structural report read solvability,
-nilpotency and [g, g] off the series that `lie` keeps with g.  There ad
-x is a companion block on each chain, under 2 terms per vector, so a
-sparser g gains too little to pay for the build.
-Representatives depend on the basis: `representatives` computes them in
-the given one and never builds the cyclic basis.  Mean ms, 10 algebras
-per dim and family, 2-vCPU VM, to rank and report in the given basis,
-through the gate, and with the cyclic basis built at every dim and term
-count; dense is R x| R^(d-1), D a rational semisimple block sum in a
-rational basis, sparse the same in block form and nakamura_like (+)
-R^(d-6):
+Most forms need not be built at all for a solvable, non-nilpotent g.
+For x in g, Cartan's formula L_x = d i_x + i_x d (Chevalley-Eilenberg,
+1948) shows that the Lie derivative L_x on forms commutes with d and acts
+as 0 on cohomology.  On a generalised eigenspace of L_x with an
+eigenvalue c != 0, L_x is invertible and null-homotopic, so that
+subcomplex is acyclic (the mechanism of Hattori, 1960), and H*(g) = H*(F)
+with F the generalised 0-eigenspace: F = ker L_s, s the semisimple part of
+ad x, as L_s is the semisimple part of L_x.  On a product of powers of
+the primary components of s, L_s has the weights sums of eigenvalues of
+s, so `cohomology` of such g of dimension at least _WEIGHT_MIN_DIM, with
+no degree cut, ranks d on F alone: x is the first standard vector outside
+[g, g] whose ad is not nilpotent; s and its components come from the
+Krylov chains of ad x, and the factors of the chains' annihilators that
+capped searches find (rational roots, quadratics of either discriminant
+sign) give each component its weights, all other factors sharing one
+unfactored block; one change of basis puts g in those components; a
+multi-degree with no weight 0 is skipped, one with only the weight 0 is
+kept whole, and the rest are cut by an int kernel of L_s.  d o d = 0 is
+checked on F, and the multi-degrees visited and the forms they hold are
+bounded by 2^DEFAULT_DIM_BOUND instead of the forms of the full complex,
+so a dense g of dimension 14 with a small F passes.  Representatives and
+a degree cut use the full complex in the given basis; the structural
+report reads solvability, nilpotency and [g, g] off the series that
+`lie` keeps with g.  Mean ms over 10 seeded algebras per dim and family
+(each the best of 5 runs, of 1 at dims 11-12; 2-vCPU VM), to the Betti
+numbers from the full complex in the given basis and from F (called
+directly below dim 8), measured by a script outside the repository that
+times `_rank(build_complex(g))` and `_weight_zero_betti(g)` on fresh
+copies of the same algebras; dense is R x| R^(d-1), D from
+`tests/support.rand_semisimple` in a `rand_invertible_rational` basis,
+sparse R x| R^5 with D a block sum of the same kinds, unconjugated,
+(+) R^(d-6):
 
     dim              5     6     7     8     9    10    11    12
-    dense   given  0.46  0.67  1.69  3.02  10.1  20.6  84.0   303
-            gate   0.47  0.68  1.74  2.76  6.34  17.7  48.4   104
-            always 0.65  0.92  1.65  2.61  6.47  16.3  50.6   100
-    sparse  given                    1.42  2.90  5.59  12.0  18.7
-            gate                     1.43  2.79  5.38  11.9  17.9
-            always                   1.76  3.02  6.25  12.8  18.8
+    dense   full   0.34  0.70  1.76  6.55  14.1  58.6  89.0  2580
+            weight 1.14  0.96  1.21  1.64  1.87  2.47  3.04  5.40
+    sparse  full                     0.95  1.95  3.70  10.2  12.6
+            weight                   0.96  1.07  1.52  2.94  2.05
 """
 
 from __future__ import annotations
@@ -93,8 +109,9 @@ def _generator_terms(g: LieAlgebra):
     return sorted(terms.items())
 
 
-def _d_of_mask(generator_terms, mask: int) -> dict:
-    """D d e_I as {target mask: int}, I the indices of mask: on a basis form,
+def _d_of_mask(generator_terms, mask: int, target=None) -> dict:
+    """D d e_I as {target mask: int}, I the indices of mask, or keyed by
+    target[mask] when a {mask: index} target is given: on a basis form,
     d e_I = sum over positions p of (-1)^p e_{i_1} ^ ... ^ d e_{i_p} ^ ...
     ^ e_{i_k}.  A term e^a ^ e^b (a < b) of d e_{i_p}, sorted into the
     remaining indices R, lands on the basis form R + {a, b} with the sign
@@ -108,7 +125,7 @@ def _d_of_mask(generator_terms, mask: int) -> dict:
         for ab, between, c in gen_terms:
             if rest & ab:
                 continue
-            t = rest | ab
+            t = rest | ab if target is None else target[rest | ab]
             x = col.get(t, 0) + (-c if (p + (rest & between).bit_count()) & 1 else c)
             if x:
                 col[t] = x
@@ -133,8 +150,7 @@ def sparse_differentials(g: LieAlgebra, max_degree: Optional[int] = None):
     out = []
     for k in range(top + 1):
         target = wedge_positions(n, k + 1)
-        out.append(tuple({target[t]: x for t, x in _d_of_mask(terms, mask).items()}
-                         for mask in wedge_positions(n, k)))
+        out.append(tuple(_d_of_mask(terms, mask, target) for mask in wedge_positions(n, k)))
     return out
 
 
@@ -321,7 +337,8 @@ def _primary_basis(g: LieAlgebra):
     else:  # by Lie's theorem, ad of every such vector nilpotent makes g nilpotent
         raise CheckFailed("no standard vector outside [g, g] has a non-nilpotent ad")
     basis, blocks, x = [], [], {i: 1}
-    for f, vectors in found + [unfactored] * (unfactored is not None):
+    parts = found + ([unfactored] if unfactored else [])
+    for t, (f, vectors) in enumerate(parts):
         if f == [0, 1]:  # x first, then the vectors independent of it
             spanned = Echelon(n)
             spanned.add(x)
@@ -329,23 +346,21 @@ def _primary_basis(g: LieAlgebra):
             if len(kept) != len(vectors) - 1:
                 raise CheckFailed("x is not in the kernel of the semisimple part of ad x")
             vectors, at = [x] + kept, len(basis)
-        if len(vectors) % (len(f) - 1) and (f, vectors) is not unfactored:
+        if t < len(found) and len(vectors) % (len(f) - 1):
             raise CheckFailed(f"primary component of {f} at scale {scale} has dimension "
                               f"{len(vectors)}")
-        blocks.append((len(basis), len(vectors), f))
+        blocks.append((len(basis), len(vectors), f if t < len(found) else None))
         basis += vectors
     h = _in_basis(g, [(v, 1) for v in basis])
     ad = ad_matrix(h, [int(t == at) for t in range(n)])
     s = ad if semisimple else jordan_chevalley(ad).semisimple
     rows = s.numerator_rows()
-    for start, size, f in blocks:  # s is block-diagonal, and f(s) = 0 on each block
+    for (start, size, _), (f, _) in zip(blocks, parts):  # s is block-diagonal, f(s) = 0
         block = range(start, start + size)
         if any(rows[r][c] for r in block for c in range(n) if c not in block) or any(
                 map(any, _poly_rows(f, scale, Matrix.from_numerators(
                     size, size, [rows[r][c] for r in block for c in block], s.denominator))[0])):
             raise CheckFailed(f"s is not {f} at scale {scale} on its primary component")
-    if unfactored is not None:
-        blocks[-1] = blocks[-1][:2] + (None,)
     return h, s, blocks, scale
 
 
@@ -372,8 +387,15 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
     part is 0 and every class has 0 in reach, and always when it has a
     partial power of the unfactored block."""
     rows, den = s.numerator_rows(), s.denominator
-    single, groups, classes, work = {}, [], [], 0
-    unfactored = None
+    single, groups, classes, unfactored, work = {}, [], [], None, 0
+
+    def visit():
+        nonlocal work
+        work += 1
+        if work > budget:
+            raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {len(rows)} "
+                                    f"visits more than {budget} multi-degrees")
+
     for b, (start, size, f) in enumerate(blocks):
         trace = 2 * scale * sum(rows[t][t] for t in range(start, start + size))
         if trace % den:
@@ -398,7 +420,7 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
     for _, members in classes:
         options, reach = [], {}
         for powers in itertools.product(*(range(m[1] + 1) for m in members)):
-            work += 1
+            visit()
             spans = tuple(min(a, m[1] - a) for a, m in zip(powers, members))
             if spans not in reach:
                 sums = {0}
@@ -412,9 +434,7 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
         groups.append(options)
     kept = []
     for combo in itertools.product(*groups):
-        work += 1
-        if work > budget:
-            break
+        visit()
         if not sum(o[0] for o in combo):
             powers = [0] * len(blocks)
             for _, assigned in combo:
@@ -425,13 +445,8 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
         size = blocks[unfactored][1]
         for powers in itertools.product(*(range(1, size) if b == unfactored else range(sz + 1)
                                           for b, (_, sz, _) in enumerate(blocks))):
-            work += 1
-            if work > budget:
-                break
+            visit()
             kept.append(powers)
-    if work > budget:
-        raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {len(rows)} visits "
-                                f"more than {budget} multi-degrees")
     return kept, single, work
 
 

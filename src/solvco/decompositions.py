@@ -348,8 +348,9 @@ def _quadratic_factors(P: list, scale: int, real: bool, limit=None):
         for big_c in (c_abs, -c_abs) if real else (c_abs,):
             # |B| = |z + z'| <= 2R puts q(t) = t^2 - B t + C within 2Rt of t^2 + C
             lo, hi = t * t + big_c - 2 * R * t, t * t + big_c + 2 * R * t
-            for delta in (deltas[bisect_left(deltas, lo):bisect_right(deltas, hi)]
-                          + [-x for x in deltas[bisect_left(deltas, -hi):bisect_right(deltas, -lo)]]):
+            near = deltas[bisect_left(deltas, lo):bisect_right(deltas, hi)]
+            for delta in near + [-x for x in deltas[bisect_left(deltas, -hi):
+                                                     bisect_right(deltas, -lo)]]:
                 num = t * t + big_c - delta
                 if num % t != 0:
                     continue

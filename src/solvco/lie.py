@@ -8,18 +8,18 @@ holds by construction and only the Jacobi identity needs a check.
 
 The algebra keeps one table, `_terms`: the nonzero terms (k, D * c) of
 each bracket, as ints over one denominator D, in one row per basis index
-i that maps each j with [e_i, e_j] != 0 to the terms.  One builder makes it,
-`LieAlgebra.from_integer_brackets`, from int terms over an int
+i that maps each j with [e_i, e_j] != 0 to the terms.  One builder makes
+it, `LieAlgebra.from_integer_brackets`, from int terms over an int
 denominator; the constructor clears the denominators of its `Fraction`s
 once and calls the same builder.  Every invariant expands over the table
 only: the series, the changes of basis and the ideal checks bracket int
 rows (`_sparse_bracket`, D times the bracket, over the table rows of the
 support of x), and `ad_matrix`, the Jacobi sums and the traces of
 `is_unimodular` read the terms directly; a change of basis (`conjugate`,
-`_in_basis`) and the flag search read
-coordinates as an echelon's int remainders, so `Fraction`s appear only in
-what a reader returns.  Both series are computed once per algebra, into a
-memo slot that every reader of [g, g], solvability or nilpotency reads.
+`_in_basis`) and the flag search read coordinates as an echelon's int
+remainders, so `Fraction`s appear only in what a reader returns.  Both
+series are computed once per algebra, into a memo slot that every reader
+of [g, g], solvability or nilpotency reads.
 The flag search runs inside [g, g], on the matrices of the ad(e_i) on it,
 and reads their spectra from the int form of their minimal polynomials;
 only a `no` witness becomes a `Polynomial`.  Its common eigenvectors are int kernel
@@ -82,8 +82,8 @@ class LieAlgebra:
         """The one table builder.  `_terms` keeps each nonzero bracket as
         its nonzero (k, D * c) int terms in ascending k, at [i][j] and, with
         the signs flipped, at [j][i], so bracket sums skip zero
-        coefficients and a row lists the nonzero brackets of e_i; gcd(D, every
-        term) is divided out, so `denominator` is the least D >= 1 with
+        coefficients and a row lists the nonzero brackets of e_i; gcd(D,
+        every term) is divided out, so `denominator` is the least D >= 1 with
         every D * c an integer and equal algebras have equal tables."""
         if dim < 0:
             raise ValueError("dimension must be nonnegative")

@@ -410,6 +410,8 @@ def test_dense14_returns_its_closed_form_through_the_cli(tmp_path):
     ("1+i", "1+i", "minus4", "i"),
     # real and complex quadratics whose weights cancel across blocks only
     ("sqrt3", "sqrt3", "i", "2i", "one"),
+    # a rational root of multiplicity 2: its first power has the weight 1
+    ("one", "one", "minus1", "i", "sqrt3"),
     # a cubic no search factors: the unfactored block
     ("cubic", "one", "minus1", "i"),
 ])
@@ -441,8 +443,8 @@ def test_weight_zero_path_checks_d_squared_and_the_budget(monkeypatch):
     assert module._weight_zero_betti(g) == cohomology(g).betti
     original, added = module._d_of_mask, []
 
-    def fault(terms, mask):
-        col = original(terms, mask)
+    def fault(terms, mask, target=None):
+        col = original(terms, mask, target)
         if not added and mask:
             t = next(t for t in wedge_positions(g.dim, 2) if original(terms, t))
             col[t] = col.get(t, 0) + 1
