@@ -32,7 +32,6 @@ from .polynomials import (
     integer_divisors,
     least_scale,
     pseudo_divmod,
-    rational_roots,
     real_root_counter,
     root_bound,
 )
@@ -126,61 +125,6 @@ def _krylov_chain(krylov: Echelon, columns, v: dict, chain=None):
             chain.append(v)
         v = _apply(columns, v)
         k += 1
-
-
-def _semisimple_blocks(m: Matrix, limit: int):
-    """None when the square m is not semisimple; otherwise (D, found,
-    unfactored): D = den m, found one (f, vectors) per irreducible linear
-    or quadratic factor f of the minimal polynomial of m, as an int list
-    at scale D, that the searches of `_bounded_factors`, capped at limit,
-    find, with a basis of sparse int vectors of ker f(m); unfactored is
-    None, or (product, vectors) for the sum of the kernels of the factors
-    they miss, product the product of their distinct cofactors, which
-    kills it.
-
-    Read off the Krylov chains v, Mv, M^2 v, ... of standard vectors v,
-    M = D m: the minimal polynomial is the lcm of the annihilators q of
-    the v, so m is semisimple exactly when each q is squarefree.  Each q
-    is split once, and a factor h of q, found or the cofactor of those
-    found, has its kernel meet the span Z(v) of the chain in (q / h)(M)
-    Z(v), spanned by the x^k (q / h)(M) v for k < deg h.  A vector is kept
-    when it is independent of those kept, and a v already in their span is
-    skipped: the spans are m-invariant and the chains of all v fill the
-    space, so the kept vectors are bases."""
-    n = m.rows
-    scale, columns = _integer_columns(m)
-    spanned, blocks, splits, rests = Echelon(n), {}, {}, {}
-    for i in range(n):
-        if spanned.dim == n:
-            break
-        if spanned.contains({i: 1}):
-            continue
-        chain = []
-        q = _krylov_chain(Echelon(2 * n), columns, {i: 1}, chain)
-        if tuple(q) not in splits:
-            if real_root_counter(q)[0] != q:
-                return None
-            factors, rest = _bounded_factors(q, scale, limit)
-            splits[tuple(q)] = [(tuple(f), f) for f in factors] + [(None, rest)] * (len(rest) > 1)
-        for key, h in splits[tuple(q)]:
-            if key is None:
-                rests[tuple(h)] = h
-            cofactor, vectors = pseudo_divmod(q, h)[0], blocks.setdefault(key, [])
-            for k in range(len(h) - 1):
-                v = {}
-                for j, c in enumerate(cofactor, k):
-                    for r, x in chain[j].items():
-                        v[r] = v.get(r, 0) + c * x
-                if spanned.add(v) is not None:
-                    vectors.append({r: x for r, x in v.items() if x})
-    if spanned.dim != n:
-        raise CheckFailed(f"primary components span {spanned.dim} of {n} dimensions")
-    product = [1]
-    for h in rests.values():
-        product = _times(product, h)
-    unfactored = blocks.pop(None, None)
-    return (scale, [(list(key), vectors) for key, vectors in blocks.items() if vectors],
-            (product, unfactored) if unfactored else None)
 
 
 def _times(a: list, b: list) -> list:
@@ -366,40 +310,6 @@ def _quadratic_factors(P: list, scale: int, real: bool, limit=None):
     found.sort(key=lambda f: (f[1], f[0]))
     e = scale // den
     return [[c * e * e, b * e, 1] for c, b, _ in found]
-
-
-def _bounded_factors(P: list, scale: int, limit: int):
-    """(factors, rest): the linear factors and the irreducible quadratic
-    ones, of either discriminant sign, of the monic squarefree int list P
-    at scale D that root and factor searches capped at limit find, as int
-    lists at scale D, and P divided by them, each division checked exact.
-    A root r of D^(-deg) P(D x) makes D r a root of the monic int P, so an
-    int, and the factor x - r is [-D r, 1].  The quadratic search runs
-    only on a cofactor of degree 4 or more: one of degree 2 with no
-    rational root is irreducible unless its discriminant is a square (a
-    root the capped search missed), and one of degree 3 has no quadratic
-    factor without a linear one."""
-    factors = []
-    for r in rational_roots(P, scale, limit):
-        num, den = r.as_integer_ratio()
-        if num * scale % den:
-            raise CheckFailed(f"rational root {r} of {P} at scale {scale} is not integral")
-        factors.append([-num * scale // den, 1])
-    rest = P
-    for f in factors:
-        rest, remainder = pseudo_divmod(rest, f)
-        if remainder:
-            raise CheckFailed(f"linear factor {f} does not divide {P} at scale {scale}")
-    disc = rest[1] ** 2 - 4 * rest[0] if len(rest) == 3 else 0
-    if len(rest) > 4:
-        quads = _quadratic_factors(rest, scale, True, limit)
-    else:  # rest has no rational root: a quadratic is irreducible, a cubic has no quadratic factor
-        quads = [rest] if disc < 0 or isqrt(disc) ** 2 != disc else []
-    for f in quads:
-        rest, remainder = pseudo_divmod(rest, f)
-        if remainder:
-            raise CheckFailed(f"quadratic factor {f} does not divide {P} at scale {scale}")
-    return factors + quads, rest
 
 
 def rational_spectrum(P: list, scale: int):

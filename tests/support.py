@@ -416,15 +416,14 @@ class SympyLie:
 def weight_zero_calls(monkeypatch):
     """A list that records the algebra of every call from then on that
     takes the weight-zero path of the cohomology layer."""
-    # the module: the package exports the function `cohomology` by its name
-    cohomology = importlib.import_module("solvco.cohomology")
-    calls, original = [], cohomology._weight_zero_betti
+    path = importlib.import_module("solvco._weight_zero")
+    calls, original = [], path.weight_zero_betti
 
     def spy(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(cohomology, "_weight_zero_betti", spy)
+    monkeypatch.setattr(path, "weight_zero_betti", spy)
     return calls
 
 
@@ -690,6 +689,21 @@ def spectral_semidirect(rng, names):
     g = almost_abelian_algebra(u * block_diag(*blocks) * inverse(u))
     return (conjugate(g, rand_invertible_rational(rng, g.dim)),
             [e for name in names for e in SPECTRAL_BLOCKS[name][1] or ()])
+
+
+def spectral_oscillator(rng, name):
+    """R x| h_3, h_3 = span(a, b, c) with [a, b] = c, for the derivation
+    that is the 2 x 2 companion block of the name in SPECTRAL_BLOCKS, in a
+    random unimodular basis, on span(a, b) and its trace on c: a solvable
+    algebra whose forms of weight 0 need not be cocycles."""
+    from solvco.matrices import inverse
+
+    u = rand_unimodular(rng, 2)
+    a = u * companion(SPECTRAL_BLOCKS[name][0]) * inverse(u)
+    brackets = {(1, j + 2): {k + 2: a[k, j] for k in range(2) if a[k, j]} for j in range(2)}
+    brackets[(1, 4)] = {4: a[0, 0] + a[1, 1]}
+    brackets[(2, 3)] = {4: 1}
+    return LieAlgebra(4, {ij: row for ij, row in brackets.items() if row})
 
 
 def dense14():

@@ -438,9 +438,9 @@ def test_weight_zero_subcomplex_reads_the_semisimple_part():
 def test_weight_zero_path_checks_d_squared_and_the_budget(monkeypatch):
     # a d that adds a term t with d t != 0 to d of the first 1-form of F
     # is seen by d o d = 0 on F
-    module = importlib.import_module("solvco.cohomology")
+    module = importlib.import_module("solvco._weight_zero")
     g = catalog_get("nakamura").algebra
-    assert module._weight_zero_betti(g) == cohomology(g).betti
+    assert module.weight_zero_betti(g) == cohomology(g).betti
     original, added = module._d_of_mask, []
 
     def fault(terms, mask, target=None):
@@ -453,7 +453,7 @@ def test_weight_zero_path_checks_d_squared_and_the_budget(monkeypatch):
 
     monkeypatch.setattr(module, "_d_of_mask", fault)
     with pytest.raises(CheckFailed, match="weight-zero subcomplex"):
-        module._weight_zero_betti(g)
+        module.weight_zero_betti(g)
     assert added
     monkeypatch.undo()
     # R x| R^14 with the weights +-1 has 2 C(14, 7) = 6,864 forms of weight

@@ -58,6 +58,7 @@ from support import (  # noqa: E402
     rand_semisimple,
     rand_unimodular,
     rand_valid_algebra,
+    spectral_oscillator,
     spectral_semidirect,
     sympy_columns,
     weight_zero_calls,
@@ -302,15 +303,18 @@ def weight_algebras(draw):
     """Solvable, non-nilpotent algebras of dimension 3-8: R x| R^n for D
     the companion blocks of 1-3 names of `SPECTRAL_BLOCKS` (rational
     roots, complex and real quadratics, a cubic that no search factors, a
-    Jordan block, each possibly twice) in a random basis, half of them
-    plus a Heisenberg or abelian summand, then put in a basis changed by
+    Jordan block, each possibly twice) in a random basis, most of them
+    plus a Heisenberg, an abelian or an R x| h_3 summand (whose forms of
+    weight 0 need not be closed), then put in a basis changed by
     `rand_unimodular` or `rand_invertible_rational`."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     names = [rng.choice(sorted(SPECTRAL_BLOCKS)) for _ in range(rng.randint(1, 3))]
     while sum(len(SPECTRAL_BLOCKS[name][0]) - 1 for name in names) > 6:
         names.pop()
     g, _ = spectral_semidirect(rng, names)
-    extra = rng.choice((None, None, LieAlgebra(3, {(1, 2): {3: 1}}), LieAlgebra(1, {})))
+    quadratics = sorted(name for name, (coeffs, _) in SPECTRAL_BLOCKS.items() if len(coeffs) == 3)
+    extra = rng.choice((None, LieAlgebra(3, {(1, 2): {3: 1}}), LieAlgebra(1, {}),
+                        spectral_oscillator(rng, rng.choice(quadratics))))
     if extra is not None and g.dim + extra.dim <= 8:
         brackets = {ij: dict(row) for ij, row in g.nonzero_brackets()}
         brackets.update({(i + g.dim, j + g.dim): {k + g.dim: c for k, c in row.items()}
@@ -324,7 +328,7 @@ def weight_algebras(draw):
 @given(weight_algebras())
 def test_weight_zero_subcomplex_has_the_betti_numbers_of_the_full_complex(g):
     assert is_solvable(g) and not is_nilpotent(g)
-    betti = import_module("solvco.cohomology")._weight_zero_betti(g)
+    betti = import_module("solvco._weight_zero").weight_zero_betti(g)
     assert betti == representatives(g).betti
     if g.dim <= 6:
         assert betti == oracle_betti(g)

@@ -408,7 +408,7 @@ def test_structure_and_sturm_layers_build_no_fractions(monkeypatch):
     assert built(HolonomyInput, Matrix.from_rows([[2, 1], [1, 1]])) == 0
     assert built(completely_solvable_flag, nakamura) <= 4
     assert built(conjugate, g, rand_invertible_rational(random.Random(4), 7)) == 0
-    assert built(importlib.import_module("solvco.cohomology")._weight_zero_betti, nakamura) <= 3
+    assert built(importlib.import_module("solvco._weight_zero").weight_zero_betti, nakamura) <= 3
     assert built(jordan_chevalley, adjoints[1]) == 0
     assert built(compact_part, semisimple) <= 1
     assert built(kill_map, inp, KillMode.COMPACT) <= 25

@@ -41,8 +41,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from solvco.almost_abelian import almost_abelian_algebra  # noqa: E402
+from solvco._weight_zero import _semisimple_blocks  # noqa: E402
 from solvco.decompositions import (  # noqa: E402
-    _semisimple_blocks,
     integer_minimal_polynomial,
     jordan_chevalley,
     minimal_polynomial,
