@@ -73,16 +73,18 @@ def _semisimple_blocks(m: Matrix, limit: int):
 
     Read off the Krylov chains v, Mv, M^2 v, ... of standard vectors v,
     M = D m: the minimal polynomial is the lcm of the annihilators q of
-    the v, so m is semisimple exactly when each q is squarefree.  Each q
-    is split once, and a factor h of q, found or the cofactor of those
-    found, has its kernel meet the span Z(v) of the chain in (q / h)(M)
-    Z(v), spanned by the x^k (q / h)(M) v for k < deg h.  A vector is kept
-    when it is independent of those kept, and a v already in their span is
-    skipped: the spans are m-invariant and the chains of all v fill the
-    space, so the kept vectors are bases."""
+    the v, so m is semisimple exactly when each q is squarefree.  A v
+    already in the span of the chains before it is skipped: the spans are
+    m-invariant and the chains of all v fill the space.  Each q is searched
+    once, and then cut by every factor found, from any q, that divides it,
+    so that the cofactor of those is a product of factors found nowhere.  A
+    factor h of q, found or that cofactor, has its kernel meet the span
+    Z(v) of the chain in (q / h)(M) Z(v), spanned by the x^k (q / h)(M) v
+    for k < deg h.  A vector is kept when it is independent of those kept,
+    so the kept vectors are bases."""
     n = m.rows
     scale, columns = _integer_columns(m)
-    spanned, blocks, splits, rests = Echelon(n), {}, {}, {}
+    spanned, chains, found, searched = Echelon(n), [], {}, set()
     for i in range(n):
         if spanned.dim == n:
             break
@@ -90,11 +92,24 @@ def _semisimple_blocks(m: Matrix, limit: int):
             continue
         chain = []
         q = _krylov_chain(Echelon(2 * n), columns, {i: 1}, chain)
-        if tuple(q) not in splits:
+        if tuple(q) not in searched:
             if real_root_counter(q)[0] != q:
                 return None
-            factors, rest = _bounded_factors(q, scale, limit)
-            splits[tuple(q)] = [(tuple(f), f) for f in factors] + [(None, rest)] * (len(rest) > 1)
+            searched.add(tuple(q))
+            found.update((tuple(f), f) for f in _bounded_factors(q, scale, limit)[0])
+        for v in chain:
+            spanned.add(v)
+        chains.append((q, chain))
+    spanned, blocks, splits, rests = Echelon(n), {}, {}, {}
+    for q, chain in chains:
+        if tuple(q) not in splits:
+            rest, factors = q, []
+            for key, f in found.items():
+                quotient, remainder = pseudo_divmod(rest, f)
+                if not remainder:
+                    rest = quotient
+                    factors.append((key, f))
+            splits[tuple(q)] = factors + [(None, rest)] * (len(rest) > 1)
         for key, h in splits[tuple(q)]:
             if key is None:
                 rests[tuple(h)] = h

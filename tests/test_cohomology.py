@@ -435,6 +435,21 @@ def test_weight_zero_subcomplex_reads_the_semisimple_part():
     assert not jordan_chevalley(ad_matrix(g, basis_vector(8, 0))).nilpotent.is_zero()
 
 
+def test_weight_zero_path_divides_out_a_factor_found_in_another_chain():
+    # ad e4 has the roots 0, +-l and those of x^2 + L, l = 1186408341501468 /
+    # 2262890012 beyond the capped root search: the chains of e2 and e3 have
+    # the annihilators (x -+ l)(x^2 + L), whose quadratic is found only on
+    # the chains of e1 and e5 and must be divided out of theirs too, or the
+    # unfactored block is not s-invariant
+    g = LieAlgebra.from_integer_brackets(5, {
+        (1, 4): {5: -95670820249},
+        (2, 4): {1: 1186408341501468, 2: -1186408341501468, 5: -95670820249},
+        (3, 4): {1: 29425163265472817952, 3: 1186408341501468, 5: 2372816683002936},
+        (4, 5): {1: -14712581632736408976}}, 2262890012)
+    betti = importlib.import_module("solvco._weight_zero").weight_zero_betti(g)
+    assert betti == representatives(g).betti == (1, 1, 2, 2, 1, 1)
+
+
 def test_weight_zero_path_checks_d_squared_and_the_budget(monkeypatch):
     # a d that adds a term t with d t != 0 to d of the first 1-form of F
     # is seen by d o d = 0 on F
