@@ -102,6 +102,33 @@ d e4 = -5/6 e1^e4 - 1 e1^e5
 d e5 = -5/6 e1^e5
 """
 
+# R x| R^7 with ad(e1) the companion of the irreducible cubic
+# x^3 - 3x - 1 (three real roots), the weights 1 and -1 and a rotation by
+# +-i: the weight path keeps the cubic as its one unfactored block, cut by
+# int kernels of L_s.
+CUBIC8 = """dim 8
+d e2 = -1 e1^e4
+d e3 = -1 e1^e2 - 3 e1^e4
+d e4 = -1 e1^e3
+d e5 = -1 e1^e5
+d e6 = 1 e1^e6
+d e7 = -1 e1^e8
+d e8 = 1 e1^e7
+"""
+
+# R x| R^7 with ad(e1) a Jordan block at 1, the weights -1, 2, -2 and a
+# rotation by +-i: ad x is not semisimple, so the weight path splits its
+# semisimple part.
+JORDAN8 = """dim 8
+d e2 = -1 e1^e2 - 1 e1^e3
+d e3 = -1 e1^e3
+d e4 = 1 e1^e4
+d e5 = -2 e1^e5
+d e6 = 2 e1^e6
+d e7 = -1 e1^e8
+d e8 = 1 e1^e7
+"""
+
 RATIONAL_UNDETERMINED = """dim 5
 d e2 = -682/3365 e1^e2 - 727/1346 e1^e3 + 727/4038 e1^e4 - 3563/40380 e1^e5
 d e3 = -1038/3365 e1^e2 + 582/3365 e1^e3 - 251/2019 e1^e4 - 441/6730 e1^e5
@@ -115,6 +142,11 @@ HEISENBERG13 = "dim 13\nd e13 = " + " + ".join(f"1 e{i}^e{i + 6}" for i in range
 ERROR_FILES = {
     "bad_token.txt": "dim 3\nd e3 = 1 e1^e2 + x e1^e3\n",
     "bad_header.txt": "dimension 3\nd e3 = 1 e1^e2\n",
+    # a number past Python's limit for int conversion
+    "long_token.txt": "dim 3\nd e3 = " + "1" * 5000 + " e1^e2\n",
+    # [e1, e2] = e3, [e1, e3] = e3: n = span(e3) is a nilpotent ideal holding
+    # [g, g], but the semisimple part of ad e1 moves e2
+    "semisimple_action.txt": "dim 3\nd e3 = -1 e1^e2 - 1 e1^e3\n",
     # [e1, e2] = e3, [e1, e3] = e1, [e2, e3] = e1: Jacobi fails at (1, 2, 3)
     "non_jacobi.txt": "dim 3\nd e1 = -1 e1^e3 - 1 e2^e3\nd e3 = -1 e1^e2\n",
     "heisenberg13.txt": HEISENBERG13,
@@ -133,6 +165,14 @@ ERROR_COMMANDS = (
     ["cohomology", "heisenberg13.txt"],
     ["cohomology", "heisenberg13.txt", "--reps"],
     ["almost-abelian", "--holonomy", "identity12.txt"],
+    ["validate", "long_token.txt"],
+    # a complement failing each clause of `verify_nilpotent_complement` that
+    # `split` can reach: it takes n as the span of the other basis vectors,
+    # so the direct sum always holds
+    ["split", "sol3", "--kill", "full", "--complement", "2"],
+    ["split", "sol3", "--kill", "full"],
+    ["split", "sol3", "--kill", "full", "--complement", "1,3"],
+    ["split", "semisimple_action.txt", "--kill", "compact", "--complement", "1,2"],
 )
 
 FILES = {
@@ -140,6 +180,8 @@ FILES = {
     "rational5.txt": RATIONAL5,
     "rational7.txt": RATIONAL7,
     "rational8.txt": RATIONAL8,
+    "cubic8.txt": CUBIC8,
+    "jordan8.txt": JORDAN8,
     "rational_no.txt": RATIONAL_NO,
     "rational_undetermined.txt": RATIONAL_UNDETERMINED,
     "cubic_witness.txt": CUBIC_WITNESS,
@@ -224,7 +266,11 @@ def commands():
             ["cohomology", "rational7.txt", "--reps", "--format", "tsv"],
             ["cohomology", "rational8.txt"],
             ["cohomology", "rational8.txt", "--format", "tsv"],
-            ["cohomology", "rational8.txt", "--reps"]]
+            ["cohomology", "rational8.txt", "--reps"],
+            # a degree cut that cuts nothing
+            ["cohomology", "rational8.txt", "--max-degree", "8"],
+            ["cohomology", "cubic8.txt"],
+            ["cohomology", "jordan8.txt"]]
     for name in ("rational_no.txt", "rational_undetermined.txt", "cubic_witness.txt",
                  "strip6.txt", "rational_yes.txt"):
         out += [["info", name], ["split", name, "--kill", "compact", "--complement", "1"]]
