@@ -10,63 +10,22 @@ from __future__ import annotations
 import itertools
 from math import comb, isqrt, prod
 
-from .cohomology import DEFAULT_DIM_BOUND, _d_of_mask, _generator_terms
-from .decompositions import (
-    _integer_columns,
-    _krylov_chain,
-    _poly_rows,
-    _quadratic_factors,
-    _times,
-    jordan_chevalley,
-)
+from .cohomology import DEFAULT_DIM_BOUND, _d_of_mask, _generator_terms, _rank
+from .decompositions import _integer_columns, _krylov_chain, _poly_rows, _times, jordan_chevalley
 from .errors import CheckFailed, DimensionTooLarge
 from .lie import LieAlgebra, _in_basis, ad_matrix, derived_subalgebra, validate
 from .matrices import Echelon, Matrix
-from .polynomials import pseudo_divmod, rational_roots, real_root_counter
+from .polynomials import pseudo_divmod, real_root_counter, split_factors
 
 _FACTOR_SEARCH_LIMIT = 2**16  # the cap of each divisor search for the weight basis
 
 
-def _bounded_factors(P: list, scale: int, limit: int):
-    """(factors, rest): the linear factors and the irreducible quadratic
-    ones, of either discriminant sign, of the monic squarefree int list P
-    at scale D that root and factor searches capped at limit find, as int
-    lists at scale D, and P divided by them, each division checked exact.
-    A root r of D^(-deg) P(D x) makes D r a root of the monic int P, so an
-    int, and the factor x - r is [-D r, 1].  The quadratic search runs
-    only on a cofactor of degree 4 or more: one of degree 2 with no
-    rational root is irreducible unless its discriminant is a square (a
-    root the capped search missed), and one of degree 3 has no quadratic
-    factor without a linear one."""
-    factors = []
-    for r in rational_roots(P, scale, limit):
-        num, den = r.as_integer_ratio()
-        if num * scale % den:
-            raise CheckFailed(f"rational root {r} of {P} at scale {scale} is not integral")
-        factors.append([-num * scale // den, 1])
-    rest = P
-    for f in factors:
-        rest, remainder = pseudo_divmod(rest, f)
-        if remainder:
-            raise CheckFailed(f"linear factor {f} does not divide {P} at scale {scale}")
-    disc = rest[1] ** 2 - 4 * rest[0] if len(rest) == 3 else 0
-    if len(rest) > 4:
-        quads = _quadratic_factors(rest, scale, True, limit)
-    else:  # rest has no rational root: a quadratic is irreducible, a cubic has no quadratic factor
-        quads = [rest] if disc < 0 or isqrt(disc) ** 2 != disc else []
-    for f in quads:
-        rest, remainder = pseudo_divmod(rest, f)
-        if remainder:
-            raise CheckFailed(f"quadratic factor {f} does not divide {P} at scale {scale}")
-    return factors + quads, rest
-
-
-def _semisimple_blocks(m: Matrix, limit: int):
+def _semisimple_blocks(m: Matrix):
     """None when the square m is not semisimple; otherwise (D, found,
     unfactored): D = den m, found one (f, vectors) per irreducible linear
     or quadratic factor f of the minimal polynomial of m, as an int list
-    at scale D, that the searches of `_bounded_factors`, capped at limit,
-    find, with a basis of sparse int vectors of ker f(m); unfactored is
+    at scale D, that `split_factors` capped at _FACTOR_SEARCH_LIMIT finds,
+    with a basis of sparse int vectors of ker f(m); unfactored is
     None, or (product, vectors) for the sum of the kernels of the factors
     they miss, product the product of their distinct cofactors, which
     kills it.
@@ -96,7 +55,7 @@ def _semisimple_blocks(m: Matrix, limit: int):
             if real_root_counter(q)[0] != q:
                 return None
             searched.add(tuple(q))
-            found.update((tuple(f), f) for f in _bounded_factors(q, scale, limit)[0])
+            found.update((tuple(f), f) for f in split_factors(q, scale, _FACTOR_SEARCH_LIMIT)[0])
         for v in chain:
             spanned.add(v)
         chains.append((q, chain))
@@ -148,10 +107,10 @@ def _primary_basis(g: LieAlgebra):
         if comm.contains({i: 1}):
             continue
         ad = ad_matrix(g, [int(t == i) for t in range(n)])
-        split = _semisimple_blocks(ad, _FACTOR_SEARCH_LIMIT)
+        split = _semisimple_blocks(ad)
         semisimple = split is not None
         if not semisimple:
-            split = _semisimple_blocks(jordan_chevalley(ad).semisimple, _FACTOR_SEARCH_LIMIT)
+            split = _semisimple_blocks(jordan_chevalley(ad).semisimple)
             if split is None:
                 raise CheckFailed("the semisimple part of ad x is not semisimple")
         scale, found, unfactored = split
@@ -187,12 +146,12 @@ def _primary_basis(g: LieAlgebra):
     return h, s, blocks, scale
 
 
-def _multi_degrees(s, blocks, scale: int, budget: int):
-    """(kept, single, work): the multi-degrees of forms on the blocks, as
-    tuples of one power per block, on which L_s has the weight 0; single
-    maps each (block, power) with one weight to it; work counts the
-    multi-degrees visited, and DimensionTooLarge is raised once it passes
-    budget.
+def _multi_degrees(s, blocks, scale: int):
+    """(kept, single): the multi-degrees of forms on the blocks, as tuples
+    of one power per block, on which L_s has the weight 0; single maps
+    each (block, power) with one weight to it.  The multi-degrees visited
+    and the forms of those kept count against 2^DEFAULT_DIM_BOUND, beyond
+    which DimensionTooLarge is raised before any form is built.
 
     A weight is a sum of eigenvalues of s, one per power, written in the
     units 1/(2D), D the scale of the factors: a rational part and one
@@ -210,14 +169,19 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
     part is 0 and every class has 0 in reach, and always when it has a
     partial power of the unfactored block."""
     rows, den = s.numerator_rows(), s.denominator
-    single, groups, classes, unfactored, work = {}, [], [], None, 0
+    single, groups, classes, unfactored, kept, work = {}, [], [], None, [], 0
 
-    def visit():
+    def visit(forms=1):
         nonlocal work
-        work += 1
-        if work > budget:
-            raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {len(rows)} "
-                                    f"visits more than {budget} multi-degrees")
+        work += forms
+        if work > 2**DEFAULT_DIM_BOUND:
+            raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {len(rows)} visits "
+                                    f"and builds more than 2^{DEFAULT_DIM_BOUND} multi-degrees "
+                                    "and forms")
+
+    def keep(powers):
+        visit(prod(comb(size, a) for a, (_, size, _) in zip(powers, blocks)))
+        kept.append(powers)
 
     for b, (start, size, f) in enumerate(blocks):
         trace = 2 * scale * sum(rows[t][t] for t in range(start, start + size))
@@ -255,7 +219,6 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
                                     for a, c, m in zip(powers, spans, members)),
                                 tuple((m[0], a) for a, m in zip(powers, members))))
         groups.append(options)
-    kept = []
     for combo in itertools.product(*groups):
         visit()
         if not sum(o[0] for o in combo):
@@ -263,14 +226,14 @@ def _multi_degrees(s, blocks, scale: int, budget: int):
             for _, assigned in combo:
                 for b, a in assigned:
                     powers[b] = a
-            kept.append(tuple(powers))
+            keep(tuple(powers))
     if unfactored is not None:
         size = blocks[unfactored][1]
         for powers in itertools.product(*(range(1, size) if b == unfactored else range(sz + 1)
                                           for b, (_, sz, _) in enumerate(blocks))):
             visit()
-            kept.append(powers)
-    return kept, single, work
+            keep(powers)
+    return kept, single
 
 
 def _kernel_of_l_s(entries, masks, shift: int) -> list:
@@ -314,18 +277,10 @@ def weight_zero_betti(g: LieAlgebra) -> tuple:
     quadratic or the unfactored block), one kernel per distinct such part,
     wedged with every basis form of that factor; where every power has
     one weight, F is the whole multi-degree.  d is ranked on F alone, and
-    d o d = 0 is checked on F.  The multi-degrees visited and their forms
-    count against 2^DEFAULT_DIM_BOUND, beyond which DimensionTooLarge is
-    raised before any form is built."""
+    d o d = 0 is checked on F, as `_multi_degrees` bounds the work."""
     n = g.dim
     h, s, blocks, scale = _primary_basis(g)
-    budget = 2**DEFAULT_DIM_BOUND
-    kept, single, work = _multi_degrees(s, blocks, scale, budget)
-    work += sum(prod(comb(size, a) for a, (_, size, _) in zip(powers, blocks))
-                for powers in kept)
-    if work > budget:
-        raise DimensionTooLarge(f"the weight-zero subcomplex at dimension {n} visits and "
-                                f"builds {work} multi-degrees and forms, more than {budget}")
+    kept, single = _multi_degrees(s, blocks, scale)
     subsets = {}
 
     def forms(pairs):  # the basis forms, as masks, of the given powers of blocks
@@ -361,15 +316,10 @@ def weight_zero_betti(g: LieAlgebra) -> tuple:
                 out[t] = out.get(t, 0) + c * x
         return {t: x for t, x in out.items() if x}
 
-    ranks = []
-    for k, basis in enumerate(F):
-        image = Echelon(1 << n)  # in the masks of degree k + 1
-        columns = [d(form) for form in basis]
-        for col in sorted(columns, key=len):
-            image.add(col)
-        if any(d(col) for col in columns):
+    columns = [[d(form) for form in basis] for basis in F]  # keyed by mask
+    for k, cols in enumerate(columns):
+        if any(d(col) for col in cols):
             validate(g)
             raise CheckFailed(f"d o d != 0 on the weight-zero subcomplex in degree {k} "
                               "although the Jacobi identity holds")
-        ranks.append(image.dim)
-    return tuple(len(F[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(n + 1))
+    return _rank(n, columns)[0]

@@ -32,12 +32,13 @@ with F the generalised 0-eigenspace: F = ker L_s, s the semisimple part of
 ad x, as L_s is the semisimple part of L_x.  On a product of powers of
 the primary components of s, L_s has the weights sums of eigenvalues of
 s, so `cohomology` of such g of dimension at least _WEIGHT_MIN_DIM, with
-no degree cut, ranks d on F alone: x is the first standard vector outside
-[g, g] whose ad is not nilpotent; s and its components come from the
-Krylov chains of ad x, and the factors of the chains' annihilators that
-capped searches find (rational roots, quadratics of either discriminant
-sign) give each component its weights, all other factors sharing one
-unfactored block; one change of basis puts g in those components; a
+no degree cut (a cut at or above dim g is none), ranks d on F alone: x
+is the first standard vector outside [g, g] whose ad is not nilpotent; s
+and its components come from the Krylov chains of ad x, and the factors
+of the chains' annihilators that a capped `split_factors` finds
+(rational roots, quadratics of either discriminant sign) give each
+component its weights, all other factors sharing one unfactored block;
+one change of basis puts g in those components; a
 multi-degree with no weight 0 is skipped, one with only the weight 0 is
 kept whole, and the rest are cut by an int kernel of L_s (all in
 `solvco._weight_zero`, which the first call to take the path imports, so
@@ -220,11 +221,12 @@ class CohomologyResult:
 
 def _rank(n: int, columns):
     """(Betti numbers, image echelon of each d[k]) of the complex of an
-    n-dimensional algebra: b_k = dim C^k - rank d[k] - rank d[k-1], with
-    each rank the dimension of the echelon spanned by the sparse integer
-    columns of D * d[k], inserted in ascending order of their nonzero
-    counts (sparsest first, ties in basis order), which keeps the fill-in
-    of the echelon small."""
+    n-dimensional algebra, or of a subcomplex: b_k = dim C^k - rank d[k] -
+    rank d[k-1], with each rank the dimension of the echelon spanned by the
+    sparse integer columns of D * d[k] (keyed by target index, or by
+    target mask on the weight-zero subcomplex), inserted in ascending order
+    of their nonzero counts (sparsest first, ties in basis order), which
+    keeps the fill-in of the echelon small."""
     images = []
     for k, cols in enumerate(columns):
         image = Echelon(comb(n, k + 1))
@@ -310,7 +312,10 @@ def cohomology(g: LieAlgebra, max_degree: Optional[int] = None) -> CohomologyRes
     """Betti numbers through max_degree, with no representatives: all
     degrees of a solvable, non-nilpotent g of dimension at least
     _WEIGHT_MIN_DIM from the weight-zero subcomplex, every other case from
-    the full complex in the given basis."""
+    the full complex in the given basis.  A cut at or above dim g cuts
+    nothing and is no cut."""
+    if max_degree is not None and max_degree >= g.dim:
+        max_degree = None
     if (max_degree is None and g.dim >= _WEIGHT_MIN_DIM
             and is_solvable(g) and not is_nilpotent(g)):
         from ._weight_zero import weight_zero_betti  # compiled by the first call only

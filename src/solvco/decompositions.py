@@ -10,7 +10,8 @@ spectral decision reads (`integer_minimal_polynomial`,
 `integer_char_poly`); `minimal_polynomial` and `char_poly` build the
 `Polynomial` D^(-deg) P(D x) for a reader.  `rational_spectrum` splits
 off the negative-discriminant quadratics and the totally real block of
-the squarefree part, at the same scale.  The additive semisimple/nilpotent
+the squarefree part, at the same scale, with the one factor search
+`polynomials.split_factors`.  The additive semisimple/nilpotent
 decomposition is the Newton iteration on that squarefree part, and the
 imaginary-spectrum (compact) part of a semisimple operator, the operator
 minus its split part, is built from one projector h(s) (h(s) + f(s))^(-1)
@@ -20,21 +21,13 @@ evaluates these int lists at a matrix in ints.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
 from .matrices import Echelon, Matrix, inverse
-from .polynomials import (
-    Polynomial,
-    integer_divisors,
-    least_scale,
-    pseudo_divmod,
-    real_root_counter,
-    root_bound,
-)
+from .polynomials import Polynomial, pseudo_divmod, real_root_counter, split_factors
 
 
 def poly_of_matrix(P: list, scale: int, m: Matrix) -> Matrix:
@@ -246,72 +239,6 @@ def jordan_chevalley(m: Matrix) -> JordanDecomposition:
     return JordanDecomposition(semisimple=s, nilpotent=m - s, minpoly_form=(tuple(F), scale))
 
 
-def complex_quadratic_factors(P: list, scale: int):
-    """Monic quadratics x^2 - b x + c with b^2 < 4c dividing the monic
-    squarefree int list P at scale D, as int lists at scale D: the
-    complete search of `_quadratic_factors`."""
-    return _quadratic_factors(P, scale, False)
-
-
-def _quadratic_factors(P: list, scale: int, real: bool, limit=None):
-    """Monic irreducible quadratics x^2 - b x + c dividing the monic
-    squarefree int list P at scale D, as int lists at scale D: those with
-    b^2 < 4c, and with `real` also those with a positive non-square
-    discriminant.
-
-    The search runs at the least scale d, on Q from `least_scale(P, D)`,
-    whose monic factors are integral by Gauss's lemma; a factor
-    x^2 - B x + C of Q is x^2 - (B/d) x + C/d^2, and [C e^2, -B e, 1],
-    e = D / d, at scale D.  Integer candidates x^2 - B x + C come from the
-    divisors of Q's constant term (after a root at zero is divided out)
-    and of Q(t), t the least positive integer with Q(t) != 0 (any factor
-    q satisfies q(t) | Q(t)), bounded by |C| = |z z'| <= R^2 and |q(t)| =
-    |t - z| |t - z'| <= (t + R)^2, z and z' the roots of q, R =
-    `root_bound(Q)`; C > 0 for non-real roots.  Each candidate is verified
-    by exact division in ints, so the search is sound, and complete
-    without a limit; a limit caps both divisor searches, and a factor
-    beyond it is missed.
-    """
-    if not P or P[-1] != 1:
-        raise ValueError("expected a monic polynomial")
-    q, den = least_scale(P, scale)
-    q = q[1:] if q[0] == 0 else q  # squarefree, so at most one root at zero
-    if len(q) < 3:
-        return []
-    t = 1
-    while not (q_t := sum(c * t**i for i, c in enumerate(q))):
-        t += 1
-    R = root_bound(q)
-    deltas = integer_divisors(q_t, (t + R) ** 2 if limit is None else min((t + R) ** 2, limit))
-    # a candidate q divides Q(u) by q(u) != 0 at every integer u outside
-    # the disk of radius R that holds the roots: checked at three such
-    # points, where q(u) is large, before any division
-    points = [(u, sum(c * u**i for i, c in enumerate(q))) for u in (R + 1, -R - 1, 2 * R + 3)]
-    found = []
-    for c_abs in integer_divisors(q[0], R * R if limit is None else min(R * R, limit)):
-        for big_c in (c_abs, -c_abs) if real else (c_abs,):
-            # |B| = |z + z'| <= 2R puts q(t) = t^2 - B t + C within 2Rt of t^2 + C
-            lo, hi = t * t + big_c - 2 * R * t, t * t + big_c + 2 * R * t
-            near = deltas[bisect_left(deltas, lo):bisect_right(deltas, hi)]
-            for delta in near + [-x for x in deltas[bisect_left(deltas, -hi):
-                                                     bisect_right(deltas, -lo)]]:
-                num = t * t + big_c - delta
-                if num % t != 0:
-                    continue
-                big_b = num // t
-                disc = big_b * big_b - 4 * big_c
-                if disc >= 0 and (not real or isqrt(disc) ** 2 == disc):
-                    continue
-                if any(v % (u * u - big_b * u + big_c) for u, v in points):
-                    continue
-                cand = [big_c, -big_b, 1]
-                if cand not in found and not pseudo_divmod(q, cand)[1]:
-                    found.append(cand)
-    found.sort(key=lambda f: (f[1], f[0]))
-    e = scale // den
-    return [[c * e * e, b * e, 1] for c, b, _ in found]
-
-
 def rational_spectrum(P: list, scale: int):
     """(quads, rest, real) for the monic int list P at scale D: the
     negative-discriminant quadratic factors of the squarefree part of P,
@@ -321,13 +248,14 @@ def rational_spectrum(P: list, scale: int):
 
     One remainder sequence gives the squarefree part and the count of its
     real roots.  When all its roots are real there is no quadratic to
-    search for; otherwise the quads have no real roots, so rest is real
-    exactly when it holds them all."""
+    search for; otherwise the quads are the negative-discriminant factors
+    of one `split_factors`, with no real roots, so rest is real exactly
+    when it held them all."""
     rest, count = real_root_counter(P)
     real_roots = count()
     if real_roots == len(rest) - 1:
         return [], rest, True
-    quads = complex_quadratic_factors(rest, scale)
+    quads = [f for f in split_factors(rest, scale)[0] if len(f) == 3 and f[1] ** 2 < 4 * f[0]]
     for q in quads:
         rest, remainder = pseudo_divmod(rest, q)
         if remainder:

@@ -47,7 +47,7 @@ from .matrices import (
     clear_denominators,
     rational,
 )
-from .polynomials import Polynomial, rational_roots
+from .polynomials import Polynomial, split_factors
 
 
 class LieAlgebra:
@@ -527,7 +527,8 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
             if quads or not real:  # prefer a quadratic factor as the witness
                 return FlagCertificate(status="no", witness=(
                     i + 1, Polynomial.from_scaled(quads[0] if quads else rest, scale)))
-            roots[a] = rational_roots(rest, scale)
+            roots[a] = [Fraction(-f[0], scale) for f in split_factors(rest, scale)[0]
+                        if len(f) == 2]
             split = split and len(roots[a]) == len(rest) - 1
     ideal, lifts = Echelon(m), []  # the flag inside c, in c's coordinates
     while split and ideal.dim < m:

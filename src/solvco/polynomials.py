@@ -10,16 +10,20 @@ polynomial, the Sturm chain, gives both its squarefree part and its real
 root count on any rational interval (`real_root_counter`), and no other
 gcd is taken; it runs on primitive int lists through one sign-safe
 pseudo-remainder kernel, `pseudo_divmod`, which also does every exact
-division.  Rational roots are the integer roots of P at its least scale
-(`least_scale`).  `Polynomial` is the value a reader gets, built from the
-int form by `Polynomial.from_scaled`; it does no arithmetic.
+division.  One factor search, `split_factors`, finds the linear and the
+irreducible quadratic factors of a squarefree P for every spectral
+decision: the integer roots of P at its least scale (`least_scale`),
+then the quadratics of either discriminant sign of their cofactor.
+`Polynomial` is the value a reader gets, built from the int form by
+`Polynomial.from_scaled`; it does no arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import CheckFailed
 from .matrices import rational
@@ -352,17 +356,80 @@ def root_bound(coeffs: list) -> int:
                     for i, c in enumerate(reversed(coeffs[:-1]), 1)), default=0)
 
 
-def rational_roots(P: list, scale: int, limit=None):
-    """All rational roots, ascending, of the monic int list P at scale D:
-    the integer roots of Q from `least_scale(P, D) = (Q, d)`, divided by
-    d.  A nonzero integer root of the monic integral Q divides its lowest
-    nonzero coefficient and is at most `root_bound(Q)` in size, so the
-    divisor search stops at the size of the roots, not at the square root
-    of the coefficient.  With a limit, only integer roots up to it in size
-    are tried, so a larger root is missed."""
-    coeffs, den = least_scale(P, scale)
-    low = next(c for c in coeffs if c)
-    bound = root_bound(coeffs) if limit is None else min(root_bound(coeffs), limit)
-    candidates = [0] + [s * k for k in integer_divisors(low, bound) for s in (1, -1)]
-    return sorted(Fraction(x, den) for x in candidates
-                  if sum(c * x**i for i, c in enumerate(coeffs)) == 0)
+def split_factors(P: list, scale: int, limit=None):
+    """(factors, rest) for the monic squarefree int list P at scale D: the
+    linear factors of P by ascending root, then its irreducible quadratic
+    factors, of either discriminant sign, by (x-coefficient, constant
+    term), all int lists at scale D; and P divided by them.  The one
+    factor search of the package.
+
+    It runs on Q from `least_scale(P, D) = (Q, d)`, whose monic factors
+    are integral by Gauss's lemma; every division is taken there and
+    checked exact, and a list of degree k at scale d, its coefficient at
+    x^i times e^(k - i), e = D / d, is the same polynomial at scale D.  A
+    nonzero integer root of Q divides its lowest nonzero coefficient and
+    is at most R = `root_bound(Q)` in size.  The cofactor of the roots has
+    no rational root: of degree 2 it is irreducible unless its
+    discriminant is a square, of degree 3 it has no quadratic factor, and
+    of degree 4 or more `_quadratic_search` searches it.  Without a limit
+    the search is complete; a limit caps every divisor search, and a
+    factor beyond it stays in rest."""
+    if not P or P[-1] != 1:
+        raise ValueError("expected a monic polynomial")
+    Q, d = least_scale(P, scale)
+    R = root_bound(Q)
+    low = next(c for c in Q if c)
+    candidates = [0] + [s * k for k in integer_divisors(low, R if limit is None else min(R, limit))
+                        for s in (1, -1)]
+
+    def divide(rest, factors):
+        for f in factors:
+            rest, remainder = pseudo_divmod(rest, f)
+            if remainder:
+                raise CheckFailed(f"factor {f} at scale {d} does not divide {P} at scale {scale}")
+        return rest
+
+    found = [[-x, 1] for x in sorted(candidates) if not _value(Q, x, 1)]
+    rest = divide(Q, found)
+    if len(rest) == 3:
+        disc = rest[1] * rest[1] - 4 * rest[0]
+        quads = [rest] if disc < 0 or isqrt(disc) ** 2 != disc else []
+    else:
+        quads = _quadratic_search(rest, min(R, root_bound(rest)), limit) if len(rest) > 4 else []
+    e = scale // d
+    at_scale = [[c * e ** (len(f) - 1 - i) for i, c in enumerate(f)]
+                for f in found + quads + [divide(rest, quads)]]
+    return at_scale[:-1], at_scale[-1]
+
+
+def _quadratic_search(q: list, R: int, limit):
+    """The monic irreducible quadratics x^2 - B x + C, by (-B, C), dividing
+    the monic int list q of degree >= 4 with no integer root, its roots at
+    most R in size.  A factor f satisfies f(1) | q(1) != 0 and C | q(0),
+    with |C| = |z z'| <= R^2 and |f(1)| = |1 - z| |1 - z'| <= (1 + R)^2, z
+    and z' the roots of f; |B| = |z + z'| <= 2R puts f(1) = 1 - B + C
+    within 2R of 1 + C.  Each candidate is checked by exact division;
+    limit caps both divisor searches."""
+    q_1, bound = sum(q), (1 + R) ** 2
+    deltas = integer_divisors(q_1, bound if limit is None else min(bound, limit))
+    # a candidate f divides q(u) by f(u) != 0 at every integer u outside the
+    # disk of radius R that holds the roots: checked at three such points,
+    # where f(u) is large, before any division
+    points = [(u, _value(q, u, 1)) for u in (R + 1, -R - 1, 2 * R + 3)]
+    found = []
+    for c_abs in integer_divisors(q[0], R * R if limit is None else min(R * R, limit)):
+        for big_c in (c_abs, -c_abs):
+            lo, hi = 1 + big_c - 2 * R, 1 + big_c + 2 * R
+            near = deltas[bisect_left(deltas, lo):bisect_right(deltas, hi)]
+            for delta in near + [-x for x in deltas[bisect_left(deltas, -hi):
+                                                     bisect_right(deltas, -lo)]]:
+                big_b = 1 + big_c - delta
+                disc = big_b * big_b - 4 * big_c
+                if disc >= 0 and isqrt(disc) ** 2 == disc:
+                    continue
+                if any(v % (u * u - big_b * u + big_c) for u, v in points):
+                    continue
+                cand = [big_c, -big_b, 1]
+                if cand not in found and not pseudo_divmod(q, cand)[1]:
+                    found.append(cand)
+    return sorted(found, key=lambda f: (f[1], f[0]))

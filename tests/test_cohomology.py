@@ -11,6 +11,7 @@ import pytest
 from solvco.catalog import catalog_get, catalog_names
 from solvco.cohomology import (
     CohomologyResult,
+    _rank,
     build_complex,
     check_square_zero,
     cohomology,
@@ -319,7 +320,7 @@ def _diagonal(n):
 
 def _full_betti(g):
     """Betti numbers of the full complex in the given basis."""
-    return cohomology(g, max_degree=g.dim).betti
+    return _rank(g.dim, build_complex(g))[0]
 
 
 def test_adapted_complex_keeps_betti_and_representatives(monkeypatch):
@@ -353,14 +354,16 @@ def test_cli_takes_the_weight_zero_path_only_for_a_full_betti_command(tmp_path, 
     never = ([str(nilpotent)], [str(nilpotent), "--format", "tsv"], [str(small)],
              [str(adapted), "--reps"], [str(adapted), "--reps", "--format", "tsv"],
              [str(sparse), "--reps"],
-             [str(adapted), "--max-degree", "3"], [str(adapted), "--max-degree", "8"])
+             [str(adapted), "--max-degree", "3"], [str(adapted), "--max-degree", "7"])
     for args in never:
         code, _ = run_command(["cohomology"] + args)
         assert code == 0 and calls == []
     for path in (adapted, sparse):
         for tail in ([], ["--format", "tsv"]):
             assert run_command(["cohomology", str(path)] + tail)[0] == 0
-    assert len(calls) == 4
+    # a cut at dim g cuts nothing
+    assert run_command(["cohomology", str(adapted), "--max-degree", "8"])[0] == 0
+    assert len(calls) == 5
 
 
 def test_golden_dense_file_takes_the_weight_zero_path(tmp_path, monkeypatch):
@@ -400,8 +403,23 @@ def test_dense14_returns_its_closed_form_through_the_cli(tmp_path):
     assert code == 0
     assert tuple(int(line.split()[2]) for line in text.splitlines()
                  if line.startswith("betti ")) == betti
-    with pytest.raises(DimensionTooLarge):
-        cohomology(g, max_degree=g.dim)
+
+
+def test_a_degree_cut_at_the_dimension_cuts_nothing(tmp_path, monkeypatch):
+    # a cut at or above dim g takes the path of no cut: dense14 returns its
+    # closed form from the weight-zero subcomplex, with no full complex of
+    # 2^14 forms built
+    g, betti = dense14()
+    path = tmp_path / "dense14.txt"
+    path.write_text(structure_equations(g))
+    builds = complex_builds(monkeypatch)
+    start = time.perf_counter()
+    code, text = run_command(["cohomology", str(path), "--max-degree", "14"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and builds == []
+    assert tuple(int(line.split()[2]) for line in text.splitlines()
+                 if line.startswith("betti ")) == betti
+    assert cohomology(g, max_degree=20).betti == betti
 
 
 @pytest.mark.parametrize("names", [

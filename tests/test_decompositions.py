@@ -12,7 +12,6 @@ from solvco import decompositions, polynomials
 from solvco.decompositions import (
     char_poly,
     compact_part,
-    complex_quadratic_factors,
     exp_nilpotent,
     integer_char_poly,
     integer_compact_part,
@@ -31,8 +30,8 @@ from solvco.polynomials import (
     cyclotomic,
     least_scale,
     pseudo_divmod,
-    rational_roots,
     real_root_counter,
+    split_factors,
 )
 from support import (
     Poly,
@@ -235,10 +234,15 @@ def test_compact_part_is_the_conjugated_rotation_speeds(case):
     assert compact_part(s) == compact
 
 
+def complex_quadratics(P, scale):
+    """The negative-discriminant quadratics that `split_factors` finds in
+    the monic squarefree int list P at scale D, as Polynomials."""
+    return [Polynomial.from_scaled(q, scale) for q in split_factors(P, scale)[0]
+            if len(q) == 3 and q[1] ** 2 < 4 * q[0]]
+
+
 def quadratic_factors(p):
-    """`complex_quadratic_factors` of p as Polynomials."""
-    P, scale = form(p)
-    return [Polynomial.from_scaled(q, scale) for q in complex_quadratic_factors(P, scale)]
+    return complex_quadratics(*form(p))
 
 
 def test_complex_quadratic_factor_search():
@@ -257,8 +261,7 @@ def test_complex_quadratic_factor_search():
     # found at scale 9 and carried back to the input scale 27 * 5
     P, scale = form(p)
     P = [c * 5 ** (len(P) - 1 - i) for i, c in enumerate(P)]
-    assert [Polynomial.from_scaled(q, scale * 5)
-            for q in complex_quadratic_factors(P, scale * 5)] == quads
+    assert complex_quadratics(P, scale * 5) == quads
 
 
 def test_rational_rotation_speeds_scale_by_their_denominator():
@@ -332,8 +335,8 @@ def test_rational_spectrum_matches_sympy(p):
        st.sampled_from([1, 2, 3, 5]))
 def test_complex_quadratic_factors_finds_planted_quadratics(pairs, roots, s):
     """x^2 - 2a x + a^2 + d next to the roots 1, 2, 3 (or all of +-1, +-2,
-    +-3), every root divided by s: the integral form has the roots s r, so
-    its least positive non-root, the evaluation point, is above 3."""
+    +-3), every root divided by s: the integral form has the roots s r,
+    which the search divides out before it evaluates the cofactor at 1."""
     quads = {X * X - 2 * a * X + a * a + d for a, d in pairs}
     p = Poly((1,))
     for f in [*quads, *(X - r for r in roots)]:
@@ -400,7 +403,8 @@ def test_int_spectral_split_matches_sympy_factor_list(p, rng, family):
         product = product * f
     assert Polynomial.from_scaled(rest, scale) == product
     assert real == all(len(sympy.real_roots(sympy_poly(f))) == f.degree for f in others)
-    assert rational_roots(rest, scale) == sorted(-f.coeffs[0] for f in others if f.degree == 1)
+    roots = [Fraction(-f[0], scale) for f in split_factors(rest, scale)[0] if len(f) == 2]
+    assert roots == sorted(-f.coeffs[0] for f in others if f.degree == 1)
 
 
 def test_one_remainder_sequence_per_root_question(monkeypatch):
@@ -422,8 +426,8 @@ def test_one_remainder_sequence_per_root_question(monkeypatch):
         assert len(chains) == 1
     # a totally real spectrum skips the quadratic search
     searches = []
-    monkeypatch.setattr(decompositions, "complex_quadratic_factors",
-                        lambda *p: searches.append(p) or [])
+    monkeypatch.setattr(decompositions, "split_factors",
+                        lambda *p: searches.append(p) or ([], p[0]))
     assert rational_spectrum(ints((X - 1) * (X - 1) * (X * X - 2)), 1) == (
         [], ints((X - 1) * (X * X - 2)), True)
     assert searches == []

@@ -229,8 +229,11 @@ def test_cli_degree_cut_keeps_the_dimension_bound(tmp_path):
     fil14.write_text("dim 14\n" + "".join(f"d e{k} = e1^e{k - 1}\n" for k in range(3, 15)))
     assert run_command(["cohomology", str(fil14)]) == (
         1, "error: dimension 14 exceeds bound 12; use a degree cut-off")
-    code, text = run_command(["cohomology", str(fil14), "--max-degree", "14"])
-    assert (code, text) == (1, "error: degree cut-off 14 at dimension 14 builds 16384 forms,"
+    # a cut at the dimension cuts nothing, so it is no cut
+    assert run_command(["cohomology", str(fil14), "--max-degree", "14"]) == (
+        1, "error: dimension 14 exceeds bound 12; use a degree cut-off")
+    code, text = run_command(["cohomology", str(fil14), "--max-degree", "13"])
+    assert (code, text) == (1, "error: degree cut-off 13 at dimension 14 builds 16384 forms,"
                                " more than 2^12 = 4096")
     code, text = run_command(["cohomology", str(fil14), "--max-degree", "1"])
     assert (code, text) == (0, "dim 14\nbetti 0 1\nbetti 1 2")

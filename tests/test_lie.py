@@ -221,7 +221,7 @@ def test_flag_search_takes_one_spectrum_per_basis_operator(monkeypatch, name):
          "heisenberg3": HEISENBERG,
          "irrational": almost_abelian_algebra(companion((-2, 0, 1)))}[name]
     calls, searches = [], []
-    for fn in ("integer_minimal_polynomial", "rational_roots"):
+    for fn in ("integer_minimal_polynomial", "split_factors"):
         def counted(*args, fn=fn, original=getattr(lie, fn)):
             assert not searches, f"{fn} inside the flag's step loop"
             calls.append(fn)
@@ -232,7 +232,7 @@ def test_flag_search_takes_one_spectrum_per_basis_operator(monkeypatch, name):
                         lambda *args: searches.append(args) or search(*args))
     cert = completely_solvable_flag(g)
     assert calls.count("integer_minimal_polynomial") <= g.dim
-    assert calls.count("rational_roots") <= g.dim
+    assert calls.count("split_factors") <= g.dim
     if name == "irrational":  # x^2 - 2 does not split: decided before any search
         assert cert.status == "undetermined" and not searches
     else:

@@ -253,11 +253,11 @@ def primary_basis(g):
         if oracle.contains(comm, unit) or (ad ** g.dim).is_zero_matrix:
             continue
         m = ad_matrix(g, unit)
-        split = _semisimple_blocks(m, 2**16)
+        split = _semisimple_blocks(m)
         assert (split is None) == (not jordan_chevalley(m).nilpotent.is_zero())
         if split is None:
             m = jordan_chevalley(m).semisimple
-            split = _semisimple_blocks(m, 2**16)
+            split = _semisimple_blocks(m)
         scale, found, unfactored = split
         s = sympy.Matrix(m.numerator_rows()) / m.denominator
         assert (s * ad - ad * s).is_zero_matrix and ((ad - s) ** g.dim).is_zero_matrix

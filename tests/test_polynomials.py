@@ -1,5 +1,5 @@
-"""Int-list division, Sturm counting, cyclotomic detection, rational roots
-and the least scale of the int form."""
+"""Int-list division, Sturm counting, cyclotomic detection, the one factor
+search `split_factors` and the least scale of the int form."""
 
 import random
 from fractions import Fraction
@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvco import polynomials
 from solvco.polynomials import (
     Polynomial,
     cyclotomic,
@@ -18,8 +19,8 @@ from solvco.polynomials import (
     integer_divisors,
     least_scale,
     pseudo_divmod,
-    rational_roots,
     real_root_counter,
+    split_factors,
 )
 from support import Poly, int_form, ints, sympy_poly
 
@@ -109,7 +110,11 @@ def test_cyclotomic_multiplicity():
 
 
 def roots_of(p):
-    return rational_roots(*int_form(p))
+    """The rational roots of p, ascending: the roots of the linear factors
+    that `split_factors` finds on its squarefree part."""
+    P, scale = int_form(p)
+    factors, _ = split_factors(real_root_counter(P)[0], scale)
+    return [Fraction(-f[0], scale) for f in factors if len(f) == 2]
 
 
 def test_rational_roots():
@@ -118,7 +123,7 @@ def test_rational_roots():
     assert roots_of(X * X + 1) == []
     assert roots_of(X * (X - 2)) == [Fraction(0), Fraction(2)]
     # at scale 12 the roots 6 and 9 of x^2 - 15 x + 54 are 1/2 and 3/4
-    assert rational_roots([54, -15, 1], 12) == [Fraction(1, 2), Fraction(3, 4)]
+    assert split_factors([54, -15, 1], 12) == ([[-6, 1], [-9, 1]], [1])
 
 
 @st.composite
@@ -144,6 +149,108 @@ def test_rational_roots_match_sympy(planted):
     expected = sorted({Fraction(int(r.p), int(r.q))
                        for r in sympy.roots(sympy_poly(p), filter="Q")})
     assert roots_of(p) == expected == sorted(set(roots))
+
+
+@st.composite
+def planted_factors(draw, nonlinear=True):
+    """(P, D): the monic int list P at a scale D > 1 of a product of
+    distinct factors: linear ones x - r with large numerators, and unless
+    nonlinear is False irreducible quadratics x^2 - b x + c of either
+    discriminant sign and maybe the irreducible cubic x^3 - x + 1; each
+    root divided by a rational s, at k
+    >= 2 times the least common denominator, so D is often above the
+    least scale."""
+    dens = st.integers(1, 4)
+    factors = {X - Fraction(draw(st.integers(-3000, 3000)), draw(dens))
+               for _ in range(draw(st.integers(0, 3)))}
+    for _ in range(draw(st.integers(0, 2 if nonlinear else 0))):
+        den = draw(dens)
+        b, c = (Fraction(draw(st.integers(-100, 100)), den),
+                Fraction(draw(st.integers(-1000, 1000)), den * den))
+        disc = b * b - 4 * c
+        if disc < 0 or sympy.sqrt(sympy.Rational(disc.numerator, disc.denominator)).is_irrational:
+            factors.add(X * X - b * X + c)
+    if nonlinear and draw(st.booleans()):
+        factors.add(X * X * X - X + 1)
+    p = Poly((1,))
+    for f in factors:
+        p = p * f
+    s = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3), Fraction(5, 2)]))
+    P, scale = int_form(Poly(c * s ** i for i, c in enumerate(p.coeffs)).monic())
+    k = draw(st.integers(2, 30))
+    return [c * k ** (len(P) - 1 - i) for i, c in enumerate(P)], scale * k
+
+
+def sympy_split(P, scale):
+    """(linear, quadratic, rest): the monic irreducible factors of degree 1
+    and 2 of D^(-deg) P(D x) from sympy, in the order of `split_factors`
+    (by root, by (x-coefficient, constant term)), and the product of the
+    others."""
+    factors = [from_sympy(f.monic())
+               for f, _ in sympy_poly(Polynomial.from_scaled(P, scale)).factor_list()[1]]
+    rest = Poly((1,))
+    for f in factors:
+        if f.degree > 2:
+            rest = rest * f
+    linear = sorted((f for f in factors if f.degree == 1), key=lambda f: -f.coeffs[0])
+    quadratic = [f for f in factors if f.degree == 2]
+    return linear, sorted(quadratic, key=lambda f: (f.coeffs[1], f.coeffs[0])), rest
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_factors())
+def test_split_factors_are_the_linear_and_quadratic_factors_of_sympy(planted):
+    P, scale = planted
+    assert scale > 1
+    factors, rest = split_factors(P, scale)
+    linear, quadratic, others = sympy_split(P, scale)
+    assert [Polynomial.from_scaled(f, scale) for f in factors] == linear + quadratic
+    assert Polynomial.from_scaled(rest, scale) == others
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(planted_factors(), planted_factors(nonlinear=False)),
+       st.sampled_from([1, 2, 16, 256]))
+def test_a_capped_split_finds_only_true_factors(planted, limit):
+    # roots past the cap stay in rest, where two of them are a quadratic
+    # cofactor of square discriminant
+    P, scale = planted
+    factors, rest = split_factors(P, scale, limit)
+    linear, quadratic, _ = sympy_split(P, scale)
+    assert all(Polynomial.from_scaled(f, scale) in linear + quadratic for f in factors)
+    product = Poly(Polynomial.from_scaled(rest, scale).coeffs)
+    for f in factors:
+        product = product * Poly(Polynomial.from_scaled(f, scale).coeffs)
+    assert product == Polynomial.from_scaled(P, scale)
+
+
+def test_split_factors_cofactors_of_degree_two_and_three():
+    # roots 1000 and 1001 beyond a cap of 16 leave a quadratic cofactor of
+    # square discriminant: no factor, where the complete search finds both
+    P = ints((X - 1000) * (X - 1001))
+    assert split_factors(P, 1, 16) == ([], P)
+    assert split_factors(P, 1) == ([[-1000, 1], [-1001, 1]], [1])
+    # x^2 - 2 and x^2 + 1 left over from a root are irreducible; a cubic
+    # without a root has no quadratic factor
+    assert split_factors(ints((X - 3) * (X * X - 2)), 1) == ([[-3, 1], [-2, 0, 1]], [1])
+    assert split_factors(ints(X * (X * X + 1)), 1) == ([[0, 1], [1, 0, 1]], [1])
+    assert split_factors(ints(X * X * X - X + 1), 1) == ([], [1, -1, 0, 1])
+    # real quadratics with C < 0 next to a complex one: the search tries
+    # both signs of C
+    p = (X * X - 2) * (X * X - X - 1) * (X * X + 1)
+    assert split_factors(ints(p), 1) == ([[-1, -1, 1], [-2, 0, 1], [1, 0, 1]], [1])
+
+
+def test_one_least_scale_per_split(monkeypatch):
+    calls = []
+    least_scale = polynomials.least_scale
+    monkeypatch.setattr(polynomials, "least_scale",
+                        lambda *args: calls.append(args) or least_scale(*args))
+    P, scale = int_form((X - Fraction(1, 2)) * (X * X - 2) * (X * X + Fraction(1, 4))
+                        * (X * X * X - X + 1))
+    factors, rest = split_factors(P, scale)
+    assert len(factors) == 3 and len(rest) == 4
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)

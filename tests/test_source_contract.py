@@ -38,6 +38,14 @@ derived and lower central series is read through `derived_series`,
 Every divisor search is bounded: a call of `integer_divisors` passes a
 `limit`, or is listed in `UNBOUNDED_DIVISOR_SEARCHES` with its reason,
 since trial division without one runs to the square root of its argument.
+There is one factor search: only `split_factors` and its private helper
+call `integer_divisors` or `least_scale`, so a second search of roots or
+quadratics fails here, and a better factor kernel replaces one function.
+
+The weight-zero path is imported only inside the functions of
+cohomology.py, on the first call that takes it, so a command that never
+takes it does not compile it: about 4 ms of every cold start of
+`python -m solvco.cli`.
 
 Polynomials are computed on as int coefficient lists at a scale; a
 `Polynomial` of `Fraction`s is built only for a reader, in the functions
@@ -420,9 +428,10 @@ def test_polynomial_check_sees_every_form(tmp_path):
 UNBOUNDED_DIVISOR_SEARCHES = {}
 
 
-def _unbounded_divisor_calls(package):
-    """module:function (module:Class.method for a method) of each call of
-    `integer_divisors` that passes no limit, or None as the limit."""
+def _calls(package, names):
+    """(module:function, call) for each call, by name or attribute, of one
+    of the names in a module-level function or a method (module:Class.method)
+    of the package."""
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         scopes = []
@@ -434,12 +443,18 @@ def _unbounded_divisor_calls(package):
                 scopes.append((node.name, node))
         for name, scope in scopes:
             for sub in ast.walk(scope):
-                if isinstance(sub, ast.Call) and "integer_divisors" in (
-                        getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
-                    limit = (sub.args[1:2] + [k.value for k in sub.keywords if k.arg == "limit"])
-                    if not limit or (isinstance(limit[0], ast.Constant)
-                                     and limit[0].value is None):
-                        yield f"{path.stem}:{name}"
+                if isinstance(sub, ast.Call) and names & {
+                        getattr(sub.func, "id", None), getattr(sub.func, "attr", None)}:
+                    yield f"{path.stem}:{name}", sub
+
+
+def _unbounded_divisor_calls(package):
+    """module:function (module:Class.method for a method) of each call of
+    `integer_divisors` that passes no limit, or None as the limit."""
+    for scope, call in _calls(package, {"integer_divisors"}):
+        limit = call.args[1:2] + [k.value for k in call.keywords if k.arg == "limit"]
+        if not limit or (isinstance(limit[0], ast.Constant) and limit[0].value is None):
+            yield scope
 
 
 def test_every_divisor_search_passes_a_limit_or_is_listed():
@@ -460,3 +475,67 @@ def test_divisor_check_sees_every_form(tmp_path):
         "        return polynomials.integer_divisors(n, limit=None)\n")
     assert list(_unbounded_divisor_calls(tmp_path)) == [
         "other:Search.run", "polynomials:bare", "polynomials:none"]
+
+
+# The one factor search of the package and its private helper: the only
+# callers of the divisor search and of the least scale.
+FACTOR_SEARCH = {"polynomials:split_factors", "polynomials:_quadratic_search"}
+
+
+def _factor_search_callers(package):
+    return {scope for scope, _ in _calls(package, {"integer_divisors", "least_scale"})}
+
+
+def test_one_factor_search_calls_the_divisor_search_and_the_least_scale():
+    assert _factor_search_callers(SOURCES[0].parent) == FACTOR_SEARCH
+
+
+def test_factor_search_check_sees_every_caller(tmp_path):
+    (tmp_path / "polynomials.py").write_text(
+        "def integer_divisors(n, limit=None):\n    return [n]\n"
+        "def least_scale(P, scale):\n    return P, scale\n"
+        "def split_factors(P, scale):\n    return _quadratic_search(least_scale(P, scale))\n"
+        "def _quadratic_search(q):\n    return integer_divisors(q[0], 4)\n")
+    (tmp_path / "other.py").write_text(
+        "from . import polynomials\nfrom .polynomials import least_scale\n"
+        "def roots(P):\n    return least_scale(P, 1)\n"
+        "class Search:\n    def run(self, n):\n"
+        "        return polynomials.integer_divisors(n, limit=3)\n")
+    assert _factor_search_callers(tmp_path) == FACTOR_SEARCH | {"other:roots",
+                                                                "other:Search.run"}
+
+
+def _weight_zero_imports(package):
+    """module:line of each import of the `_weight_zero` module that is not
+    inside a function of cohomology.py."""
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "cohomology.py":
+            allowed = {id(sub) for node in tree.body if isinstance(node, ast.FunctionDef)
+                       for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if id(node) not in allowed and any(m.split(".")[-1] == "_weight_zero"
+                                               for m in modules):
+                yield f"{path.stem}:{node.lineno}"
+
+
+def test_the_weight_zero_path_is_imported_on_first_use_only():
+    assert list(_weight_zero_imports(SOURCES[0].parent)) == []
+
+
+def test_weight_zero_import_check_sees_every_form(tmp_path):
+    (tmp_path / "cohomology.py").write_text(
+        "from ._weight_zero import eager\n"
+        "def cohomology(g):\n    from ._weight_zero import betti\n    return betti(g)\n")
+    (tmp_path / "cli.py").write_text(
+        "import solvco._weight_zero\nfrom .cohomology import cohomology\n"
+        "def run(g):\n    from . import _weight_zero\n    return _weight_zero\n")
+    (tmp_path / "_weight_zero.py").write_text("from .cohomology import cohomology\n")
+    assert list(_weight_zero_imports(tmp_path)) == ["cli:1", "cli:4", "cohomology:1"]
