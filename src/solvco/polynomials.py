@@ -404,8 +404,9 @@ def split_factors(P: list, scale: int, limit=None):
 
 def _quadratic_search(q: list, R: int, limit):
     """The monic irreducible quadratics x^2 - B x + C, by (-B, C), dividing
-    the monic int list q of degree >= 4 with no integer root, its roots at
-    most R in size.  A factor f satisfies f(1) | q(1) != 0 and C | q(0),
+    the monic int list q of degree >= 4, its roots at most R in size and
+    its integer roots up to any cap divided out, so q(0) q(1) != 0.  A
+    factor f satisfies f(1) | q(1) != 0 and C | q(0),
     with |C| = |z z'| <= R^2 and |f(1)| = |1 - z| |1 - z'| <= (1 + R)^2, z
     and z' the roots of f; |B| = |z + z'| <= 2R puts f(1) = 1 - B + C
     within 2R of 1 + C.  Each candidate is checked by exact division;

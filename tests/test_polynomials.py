@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvco import polynomials
+from solvco.decompositions import perfect_square_root
 from solvco.polynomials import (
     Polynomial,
     cyclotomic,
@@ -157,9 +158,8 @@ def planted_factors(draw, nonlinear=True):
     distinct factors: linear ones x - r with large numerators, and unless
     nonlinear is False irreducible quadratics x^2 - b x + c of either
     discriminant sign and maybe the irreducible cubic x^3 - x + 1; each
-    root divided by a rational s, at k
-    >= 2 times the least common denominator, so D is often above the
-    least scale."""
+    root divided by a rational s, at k >= 2 times the least common
+    denominator, so D is often above the least scale."""
     dens = st.integers(1, 4)
     factors = {X - Fraction(draw(st.integers(-3000, 3000)), draw(dens))
                for _ in range(draw(st.integers(0, 3)))}
@@ -167,8 +167,7 @@ def planted_factors(draw, nonlinear=True):
         den = draw(dens)
         b, c = (Fraction(draw(st.integers(-100, 100)), den),
                 Fraction(draw(st.integers(-1000, 1000)), den * den))
-        disc = b * b - 4 * c
-        if disc < 0 or sympy.sqrt(sympy.Rational(disc.numerator, disc.denominator)).is_irrational:
+        if perfect_square_root(b * b - 4 * c) is None:  # irreducible
             factors.add(X * X - b * X + c)
     if nonlinear and draw(st.booleans()):
         factors.add(X * X * X - X + 1)
@@ -218,9 +217,9 @@ def test_a_capped_split_finds_only_true_factors(planted, limit):
     factors, rest = split_factors(P, scale, limit)
     linear, quadratic, _ = sympy_split(P, scale)
     assert all(Polynomial.from_scaled(f, scale) in linear + quadratic for f in factors)
-    product = Poly(Polynomial.from_scaled(rest, scale).coeffs)
+    product = Poly.lift(Polynomial.from_scaled(rest, scale))
     for f in factors:
-        product = product * Poly(Polynomial.from_scaled(f, scale).coeffs)
+        product = product * Poly.lift(Polynomial.from_scaled(f, scale))
     assert product == Polynomial.from_scaled(P, scale)
 
 
@@ -242,10 +241,9 @@ def test_split_factors_cofactors_of_degree_two_and_three():
 
 
 def test_one_least_scale_per_split(monkeypatch):
-    calls = []
-    least_scale = polynomials.least_scale
+    calls, original = [], polynomials.least_scale
     monkeypatch.setattr(polynomials, "least_scale",
-                        lambda *args: calls.append(args) or least_scale(*args))
+                        lambda *args: calls.append(args) or original(*args))
     P, scale = int_form((X - Fraction(1, 2)) * (X * X - 2) * (X * X + Fraction(1, 4))
                         * (X * X * X - X + 1))
     factors, rest = split_factors(P, scale)
