@@ -13,19 +13,10 @@ import os
 import sys
 
 from . import __version__
-from .almost_abelian import HolonomyInput, MostowStatus, Scale, analyze
-from .catalog import catalog_get, catalog_names
-from .cohomology import cohomology, format_cocycle, representatives, structural_checks
 from .errors import ParseError, SolvcoError, UnknownName
+# every subcommand reads its input through files, which loads lie and
+# matrices; each handler imports the rest of what it runs
 from .files import parse_matrix, parse_structure_file, structure_equations
-from .lie import (
-    Subspace,
-    completely_solvable_flag,
-    derived_series,
-    is_unimodular,
-    lower_central_series,
-)
-from .splitting import KillMode, SplittingInput, kill_map, modified_bracket
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -34,16 +25,24 @@ EXIT_USAGE = 3
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of a file, or of stdin for `-`; an unreadable or non-UTF-8
+    input is a ParseError naming it."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(0, f"cannot read {path!r}: {reason}") from None
 
 
 def _load_algebra(spec: str):
     """Structure file path, stdin marker, or catalog name."""
     if spec == "-" or os.path.exists(spec):
         return parse_structure_file(_read_source(spec))
+    from .catalog import catalog_get
+
     try:
         return catalog_get(spec).algebra
     except UnknownName:
@@ -80,12 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--complement", default="",
                    help="comma-separated 1-based indices spanning V (default empty)")
-    p.add_argument("--kill", choices=[m.value for m in KillMode], required=True)
+    # the values of KillMode and Scale, in order; the enums load with their commands
+    p.add_argument("--kill", choices=("full", "compact"), required=True)
 
     p = sub.add_parser("almost-abelian", help="lattice analysis for R x| R^n")
     p.add_argument("--holonomy", required=True, help="integer matrix file")
     p.add_argument("--derivation", default=None, help="rational matrix file")
-    p.add_argument("--scale", choices=[s.value for s in Scale], default="1")
+    p.add_argument("--scale", choices=("1", "pi"), default="1")
     p.add_argument("--format", choices=("plain", "tsv"), default="plain")
 
     p = sub.add_parser("catalog", help="list catalog entries or dump one")
@@ -129,6 +129,9 @@ def _cmd_validate(ns):
 
 
 def _cmd_info(ns):
+    from .lie import (completely_solvable_flag, derived_series, is_unimodular,
+                      lower_central_series)
+
     g = _load_algebra(ns.file)
     lines = [f"dim {g.dim}"]
     lines.append(f"unimodular {str(is_unimodular(g)).lower()}")
@@ -157,6 +160,8 @@ def _cmd_info(ns):
 
 
 def _cmd_cohomology(ns):
+    from .cohomology import cohomology, format_cocycle, representatives, structural_checks
+
     if ns.max_degree is not None and ns.max_degree < 0:
         raise ParseError(0, f"--max-degree must be non-negative, got {ns.max_degree}")
     g = _load_algebra(ns.file)
@@ -206,6 +211,9 @@ def _parse_complement(text: str):
 
 
 def _cmd_split(ns):
+    from .lie import Subspace
+    from .splitting import KillMode, SplittingInput, kill_map, modified_bracket
+
     g = _load_algebra(ns.file)
     v_idx = _parse_complement(ns.complement)
     if any(not 1 <= i <= g.dim for i in v_idx):
@@ -226,6 +234,8 @@ def _cmd_split(ns):
 
 
 def _cmd_almost_abelian(ns):
+    from .almost_abelian import HolonomyInput, MostowStatus, Scale, analyze
+
     holonomy = _load_matrix(ns.holonomy)
     derivation = _load_matrix(ns.derivation) if ns.derivation else None
     inp = HolonomyInput(holonomy=holonomy, derivation=derivation, scale=Scale(ns.scale))
@@ -267,6 +277,8 @@ def _cmd_almost_abelian(ns):
 
 
 def _cmd_catalog(ns):
+    from .catalog import catalog_get, catalog_names
+
     if ns.name is None:
         lines = []
         for name in catalog_names():

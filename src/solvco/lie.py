@@ -24,7 +24,10 @@ The flag search runs inside [g, g], on the matrices of the ad(e_i) on it,
 and reads their spectra from the int form of their minimal polynomials;
 only a `no` witness becomes a `Polynomial`.  Its common eigenvectors are int kernel
 vectors of one echelon per search branch, and its chain is summed in
-ints.
+ints.  The spectral modules, decompositions and polynomials, are imported
+inside the flag search and `verify_nilpotent_complement`, the only
+functions here that use them, so validating or taking the cohomology of an
+algebra compiles neither.
 """
 
 from __future__ import annotations
@@ -34,11 +37,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .decompositions import (
-    integer_minimal_polynomial,
-    jordan_chevalley,
-    rational_spectrum,
-)
 from .errors import DecompositionInvalid, JacobiViolation, NotSolvable
 from .matrices import (
     Echelon,
@@ -47,7 +45,6 @@ from .matrices import (
     clear_denominators,
     rational,
 )
-from .polynomials import Polynomial, split_factors
 
 
 class LieAlgebra:
@@ -507,6 +504,9 @@ def completely_solvable_flag(g: LieAlgebra) -> FlagCertificate:
     g and y in c, and as ad x ad y maps g into c, that is tr(A_x (ad y on
     c)).  An algebra that is not solvable raises NotSolvable there.
     """
+    from .decompositions import integer_minimal_polynomial, rational_spectrum
+    from .polynomials import Polynomial, split_factors
+
     n = g.dim
     comm = derived_subalgebra(g)
     m = comm.dim
@@ -579,6 +579,8 @@ def verify_nilpotent_complement(g: LieAlgebra, v: Subspace, n: Subspace) -> tupl
     Returns the Jordan-Chevalley decompositions of ad(A), one per basis
     vector A of V.
     """
+    from .decompositions import jordan_chevalley
+
     if v.ambient_dim != g.dim or n.ambient_dim != g.dim:
         raise ValueError("subspace ambient dimension must equal dim")
     if v.dim + n.dim != g.dim or v.add(n).dim != g.dim:

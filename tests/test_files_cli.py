@@ -164,7 +164,7 @@ def test_cli_unexpected_exception_exits_1(monkeypatch):
     def broken(g):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr("solvco.cli.is_unimodular", broken)
+    monkeypatch.setattr("solvco.lie.is_unimodular", broken)  # info imports it per call
     code, text = run_command(["info", "heisenberg3"])
     assert (code, text) == (1, "error: internal ZeroDivisionError: boom")
 
@@ -176,6 +176,30 @@ def test_cli_usage_errors():
     assert code == 3
     code, _ = run_command(["nonsense-command"])
     assert code == 3
+
+
+UNREADABLE = {
+    "directory": "Is a directory",
+    "missing": "No such file or directory",
+    "latin-1": "'utf-8' codec can't decode byte 0xe9 in position 5: invalid continuation byte",
+}
+
+
+# a missing structure file is looked up in the catalog (test_cli_usage_errors)
+@pytest.mark.parametrize("command, kind", [
+    (["validate"], "directory"), (["validate"], "latin-1"),
+    (["almost-abelian", "--holonomy"], "directory"),
+    (["almost-abelian", "--holonomy"], "missing"),
+    (["almost-abelian", "--holonomy"], "latin-1"),
+])
+def test_cli_unreadable_input_is_a_usage_error(tmp_path, command, kind):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("# caf\u00e9\ndim 1\n".encode("latin-1"))
+    code, text = run_command(command + [str(path)])
+    assert (code, text) == (3, f"error: line 0: cannot read {str(path)!r}: {UNREADABLE[kind]}")
 
 
 def test_cli_malformed_numbers_are_usage_errors(tmp_path):

@@ -214,19 +214,21 @@ def test_flag_tries_each_operator_at_its_own_eigenvalues():
 @pytest.mark.parametrize("name", ["sol3", "filiform6", "heisenberg3", "irrational"])
 def test_flag_search_takes_one_spectrum_per_basis_operator(monkeypatch, name):
     # a search that takes the spectra again on every g / I makes 7
-    # minimal polynomials on sol3 and 20 on the 6-dimensional filiform algebra
-    from solvco import lie
+    # minimal polynomials on sol3 and 20 on the 6-dimensional filiform algebra;
+    # the flag search imports both spies from their defining modules per call
+    from solvco import decompositions, lie, polynomials
 
     g = {"sol3": catalog_get("sol3").algebra, "filiform6": filiform(6),
          "heisenberg3": HEISENBERG,
          "irrational": almost_abelian_algebra(companion((-2, 0, 1)))}[name]
     calls, searches = [], []
-    for fn in ("integer_minimal_polynomial", "split_factors"):
-        def counted(*args, fn=fn, original=getattr(lie, fn)):
+    for module, fn in ((decompositions, "integer_minimal_polynomial"),
+                       (polynomials, "split_factors")):
+        def counted(*args, fn=fn, original=getattr(module, fn)):
             assert not searches, f"{fn} inside the flag's step loop"
             calls.append(fn)
             return original(*args)
-        monkeypatch.setattr(lie, fn, counted)
+        monkeypatch.setattr(module, fn, counted)
     search = lie._common_rational_eigenvector
     monkeypatch.setattr(lie, "_common_rational_eigenvector",
                         lambda *args: searches.append(args) or search(*args))

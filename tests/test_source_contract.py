@@ -42,10 +42,14 @@ There is one factor search: only `split_factors` and its private helper
 call `integer_divisors` or `least_scale`, so a second search of roots or
 quadratics fails here, and a better factor kernel replaces one function.
 
-The weight-zero path is imported only inside the functions of
-cohomology.py, on the first call that takes it, so a command that never
-takes it does not compile it: about 4 ms of every cold start of
-`python -m solvco.cli`.
+A command compiles only the modules it runs: compiling the others cost
+about half of every cold start of `python -m solvco.cli`.  The weight-zero
+path is imported only inside the functions of cohomology.py, on the first
+call that takes it (about 4 ms of a cold start).  `__init__.py` imports no
+module of the package when it loads: its names are listed in the export
+table `_EXPORTS` and each is imported on first access.  cli.py imports at
+module level only the modules that every subcommand loads (`COLD_CORE`),
+and each handler imports the rest of what it runs.
 
 Polynomials are computed on as int coefficient lists at a scale; a
 `Polynomial` of `Fraction`s is built only for a reader, in the functions
@@ -100,20 +104,31 @@ def _names(node):
             yield sub.attr
 
 
+def _exports(tree):
+    """The names in the export table `_EXPORTS = {module: (names...)}` of
+    an __init__.py."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "_EXPORTS" for t in node.targets):
+            return {name for names in ast.literal_eval(node.value).values()
+                    for name in names}
+    return set()
+
+
 def _unreferenced(package):
     """(module:name, exported) for each module-level function or class in
     the package directory that is not referenced outside its own body;
-    exported tells whether the package's __init__.py imports it (an import
-    is not a reference)."""
+    exported tells whether the package's __init__.py lists it in its export
+    table (a string in the table is not a reference)."""
     paths = sorted(package.glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in paths}
-    exported = {alias.name for node in ast.walk(trees[package / "__init__.py"])
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = _exports(trees[package / "__init__.py"])
     referenced = Counter(name for tree in trees.values() for name in _names(tree))
     for path, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or node.name.startswith("__")):  # a module hook the interpreter calls
                 continue
             inside = sum(1 for name in _names(node) if name == node.name)
             if referenced[node.name] == inside:
@@ -182,6 +197,8 @@ def test_every_module_level_definition_is_reached():
 
 
 def test_every_export_only_definition_is_listed():
+    init = ast.parse((SOURCES[0].parent / "__init__.py").read_text(encoding="utf-8"))
+    assert _exports(init) == set(solvco.__all__)  # the table that the check reads
     assert sorted(_export_only(SOURCES[0].parent)) == sorted(EXPORT_ONLY)
     assert all(reason for reason in EXPORT_ONLY.values())
 
@@ -212,7 +229,7 @@ def test_every_public_method_is_named_or_listed():
 
 
 def test_method_check_sees_unnamed_methods(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .mod import Box\n")
+    (tmp_path / "__init__.py").write_text("_EXPORTS = {'mod': ('Box',)}\n")
     (tmp_path / "mod.py").write_text(
         "class Box:\n"
         "    def __init__(self):\n        self.used()\n"
@@ -226,19 +243,20 @@ def test_method_check_sees_unnamed_methods(tmp_path):
 
 
 def test_reach_check_sees_dead_definitions(tmp_path):
-    (tmp_path / "__init__.py").write_text("from .mod import Exported\n")
+    (tmp_path / "__init__.py").write_text("_EXPORTS = {'mod': ('Exported',)}\n")
     (tmp_path / "mod.py").write_text(
         "class Exported:\n    pass\n"
         "def helper():\n    return 1\n"
         "def by_attribute():\n    return 2\n"
         "def caller(ns):\n    return helper() + ns.by_attribute()\n"
-        "def recursive(n):\n    return recursive(n - 1) if n else 0\n")
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "def __getattr__(name):\n    return name\n")
     assert list(_unreached(tmp_path)) == ["mod:caller", "mod:recursive"]
 
 
 def test_export_check_sees_exports_nothing_reaches(tmp_path):
     (tmp_path / "__init__.py").write_text(
-        "from .mod import Exported, used, recursive\n")
+        "_EXPORTS = {'mod': ('Exported', 'used', 'recursive')}\n")
     (tmp_path / "mod.py").write_text(
         "class Exported:\n    pass\n"
         "def used():\n    return 1\n"
@@ -539,3 +557,52 @@ def test_weight_zero_import_check_sees_every_form(tmp_path):
         "def run(g):\n    from . import _weight_zero\n    return _weight_zero\n")
     (tmp_path / "_weight_zero.py").write_text("from .cohomology import cohomology\n")
     assert list(_weight_zero_imports(tmp_path)) == ["cli:1", "cli:4", "cohomology:1"]
+
+
+# The modules that every subcommand loads: each input is read through files,
+# which imports lie, matrices and errors.
+COLD_CORE = {"errors", "files", "lie", "matrices"}
+
+
+def _eager_imports(package):
+    """module:line: name of each module of the package that __init__.py
+    (any module) or cli.py (one outside COLD_CORE) imports when it loads,
+    that is, outside a function."""
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    for file, allowed in (("__init__.py", set()), ("cli.py", COLD_CORE)):
+        tree = ast.parse((package / file).read_text(encoding="utf-8"))
+        deferred = {id(sub) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in deferred:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in dict.fromkeys(n.split(".")[-1] for n in names):
+                if name in modules - allowed:
+                    yield f"{file[:-3]}:{node.lineno}: {name}"
+
+
+def test_init_and_cli_import_no_command_module_when_they_load():
+    assert list(_eager_imports(SOURCES[0].parent)) == []
+
+
+def test_eager_import_check_sees_every_form(tmp_path):
+    for name in ("errors", "files", "lie", "matrices", "mod", "splitting",
+                 "almost_abelian", "catalog", "cohomology"):
+        (tmp_path / f"{name}.py").write_text("")
+    (tmp_path / "__init__.py").write_text(
+        "import sys\nfrom .errors import SolvcoError\n_EXPORTS = {'mod': ('f',)}\n"
+        "def __getattr__(name):\n    from .mod import f\n    return f\n")
+    (tmp_path / "cli.py").write_text(
+        "import argparse\nfrom . import __version__, splitting\n"
+        "from .files import parse_matrix\nimport solvco.almost_abelian\n"
+        "if argparse:\n    from .catalog import catalog_get\n"
+        "def run():\n    from .cohomology import cohomology\n    return cohomology\n")
+    assert list(_eager_imports(tmp_path)) == [
+        "__init__:2: errors", "cli:2: splitting", "cli:4: almost_abelian", "cli:6: catalog"]
