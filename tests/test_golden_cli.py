@@ -279,6 +279,9 @@ def commands():
     for holonomy in HOLONOMIES:
         out += [["almost-abelian"] + holonomy,
                 ["almost-abelian"] + holonomy + ["--format", "tsv"]]
+    out += [["catalog"]] + [["catalog", name] for name in catalog_names()]
+    # an unknown name, and an abelian name past the catalog's bound
+    out += [["catalog", "bogus"], ["catalog", "abelian13"]]
     return out + [list(argv) for argv in ERROR_COMMANDS]
 
 
