@@ -122,8 +122,7 @@ def _primary_basis(g: LieAlgebra):
     parts = found + ([unfactored] if unfactored else [])
     for t, (f, vectors) in enumerate(parts):
         if f == [0, 1]:  # x first, then the vectors independent of it
-            spanned = Echelon(n)
-            spanned.add(x)
+            spanned = Echelon(n, [x])
             kept = [v for v in vectors if spanned.add(v) is not None]
             if len(kept) != len(vectors) - 1:
                 raise CheckFailed("x is not in the kernel of the semisimple part of ad x")
@@ -262,10 +261,8 @@ def _kernel_of_l_s(entries, masks, shift: int) -> list:
                 J = I ^ bit | 1 << j
                 line = lines.setdefault(J, {})
                 line[t] = line.get(t, 0) + c
-    kernel = Echelon(len(masks))
-    for line in lines.values():
-        kernel.add(line)
-    return [{masks[t]: x for t, x in v.items()} for v in kernel.kernel()]
+    return [{masks[t]: x for t, x in v.items()}
+            for v in Echelon(len(masks), lines.values()).kernel()]
 
 
 def weight_zero_betti(g: LieAlgebra) -> tuple:

@@ -128,35 +128,44 @@ def _cmd_validate(ns):
     return EXIT_OK, "ok"
 
 
+def _render(rows, fmt: str = "plain") -> str:
+    """One line per (key, value) row: `key value` in plain; in tsv the key
+    with its spaces and hyphens replaced by dots, a tab, then the value.
+    A bool value is written `true` or `false`."""
+    lines = []
+    for key, value in rows:
+        value = str(value).lower() if isinstance(value, bool) else value
+        lines.append(f"{key.replace(' ', '.').replace('-', '.')}\t{value}" if fmt == "tsv"
+                     else f"{key} {value}")
+    return "\n".join(lines)
+
+
 def _cmd_info(ns):
     from .lie import (completely_solvable_flag, derived_series, is_unimodular,
                       lower_central_series)
 
     g = _load_algebra(ns.file)
-    lines = [f"dim {g.dim}"]
-    lines.append(f"unimodular {str(is_unimodular(g)).lower()}")
     derived, central = derived_series(g), lower_central_series(g)
     solv = derived[-1].is_zero()
-    lines.append(f"solvable {str(solv).lower()}")
-    lines.append(f"nilpotent {str(central[-1].is_zero()).lower()}")
-    lines.append("derived-series " + " ".join(str(s.dim) for s in derived))
-    lines.append("lower-central-series " + " ".join(str(s.dim) for s in central))
+    rows = [("dim", g.dim), ("unimodular", is_unimodular(g)), ("solvable", solv),
+            ("nilpotent", central[-1].is_zero()),
+            ("derived-series", " ".join(str(s.dim) for s in derived)),
+            ("lower-central-series", " ".join(str(s.dim) for s in central))]
     code = EXIT_OK
     if solv:
         cert = completely_solvable_flag(g)
         if cert.status == "yes":
             dims = " ".join(str(s.dim) for s in cert.chain)
-            lines.append(f"completely-solvable yes (ideal flag dims {dims})")
+            flag = f"yes (ideal flag dims {dims})"
         elif cert.status == "no":
             idx, factor = cert.witness
-            lines.append(
-                f"completely-solvable no (ad e{idx} has non-real factor {factor})")
+            flag = f"no (ad e{idx} has non-real factor {factor})"
         else:
-            lines.append("completely-solvable undetermined")
-            code = EXIT_UNDETERMINED
+            flag, code = "undetermined", EXIT_UNDETERMINED
     else:
-        lines.append("completely-solvable no (not solvable)")
-    return code, "\n".join(lines)
+        flag = "no (not solvable)"
+    rows.append(("completely-solvable", flag))
+    return code, _render(rows)
 
 
 def _cmd_cohomology(ns):
@@ -166,35 +175,28 @@ def _cmd_cohomology(ns):
         raise ParseError(0, f"--max-degree must be non-negative, got {ns.max_degree}")
     g = _load_algebra(ns.file)
     res = (representatives if ns.reps else cohomology)(g, ns.max_degree)
-    full = ns.max_degree is None or ns.max_degree >= g.dim
-    lines = []
-    if ns.format == "tsv":
-        lines.append(f"dim\t{g.dim}")
-        for k, b in enumerate(res.betti):
-            lines.append(f"betti.{k}\t{b}")
-        if full:
-            report = structural_checks(res, g)
-            lines.append(f"euler\t{report.euler_characteristic}")
-            lines.append(f"unimodular\t{str(report.unimodular).lower()}")
-            lines.append(f"duality.holds\t{str(report.duality_holds).lower()}")
-            lines.append(
-                f"duality.expected\t{str(report.unimodular).lower()}")
-        if ns.reps:
-            for k, reps in enumerate(res.representatives):
-                for t, vec in enumerate(reps):
-                    lines.append(f"rep.{k}.{t}\t{format_cocycle(vec, g.dim, k)}")
-    else:
-        lines.append(f"dim {g.dim}")
-        for k, b in enumerate(res.betti):
-            lines.append(f"betti {k} {b}")
-        if full:
-            report = structural_checks(res, g)
-            lines.extend(report.lines())
-        if ns.reps:
-            for k, reps in enumerate(res.representatives):
-                for vec in reps:
-                    lines.append(f"rep {k} {format_cocycle(vec, g.dim, k)}")
-    return EXIT_OK, "\n".join(lines)
+    tsv = ns.format == "tsv"
+    rows = [("dim", g.dim)] + [(f"betti {k}", b) for k, b in enumerate(res.betti)]
+    if len(res.betti) == g.dim + 1:  # every degree: the structural report applies
+        report = structural_checks(res, g)
+        if tsv:
+            rows += [("euler", report.euler_characteristic),
+                     ("unimodular", report.unimodular),
+                     ("duality holds", report.duality_holds),
+                     ("duality expected", report.unimodular)]
+        else:
+            rows += [("unimodular", report.unimodular),
+                     ("duality", "holds" if report.duality_holds else "violated"),
+                     ("euler", report.euler_characteristic),
+                     ("b1", f"{report.b1} (dim - dim[g,g] = {report.b1_expected})")]
+            if report.solvable:
+                rows.append(("b1-bound", f">= {report.b1_bound} ok"))
+    if ns.reps:
+        # plain writes `rep k`; tsv numbers each cocycle of degree k
+        rows += [(f"rep {k} {t}" if tsv else f"rep {k}", format_cocycle(vec, g.dim, k))
+                 for k, reps in enumerate(res.representatives)
+                 for t, vec in enumerate(reps)]
+    return EXIT_OK, _render(rows, ns.format)
 
 
 def _parse_complement(text: str):
@@ -240,40 +242,22 @@ def _cmd_almost_abelian(ns):
     derivation = _load_matrix(ns.derivation) if ns.derivation else None
     inp = HolonomyInput(holonomy=holonomy, derivation=derivation, scale=Scale(ns.scale))
     report = analyze(inp)
-    lines = []
+    rows = [("b1", report.b1)]
     if ns.format == "tsv":
-        lines.append(f"b1\t{report.b1}")
-        lines.append(f"mostow.status\t{report.mostow.value}")
-        lines.append(f"mostow.reason\t{report.mostow_reason}")
-        if report.cyclotomic:
-            lines.append("cyclotomic\t"
-                         + " ".join(f"{d}:{m}" for d, m in report.cyclotomic))
-        if report.order_m is not None:
-            lines.append(f"order\t{report.order_m}")
-        lines.append(f"cover\t{report.cover_type.value}")
-        for k, b in enumerate(report.invariant_betti):
-            lines.append(f"betti.{k}\t{b}")
-        if report.ce_betti is not None:
-            for k, b in enumerate(report.ce_betti):
-                lines.append(f"ce.betti.{k}\t{b}")
-            lines.append(f"ce.derham.valid\t{str(report.de_rham_valid).lower()}")
+        rows += [("mostow status", report.mostow.value), ("mostow reason", report.mostow_reason)]
     else:
-        lines.append(f"b1 {report.b1}")
-        lines.append(f"mostow {report.mostow.value} {report.mostow_reason}")
-        if report.cyclotomic:
-            lines.append("cyclotomic "
-                         + " ".join(f"{d}:{m}" for d, m in report.cyclotomic))
-        if report.order_m is not None:
-            lines.append(f"order {report.order_m}")
-        lines.append(f"cover {report.cover_type.value}")
-        for k, b in enumerate(report.invariant_betti):
-            lines.append(f"betti {k} {b}")
-        if report.ce_betti is not None:
-            for k, b in enumerate(report.ce_betti):
-                lines.append(f"ce-betti {k} {b}")
-            lines.append(f"ce-derham-valid {str(report.de_rham_valid).lower()}")
+        rows.append(("mostow", f"{report.mostow.value} {report.mostow_reason}"))
+    if report.cyclotomic:
+        rows.append(("cyclotomic", " ".join(f"{d}:{m}" for d, m in report.cyclotomic)))
+    if report.order_m is not None:
+        rows.append(("order", report.order_m))
+    rows.append(("cover", report.cover_type.value))
+    rows += [(f"betti {k}", b) for k, b in enumerate(report.invariant_betti)]
+    if report.ce_betti is not None:
+        rows += [(f"ce-betti {k}", b) for k, b in enumerate(report.ce_betti)]
+        rows.append(("ce-derham-valid", report.de_rham_valid))
     code = EXIT_UNDETERMINED if report.mostow is MostowStatus.UNDETERMINED else EXIT_OK
-    return code, "\n".join(lines)
+    return code, _render(rows, ns.format)
 
 
 def _cmd_catalog(ns):

@@ -227,12 +227,7 @@ def _rank(n: int, columns):
     target mask on the weight-zero subcomplex), inserted in ascending order
     of their nonzero counts (sparsest first, ties in basis order), which
     keeps the fill-in of the echelon small."""
-    images = []
-    for k, cols in enumerate(columns):
-        image = Echelon(comb(n, k + 1))
-        for col in sorted(cols, key=len):
-            image.add(col)
-        images.append(image)
+    images = [Echelon(comb(n, k + 1), sorted(cols, key=len)) for k, cols in enumerate(columns)]
     betti = tuple(len(cols) - images[k].dim - (images[k - 1].dim if k else 0)
                   for k, cols in enumerate(columns))
     return betti, images
@@ -250,17 +245,6 @@ class StructuralReport:
     solvable: bool
     nilpotent: bool
     b1_bound: int  # b1 >= b1_bound; 0 when no bound applies
-
-    def lines(self):
-        out = [
-            f"unimodular {str(self.unimodular).lower()}",
-            f"duality {'holds' if self.duality_holds else 'violated'}",
-            f"euler {self.euler_characteristic}",
-            f"b1 {self.b1} (dim - dim[g,g] = {self.b1_expected})",
-        ]
-        if self.solvable:
-            out.append(f"b1-bound >= {self.b1_bound} ok")
-        return out
 
 
 def structural_checks(res: CohomologyResult, g: LieAlgebra) -> StructuralReport:
@@ -346,9 +330,7 @@ def representatives(g: LieAlgebra, max_degree: Optional[int] = None) -> Cohomolo
     reps = []
     for k, cols in enumerate(columns):
         width = len(cols)
-        rows = Echelon(width)
-        for row in _transpose(cols, comb(g.dim, k + 1)):
-            rows.add(row)
+        rows = Echelon(width, _transpose(cols, comb(g.dim, k + 1)))
         spanned = images[k - 1].copy() if k else Echelon(width)
         out = []
         for vec in rows.kernel():

@@ -274,12 +274,9 @@ class Subspace:
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
         """Canonical subspace spanned by arbitrary dense or sparse vectors
         (echelon basis)."""
-        ech = Echelon(ambient_dim)
-        for v in vectors:
-            ech.add(v)
         # the echelon rows are independent by construction: no second check
         space = cls.__new__(cls)
-        space._set(ambient_dim, None, ech)
+        space._set(ambient_dim, None, Echelon(ambient_dim, vectors))
         return space
 
     @classmethod

@@ -250,16 +250,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _echelon(width: int, rows) -> Echelon:
-    """Echelon spanned by the given dense rows."""
-    ech = Echelon(width)
-    for row in rows:
-        ech.add(row)
-    return ech
-
-
 def rank(m: Matrix) -> int:
-    return _echelon(m.cols, m.numerator_rows()).dim
+    return Echelon(m.cols, m.numerator_rows()).dim
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -270,8 +262,8 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    ech = _echelon(2 * n, (row + (0,) * i + (1,) + (0,) * (n - 1 - i)
-                           for i, row in enumerate(m.numerator_rows())))
+    ech = Echelon(2 * n, (row + (0,) * i + (1,) + (0,) * (n - 1 - i)
+                          for i, row in enumerate(m.numerator_rows())))
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
     rows = [ech._reduced(p) for p in range(n)]
@@ -343,13 +335,16 @@ class Echelon:
     `kernel`).  Vectors go in as dense tuples or sparse dicts of ints or
     Fractions; each is cleared of denominators once and eliminated
     fraction-free.  `remainder`, `kernel`, `rows_from` and `reduced_rows`
-    hand out int rows, and no `Fraction` is built.
+    hand out int rows, and no `Fraction` is built.  The given rows are
+    added in the order given.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, rows=()):
         self.width = width
         self._piv = {}  # pivot column -> pivot entry, a positive int
         self._tails = {}  # pivot column -> row entries after the pivot, {column: int}
+        for v in rows:
+            self.add(v)
 
     def remainder(self, v):
         """(V, s): the remainder of v modulo the span as V / s, V a sparse

@@ -344,9 +344,7 @@ def test_interleaved_operations_read_the_reduced_form(data):
             inputs.append(v)
         elif op in ("remainder", "contains"):
             v = vector()
-            fresh = Echelon(width)  # the same vectors, with no read between
-            for u in inputs:
-                fresh.add(u)
+            fresh = Echelon(width, inputs)  # the same vectors, with no read between
             want = list(densify(v, width))
             for p, row in zip(pivots, rows):
                 f = want[p]
