@@ -54,6 +54,10 @@ def test_holonomy_input_validation():
         HolonomyInput(Matrix.from_rows([[2, 0], [0, 1]]))  # det 2
     with pytest.raises(ValueError, match="integer entries"):  # det 1
         HolonomyInput(Matrix.from_rows([[Fraction(1, 2), 0], [0, 2]]))
+    with pytest.raises(ValueError, match="derivation must be n x n"):
+        HolonomyInput(ANOSOV, derivation=Matrix.identity(3))
+    with pytest.raises(ValueError, match="derivation must be n x n"):
+        HolonomyInput(ANOSOV, derivation=Matrix(2, 3, [0] * 6))
 
 
 @settings(max_examples=150, deadline=None)

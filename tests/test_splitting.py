@@ -41,6 +41,12 @@ def test_splitting_input_verifies():
     sol3 = catalog_get("sol3").algebra
     with pytest.raises(DecompositionInvalid):
         SplittingInput(sol3, Subspace.standard(3, (2,)), Subspace.standard(3, (1, 3)))
+    # the verification fills jordan_parts: one Jordan-Chevalley decomposition
+    # of ad(A) per basis vector A of the complement
+    inp = catalog_input("nakamura")
+    assert len(inp.jordan_parts) == inp.complement.dim == 2
+    for a, dec in zip(inp.complement.basis, inp.jordan_parts):
+        assert dec == jordan_chevalley(ad_matrix(inp.algebra, a))
 
 
 def test_kill_map_sol3_compact_is_zero():
