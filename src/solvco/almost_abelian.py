@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cohomology import DEFAULT_DIM_BOUND, cohomology
 from .decompositions import (
@@ -59,7 +58,6 @@ class CoverType(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
 class HolonomyInput:
     """Lattice data: integer n x n holonomy B, optional derivation.
 
@@ -67,22 +65,20 @@ class HolonomyInput:
     group; that consistency is the caller's assertion and is not checked.
     """
 
-    holonomy: Matrix
-    derivation: Optional[Matrix] = None
-    scale: Scale = Scale.ONE
-
-    def __post_init__(self):
-        b = self.holonomy
-        if not b.is_square():
+    def __init__(self, holonomy: Matrix, derivation: Optional[Matrix] = None,
+                 scale: Scale = Scale.ONE):
+        vars(self).update(holonomy=holonomy, derivation=derivation, scale=scale)
+        if not holonomy.is_square():
             raise ValueError("holonomy must be n x n")
-        if b.denominator != 1:
+        if holonomy.denominator != 1:
             raise ValueError("holonomy must have integer entries")
         if abs(self.spectrum[0][0]) != 1:  # the constant term is (-1)^n det B
             raise ValueError("holonomy must be invertible over the integers")
-        if self.derivation is not None:
-            z = self.derivation
-            if not z.is_square() or z.rows != self.n:
-                raise ValueError("derivation must be n x n")
+        if derivation is not None and (not derivation.is_square() or derivation.rows != self.n):
+            raise ValueError("derivation must be n x n")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HolonomyInput is immutable")
 
     @property
     def n(self) -> int:
@@ -234,8 +230,7 @@ def invariant_betti(inp: HolonomyInput):
     return tuple(a + b for a, b in zip(kappa, kappa[1:]))
 
 
-@dataclass(frozen=True)
-class AlmostAbelianReport:
+class AlmostAbelianReport(NamedTuple):
     """Everything the lattice analysis can decide for one holonomy input."""
 
     b1: int

@@ -20,7 +20,7 @@ The notes printed with an entry say how it was rescaled or derived.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CheckFailed, UnknownName
 from .files import parse_structure_file
@@ -40,8 +40,7 @@ SOLVABLE = "solvable"  # solvable but not completely solvable
 _MAX_ABELIAN = 12
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     algebra: LieAlgebra
     classification: str

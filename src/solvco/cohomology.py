@@ -69,10 +69,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CheckFailed, DimensionTooLarge, JacobiViolation
 from .lie import (
@@ -209,14 +208,16 @@ def build_complex(g: LieAlgebra, max_degree: Optional[int] = None) -> tuple:
     return tuple(columns)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Betti numbers per degree and, from `representatives`, a tuple per
     degree of sparse {basis index: Fraction} cocycles (None from
-    `cohomology`)."""
+    `cohomology`); it hashes on its Betti numbers only."""
 
     betti: tuple
-    representatives: Optional[tuple] = field(default=None, hash=False)
+    representatives: Optional[tuple] = None
+
+    def __hash__(self):
+        return hash(self.betti)
 
 
 def _rank(n: int, columns):
@@ -233,8 +234,7 @@ def _rank(n: int, columns):
     return betti, images
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     """Consistency diagnostics tying Betti numbers to algebra structure."""
 
     unimodular: bool

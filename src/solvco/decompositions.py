@@ -21,9 +21,9 @@ evaluates these int lists at a matrix in ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import CheckFailed, NotRationallySplittable, NotUnipotent
 from .matrices import Echelon, Matrix, inverse
@@ -193,8 +193,7 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
     return Polynomial.from_scaled(*integer_minimal_polynomial(m))
 
 
-@dataclass(frozen=True)
-class JordanDecomposition:
+class JordanDecomposition(NamedTuple):
     """Additive decomposition m = semisimple + nilpotent, both polynomials in m."""
 
     semisimple: Matrix

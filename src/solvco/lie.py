@@ -32,10 +32,9 @@ algebra compiles neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DecompositionInvalid, JacobiViolation, NotSolvable
 from .matrices import (
@@ -438,8 +437,7 @@ def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
                          for col in zip(*p.numerator_rows())])
 
 
-@dataclass(frozen=True)
-class FlagCertificate:
+class FlagCertificate(NamedTuple):
     """Outcome of the search for a full rational flag of ideals."""
 
     status: str  # 'yes' | 'no' | 'undetermined'

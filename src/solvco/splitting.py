@@ -21,8 +21,8 @@ terms, over one common denominator, and built by the integer builder.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from math import lcm
+from typing import NamedTuple
 
 from .decompositions import integer_compact_part, integer_minimal_polynomial
 from .errors import CheckFailed, NonCommutingTorus, NotNilpotent
@@ -43,21 +43,19 @@ class KillMode(enum.Enum):
     COMPACT = "compact"
 
 
-@dataclass(frozen=True)
 class SplittingInput:
     """Algebra with a verified complement V and nilpotent ideal n.
 
     `jordan_parts` holds the Jordan-Chevalley decomposition of ad(A) for
     each basis vector A of V, computed once by the verification."""
 
-    algebra: LieAlgebra
-    complement: Subspace
-    nilpotent_ideal: Subspace
-    jordan_parts: tuple = field(init=False, repr=False, compare=False)
+    def __init__(self, algebra: LieAlgebra, complement: Subspace, nilpotent_ideal: Subspace):
+        vars(self).update(algebra=algebra, complement=complement, nilpotent_ideal=nilpotent_ideal,
+                          jordan_parts=verify_nilpotent_complement(
+                              algebra, complement, nilpotent_ideal))
 
-    def __post_init__(self):
-        object.__setattr__(self, "jordan_parts", verify_nilpotent_complement(
-            self.algebra, self.complement, self.nilpotent_ideal))
+    def __setattr__(self, name, value):
+        raise AttributeError("SplittingInput is immutable")
 
     def v_projection(self) -> Matrix:
         """Matrix of the projection onto V along n, in V-basis coordinates."""
@@ -71,8 +69,7 @@ class SplittingInput:
                                                for x in row], change.denominator)
 
 
-@dataclass(frozen=True)
-class KillMap:
+class KillMap(NamedTuple):
     """One commuting operator per V basis vector, vanishing on V."""
 
     operators: tuple

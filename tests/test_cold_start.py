@@ -1,10 +1,11 @@
-"""A cold command loads only the modules its subcommand runs, and the lazy
-package exports keep the public API: each name resolves to the object its
-module defines, and `from solvco import *` binds exactly the public names.
+"""A cold command loads only the modules its subcommand runs, and none of
+them loads `dataclasses` or `inspect`; the lazy package exports keep the
+public API: each name resolves to the object its module defines, and
+`from solvco import *` binds exactly the public names.
 
 Each module set is read in a fresh interpreter, which imports solvco.cli,
 runs one command through `run_command` and prints the solvco modules then
-in `sys.modules`.
+in `sys.modules`, and which of `dataclasses` and `inspect` are there.
 """
 
 import argparse
@@ -50,7 +51,8 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import solvco.cli
 code, _ = solvco.cli.run_command(sys.argv[2:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "solvco")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "solvco"),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -62,9 +64,10 @@ def test_a_cold_command_loads_only_its_modules(tmp_path, argv, extra):
     args = [str(tmp_path / a) if a in ("H", "R") else a for a in argv]
     out = subprocess.run([sys.executable, "-c", CHILD, SRC, *args],
                          capture_output=True, text=True, check=True).stdout
-    code, modules = json.loads(out)
+    code, modules, slow_stdlib = json.loads(out)
     assert code == 0
     assert set(modules) == CORE | extra
+    assert slow_stdlib == []
 
 
 # The public names of the package, each defined in the module named.

@@ -51,6 +51,12 @@ table `_EXPORTS` and each is imported on first access.  cli.py imports at
 module level only the modules that every subcommand loads (`COLD_CORE`),
 and each handler imports the rest of what it runs.
 
+No module imports `dataclasses`, at any level: its import chain
+(`inspect`, `ast`, `dis`, `tokenize`) cost every cold command 12-15 ms,
+and each `@dataclass` compiles its generated methods with `exec`.  A
+record is a `typing.NamedTuple`; a checked input is a plain class whose
+`__init__` runs the checks and whose `__setattr__` refuses assignment.
+
 Polynomials are computed on as int coefficient lists at a scale; a
 `Polynomial` of `Fraction`s is built only for a reader, in the functions
 named in `POLYNOMIAL_READERS`, so the spectral layer cannot slip back
@@ -606,3 +612,33 @@ def test_eager_import_check_sees_every_form(tmp_path):
         "def run():\n    from .cohomology import cohomology\n    return cohomology\n")
     assert list(_eager_imports(tmp_path)) == [
         "__init__:2: errors", "cli:2: splitting", "cli:4: almost_abelian", "cli:6: catalog"]
+
+
+def _dataclass_imports(package):
+    """module:line of each import of the stdlib `dataclasses` module in
+    the package, inside a function or class as well as at module level."""
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                yield f"{path.stem}:{node.lineno}"
+
+
+def test_no_module_imports_dataclasses():
+    assert list(_dataclass_imports(SOURCES[0].parent)) == []
+
+
+def test_dataclass_import_check_sees_every_form(tmp_path):
+    (tmp_path / "records.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+        "def build():\n    import os, dataclasses as dc\n    return dc\n"
+        "class Box:\n    from dataclasses import field\n")
+    (tmp_path / "other.py").write_text(
+        "from . import dataclasses\nfrom .records import build\nimport dataclasses_json\n")
+    assert list(_dataclass_imports(tmp_path)) == ["records:1", "records:4", "records:7"]
