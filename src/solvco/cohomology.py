@@ -94,6 +94,14 @@ def multi_indices(n: int, k: int):
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
+@functools.lru_cache(maxsize=None)
+def _labels(n: int, k: int):
+    """e13-style label of each of multi_indices(n, k), "1" for the empty
+    one; indices above 9 are comma-separated for clarity."""
+    return tuple("e" + ("" if idx[-1] <= 9 else ",").join(map(str, idx)) if idx else "1"
+                 for idx in multi_indices(n, k))
+
+
 def _generator_terms(g: LieAlgebra):
     """D d on the generators, D = g.denominator: D d e^gen = - sum D
     c[gen][a][b] e^{ab}, as (bit of gen, terms) pairs in ascending bit, each
@@ -343,21 +351,11 @@ def representatives(g: LieAlgebra, max_degree: Optional[int] = None) -> Cohomolo
     return CohomologyResult(betti, tuple(reps))
 
 
-def format_multi_index(idx) -> str:
-    """e13-style label; indices above 9 are comma-separated for clarity."""
-    if not idx:
-        return "1"
-    if all(i <= 9 for i in idx):
-        return "e" + "".join(str(i) for i in idx)
-    return "e" + ",".join(str(i) for i in idx)
-
-
 def format_cocycle(vec, n: int, k: int) -> str:
     """`a1*e{I1} + a2*e{I2} + ...` with rational coefficients, for a sparse
     degree-k cocycle on an n-dimensional algebra, a {basis index:
     coefficient} dict as `representatives` returns them; only its nonzero
     terms are written, in ascending index order, and "0" when there are
     none."""
-    idxs = multi_indices(n, k)
-    return " + ".join(f"{c}*{format_multi_index(idxs[t])}"
-                      for t, c in sorted(vec.items()) if c) or "0"
+    labels = _labels(n, k)
+    return " + ".join(f"{c}*{labels[t]}" for t, c in sorted(vec.items()) if c) or "0"
